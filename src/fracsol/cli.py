@@ -8,9 +8,7 @@ Subcommands:
 
 Exit codes: 0 success/PASS, 1 input error, 2 verification FAIL.
 Output is CSV (comma separator, '.' decimal point, LF endings) or JSON;
-numbers are emitted as shortest round-trip decimals.  The env var
-FRACSOL_THREADS caps grid-evaluation parallelism (evaluation is
-point-independent; the cap is honored, sequential satisfies any cap).
+numbers are emitted as shortest round-trip decimals.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -468,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    _ = os.environ.get("FRACSOL_THREADS")  # parallelism cap; evaluation is sequential
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -14,7 +14,11 @@ class DivergentInputError(FracsolError):
 
 
 class NoConvergenceError(FracsolError):
-    """Series summation hit its term cap without the tail decaying."""
+    """Series summation hit its term cap before its stop rule fired."""
+
+
+class CancellationError(FracsolError):
+    """Series terms cancel past the accuracy the evaluator guarantees."""
 
 
 class UnsupportedClassError(FracsolError):

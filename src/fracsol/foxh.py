@@ -4,8 +4,20 @@ The public evaluator handles the l = 0, real-parameter class (the only
 class the solvers emit) for z > 0.  The contour is the vertical line
 Re s = gamma with gamma = min_j(B_j / beta_j) - 1/2, which separates the
 numerator poles for every l = 0 spec; for large arguments the line is
-slid left to the real saddle of the integrand so the quadrature keeps
-relative accuracy deep into the exponential decay.
+slid left to the real saddle of the integrand (a vectorized grid search)
+so the quadrature keeps relative accuracy deep into the exponential
+decay.
+
+The trapezoid rule on the line is truncated from the decay rate: the
+integrand falls like exp(-pi omega |tau| / 2), so the first pass spans
+|tau| <= 30 / (pi omega / 2), and T then doubles, evaluating only the new
+outer segments, until a tail bound is negligible.  Refinement halves h
+and evaluates only the midpoints of the previous lattice, so each pass
+costs as many nodes as all earlier ones together; it stops when two
+passes agree to _REFINE_TOL (the nested error estimate of Trefethen &
+Weideman, SIAM Rev. 56 (2014)).  A value whose modulus bound lies below
+the double range returns 0.0 after the first pass; a stalled refinement
+or a runaway T raises QuadratureFailureError.
 
 A residue-based small-argument series is kept as an internal cross-check
 oracle, together with a general-contour evaluator used by the identity
@@ -19,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     NonConvergentError,
@@ -28,12 +39,24 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedClassError,
 )
-from .gammafn import gamma_reciprocal, is_nonpositive_integer, ln_gamma_vec
+from .gammafn import gamma_reciprocal, ln_gamma_vec
 
 _REFINE_TOL = 1e-9
 _MAX_REFINE = 6
-_T0 = 40.0
-_H0 = 0.05
+_H0 = 0.1
+# the first pass spans |tau| <= _DECAY_LOGS / (pi omega / 2), where the
+# integrand has fallen by e^-30 from its asymptotic envelope at tau = 0
+_DECAY_LOGS = 30.0
+# fewest first-pass nodes on each side of tau = 0
+_N_MIN = 40
+_MAX_DOUBLINGS = 6
+# share of _REFINE_TOL the truncated tail may take
+_TAIL_FRACTION = 1e-2
+_EPS = np.finfo(float).eps
+# log of half the smallest subnormal: a bound below it rounds to 0.0
+_LOG_UNDERFLOW = math.log(2.0) * -1075
+_SADDLE_GRID = 65
+_SADDLE_STAGES = 3
 
 
 @dataclass(frozen=True)
@@ -122,27 +145,78 @@ def _log_integrand(spec: HFunctionSpec, s):
     return out
 
 
-def _trapezoid_line(spec: HFunctionSpec, z: float, gamma: float) -> float:
-    """Refine the trapezoid rule on Re s = gamma until two passes agree."""
+def _trapezoid_line(spec: HFunctionSpec, z: float, gamma: float, omega: float) -> float:
+    """Trapezoid rule on Re s = gamma (truncation and refinement as in the
+    module docstring).
+
+    The tail bound beyond T is |f(+-T)| / r, with r the smaller of
+    pi omega / 2 and the local decay rate at the end nodes, which is below
+    the asymptotic rate while a far-left saddle contour still decays like
+    a Gaussian.  T stops growing once the bound is under _TAIL_FRACTION of
+    the tolerance times the running integral, or under the rounding floor
+    eps * sum|f| that no longer T can improve.
+    """
     log_z = math.log(z)
-    prev = None
-    T, h = _T0, _H0
-    for _ in range(_MAX_REFINE):
-        n = int(round(T / h))
-        tau = np.arange(-n, n + 1) * h
+    rate = math.pi * omega / 2.0
+
+    def log_f(tau):
         s = gamma + 1j * tau
-        log_f = _log_integrand(spec, s) + s * log_z
-        ref = float(np.max(log_f.real))
-        val = math.exp(ref) * h / (2.0 * math.pi) * float(
-            np.sum(np.exp(log_f - ref)).real
-        )
-        if prev is not None and abs(val - prev) <= _REFINE_TOL * max(abs(val), 1e-300):
-            return val
-        prev = val
-        T, h = 2.0 * T, h / 2.0
+        return _log_integrand(spec, s) + s * log_z
+
+    h = _H0
+    n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
+    lf = log_f(np.arange(-n, n + 1) * h)
+    # every node is scaled by the first pass's largest modulus
+    ref = float(np.max(lf.real))
+    total = 0.0
+    total_abs = 0.0
+    for doubling in range(_MAX_DOUBLINGS + 1):
+        total += float(np.sum(np.exp(lf - ref)).real)
+        total_abs += float(np.sum(np.exp(lf.real - ref)))
+        edge = lf.real[[0, -1]]
+        decay = np.minimum((lf.real[[1, -2]] - edge) / h, rate)
+        tail = float(np.sum(np.exp(edge - ref) / decay)) if decay.min() > 0 else math.inf
+        bound = h * total_abs + tail
+        if ref + math.log(bound / (2.0 * math.pi)) < _LOG_UNDERFLOW:
+            # |H| <= that bound, which is below half the smallest subnormal
+            return 0.0
+        if tail <= h * max(_TAIL_FRACTION * _REFINE_TOL * abs(total), _EPS * total_abs):
+            break
+        if doubling == _MAX_DOUBLINGS:
+            raise QuadratureFailureError(
+                f"contour truncation did not settle by T = {n * h:g} at z = {z}"
+            )
+        k = np.arange(n + 1, 2 * n + 1)
+        lf = log_f(np.concatenate((-k[::-1], k)) * h)
+        n *= 2
+    val = h * total
+    for _ in range(_MAX_REFINE):
+        total += float(np.sum(np.exp(log_f((np.arange(-n, n) + 0.5) * h) - ref)).real)
+        h, n = h / 2.0, 2 * n
+        new = h * total
+        if abs(new - val) <= _REFINE_TOL * abs(new):
+            return math.exp(ref) / (2.0 * math.pi) * new
+        val = new
     raise QuadratureFailureError(
-        f"contour refinement stalled at z = {z} (last value {prev!r})"
+        f"contour refinement stalled at z = {z} "
+        f"(last value {math.exp(ref) / (2.0 * math.pi) * val!r})"
     )
+
+
+def _real_minimum(spec: HFunctionSpec, z: float, lo: float, hi: float) -> float:
+    """Minimise log|integrand(sigma)| + sigma log z over real sigma in [lo, hi].
+
+    Grid search: each stage evaluates the integrand once on _SADDLE_GRID
+    points and narrows the bracket to the neighbours of the smallest value.
+    """
+    log_z = math.log(z)
+    for _ in range(_SADDLE_STAGES):
+        sigma = np.linspace(lo, hi, _SADDLE_GRID)
+        phi = _log_integrand(spec, sigma).real + sigma * log_z
+        phi[~np.isfinite(phi)] = np.inf
+        i = int(np.argmin(phi))
+        lo, hi = sigma[max(i - 1, 0)], sigma[min(i + 1, _SADDLE_GRID - 1)]
+    return float(sigma[i])
 
 
 def _saddle_contour(spec: HFunctionSpec, z: float, gamma0: float) -> float:
@@ -160,13 +234,7 @@ def _saddle_contour(spec: HFunctionSpec, z: float, gamma0: float) -> float:
     hi = min(b / be for b, be in spec.lower) - 1e-3
     scale = (conv.mu * z) ** (1.0 / conv.nu) if conv.mu * z > 0 else 1.0
     lo = hi - 3.0 * scale - 20.0
-
-    def phi(sigma):
-        val = _log_integrand(spec, np.array([sigma + 0.0j]))[0].real
-        return val + sigma * math.log(z)
-
-    res = minimize_scalar(phi, bounds=(lo, hi), method="bounded")
-    sstar = float(res.x)
+    sstar = _real_minimum(spec, z, lo, hi)
     return sstar if sstar < gamma0 else gamma0
 
 
@@ -181,7 +249,7 @@ def eval_mellin_barnes(spec: HFunctionSpec, z: float) -> float:
         raise NonConvergentError(f"omega = {conv.omega:g} <= 0: integral diverges")
     gamma0 = min(b / be for b, be in spec.lower[: spec.m]) - 0.5
     gamma = _saddle_contour(spec, z, gamma0)
-    return _trapezoid_line(spec, z, gamma)
+    return _trapezoid_line(spec, z, gamma, conv.omega)
 
 
 def _eval_general(spec: HFunctionSpec, z: float) -> float:
@@ -206,17 +274,10 @@ def _eval_general(spec: HFunctionSpec, z: float) -> float:
         # m = 0: no right poles, the contour slides right freely; park it on
         # the real saddle so small function values are not lost to
         # cancellation against an O(1) integrand
-        lo = left + 1e-3
-        hi = left + 20.0 + 10.0 * abs(math.log(z))
-
-        def phi(sigma):
-            val = _log_integrand(spec, np.array([sigma + 0.0j]))[0].real
-            return val + sigma * math.log(z)
-
-        gamma = float(minimize_scalar(phi, bounds=(lo, hi), method="bounded").x)
+        gamma = _real_minimum(spec, z, left + 1e-3, left + 20.0 + 10.0 * abs(math.log(z)))
     else:
         gamma = 0.5 * (left + right)
-    return _trapezoid_line(spec, z, gamma)
+    return _trapezoid_line(spec, z, gamma, conv.omega)
 
 
 def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
 from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator, FracPowerSeries
-from .gammafn import ln_gamma_vec
 from .wright import WrightSpec
 
 _REAL_ROOT_TOL = 1e-9

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import foxh, fracseries, wright
 from .errors import (
@@ -26,7 +25,6 @@ from .pde import (
     DiffusionProblem,
     FoxHForm,
     PdeSolution,
-    WrightSeriesForm,
     evaluate as pde_evaluate,
 )
 from .wright import WrightSpec
@@ -136,50 +134,47 @@ def _closed_form_residual(sol: PdeSolution, problem: DiffusionProblem, grid):
     return _build_report(METHOD_TERMWISE, pts)
 
 
-class _CachedTimeProfile:
-    """t -> u(x, t) for a Fox-H solution, backed by a log-log spline of H.
+class _HProfile:
+    """v -> scale * H[coef * v^(-power)] for v > 0, backed by a log-log
+    spline of H.
 
-    The Grunwald-Letnikov sum needs the solution on a dense t-lattice; one
+    The Grunwald-Letnikov sum needs the function on a dense lattice; one
     contour quadrature per lattice node is prohibitive, so H is sampled on
     a logarithmic argument grid once and interpolated.  Beyond the point
     where the decay envelope is negligible the profile is exactly 0.
     """
 
-    def __init__(self, sol: PdeSolution, x: float, t_max: float, h: float, nodes: int = 320):
-        form: FoxHForm = sol.form
-        self.c1 = complex(sol.problem.constant(1)).real
-        self.xa = x**form.a
-        self.kappa = form.arg_coef * x ** (2.0 - form.d)
-        self.rho = form.rho
-        z_lo = self.kappa * t_max ** (-self.rho) * 0.5
-        # cut where the decay envelope is hopelessly small
-        z_hi = self.kappa * max(h, 1e-8) ** (-self.rho)
-        conv = foxh.convergence_params(form.spec)
-        if conv.nu > 0:
-            # envelope exp(-nu (mu z)^(1/nu)) < 1e-60  =>  z > z_cut
-            z_cut = (138.0 / conv.nu) ** conv.nu / conv.mu
-            z_hi = min(z_hi, max(z_cut, z_lo * 10.0))
-        self.z_hi = z_hi
-        zs = np.exp(np.linspace(math.log(z_lo), math.log(z_hi), nodes))
-        vals = np.array([eval_mellin_barnes(form.spec, z) for z in zs])
-        self.positive = bool(np.all(vals > 0))
-        if self.positive:
-            self.spline = CubicSpline(np.log(zs), np.log(vals))
-        else:
-            self.spline = CubicSpline(np.log(zs), vals)
+    def __init__(self, spec, coef, power, v_max, h, scale=1.0, nodes: int = 320):
+        # imported here so that importing the package loads no scipy
+        from scipy.interpolate import CubicSpline
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        ok = t > 0
-        z = np.where(ok, self.kappa * np.where(ok, t, 1.0) ** (-self.rho), np.inf)
-        inside = ok & (z <= self.z_hi)
-        lz = np.log(np.where(inside, z, 1.0))
+        self.coef = coef
+        self.power = power
+        self.scale = scale
+        w_lo = coef * v_max ** (-power) * 0.5
+        # cut where the decay envelope is hopelessly small
+        w_hi = coef * max(h, 1e-8) ** (-power)
+        conv = foxh.convergence_params(spec)
+        if conv.nu > 0:
+            # envelope exp(-nu (mu w)^(1/nu)) < 1e-60  =>  w > w_cut
+            w_cut = (138.0 / conv.nu) ** conv.nu / conv.mu
+            w_hi = min(w_hi, max(w_cut, w_lo * 10.0))
+        self.w_hi = w_hi
+        ws = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), nodes))
+        vals = np.array([eval_mellin_barnes(spec, w) for w in ws])
+        self.positive = bool(np.all(vals > 0))
+        self.spline = CubicSpline(np.log(ws), np.log(vals) if self.positive else vals)
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        ok = v > 0
+        w = np.where(ok, self.coef * np.where(ok, v, 1.0) ** (-self.power), np.inf)
+        inside = ok & (w <= self.w_hi)
+        hv = self.spline(np.log(np.where(inside, w, 1.0)))
         if self.positive:
-            hv = np.exp(self.spline(lz))
-        else:
-            hv = self.spline(lz)
-        out[inside] = self.c1 * self.xa * hv[inside]
+            hv = np.exp(hv)
+        out[inside] = self.scale * hv[inside]
         return out
 
 
@@ -203,7 +198,15 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
     for x, t in grid:
         if isinstance(sol.form, FoxHForm):
             if x not in profiles:
-                profiles[x] = _CachedTimeProfile(sol, x, t_max, h)
+                form: FoxHForm = sol.form
+                profiles[x] = _HProfile(
+                    form.spec,
+                    coef=form.arg_coef * x ** (2.0 - form.d),
+                    power=form.rho,
+                    v_max=t_max,
+                    h=h,
+                    scale=complex(sol.problem.constant(1)).real * x**form.a,
+                )
             f_t = profiles[x]
         else:
             def f_t(ts, _x=x):
@@ -315,7 +318,7 @@ def h_operator_identity_check(
             lower=spec.lower,
         )
         zmax = max(z_points)
-        cache = _HProfileCache(spec, a, alpha_p, zmax, h)
+        cache = _HProfile(spec, coef=a, power=alpha_p, v_max=zmax, h=h)
         for z in z_points:
             lhs = gl_fractional_derivative(cache, alpha, z, h)
             rhs = z ** (-alpha) * eval_mellin_barnes(shifted, a * z ** (-alpha_p))
@@ -339,39 +342,6 @@ def h_operator_identity_check(
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return _build_report(METHOD_GL, pts)
-
-
-class _HProfileCache:
-    """Spline cache of z -> H[a z^(-alpha_p)] for the GL lattice."""
-
-    def __init__(self, spec, a, alpha_p, z_max, h, nodes: int = 320):
-        self.a = a
-        self.alpha_p = alpha_p
-        w_lo = a * z_max ** (-alpha_p) * 0.5
-        w_hi = a * max(h, 1e-8) ** (-alpha_p)
-        conv = foxh.convergence_params(spec)
-        if conv.nu > 0:
-            w_cut = (138.0 / conv.nu) ** conv.nu / conv.mu
-            w_hi = min(w_hi, max(w_cut, w_lo * 10.0))
-        self.w_hi = w_hi
-        ws = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), nodes))
-        vals = np.array([eval_mellin_barnes(spec, w) for w in ws])
-        self.positive = bool(np.all(vals > 0))
-        if self.positive:
-            self.spline = CubicSpline(np.log(ws), np.log(vals))
-        else:
-            self.spline = CubicSpline(np.log(ws), vals)
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        ok = z > 0
-        w = np.where(ok, self.a * np.where(ok, z, 1.0) ** (-self.alpha_p), np.inf)
-        inside = ok & (w <= self.w_hi)
-        lw = np.log(np.where(inside, w, 1.0))
-        hv = np.exp(self.spline(lw)) if self.positive else self.spline(lw)
-        out[inside] = hv[inside]
-        return out
 
 
 def _wright_series_image(spec: WrightSpec, a: float, prefactor_exp: float, sigma: float, order: int):

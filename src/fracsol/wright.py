@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentInputError, NoConvergenceError
+from .errors import CancellationError, DivergentInputError, NoConvergenceError
 from .gammafn import is_nonpositive_integer, ln_gamma_vec
 
 _EPS_REL = 1e-15
 _TERM_CAP = 500
+_EPS = np.finfo(float).eps
+_CANCEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,12 @@ def evaluate(spec: WrightSpec, z) -> complex:
     """Partial sums of the Wright series with compensated summation.
 
     Stops once three consecutive terms fall below 1e-15 relative to the
-    partial sum; raises NoConvergenceError if the 500-term cap is hit with
-    a non-decreasing tail, DivergentInputError outside the radius.
+    partial sum.  Raises DivergentInputError outside the radius,
+    NoConvergenceError when the 500-term cap is reached before that stop
+    rule fires, and CancellationError when eps * sum|t_k| exceeds
+    _CANCEL_TOL = 1e-10 times |sum t_k|: the rounding of the largest terms
+    alone would then exceed 1e-10 of the result (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4).
     """
     z = complex(z)
     verdict = convergence(spec)
@@ -112,9 +118,8 @@ def evaluate(spec: WrightSpec, z) -> complex:
         )
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan compensation
+    total_abs = 0.0
     small_run = 0
-    prev_mag = math.inf
-    decreasing = True
     for k in range(_TERM_CAP + 1):
         term = series_term(spec, z, k)
         y = term - comp
@@ -122,23 +127,23 @@ def evaluate(spec: WrightSpec, z) -> complex:
         comp = (t - total) - y
         total = t
         mag = abs(term)
-        if k > 0:
-            if mag < _EPS_REL * max(abs(total), 1e-300):
-                small_run += 1
-                if small_run >= 3:
-                    return total
-            else:
-                small_run = 0
-            decreasing = mag <= prev_mag or mag == 0.0
-        if mag > 0.0:
-            prev_mag = mag
+        total_abs += mag
         if z == 0:
             return total
-    if not decreasing:
-        raise NoConvergenceError(
-            f"Wright series did not converge within {_TERM_CAP} terms at z = {z}"
-        )
-    return total
+        if k > 0 and mag < _EPS_REL * max(abs(total), 1e-300):
+            small_run += 1
+            if small_run >= 3:
+                if _EPS * total_abs > _CANCEL_TOL * abs(total):
+                    raise CancellationError(
+                        f"Wright series at z = {z} cancels: sum|t_k| / |sum t_k| = "
+                        f"{total_abs / abs(total) if total else math.inf:.3g}"
+                    )
+                return total
+        else:
+            small_run = 0
+    raise NoConvergenceError(
+        f"Wright series did not converge within {_TERM_CAP} terms at z = {z}"
+    )
 
 
 def mittag_leffler(alpha: float, beta: float, z) -> complex:

@@ -3,16 +3,24 @@ argument-transformation identities (inversion, power scaling, power shift,
 Gauss multiplication) plus the large-argument decay envelope.
 
 Primary oracle: H^{1,0}_{0,1}[z | -; (0,1)] = e^{-z}, plus the internal
-residue-series evaluator as an independent summation path.
+residue-series evaluator as an independent summation path, and
+mpmath.meijerg for specs whose weights are all 1 (H reduces to Meijer G).
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol.errors import NonDecayingError, ShapeMismatchError, UnsupportedClassError
+from fracsol import foxh
+from fracsol.errors import (
+    NonDecayingError,
+    QuadratureFailureError,
+    ShapeMismatchError,
+    UnsupportedClassError,
+)
 from fracsol.foxh import (
     HFunctionSpec,
     _eval_general,
@@ -27,6 +35,10 @@ from fracsol.foxh import (
 )
 
 EXP_SPEC = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0),))
+# all weights 1: H^{3,0}_{1,3} = G^{3,0}_{1,3}[z | 1.2; 0, 0.3, 0.7]
+MEIJER_SPEC = HFunctionSpec(
+    m=3, l=0, upper=((1.2, 1.0),), lower=((0.0, 1.0), (0.3, 1.0), (0.7, 1.0))
+)
 
 
 def case1_spec(alpha, m, s1=0.0, s2=-0.5):
@@ -93,6 +105,61 @@ class TestEvalMellinBarnes:
         spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())
         with pytest.raises(UnsupportedClassError):
             eval_mellin_barnes(spec, 1.0)
+
+    @pytest.mark.parametrize("z", [0.1, 0.3, 0.7])
+    def test_small_omega_vs_residue_series(self, z):
+        # alpha = 1.67, m = 0: omega = 0.33, so the integrand decays slowly
+        # and the first pass spans |tau| <= 30 / (pi omega / 2) = 58
+        spec = case1_spec(1.67, 0)
+        assert convergence_params(spec).omega == pytest.approx(0.33)
+        assert_allclose(
+            eval_mellin_barnes(spec, z), series_expansion(spec, z), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("z", [50.0, 400.0, 2500.0, 1e4])
+    def test_deep_decay_vs_meijer_g(self, z):
+        # at z = 1e4 the value is ~1e-88, reached only on the saddle
+        # contour, where the integrand decays slowly near the real axis and
+        # the truncation is extended
+        with mpmath.workdps(30):
+            want = float(mpmath.meijerg([[], [1.2]], [[0.0, 0.3, 0.7], []], z))
+        assert_allclose(eval_mellin_barnes(MEIJER_SPEC, z), want, rtol=1e-9)
+
+    def test_refinement_adds_only_midpoints(self, monkeypatch):
+        sizes = []
+        log_integrand = foxh._log_integrand
+
+        def counting(spec, s):
+            sizes.append(np.size(s))
+            return log_integrand(spec, s)
+
+        monkeypatch.setattr(foxh, "_log_integrand", counting)
+        assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
+        # the saddle search comes first; then a first pass on 2n + 1 nodes
+        # and one refinement on its 2n midpoints (not 8n + 1 fresh nodes)
+        first, second = sizes[foxh._SADDLE_STAGES:]
+        assert second == first - 1
+
+    def test_runaway_truncation_raises(self, monkeypatch):
+        # z = 1e4 on the saddle contour needs three doublings of T
+        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 2)
+        with pytest.raises(QuadratureFailureError):
+            eval_mellin_barnes(MEIJER_SPEC, 1e4)
+
+    def test_underflow_returns_zero(self):
+        # exp(-z) at z = 800 lies below the smallest subnormal
+        assert eval_mellin_barnes(EXP_SPEC, 800.0) == 0.0
+
+    def test_stalled_refinement_raises(self, monkeypatch):
+        # m < q keeps the contour off the saddle; at z = 30 the value
+        # (-7.06126e-5 by a 60-digit mpmath residue sum) is small against
+        # an O(1) integrand, so rounding noise keeps every pass apart from
+        # the last and an exact-agreement demand cannot be met
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0), (0.5, 0.5)))
+        assert_allclose(eval_mellin_barnes(spec, 30.0), -7.06125526294963e-05, rtol=1e-9)
+        monkeypatch.setattr(foxh, "_REFINE_TOL", 0.0)
+        with pytest.raises(QuadratureFailureError):
+            eval_mellin_barnes(spec, 30.0)
 
 
 class TestInvertArgument:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol.errors import DivergentInputError
+from fracsol.errors import CancellationError, DivergentInputError, NoConvergenceError
 from fracsol.wright import (
     WrightSpec,
     classical_wright,
@@ -138,6 +138,29 @@ class TestMittagLeffler:
     def test_e21_cosh(self, x):
         assert_allclose(
             complex(mittag_leffler(2, 1, x * x)).real, math.cosh(x), rtol=1e-10
+        )
+
+    @pytest.mark.parametrize("alpha,x", [(1, -20.0), (1, -40.0), (0.5, -6.0)])
+    def test_cancellation_raises(self, alpha, x):
+        # E_{1,1}(-20) = 2.06e-9 and E_{1/2,1}(-6) = 0.0928 lie below the
+        # rounding of their largest terms: the sum would be noise
+        with pytest.raises(CancellationError):
+            mittag_leffler(alpha, 1, x)
+
+    def test_term_cap_raises(self):
+        # the terms of E_{1,1}(450) still fall at the 500-term cap, but the
+        # partial sum is 0.95% short of exp(450)
+        with pytest.raises(NoConvergenceError):
+            mittag_leffler(1, 1, 450.0)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+    def test_e_half_negative_argument(self, x):
+        # E_{1/2,1}(-x) = exp(x^2) erfc(x): alternating, cancellation ratio
+        # up to ~400 at x = 2, well inside the guard
+        assert_allclose(
+            complex(mittag_leffler(0.5, 1, -x)).real,
+            math.exp(x * x) * math.erfc(x),
+            rtol=1e-10,
         )
 
 
