@@ -158,7 +158,7 @@ def cmd_eval_foxh(args) -> int:
         lower=_parse_pairs(spec_obj, "lower"),
     )
     zs = [float(z) for z in args.z.split(",")]
-    rows = [(z, foxh.eval_mellin_barnes(spec, z)) for z in zs]
+    rows = list(zip(zs, foxh.eval_mellin_barnes(spec, np.array(zs)).tolist()))
     _emit_value_rows(args, "z,value", rows)
     return 0
 

@@ -1,12 +1,27 @@
 """Fox H-function: Mellin-Barnes contour evaluation and transformations.
 
 The public evaluator handles the l = 0, real-parameter class (the only
-class the solvers emit) for z > 0.  The contour is the vertical line
-Re s = gamma with gamma = min_j(B_j / beta_j) - 1/2, which separates the
-numerator poles for every l = 0 spec; for large arguments the line is
-slid left to the real saddle of the integrand (a vectorized grid search)
-so the quadrature keeps relative accuracy deep into the exponential
-decay.
+class the solvers emit) for z > 0.  eval_mellin_barnes takes a scalar z,
+which gives a float, or a 1-D array of z, which gives an array of the
+same length (eval_mellin_barnes_batch is its array-only form); a scalar
+is a batch of one, evaluated on the same nodes as an array element.
+
+The contour is the vertical line Re s = gamma with
+gamma0 = min_j(B_j / beta_j) - 1/2, which separates the numerator poles
+for every l = 0 spec; for large arguments the line is slid left to the
+real saddle of phi_z(s) = Re K(s) + s log z, where K is the log of the
+gamma-ratio kernel, so the quadrature keeps relative accuracy deep into
+the exponential decay.  The saddle is found by a grid search run for all
+z at once.
+
+On a fixed line K does not depend on z; only s log z does.  The z of one
+call are therefore split into bands that share an abscissa, and each
+quadrature pass evaluates K once per band: every z that stays at gamma0
+shares that line, and slid z are grouped under the saddle of one member
+so that no member's phi_z at the band's abscissa exceeds its own saddle
+value by more than _BAND_LOSS = 4 e-folds.  Its relative rounding error
+then grows by at most e^4, to about 1e-14.  A band holds at most
+_BAND_MAX z, so each pass's (z x nodes) arrays stay near 1 MB.
 
 The trapezoid rule on the line is truncated from the decay rate: the
 integrand falls like exp(-pi omega |tau| / 2), so the first pass spans
@@ -15,13 +30,16 @@ outer segments, until a tail bound is negligible.  Refinement halves h
 and evaluates only the midpoints of the previous lattice, so each pass
 costs as many nodes as all earlier ones together; it stops when two
 passes agree to _REFINE_TOL (the nested error estimate of Trefethen &
-Weideman, SIAM Rev. 56 (2014)).  A value whose modulus bound lies below
-the double range returns 0.0 after the first pass; a stalled refinement
-or a runaway T raises QuadratureFailureError.
+Weideman, SIAM Rev. 56 (2014)).  Every test is made per z: a band keeps
+extending T, and then refining, until each of its z has passed.  A value
+whose modulus bound lies below the double range returns 0.0 after the
+first pass; a stalled refinement or a runaway T raises
+QuadratureFailureError.
 
 A residue-based small-argument series is kept as an internal cross-check
-oracle, together with a general-contour evaluator used by the identity
-tests (argument inversion produces l > 0 specs).
+oracle (it raises CancellationError where its terms cancel below double
+precision), together with a general-contour evaluator used by the
+identity tests (argument inversion produces l > 0 specs).
 """
 
 from __future__ import annotations
@@ -33,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CancellationError,
     NonConvergentError,
     NonDecayingError,
     QuadratureFailureError,
@@ -42,6 +61,12 @@ from .errors import (
 from .gammafn import gamma_reciprocal, ln_gamma_vec
 
 _REFINE_TOL = 1e-9
+# a band's abscissa may lie at most _BAND_LOSS e-folds above a member's own
+# saddle value phi_z(sigma*_z); that member's rounding error then grows by
+# at most e^_BAND_LOSS, to about 1e-14 relative
+_BAND_LOSS = 4.0
+# at most this many z per band, so a pass's (z x nodes) arrays stay near 1 MB
+_BAND_MAX = 32
 _MAX_REFINE = 6
 _H0 = 0.1
 # the first pass spans |tau| <= _DECAY_LOGS / (pi omega / 2), where the
@@ -56,7 +81,13 @@ _EPS = np.finfo(float).eps
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
 _SADDLE_GRID = 65
+_SADDLE_UNIT = np.linspace(0.0, 1.0, _SADDLE_GRID)
 _SADDLE_STAGES = 3
+# ln_gamma_vec elements per call in _log_integrand
+_LN_GAMMA_CHUNK = 4096
+# series_expansion refuses a sum whose terms' rounding, eps * sum|t_k|,
+# exceeds this share of |sum t_k| (the rule wright.evaluate uses)
+_CANCEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,33 +162,52 @@ def convergence_params(spec: HFunctionSpec) -> HConvergence:
 
 
 def _log_integrand(spec: HFunctionSpec, s):
-    """Log of the gamma-ratio kernel (without z^s) on an array of s values."""
-    s = np.asarray(s, dtype=complex)
-    out = np.zeros_like(s)
-    for b, be in spec.lower[: spec.m]:
-        out = out + ln_gamma_vec(b - be * s)
-    for a, al in spec.upper[: spec.l]:
-        out = out + ln_gamma_vec(1.0 - a + al * s)
-    for a, al in spec.upper[spec.l :]:
-        out = out - ln_gamma_vec(a - al * s)
-    for b, be in spec.lower[spec.m :]:
-        out = out - ln_gamma_vec(1.0 - b + be * s)
-    return out
+    """Log of the gamma-ratio kernel (without z^s) on an array of s values.
 
-
-def _trapezoid_line(spec: HFunctionSpec, z: float, gamma: float, omega: float) -> float:
-    """Trapezoid rule on Re s = gamma (truncation and refinement as in the
-    module docstring).
-
-    The tail bound beyond T is |f(+-T)| / r, with r the smaller of
-    pi omega / 2 and the local decay rate at the end nodes, which is below
-    the asymptotic rate while a far-left saddle contour still decays like
-    a Gaussian.  T stops growing once the bound is under _TAIL_FRACTION of
-    the tolerance times the running integral, or under the rounding floor
-    eps * sum|f| that no longer T can improve.
+    The kernel is a product of factors Gamma(c0 + c1 s)^(+-1).  Their
+    arguments go through ln_gamma_vec together, _LN_GAMMA_CHUNK elements
+    per call: on the short arrays of the saddle search and the first
+    contour passes one call replaces one per factor, whose fixed cost
+    outweighs the cost per element, and on long passes the chunks bound
+    the size of its temporaries.
     """
-    log_z = math.log(z)
+    s = np.asarray(s, dtype=complex)
+    factors = (
+        [(b, -be, 1.0) for b, be in spec.lower[: spec.m]]
+        + [(1.0 - a, al, 1.0) for a, al in spec.upper[: spec.l]]
+        + [(a, -al, -1.0) for a, al in spec.upper[spec.l :]]
+        + [(1.0 - b, be, -1.0) for b, be in spec.lower[spec.m :]]
+    )
+    c0, c1, sign = (np.array(col)[:, None] for col in zip(*factors))
+    flat = s.ravel()
+    out = np.empty_like(flat)
+    step = _LN_GAMMA_CHUNK // len(factors)
+    for i in range(0, flat.size, step):
+        out[i : i + step] = (sign * ln_gamma_vec(c0 + c1 * flat[i : i + step])).sum(axis=0)
+    return out.reshape(s.shape)
+
+
+def _trapezoid_line(
+    spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float
+) -> np.ndarray:
+    """Trapezoid rule on Re s = gamma for every z of a band (truncation and
+    refinement as in the module docstring).
+
+    Each pass evaluates the gamma-ratio kernel once on its new nodes; every
+    z then adds only s log z.  The tests stay per z: the tail bound beyond
+    T is |f(+-T)| / r, with r the smaller of pi omega / 2 and the local
+    decay rate at the end nodes, which is below the asymptotic rate while a
+    far-left saddle contour still decays like a Gaussian.  T grows until
+    every z's bound is under _TAIL_FRACTION of the tolerance times its
+    running integral, or under the rounding floor eps * sum|f| that no
+    longer T can improve; refinement goes on until every z's last two
+    passes agree.
+    """
     rate = math.pi * omega / 2.0
+    out = np.zeros(len(z))
+    # the z still open, as positions in out; per-z state is kept for these only
+    idx = np.arange(len(z))
+    log_z = np.log(z)[:, None]
 
     def log_f(tau):
         s = gamma + 1j * tau
@@ -166,90 +216,163 @@ def _trapezoid_line(spec: HFunctionSpec, z: float, gamma: float, omega: float) -
     h = _H0
     n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
     lf = log_f(np.arange(-n, n + 1) * h)
-    # every node is scaled by the first pass's largest modulus
-    ref = float(np.max(lf.real))
-    total = 0.0
-    total_abs = 0.0
+    # every node is scaled by the first pass's largest modulus for its z
+    ref = np.max(lf.real, axis=1, keepdims=True)
+    total = np.zeros(len(z))
+    total_abs = np.zeros(len(z))
     for doubling in range(_MAX_DOUBLINGS + 1):
-        total += float(np.sum(np.exp(lf - ref)).real)
-        total_abs += float(np.sum(np.exp(lf.real - ref)))
-        edge = lf.real[[0, -1]]
-        decay = np.minimum((lf.real[[1, -2]] - edge) / h, rate)
-        tail = float(np.sum(np.exp(edge - ref) / decay)) if decay.min() > 0 else math.inf
-        bound = h * total_abs + tail
-        if ref + math.log(bound / (2.0 * math.pi)) < _LOG_UNDERFLOW:
-            # |H| <= that bound, which is below half the smallest subnormal
-            return 0.0
-        if tail <= h * max(_TAIL_FRACTION * _REFINE_TOL * abs(total), _EPS * total_abs):
+        scaled = lf - ref
+        total += np.exp(scaled).sum(axis=1).real
+        total_abs += np.exp(scaled.real).sum(axis=1)
+        edge = lf.real[:, [0, -1]]
+        decay = np.minimum((lf.real[:, [1, -2]] - edge) / h, rate)
+        # a z whose end nodes do not decay has an unbounded tail
+        tail = np.divide(
+            np.exp(edge - ref), decay, out=np.full(decay.shape, math.inf), where=decay > 0
+        ).sum(axis=1)
+        # |H| <= (h sum|f| + tail) e^ref / 2 pi; below half the smallest
+        # subnormal it is 0.0
+        floor = _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref[:, 0]
+        live = np.log(h * total_abs + tail) >= floor
+        if not live.all():
+            idx, log_z, ref, total, total_abs, tail = (
+                a[live] for a in (idx, log_z, ref, total, total_abs, tail)
+            )
+            if not idx.size:
+                return out
+        settled = tail <= h * np.maximum(
+            _TAIL_FRACTION * _REFINE_TOL * np.abs(total), _EPS * total_abs
+        )
+        if settled.all():
             break
         if doubling == _MAX_DOUBLINGS:
             raise QuadratureFailureError(
-                f"contour truncation did not settle by T = {n * h:g} at z = {z}"
+                f"contour truncation did not settle by T = {n * h:g} "
+                f"at z = {z[idx[~settled][0]]}"
             )
         k = np.arange(n + 1, 2 * n + 1)
         lf = log_f(np.concatenate((-k[::-1], k)) * h)
         n *= 2
     val = h * total
     for _ in range(_MAX_REFINE):
-        total += float(np.sum(np.exp(log_f((np.arange(-n, n) + 0.5) * h) - ref)).real)
+        total += np.exp(log_f((np.arange(-n, n) + 0.5) * h) - ref).sum(axis=1).real
         h, n = h / 2.0, 2 * n
         new = h * total
-        if abs(new - val) <= _REFINE_TOL * abs(new):
-            return math.exp(ref) / (2.0 * math.pi) * new
-        val = new
+        agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)
+        out[idx[agree]] = np.exp(ref[agree, 0]) / (2.0 * math.pi) * new[agree]
+        if agree.all():
+            return out
+        idx, log_z, ref, total, val = (a[~agree] for a in (idx, log_z, ref, total, new))
     raise QuadratureFailureError(
-        f"contour refinement stalled at z = {z} "
-        f"(last value {math.exp(ref) / (2.0 * math.pi) * val!r})"
+        f"contour refinement stalled at z = {z[idx[0]]} "
+        f"(last value {math.exp(ref[0, 0]) / (2.0 * math.pi) * val[0]!r})"
     )
 
 
-def _real_minimum(spec: HFunctionSpec, z: float, lo: float, hi: float) -> float:
-    """Minimise log|integrand(sigma)| + sigma log z over real sigma in [lo, hi].
+def _real_minimum(spec: HFunctionSpec, log_z: np.ndarray, lo: float, hi: float):
+    """Minimise phi_z(sigma) = log|integrand(sigma)| + sigma log z over real
+    sigma in [lo, hi], for every z at once.  Returns the minimisers and
+    phi_z there.
 
-    Grid search: each stage evaluates the integrand once on _SADDLE_GRID
-    points and narrows the bracket to the neighbours of the smallest value.
+    Grid search: each stage evaluates the kernel once on _SADDLE_GRID
+    points of every distinct bracket and narrows each z's bracket to the
+    neighbours of its smallest value.  Every z starts from [lo, hi], so
+    the first stage costs _SADDLE_GRID points however many z there are,
+    and z whose minima fall between the same grid points share the next.
     """
-    log_z = math.log(z)
-    for _ in range(_SADDLE_STAGES):
-        sigma = np.linspace(lo, hi, _SADDLE_GRID)
-        phi = _log_integrand(spec, sigma).real + sigma * log_z
+    lo, hi = np.array([lo]), np.array([hi])
+    which = np.zeros(len(log_z), dtype=int)
+    for stage in range(_SADDLE_STAGES):
+        if stage:
+            row, col = which, i
+            if len(log_z) > 1:
+                # z whose minima fall on the same grid point share a bracket
+                key = which * _SADDLE_GRID + i
+                seen = np.zeros(grids.size, dtype=bool)
+                seen[key] = True
+                which = (np.cumsum(seen) - 1)[key]
+                row, col = np.divmod(np.flatnonzero(seen), _SADDLE_GRID)
+            lo = grids[row, np.maximum(col - 1, 0)]
+            hi = grids[row, np.minimum(col + 1, _SADDLE_GRID - 1)]
+        grids = lo[:, None] + (hi - lo)[:, None] * _SADDLE_UNIT
+        phi = _log_integrand(spec, grids).real[which] + grids[which] * log_z[:, None]
         phi[~np.isfinite(phi)] = np.inf
-        i = int(np.argmin(phi))
-        lo, hi = sigma[max(i - 1, 0)], sigma[min(i + 1, _SADDLE_GRID - 1)]
-    return float(sigma[i])
+        i = np.argmin(phi, axis=1)
+    return grids[which, i], phi[np.arange(len(i)), i]
 
 
-def _saddle_contour(spec: HFunctionSpec, z: float, gamma0: float) -> float:
-    """Slide the contour left to the real saddle when that lies left of gamma0.
+def _contour_bands(spec: HFunctionSpec, conv: HConvergence, z: np.ndarray, gamma0: float):
+    """Split the arguments into bands that share one contour abscissa.
 
-    Only attempted for m = q specs, where the integrand has no zeros on
-    the real axis left of the numerator poles and log|integrand| is
-    smooth there.
+    Yields (abscissa, indices into z), at most _BAND_MAX indices each.
+    The contour slides left to the real saddle sigma*_z when that lies
+    left of gamma0; this is only attempted for m = q specs, where the
+    integrand has no zeros on the real axis left of the numerator poles
+    and log|integrand| is smooth there.  Every other z stays on gamma0.
+    Slid z, in saddle order, are grouped under the saddle of one member
+    such that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.
     """
-    if spec.m != spec.q:
-        return gamma0
-    conv = convergence_params(spec)
-    if conv.nu <= 0:
-        return gamma0
-    hi = min(b / be for b, be in spec.lower) - 1e-3
-    scale = (conv.mu * z) ** (1.0 / conv.nu) if conv.mu * z > 0 else 1.0
-    lo = hi - 3.0 * scale - 20.0
-    sstar = _real_minimum(spec, z, lo, hi)
-    return sstar if sstar < gamma0 else gamma0
+    fixed = np.arange(len(z))
+    order = fixed[:0]
+    if spec.m == spec.q and conv.nu > 0 and z.size:
+        hi = min(b / be for b, be in spec.lower) - 1e-3
+        # the bracket of the largest z holds every smaller z's saddle too
+        lo = hi - 3.0 * (conv.mu * z.max()) ** (1.0 / conv.nu) - 20.0
+        log_z = np.log(z)
+        sstar, phi = _real_minimum(spec, log_z, lo, hi)
+        fixed = np.flatnonzero(sstar >= gamma0)
+        order = np.flatnonzero(sstar < gamma0)
+        order = order[np.argsort(-sstar[order], kind="stable")]
+        # Re K(sigma*) of the gamma-ratio kernel, known from the saddle search
+        kernel = phi - sstar * log_z
+    for start in range(0, fixed.size, _BAND_MAX):
+        yield gamma0, fixed[start : start + _BAND_MAX]
+    while order.size:
+        w = order[:_BAND_MAX]
+        b, size = 0, 1
+        if w.size > 1:
+            # loss[a, b]: e-folds z_a loses on the saddle of z_b
+            loss = kernel[w] + sstar[w] * log_z[w, None] - phi[w, None]
+            covered = np.cumprod(loss <= _BAND_LOSS, axis=0).sum(axis=0)
+            b = int(np.argmax(covered))
+            size = covered[b]
+        yield float(sstar[w[b]]), w[:size]
+        order = order[size:]
 
 
-def eval_mellin_barnes(spec: HFunctionSpec, z: float) -> float:
-    """Numerical Mellin-Barnes integral of the H-function at real z > 0."""
+def eval_mellin_barnes(spec: HFunctionSpec, z):
+    """Numerical Mellin-Barnes integral of the H-function at real z > 0.
+
+    z is a scalar, which gives a float, or a 1-D array, which gives an
+    array of the same length; a scalar is evaluated as a batch of one by
+    eval_mellin_barnes_batch.
+    """
+    zs = np.asarray(z, dtype=float)
+    out = eval_mellin_barnes_batch(spec, np.atleast_1d(zs))
+    return float(out[0]) if zs.ndim == 0 else out
+
+
+def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
+    """eval_mellin_barnes on a 1-D array of z > 0, returning an array.
+
+    Arguments that share a contour abscissa share its kernel evaluations
+    (see the module docstring).
+    """
     if spec.l != 0:
         raise UnsupportedClassError("contour evaluator handles l = 0 specs only")
-    if z <= 0:
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError("eval_mellin_barnes_batch takes a 1-D array of z")
+    if not np.all(z > 0):
         raise ValueError("eval_mellin_barnes requires z > 0")
     conv = convergence_params(spec)
     if conv.omega <= 0:
         raise NonConvergentError(f"omega = {conv.omega:g} <= 0: integral diverges")
     gamma0 = min(b / be for b, be in spec.lower[: spec.m]) - 0.5
-    gamma = _saddle_contour(spec, z, gamma0)
-    return _trapezoid_line(spec, z, gamma, conv.omega)
+    out = np.empty(len(z))
+    for gamma, idx in _contour_bands(spec, conv, z, gamma0):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, conv.omega)
+    return out
 
 
 def _eval_general(spec: HFunctionSpec, z: float) -> float:
@@ -274,17 +397,20 @@ def _eval_general(spec: HFunctionSpec, z: float) -> float:
         # m = 0: no right poles, the contour slides right freely; park it on
         # the real saddle so small function values are not lost to
         # cancellation against an O(1) integrand
-        gamma = _real_minimum(spec, z, left + 1e-3, left + 20.0 + 10.0 * abs(math.log(z)))
+        hi = left + 20.0 + 10.0 * abs(math.log(z))
+        gamma = float(_real_minimum(spec, np.log([z]), left + 1e-3, hi)[0][0])
     else:
         gamma = 0.5 * (left + right)
-    return _trapezoid_line(spec, z, gamma, conv.omega)
+    return float(_trapezoid_line(spec, np.array([z]), gamma, conv.omega)[0])
 
 
 def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
     """Residue series over the right poles s = (B_j + k) / beta_j (oracle).
 
     Requires l = 0 and all right poles simple; declines (ShapeMismatchError)
-    on pole collisions.  Valid as a small/moderate-argument cross-check.
+    on pole collisions.  Valid as a small/moderate-argument cross-check:
+    raises CancellationError when eps * sum|t_k| exceeds _CANCEL_TOL times
+    |sum t_k|, where the alternating terms cancel below double precision.
     """
     if spec.l != 0:
         raise UnsupportedClassError("series oracle handles l = 0 specs only")
@@ -297,6 +423,7 @@ def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
         if abs(p1 - p2) < 1e-8:
             raise ShapeMismatchError("coincident right poles: series oracle declines")
     total = 0.0
+    total_abs = 0.0
     for j, (b, be) in enumerate(spec.lower[: spec.m]):
         tail = 0
         for k in range(kmax + 1):
@@ -325,12 +452,17 @@ def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
                 lt = log_rest + s0 * math.log(z) - complex(ln_gamma_vec(k + 1.0))
                 term = ((-1.0) ** k / be) * float(np.exp(lt).real)
             total += term
+            total_abs += abs(term)
             if abs(term) < 1e-16 * max(abs(total), 1e-300):
                 tail += 1
                 if tail >= 3 and k > 2:
                     break
             else:
                 tail = 0
+    if _EPS * total_abs > _CANCEL_TOL * abs(total):
+        raise CancellationError(
+            f"residue series cancels at z = {z}: sum|t| = {total_abs:.3g}, sum = {total:.3g}"
+        )
     return total
 
 

@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .fracseries import EulerPolynomialOperator, FracPowerSeries, align_series
-from .foxh import HFunctionSpec, eval_mellin_barnes
+from .foxh import HFunctionSpec, eval_mellin_barnes_batch
 from .pde import (
     ClosedFormExp,
     DiffusionProblem,
@@ -161,7 +161,7 @@ class _HProfile:
             w_hi = min(w_hi, max(w_cut, w_lo * 10.0))
         self.w_hi = w_hi
         ws = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), nodes))
-        vals = np.array([eval_mellin_barnes(spec, w) for w in ws])
+        vals = eval_mellin_barnes_batch(spec, ws)
         self.positive = bool(np.all(vals > 0))
         self.spline = CubicSpline(np.log(ws), np.log(vals) if self.positive else vals)
 
@@ -192,6 +192,14 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
     def u_point(x, t):
         return complex(pde_evaluate(sol, x, t)).real
 
+    def u_values(xs, t):
+        form = sol.form
+        if isinstance(form, FoxHForm) and form.roots_real:
+            args = np.array([form.argument(xv, t) for xv in xs])
+            scale = complex(sol.problem.constant(1)).real * xs**form.a
+            return scale * eval_mellin_barnes_batch(form.spec, args)
+        return np.array([u_point(xv, t) for xv in xs])
+
     profiles = {}
     t_max = max(t for _, t in grid)
     pts = []
@@ -216,18 +224,19 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
         lhs = gl_fractional_derivative(f_t, alpha, t, h)
 
         dx = 1e-5 * x
+        # the stencil's five distinct points, each evaluated once
+        offsets = (-dx, -dx / 2.0, 0.0, dx / 2.0, dx)
+        u = dict(zip(offsets, u_values(x + np.array(offsets), t)))
 
         def d1(step):
-            return (u_point(x + step, t) - u_point(x - step, t)) / (2.0 * step)
+            return (u[step] - u[-step]) / (2.0 * step)
 
         def d2(step):
-            return (
-                u_point(x + step, t) - 2.0 * u_point(x, t) + u_point(x - step, t)
-            ) / step**2
+            return (u[step] - 2.0 * u[0.0] + u[-step]) / step**2
 
         ux = (4.0 * d1(dx / 2.0) - d1(dx)) / 3.0  # one Richardson step
         uxx = (4.0 * d2(dx / 2.0) - d2(dx)) / 3.0
-        u0 = u_point(x, t)
+        u0 = u[0.0]
         rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u0)
         pts.append(((x, t), lhs, rhs))
     return _build_report(METHOD_GL, pts)
@@ -306,8 +315,8 @@ def h_operator_identity_check(
     if abs(a_last - 1.0) > 1e-12:
         raise PreconditionViolationError("last upper entry must be (1, alpha_p)")
 
-    def g(z):
-        return eval_mellin_barnes(spec, a * z ** (-alpha_p))
+    def h_args(zs):
+        return a * np.asarray(zs, dtype=float) ** (-alpha_p)
 
     pts = []
     if kind == "rl":
@@ -319,10 +328,10 @@ def h_operator_identity_check(
         )
         zmax = max(z_points)
         cache = _HProfile(spec, coef=a, power=alpha_p, v_max=zmax, h=h)
-        for z in z_points:
+        rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
+        for z, h_shifted in zip(z_points, rhs):
             lhs = gl_fractional_derivative(cache, alpha, z, h)
-            rhs = z ** (-alpha) * eval_mellin_barnes(shifted, a * z ** (-alpha_p))
-            pts.append(((z,), lhs, rhs))
+            pts.append(((z,), lhs, z ** (-alpha) * h_shifted))
     elif kind == "euler-shift":
         if spec.m < 1:
             raise PreconditionViolationError("euler-shift requires m >= 1")
@@ -333,12 +342,13 @@ def h_operator_identity_check(
             upper=spec.upper,
             lower=((b1 + 1.0, beta1),) + spec.lower[1:],
         )
-        for z in z_points:
+        rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
+        for z, h_shifted in zip(z_points, rhs):
             dz = 1e-6 * z
-            dgdz = (g(z + dz) - g(z - dz)) / (2.0 * dz)
-            lhs = (beta1 / alpha_p) * z * dgdz + b1 * g(z)
-            rhs = eval_mellin_barnes(shifted, a * z ** (-alpha_p))
-            pts.append(((z,), lhs, rhs))
+            g_hi, g_lo, g0 = eval_mellin_barnes_batch(spec, h_args([z + dz, z - dz, z]))
+            dgdz = (g_hi - g_lo) / (2.0 * dz)
+            lhs = (beta1 / alpha_p) * z * dgdz + b1 * g0
+            pts.append(((z,), lhs, h_shifted))
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return _build_report(METHOD_GL, pts)

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from fracsol import foxh
 from fracsol.errors import (
+    CancellationError,
     NonDecayingError,
     QuadratureFailureError,
     ShapeMismatchError,
@@ -27,12 +28,14 @@ from fracsol.foxh import (
     asymptotic_estimate,
     convergence_params,
     eval_mellin_barnes,
+    eval_mellin_barnes_batch,
     gauss_multiplication_reduce,
     invert_argument,
     power_scale,
     series_expansion,
     shift_by_power,
 )
+from fracsol.gammafn import ln_gamma_vec
 
 EXP_SPEC = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0),))
 # all weights 1: H^{3,0}_{1,3} = G^{3,0}_{1,3}[z | 1.2; 0, 0.3, 0.7]
@@ -48,6 +51,26 @@ def case1_spec(alpha, m, s1=0.0, s2=-0.5):
     lower = [(-s1 / rho, 1.0), (-s2 / rho, 1.0)]
     lower += [(j / rho, 1.0) for j in range(1, m + 1)]
     return HFunctionSpec(m=m + 2, l=0, upper=((1.0, rho),), lower=tuple(lower))
+
+
+def mp_residue_sum(spec, z, dps=50, kmax=200):
+    """The residue series of series_expansion, summed by mpmath at dps
+    digits, where double-precision terms would cancel."""
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for j, (b, be) in enumerate(spec.lower[: spec.m]):
+            for k in range(kmax + 1):
+                s0 = (mpmath.mpf(b) + k) / be
+                term = (-1) ** k * mpmath.power(z, s0) / (mpmath.factorial(k) * be)
+                for jj, (b2, be2) in enumerate(spec.lower[: spec.m]):
+                    if jj != j:
+                        term *= mpmath.gamma(b2 - be2 * s0)
+                for a, al in spec.upper:
+                    term *= mpmath.rgamma(a - al * s0)
+                for b2, be2 in spec.lower[spec.m :]:
+                    term *= mpmath.rgamma(1 - b2 + be2 * s0)
+                total += term
+        return float(total)
 
 
 class TestSpecInvariants:
@@ -97,9 +120,10 @@ class TestEvalMellinBarnes:
     @pytest.mark.parametrize("z", [0.3, 1.0, 3.0])
     def test_case1_vs_residue_series(self, z):
         spec = case1_spec(0.8, 1)
-        assert_allclose(
-            eval_mellin_barnes(spec, z), series_expansion(spec, z), rtol=1e-8
-        )
+        # at z = 3 the terms cancel (sum|t| = 1.1e3 against a sum of 3.4e-4)
+        # and series_expansion refuses; the same series in mpmath stands in
+        want = mp_residue_sum(spec, z) if z > 1.0 else series_expansion(spec, z)
+        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-8)
 
     def test_rejects_l_positive(self):
         spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())
@@ -160,6 +184,93 @@ class TestEvalMellinBarnes:
         monkeypatch.setattr(foxh, "_REFINE_TOL", 0.0)
         with pytest.raises(QuadratureFailureError):
             eval_mellin_barnes(spec, 30.0)
+
+
+class TestSeriesExpansion:
+    def test_cancellation_raises(self):
+        # the terms reach 2.7e7 against a sum of -7.06126e-5 (a 60-digit
+        # mpmath residue sum); double-precision summation returned -7.0641e-5
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0), (0.5, 0.5)))
+        assert_allclose(mp_residue_sum(spec, 30.0), -7.06125526294963e-05, rtol=1e-12)
+        with pytest.raises(CancellationError):
+            series_expansion(spec, 30.0)
+
+
+# the two H-form specs of the GL verification: m = q, so large arguments
+# slide the contour to the saddle, and each profile spans deep decay
+GL_SPECS = (
+    HFunctionSpec(m=3, l=0, upper=((1.0, 1.8),), lower=((0.0, 1.0), (0.5, 1.0), (5 / 9, 1.0))),
+    HFunctionSpec(m=2, l=0, upper=((1.0, 0.62),), lower=((-0.0984, 1.0), (0.55, 1.0))),
+)
+# m < q: every argument stays on the fixed abscissa
+FIXED_SPEC = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0), (0.5, 0.5)))
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "spec,z_hi",
+        [(GL_SPECS[0], 100.0), (GL_SPECS[1], 140.0), (FIXED_SPEC, 10.0), (EXP_SPEC, 900.0)],
+        ids=["gl-m1", "gl-m0", "fixed", "exp"],
+    )
+    def test_array_matches_scalar(self, spec, z_hi, monkeypatch):
+        sizes = []
+        log_integrand = foxh._log_integrand
+
+        def counting(spec, s):
+            sizes.append(np.size(s))
+            return log_integrand(spec, s)
+
+        monkeypatch.setattr(foxh, "_log_integrand", counting)
+        zs = np.geomspace(0.02, z_hi, 320)
+        got = eval_mellin_barnes(spec, zs)
+        batched = sum(sizes)
+        sizes.clear()
+        want = np.array([eval_mellin_barnes(spec, z) for z in zs])
+        # subnormal values carry only absolute accuracy
+        assert_allclose(got, want, rtol=1e-11, atol=np.finfo(float).tiny)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        # the shared kernel: under a quarter of the scalar calls' nodes
+        assert batched < sum(sizes) / 4
+
+    def test_exp_array_with_underflow(self):
+        # exp(-z) lies below the smallest subnormal beyond z = 745
+        zs = np.geomspace(1e-3, 900.0, 320)
+        got = eval_mellin_barnes(EXP_SPEC, zs)
+        normal = zs < 700.0
+        assert_allclose(got[normal], np.exp(-zs[normal]), rtol=1e-10)
+        assert np.all(got[zs > 750.0] == 0.0)
+
+    def test_kernel_matches_factor_loop(self):
+        # the stacked arguments of every factor, in chunks of
+        # _LN_GAMMA_CHUNK elements, give the same numbers as one
+        # ln_gamma_vec call per factor
+        spec = HFunctionSpec(
+            m=1, l=1, upper=((0.3, 0.7), (1.0, 1.8)), lower=((0.2, 1.0), (0.5, 0.5))
+        )
+        s = 0.1 + 1j * np.linspace(-40.0, 40.0, 2501)
+        assert 4 * s.size > 2 * foxh._LN_GAMMA_CHUNK
+        want = (
+            ln_gamma_vec(0.2 - 1.0 * s)
+            + ln_gamma_vec(1.0 - 0.3 + 0.7 * s)
+            - ln_gamma_vec(1.0 - 1.8 * s)
+            - ln_gamma_vec(1.0 - 0.5 + 0.5 * s)
+        )
+        assert np.array_equal(foxh._log_integrand(spec, s), want)
+
+    def test_shapes(self):
+        value = eval_mellin_barnes(EXP_SPEC, 0.5)
+        assert type(value) is float
+        one = eval_mellin_barnes(EXP_SPEC, np.array([0.5]))
+        assert isinstance(one, np.ndarray) and one.shape == (1,)
+        assert one[0] == value
+        empty = eval_mellin_barnes(EXP_SPEC, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            eval_mellin_barnes(EXP_SPEC, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            eval_mellin_barnes_batch(EXP_SPEC, np.ones((2, 2)))
 
 
 class TestInvertArgument:

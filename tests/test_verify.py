@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracsol import verify
 from fracsol.errors import StepTooLargeError
 from fracsol.fracseries import FracPowerSeries
 from fracsol.ode import OdeProblem, solve_large_alpha
@@ -95,6 +96,21 @@ class TestResidualPde:
         report = residual_pde(sol, prob, grid, h=1e-3)
         assert report.method == METHOD_GL
         assert report.max_rel_err < 1e-2
+
+    def test_gl_path_batches_h_values(self, monkeypatch):
+        # one 320-node profile per x, then one call per grid point for the
+        # five distinct points of the finite-difference stencil
+        sizes = []
+        batch = verify.eval_mellin_barnes_batch
+
+        def counting(spec, z):
+            sizes.append(len(z))
+            return batch(spec, z)
+
+        monkeypatch.setattr(verify, "eval_mellin_barnes_batch", counting)
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
+        residual_pde(solve(prob), prob, [(1.0, 1.0), (1.0, 1.2)], h=1e-3)
+        assert sizes == [320, 5, 5]
 
 
 class TestResidualOdeCoefficients:
