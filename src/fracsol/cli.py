@@ -268,11 +268,12 @@ def _build_pde_solution(problem, form, sign):
 def cmd_solve_pde(args) -> int:
     problem = _diffusion_problem(_load_json(args))
     sol = _build_pde_solution(problem, args.form, args.sign)
+    s1, s2 = pde.s_roots(problem) if problem.d != 2 else (None, None)
     descriptor = {
         "branch": type(sol.form).__name__,
-        "K": sol.K,
-        "s1": _complex_json(sol.s1) if sol.s1 == sol.s1 else None,
-        "s2": _complex_json(sol.s2) if sol.s2 == sol.s2 else None,
+        "K": problem.K,
+        "s1": None if s1 is None else _complex_json(s1),
+        "s2": None if s2 is None else _complex_json(s2),
         "alpha": problem.alpha,
         "m": problem.m,
         "d": problem.d,
@@ -281,7 +282,7 @@ def cmd_solve_pde(args) -> int:
         "C": problem.C,
         "a": problem.a,
     }
-    if isinstance(sol.form, pde.FoxHForm) and sol.form.spec is not None:
+    if isinstance(sol.form, pde.FoxHForm):
         descriptor["h_spec"] = _h_spec_json(sol.form.spec)
         descriptor["argument_coefficient"] = sol.form.arg_coef
     if isinstance(sol.form, pde.ClosedFormExp):
@@ -289,12 +290,13 @@ def cmd_solve_pde(args) -> int:
         descriptor["t_exponent"] = sol.form.t_exponent
         descriptor["exp_coefficient"] = sol.form.exp_coef
     if isinstance(sol.form, pde.WrightSeriesForm):
+        smap = sol.form.smap
         descriptor["members"] = [
             {
                 "k": mem.k,
-                "x_exponent": mem.x_exponent,
-                "t_exponent": mem.t_exponent,
-                "argument_coefficient": mem.arg_coef,
+                "x_exponent": smap.a + smap.z_exponent * mem.leading_exponent,
+                "t_exponent": mem.leading_exponent,
+                "argument_coefficient": mem.lam,
             }
             for mem in sol.form.members
         ]

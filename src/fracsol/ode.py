@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import foxh, fracseries, wright
+from . import wright
 from .errors import (
     BranchMismatchError,
     ComplexRootsError,
@@ -108,11 +108,9 @@ class LargeAlphaMember:
 
     def series(self, order: int = DEFAULT_ORDER_VERIFY) -> FracPowerSeries:
         """Coefficient image on the lattice gamma = alpha - k, rho = alpha + m."""
-        coeffs = []
-        for j in range(order + 1):
-            term = wright.series_term(self.spec, 1.0, j)  # gamma-product / j!
-            coeffs.append(term * self.lam**j)
-        return FracPowerSeries(self.leading_exponent, self.power, tuple(coeffs))
+        return FracPowerSeries(
+            self.leading_exponent, self.power, wright.coefficients(self.spec, order, self.lam)
+        )
 
 
 @dataclass(frozen=True)
@@ -148,8 +146,7 @@ def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     cp = characteristic_poly(problem)
     if not _roots_real(cp.roots):
         raise ComplexRootsError(
-            "characteristic roots are complex; H contour evaluator declines "
-            "(use the series verification path)"
+            "characteristic roots are complex; the H form needs real lower parameters"
         )
     rho = problem.alpha + problem.m
     lower = tuple((-s.real / rho, 1.0) for s in cp.roots) + tuple(
@@ -172,19 +169,17 @@ def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     )
 
 
-def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
-    """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
-    if not problem.alpha > problem.n:
-        raise BranchMismatchError(f"alpha = {problem.alpha} is not > n = {problem.n}")
-    cp = characteristic_poly(problem)
-    alpha, m, n = problem.alpha, problem.m, problem.n
+def wright_members(alpha: float, m: int, roots, lam: float) -> tuple:
+    """The members k = 1..[alpha]+1 for characteristic roots ``roots``.
+
+    Member k has upper parameters ((alpha-k-s)/rho, 1) for each root s,
+    ((alpha-k+i)/rho, 1) for i = 1..m and (1, 1), and lower parameter
+    (1+alpha-k, rho), rho = alpha + m.
+    """
     rho = alpha + m
-    an = problem.a_coeffs[-1]
-    lam = an * rho ** (m + n)
-    nmem = int(math.floor(alpha)) + 1
     members = []
-    for k in range(1, nmem + 1):
-        upper = tuple(((alpha - k - s) / rho, 1.0) for s in cp.roots)
+    for k in range(1, int(math.floor(alpha)) + 2):
+        upper = tuple(((alpha - k - s) / rho, 1.0) for s in roots)
         upper += tuple(((alpha - k + i) / rho, 1.0) for i in range(1, m + 1))
         upper += ((1.0, 1.0),)
         spec = WrightSpec(upper=upper, lower=((1.0 + alpha - k, rho),))
@@ -193,10 +188,22 @@ def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
                 k=k, spec=spec, lam=lam, leading_exponent=alpha - k, power=rho
             )
         )
+    return tuple(members)
+
+
+def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
+    """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
+    if not problem.alpha > problem.n:
+        raise BranchMismatchError(f"alpha = {problem.alpha} is not > n = {problem.n}")
+    cp = characteristic_poly(problem)
+    alpha, m, n = problem.alpha, problem.m, problem.n
+    an = problem.a_coeffs[-1]
+    lam = an * (alpha + m) ** (m + n)
+    members = wright_members(alpha, m, cp.roots, lam)
     if constants is None:
-        constants = (1.0,) * nmem
+        constants = (1.0,) * len(members)
     return OdeSolution(
-        problem=problem, roots=cp.roots, constants=tuple(constants), members=tuple(members)
+        problem=problem, roots=cp.roots, constants=tuple(constants), members=members
     )
 
 

@@ -3,11 +3,13 @@ diffusion equation
 
     D_t^alpha u = t^m (A x^d u_xx + B x^(d-1) u_x + C x^(d-2) u),  x, t > 0.
 
-The substitution u = x^a phi(x^((d-2)/(alpha+m)) t) collapses the PDE to
-the model fractional ODE handled by :mod:`fracsol.ode`; the three result
-branches (Fox-H form for 0 < alpha < 2, Wright series for alpha > 2,
-the d = 2 series in t alone) are materialized here, together with the
-alpha = 1 exponential closed form.
+The substitution u = x^a phi(z), z = x^((d-2)/(alpha+m)) t, collapses the
+PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`; ``solve``
+reduces, solves that ODE and maps its solution back (Fox-H form for
+0 < alpha < 2, Wright series for alpha > 2).  For d = 2 the reduction
+degenerates and u = x^a phi(t) with phi the Wright members of
+D^alpha phi = K t^m phi.  The alpha = 1 exponential closed form is built
+here directly.
 """
 
 from __future__ import annotations
@@ -16,25 +18,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import wright
+from . import ode
 from .errors import (
     ComplexDiscriminantError,
-    ComplexRootsError,
     DegenerateDError,
     DomainError,
     UnsupportedAlphaError,
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
-from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator, FracPowerSeries
-from .ode import OdeProblem
-from .wright import WrightSpec
-
-_REAL_TOL = 1e-9
-
-#: adopted d = 2 series parameters (lower parameter indexed per member k)
-D2_FORM_MEMBER_INDEXED = "member-indexed"
-#: the alternative display with lower parameter (alpha-1, alpha+m), argument K t^(alpha+m)
-D2_FORM_FIXED_OFFSET = "fixed-offset"
+from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator
 
 
 @dataclass(frozen=True)
@@ -111,8 +103,8 @@ def similarity_reduce(problem: DiffusionProblem):
     a2 = A * (d - 2.0) ** 2 / rho**2
     a1 = ((d - 2.0) / rho) * (A * (d - 2.0) / rho + B + A * (2.0 * a - 1.0))
     a0 = problem.K
-    ode = OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=(a0, a1, a2))
-    return ode, SimilarityMap(a=a, z_exponent=(d - 2.0) / rho)
+    reduced = ode.OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=(a0, a1, a2))
+    return reduced, SimilarityMap(a=a, z_exponent=(d - 2.0) / rho)
 
 
 @dataclass(frozen=True)
@@ -124,31 +116,18 @@ class FoxHForm:
     a: float
     d: float
     rho: float
-    roots_real: bool
 
     def argument(self, x: float, t: float) -> float:
         return self.arg_coef * x ** (2.0 - self.d) * t ** (-self.rho)
 
 
 @dataclass(frozen=True)
-class WrightMember:
-    """c_k x^x_exponent t^t_exponent Psi[ arg_coef x^(d-2) t^(alpha+m) ]."""
-
-    k: int
-    spec: WrightSpec
-    x_exponent: float
-    t_exponent: float
-    arg_coef: float
-    x_arg_exponent: float  # d-2 off the d = 2 branch, 0 on it
-    rho: float
-
-    def argument(self, x: float, t: float) -> float:
-        return self.arg_coef * x**self.x_arg_exponent * t**self.rho
-
-
-@dataclass(frozen=True)
 class WrightSeriesForm:
+    """u = x^a sum_k c_k y_k(z) over the reduced equation's Wright members
+    y_k (:class:`fracsol.ode.LargeAlphaMember`), z = smap.z(x, t)."""
+
     members: tuple
+    smap: SimilarityMap
 
 
 @dataclass(frozen=True)
@@ -164,96 +143,34 @@ class ClosedFormExp:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Constructed solution with its root pair, K and ansatz bookkeeping."""
+    """Constructed solution of a diffusion problem."""
 
     problem: DiffusionProblem
     form: object  # FoxHForm | WrightSeriesForm | ClosedFormExp
-    s1: complex
-    s2: complex
-    K: float
 
 
-def solve(problem: DiffusionProblem, d2_form: str = D2_FORM_MEMBER_INDEXED) -> PdeSolution:
-    """Construct the solution representation for the applicable branch."""
-    alpha, m, d = problem.alpha, problem.m, problem.d
-    rho = problem.rho
-    if d == 2:
-        return _solve_d2(problem, d2_form)
-    s1, s2 = s_roots(problem)
-    if alpha == 2:
+def solve(problem: DiffusionProblem) -> PdeSolution:
+    """Construct the solution representation for the applicable branch.
+
+    Complex characteristic roots follow the ODE's policy: the H form
+    (alpha < 2) raises ComplexRootsError, the Wright members (alpha > 2)
+    carry complex parameters.
+    """
+    if problem.d == 2:
+        lam = problem.K * problem.rho**problem.m
+        members = ode.wright_members(problem.alpha, problem.m, (), lam)
+        return PdeSolution(problem, WrightSeriesForm(members, SimilarityMap(problem.a, 0.0)))
+    if problem.alpha == 2:
         raise UnsupportedAlphaError("alpha = 2 with d != 2 is covered by no branch")
-    roots_real = max(abs(s1.imag), abs(s2.imag)) <= _REAL_TOL * max(1.0, abs(s1), abs(s2))
-    if alpha < 2:
-        lower = (
-            (-s1.real / rho if roots_real else float("nan"), 1.0),
-            (-s2.real / rho if roots_real else float("nan"), 1.0),
-        ) + tuple((j / rho, 1.0) for j in range(1, m + 1))
-        if roots_real:
-            spec = HFunctionSpec(m=m + 2, l=0, upper=((1.0, rho),), lower=lower)
-        else:
-            spec = None  # evaluation will be declined
-        arg_coef = 1.0 / (problem.A * (d - 2.0) ** 2 * rho**m)
-        form = FoxHForm(
-            spec=spec, arg_coef=arg_coef, a=problem.a, d=d, rho=rho, roots_real=roots_real
-        )
-        return PdeSolution(problem=problem, form=form, s1=s1, s2=s2, K=problem.K)
-    # alpha > 2: Wright series members
-    lam = problem.A * (d - 2.0) ** 2 * rho**m
-    members = []
-    for k in range(1, int(math.floor(alpha)) + 2):
-        upper = (
-            ((alpha - k - s1) / rho, 1.0),
-            ((alpha - k - s2) / rho, 1.0),
-        ) + tuple(((alpha - k + i) / rho, 1.0) for i in range(1, m + 1)) + ((1.0, 1.0),)
-        spec = WrightSpec(upper=upper, lower=((1.0 + alpha - k, rho),))
-        members.append(
-            WrightMember(
-                k=k,
-                spec=spec,
-                x_exponent=problem.a + (d - 2.0) * (alpha - k) / rho,
-                t_exponent=alpha - k,
-                arg_coef=lam,
-                x_arg_exponent=d - 2.0,
-                rho=rho,
-            )
-        )
-    return PdeSolution(
-        problem=problem, form=WrightSeriesForm(members=tuple(members)), s1=s1, s2=s2, K=problem.K
+    ode_problem, smap = similarity_reduce(problem)
+    ode_sol = ode.solve(ode_problem)
+    small = ode_sol.small
+    if small is None:
+        return PdeSolution(problem, WrightSeriesForm(ode_sol.members, smap))
+    form = FoxHForm(
+        spec=small.spec, arg_coef=small.arg_coef, a=problem.a, d=problem.d, rho=small.power
     )
-
-
-def _solve_d2(problem: DiffusionProblem, d2_form: str) -> PdeSolution:
-    alpha, m = problem.alpha, problem.m
-    rho = problem.rho
-    members = []
-    for k in range(1, int(math.floor(alpha)) + 2):
-        tail = tuple(((alpha - k + i) / rho, 1.0) for i in range(1, m + 1)) + ((1.0, 1.0),)
-        if d2_form == D2_FORM_MEMBER_INDEXED:
-            spec = WrightSpec(upper=tail, lower=((1.0 + alpha - k, rho),))
-            arg_coef = problem.K * rho**m
-        elif d2_form == D2_FORM_FIXED_OFFSET:
-            spec = WrightSpec(upper=tail, lower=((alpha - 1.0, rho),))
-            arg_coef = problem.K
-        else:
-            raise ValueError(f"unknown d2_form {d2_form!r}")
-        members.append(
-            WrightMember(
-                k=k,
-                spec=spec,
-                x_exponent=problem.a,
-                t_exponent=alpha - k,
-                arg_coef=arg_coef,
-                x_arg_exponent=0.0,
-                rho=rho,
-            )
-        )
-    return PdeSolution(
-        problem=problem,
-        form=WrightSeriesForm(members=tuple(members)),
-        s1=complex("nan"),
-        s2=complex("nan"),
-        K=problem.K,
-    )
+    return PdeSolution(problem, form)
 
 
 def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
@@ -274,9 +191,8 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
     x_exp = -0.5 * (B / A - 1.0 + sq)
     t_exp = -((1.0 + m) / (d - 2.0)) * (d - 2.0 + sq)
     q = (1.0 + m) / (A * (d - 2.0) ** 2)
-    s1, s2 = s_roots(problem)
     form = ClosedFormExp(x_exponent=x_exp, t_exponent=t_exp, exp_coef=q, d=d, m=m)
-    return PdeSolution(problem=problem, form=form, s1=s1, s2=s2, K=problem.K)
+    return PdeSolution(problem=problem, form=form)
 
 
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
@@ -293,22 +209,11 @@ def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
             * math.exp(-form.exp_coef * x ** (2.0 - form.d) * t ** (-(1.0 + form.m)))
         )
     if isinstance(form, FoxHForm):
-        if not form.roots_real:
-            raise ComplexRootsError(
-                "H-form has complex lower parameters; contour evaluation declined"
-            )
         return prob.constant(1) * x**form.a * eval_mellin_barnes(
             form.spec, form.argument(x, t)
         )
-    total = 0.0 + 0.0j
-    for mem in form.members:
-        total += (
-            prob.constant(mem.k)
-            * x**mem.x_exponent
-            * t**mem.t_exponent
-            * wright.evaluate(mem.spec, mem.argument(x, t))
-        )
-    return total
+    z = form.smap.z(x, t)
+    return x**form.smap.a * sum(prob.constant(mem.k) * mem.evaluate(z) for mem in form.members)
 
 
 def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):
@@ -326,15 +231,5 @@ def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):
     if prob.d == 2:
         op = EulerPolynomialOperator(coeffs=(prob.K,), time_weight=prob.m, roots=())
     else:
-        ode_problem, _ = similarity_reduce(prob)
-        op = ode_problem.operator()
-    out = []
-    for mem in sol.form.members:
-        coeffs = []
-        lam = mem.arg_coef
-        for j in range(order + 1):
-            coeffs.append(wright.series_term(mem.spec, 1.0, j) * lam**j)
-        out.append(
-            (FracPowerSeries(mem.t_exponent, mem.rho, tuple(coeffs)), op)
-        )
-    return out
+        op = similarity_reduce(prob)[0].operator()
+    return [(mem.series(order), op) for mem in sol.form.members]

@@ -194,7 +194,7 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
 
     def u_values(xs, t):
         form = sol.form
-        if isinstance(form, FoxHForm) and form.roots_real:
+        if isinstance(form, FoxHForm):
             args = np.array([form.argument(xv, t) for xv in xs])
             scale = complex(sol.problem.constant(1)).real * xs**form.a
             return scale * eval_mellin_barnes_batch(form.spec, args)
@@ -223,7 +223,9 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
 
         lhs = gl_fractional_derivative(f_t, alpha, t, h)
 
-        dx = 1e-5 * x
+        # the stencil's rounding, about eps |u| / dx^2 in u_xx, against its
+        # O(dx^4) truncation after one Richardson step
+        dx = 2e-3 * x
         # the stencil's five distinct points, each evaluated once
         offsets = (-dx, -dx / 2.0, 0.0, dx / 2.0, dx)
         u = dict(zip(offsets, u_values(x + np.array(offsets), t)))
@@ -355,8 +357,7 @@ def h_operator_identity_check(
 
 
 def _wright_series_image(spec: WrightSpec, a: float, prefactor_exp: float, sigma: float, order: int):
-    coeffs = [wright.series_term(spec, 1.0, j) * a**j for j in range(order + 1)]
-    return FracPowerSeries(prefactor_exp, sigma, tuple(coeffs))
+    return FracPowerSeries(prefactor_exp, sigma, wright.coefficients(spec, order, a))
 
 
 def wright_operator_identity_check(

@@ -99,6 +99,12 @@ def series_term(spec: WrightSpec, z, k: int) -> complex:
     return complex(np.exp(lt))
 
 
+def coefficients(spec: WrightSpec, order: int, lam=1.0) -> tuple:
+    """Coefficients lam^j * series_term(spec, 1, j), j = 0..order, of
+    pPsiq[lam w] as a power series in w."""
+    return tuple(series_term(spec, 1.0, j) * lam**j for j in range(order + 1))
+
+
 def evaluate(spec: WrightSpec, z) -> complex:
     """Partial sums of the Wright series with compensated summation.
 

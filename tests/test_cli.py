@@ -85,6 +85,118 @@ class TestSolve:
         assert code == 1
 
 
+def solve_pde(capsys, tmp_path, problem):
+    """Run `solve pde` on a 2 x 2 grid; return (descriptor, {(x, t): u})."""
+    out_path = tmp_path / "u.csv"
+    code, out = run_capture(
+        capsys,
+        [
+            "solve", "pde", "--json", json.dumps(problem),
+            "--grid", "x=0.8:1.2:2,t=0.9:1.3:2", "--out", str(out_path),
+        ],
+    )
+    assert code == 0
+    rows = [r.split(",") for r in out_path.read_text().strip().splitlines()[1:]]
+    return json.loads(out), {(float(x), float(t)): float(u) for x, t, u in rows}
+
+
+def assert_samples(samples, want):
+    assert sorted(samples) == sorted(want)
+    for point, u in want.items():
+        assert samples[point] == pytest.approx(u, rel=1e-12), point
+
+
+class TestSolvePdeDescriptors:
+    """Descriptors and samples of the three solution branches, pinned to the
+    values of the construction that built each branch on its own."""
+
+    def test_h_form(self, capsys, tmp_path):
+        problem = {"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2}
+        doc, samples = solve_pde(capsys, tmp_path, problem)
+        assert doc["branch"] == "FoxHForm"
+        assert doc["K"] == pytest.approx(-0.232, rel=1e-12)
+        assert doc["s1"] == pytest.approx(0.35789083458002735, rel=1e-12)
+        assert doc["s2"] == pytest.approx(-0.7778908345800274, rel=1e-12)
+        spec = doc["h_spec"]
+        assert (spec["m"], spec["l"]) == (3, 0)
+        assert spec["upper"] == [[1.0, pytest.approx(1.8, rel=1e-12)]]
+        # the lower entries form a set: their order follows the root solver
+        assert sorted(spec["lower"]) == [
+            [pytest.approx(-0.1988282414333485, rel=1e-12), 1.0],
+            [pytest.approx(0.4321615747666819, rel=1e-12), 1.0],
+            [pytest.approx(0.5555555555555556, rel=1e-12), 1.0],
+        ]
+        assert doc["argument_coefficient"] == pytest.approx(0.20576131687242802, rel=1e-12)
+        assert_samples(samples, {
+            (0.8, 0.9): 0.8152528578704549,
+            (0.8, 1.3): 1.4011930381622122,
+            (1.2, 0.9): 0.43627258206820735,
+            (1.2, 1.3): 0.9306891537705635,
+        })
+
+    def test_wright_form_complex_roots(self, capsys, tmp_path):
+        # alpha > 2 keeps complex roots: they enter the Wright parameters
+        problem = {"alpha": 3.4, "m": 0, "d": -1, "A": 1, "B": 0.1, "C": 0.8, "a": 0.3}
+        doc, samples = solve_pde(capsys, tmp_path, problem)
+        assert doc["branch"] == "WrightSeriesForm"
+        assert doc["K"] == pytest.approx(0.62, rel=1e-12)
+        for key, im in (("s1", 0.876045407245284), ("s2", -0.876045407245284)):
+            assert doc[key] == {
+                "re": pytest.approx(-0.17, rel=1e-12), "im": pytest.approx(im, rel=1e-12)
+            }
+        want = [
+            (1, -1.8176470588235294, 2.4),
+            (2, -0.9352941176470586, 1.4),
+            (3, -0.05294117647058816, 0.4),
+            (4, 0.8294117647058825, -0.6),
+        ]
+        assert doc["members"] == [
+            {
+                "k": k,
+                "x_exponent": pytest.approx(xe, rel=1e-12),
+                "t_exponent": pytest.approx(te, rel=1e-12),
+                "argument_coefficient": pytest.approx(9.0, rel=1e-12),
+            }
+            for k, xe, te in want
+        ]
+        assert_samples(samples, {
+            (0.8, 0.9): 20.167655519481862,
+            (0.8, 1.3): 31.04022882389465,
+            (1.2, 0.9): 19.002870173097712,
+            (1.2, 1.3): 22.95147198037469,
+        })
+
+    def test_d2_negative_K(self, capsys, tmp_path):
+        problem = {"alpha": 2.5, "m": 1, "d": 2, "A": 1, "B": 0, "C": -0.2, "a": 0.5}
+        doc, samples = solve_pde(capsys, tmp_path, problem)
+        assert doc["branch"] == "WrightSeriesForm"
+        assert doc["K"] == pytest.approx(-0.45, rel=1e-12)
+        assert doc["s1"] is None and doc["s2"] is None
+        assert doc["members"] == [
+            {
+                "k": k,
+                "x_exponent": pytest.approx(0.5, rel=1e-12),
+                "t_exponent": pytest.approx(te, rel=1e-12),
+                "argument_coefficient": pytest.approx(-1.575, rel=1e-12),
+            }
+            for k, te in ((1, 1.5), (2, 0.5), (3, -0.5))
+        ]
+        assert_samples(samples, {
+            (0.8, 0.9): 5.99584661382964,
+            (0.8, 1.3): 5.8876118310159455,
+            (1.2, 0.9): 7.343382389938478,
+            (1.2, 1.3): 7.210822394781222,
+        })
+
+    def test_complex_roots_below_alpha_2_rejected(self, capsys):
+        problem = {"alpha": 0.8, "m": 0, "d": 0, "A": 1, "B": 0, "C": 1, "a": 0}
+        code = run(["solve", "pde", "--json", json.dumps(problem)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("ComplexRootsError")
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_heat_kernel_pass(self, capsys):
         prob = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})

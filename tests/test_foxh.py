@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from fracsol import foxh
 from fracsol.errors import (
     CancellationError,
+    NonConvergentError,
     NonDecayingError,
     QuadratureFailureError,
     ShapeMismatchError,
@@ -128,6 +129,14 @@ class TestEvalMellinBarnes:
     def test_rejects_l_positive(self):
         spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())
         with pytest.raises(UnsupportedClassError):
+            eval_mellin_barnes(spec, 1.0)
+
+    @pytest.mark.parametrize("alpha_p", [1.0, 2.0])
+    def test_rejects_nonpositive_omega(self, alpha_p):
+        # omega = 1 - alpha_p: the kernel does not decay along the line
+        spec = HFunctionSpec(m=1, l=0, upper=((1.0, alpha_p),), lower=((0.0, 1.0),))
+        assert convergence_params(spec).omega <= 0
+        with pytest.raises(NonConvergentError):
             eval_mellin_barnes(spec, 1.0)
 
     @pytest.mark.parametrize("z", [0.1, 0.3, 0.7])

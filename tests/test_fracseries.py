@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol.errors import ExponentOutOfRangeError, PoleError
+from fracsol.errors import ExponentMisalignmentError, ExponentOutOfRangeError, PoleError
 from fracsol.fracseries import (
     EulerPolynomialOperator,
     FracPowerSeries,
@@ -182,3 +182,9 @@ class TestAlignSeries:
         offset, n_overlap = align_series(a, b)
         assert offset == 2
         assert n_overlap == 2
+
+    def test_different_steps_rejected(self):
+        a = FracPowerSeries(gamma0=0.5, rho=0.5, coeffs=(1.0, 2.0))
+        b = FracPowerSeries(gamma0=0.5, rho=0.7, coeffs=(1.0, 2.0))
+        with pytest.raises(ExponentMisalignmentError):
+            align_series(a, b)

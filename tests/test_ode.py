@@ -19,6 +19,7 @@ from fracsol.ode import (
     solve,
     solve_large_alpha,
     solve_small_alpha,
+    wright_members,
 )
 
 
@@ -143,6 +144,27 @@ class TestLargeAlphaBranch:
         direct = complex(member.evaluate(z))
         summed = complex(eval_series(member.series(order=60), z))
         assert_allclose(direct, summed, rtol=1e-10)
+
+
+class TestWrightMembers:
+    def test_without_roots(self):
+        # the d = 2 diffusion members: no root parameters, any sign of lam
+        members = wright_members(2.5, 1, (), -0.45)
+        assert [mem.k for mem in members] == [1, 2, 3]
+        for mem in members:
+            rho = 3.5
+            assert mem.lam == -0.45
+            assert mem.power == rho
+            assert mem.spec.upper == (
+                ((mem.leading_exponent + 1.0) / rho + 0j, 1.0),
+                (1.0 + 0j, 1.0),
+            )
+            assert mem.spec.lower == ((1.0 + mem.leading_exponent + 0j, rho),)
+
+    def test_matches_solve_large_alpha(self):
+        prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
+        sol = solve_large_alpha(prob)
+        assert wright_members(2.5, 1, sol.roots, 3.5**3) == sol.members
 
 
 class TestDispatch:

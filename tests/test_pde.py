@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from fracsol.errors import (
     ComplexDiscriminantError,
+    ComplexRootsError,
     DegenerateDError,
     DomainError,
     UnsupportedAlphaError,
@@ -131,6 +132,25 @@ class TestSolveBranches:
         sol = solve(prob)
         assert isinstance(sol.form, WrightSeriesForm)
 
+    def test_complex_roots_h_form_rejected(self):
+        # (1 - B/A)^2 - 4C/A = -3 < 0: the H form has no real lower parameters
+        prob = DiffusionProblem(alpha=0.8, m=0, d=0.0, A=1.0, B=0.0, C=1.0, a=0.0)
+        with pytest.raises(ComplexRootsError):
+            solve(prob)
+
+    def test_complex_roots_wright_form(self):
+        prob = DiffusionProblem(alpha=3.4, m=0, d=-1.0, A=1.0, B=0.1, C=0.8, a=0.3)
+        sol = solve(prob)
+        s1, s2 = s_roots(prob)
+        for mem in sol.form.members:
+            roots = sorted(
+                (mem.leading_exponent - a * prob.rho for a, _ in mem.spec.upper[:2]),
+                key=lambda s: s.imag,
+            )
+            assert roots == [pytest.approx(s2), pytest.approx(s1)]
+        u = complex(evaluate(sol, 1.2, 0.9))
+        assert abs(u.imag) < 1e-12 * abs(u.real)
+
 
 class TestExpClosedForm:
     def test_heat_kernel(self):
@@ -195,11 +215,12 @@ class TestEvaluate:
 
         x, t = 1.0, 1e-3
         full = complex(evaluate(sol, x, t))
+        z = sol.form.smap.z(x, t)
         leading = 0j
         for mem in sol.form.members:
-            t0 = complex(series_term(mem.spec, mem.argument(x, t), 0))
+            t0 = complex(series_term(mem.spec, mem.lam * z**mem.power, 0))
             leading += (
-                complex(prob.constant(mem.k)) * x**mem.x_exponent * t**mem.t_exponent * t0
+                complex(prob.constant(mem.k)) * x**sol.form.smap.a * z**mem.leading_exponent * t0
             )
         assert abs(full - leading) < 0.01 * abs(full)
 

@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracsol import verify
-from fracsol.errors import StepTooLargeError
+from fracsol.errors import PreconditionViolationError, StepTooLargeError
 from fracsol.fracseries import FracPowerSeries
 from fracsol.ode import OdeProblem, solve_large_alpha
-from fracsol.pde import DiffusionProblem, exp_closed_form, solve
+from fracsol.pde import DiffusionProblem, evaluate, exp_closed_form, solve
 from fracsol.verify import (
     METHOD_GL,
     METHOD_TERMWISE,
@@ -112,6 +112,22 @@ class TestResidualPde:
         residual_pde(solve(prob), prob, [(1.0, 1.0), (1.0, 1.2)], h=1e-3)
         assert sizes == [320, 5, 5]
 
+    def test_finite_difference_rhs_on_alpha1_h_form(self):
+        # alpha = 1 with the prefactor exponent at which the H-form is a
+        # constant multiple of the exponential closed form, so the exact
+        # u_t is the H value times the closed form's log-derivative in t
+        a_special = 0.5 * (2 * 0.0 - 0.0 / 1.0 - 3 + math.sqrt((1 - 0) ** 2 - 0))
+        prob = DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=0.0, C=0.0, a=a_special)
+        sol = solve(prob)
+        form = exp_closed_form(prob).form
+        grid = [(x, t) for x in (0.6, 1.0, 1.7) for t in (0.7, 1.4)]
+        report = residual_pde(sol, prob, grid, h=1e-3)
+        for p in report.points:
+            x, t = p.point
+            u = complex(evaluate(sol, x, t)).real
+            u_t = u * (form.t_exponent / t + form.exp_coef * x**2 * t**-2)
+            assert complex(p.rhs).real == pytest.approx(u_t, rel=1e-7), p.point
+
 
 class TestResidualOdeCoefficients:
     def test_wright_member(self):
@@ -166,6 +182,11 @@ class TestHOperatorIdentities:
         )
         assert report.max_rel_err < 1e-3
 
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_rejects_nonpositive_a(self, a):
+        with pytest.raises(PreconditionViolationError):
+            h_operator_identity_check(self.case1_spec(), "rl", a=a)
+
 
 class TestWrightOperatorIdentities:
     EXP = WrightSpec(((1.0, 1.0),), ((1.0, 1.0),))
@@ -189,6 +210,12 @@ class TestWrightOperatorIdentities:
         spec = WrightSpec(((1.0, 1.0),), ((1.3, 0.7),))
         report = wright_operator_identity_check(spec, "rl", alpha=0.6, a=0.8)
         assert report.max_rel_err < 1e-10
+
+    @pytest.mark.parametrize("upper", [(), ((1.0, 0.5),), ((0.5, 1.0),)])
+    def test_rl_requires_upper_unit_pair(self, upper):
+        spec = WrightSpec(upper, ((1.3, 0.7),))
+        with pytest.raises(PreconditionViolationError):
+            wright_operator_identity_check(spec, "rl", alpha=0.6, a=0.8)
 
 
 class TestResidualReportShape:

@@ -11,6 +11,7 @@ from fracsol.errors import CancellationError, DivergentInputError, NoConvergence
 from fracsol.wright import (
     WrightSpec,
     classical_wright,
+    coefficients,
     convergence,
     evaluate,
     mittag_leffler,
@@ -178,3 +179,17 @@ class TestClassicalWright:
         assert_allclose(
             complex(classical_wright(1.0, 0.0, 1.0)).real, math.e - 1, rtol=1e-12
         )
+
+
+class TestCoefficients:
+    def test_exp_series(self):
+        # 1Psi1[(1,1); (1,1) | lam w] = exp(lam w): coefficients lam^j / j!
+        got = coefficients(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 6, lam=-1.5)
+        want = [(-1.5) ** j / math.factorial(j) for j in range(7)]
+        assert_allclose(np.array(got), want, rtol=1e-13)
+
+    def test_matches_series_terms(self):
+        spec = WrightSpec(((0.3 + 0.2j, 1.0), (1.0, 1.0)), ((1.7, 2.5),))
+        got = coefficients(spec, 10)
+        assert len(got) == 11
+        assert got == tuple(series_term(spec, 1.0, j) for j in range(11))
