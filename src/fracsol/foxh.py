@@ -23,10 +23,20 @@ value by more than _BAND_LOSS = 4 e-folds.  Its relative rounding error
 then grows by at most e^4, to about 1e-14.  A band holds at most
 _BAND_MAX z, so each pass's (z x nodes) arrays stay near 1 MB.
 
-The trapezoid rule on the line is truncated from the decay rate: the
-integrand falls like exp(-pi omega |tau| / 2), so the first pass spans
-|tau| <= 30 / (pi omega / 2), and T then doubles, evaluating only the new
-outer segments, until a tail bound is negligible.  Refinement halves h
+The quadrature is the trapezoid rule in tau on s = gamma + i tau, summed
+over tau >= 0 only.  HFunctionSpec holds real parameters and z is real
+and positive, so every gamma factor and z^s take conjugate values at
+conjugate s: f(gamma - i tau) = conj f(gamma + i tau) (Mathai, Saxena &
+Haubold, The H-Function, 2010, ch. 1).  The rule's sum over the whole
+line is therefore f(gamma) + 2 Re sum_{tau > 0} f(gamma + i tau), which
+is real, and the kernel is evaluated on half the nodes.  This holds on
+every contour here, the slid ones and the l > 0 lines of _eval_general
+alike.
+
+The rule is truncated from the decay rate: the integrand falls like
+exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
+(pi omega / 2), and T then doubles, evaluating only the new outer
+segment, until a bound on both tails is negligible.  Refinement halves h
 and evaluates only the midpoints of the previous lattice, so each pass
 costs as many nodes as all earlier ones together; it stops when two
 passes agree to _REFINE_TOL (the nested error estimate of Trefethen &
@@ -193,15 +203,18 @@ def _trapezoid_line(
     """Trapezoid rule on Re s = gamma for every z of a band (truncation and
     refinement as in the module docstring).
 
+    The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
+    and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
+    f(gamma + i tau): every pass evaluates the kernel at tau >= 0 only.
     Each pass evaluates the gamma-ratio kernel once on its new nodes; every
-    z then adds only s log z.  The tests stay per z: the tail bound beyond
-    T is |f(+-T)| / r, with r the smaller of pi omega / 2 and the local
-    decay rate at the end nodes, which is below the asymptotic rate while a
-    far-left saddle contour still decays like a Gaussian.  T grows until
-    every z's bound is under _TAIL_FRACTION of the tolerance times its
-    running integral, or under the rounding floor eps * sum|f| that no
-    longer T can improve; refinement goes on until every z's last two
-    passes agree.
+    z then adds only s log z.  The tests stay per z: the tail beyond T on
+    each side is |f(T)| / r, with r the smaller of pi omega / 2 and the
+    local decay rate at the end node, which is below the asymptotic rate
+    while a far-left saddle contour still decays like a Gaussian.  T grows
+    until every z's bound on both tails is under _TAIL_FRACTION of the
+    tolerance times its running integral, or under the rounding floor
+    eps * sum|f| that no longer T can improve; refinement goes on until
+    every z's last two passes agree.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -215,21 +228,26 @@ def _trapezoid_line(
 
     h = _H0
     n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
-    lf = log_f(np.arange(-n, n + 1) * h)
+    lf = log_f(np.arange(n + 1) * h)
+    # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
+    # node tau = 0 is its own mirror
+    weight = np.full(n + 1, 2.0)
+    weight[0] = 1.0
     # every node is scaled by the first pass's largest modulus for its z
     ref = np.max(lf.real, axis=1, keepdims=True)
     total = np.zeros(len(z))
     total_abs = np.zeros(len(z))
     for doubling in range(_MAX_DOUBLINGS + 1):
         scaled = lf - ref
-        total += np.exp(scaled).sum(axis=1).real
-        total_abs += np.exp(scaled.real).sum(axis=1)
-        edge = lf.real[:, [0, -1]]
-        decay = np.minimum((lf.real[:, [1, -2]] - edge) / h, rate)
-        # a z whose end nodes do not decay has an unbounded tail
-        tail = np.divide(
-            np.exp(edge - ref), decay, out=np.full(decay.shape, math.inf), where=decay > 0
-        ).sum(axis=1)
+        total += (np.exp(scaled).real * weight).sum(axis=1)
+        total_abs += (np.exp(scaled.real) * weight).sum(axis=1)
+        edge = lf.real[:, -1]
+        decay = np.minimum((lf.real[:, -2] - edge) / h, rate)
+        # both tails; a z whose end nodes do not decay has an unbounded tail
+        tail = 2.0 * np.divide(
+            np.exp(edge - ref[:, 0]), decay, out=np.full(decay.shape, math.inf),
+            where=decay > 0,
+        )
         # |H| <= (h sum|f| + tail) e^ref / 2 pi; below half the smallest
         # subnormal it is 0.0
         floor = _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref[:, 0]
@@ -250,12 +268,12 @@ def _trapezoid_line(
                 f"contour truncation did not settle by T = {n * h:g} "
                 f"at z = {z[idx[~settled][0]]}"
             )
-        k = np.arange(n + 1, 2 * n + 1)
-        lf = log_f(np.concatenate((-k[::-1], k)) * h)
+        lf = log_f(np.arange(n + 1, 2 * n + 1) * h)
+        weight = 2.0
         n *= 2
     val = h * total
     for _ in range(_MAX_REFINE):
-        total += np.exp(log_f((np.arange(-n, n) + 0.5) * h) - ref).sum(axis=1).real
+        total += 2.0 * np.exp(log_f((np.arange(n) + 0.5) * h) - ref).sum(axis=1).real
         h, n = h / 2.0, 2 * n
         new = h * total
         agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)

@@ -8,6 +8,7 @@ coefficient instead of through quadrature.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -99,13 +100,16 @@ class EulerPolynomialOperator:
     coeffs: tuple  # a_0 .. a_n
     time_weight: int = 0
     roots: tuple = field(default=None)
+    # monomial coefficients of P(s), lowest degree first; expanded once
+    monomials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
         if self.time_weight < 0 or self.time_weight != int(self.time_weight):
             raise ValueError("time_weight must be a non-negative integer")
+        object.__setattr__(self, "monomials", _char_monomials(self.coeffs))
         if self.roots is None:
-            object.__setattr__(self, "roots", _char_roots(self.coeffs))
+            object.__setattr__(self, "roots", _char_roots(self.monomials))
         else:
             object.__setattr__(self, "roots", tuple(complex(s) for s in self.roots))
             self._check_root_form()
@@ -128,10 +132,6 @@ class EulerPolynomialOperator:
             ff *= s - i
         return total
 
-    def char_monomials(self) -> np.ndarray:
-        """Monomial coefficients of P(s), lowest degree first."""
-        return _char_monomials(self.coeffs)
-
     def _check_root_form(self):
         for s in self.roots:
             probe = abs(self.char_value(s))
@@ -144,40 +144,48 @@ class EulerPolynomialOperator:
                 )
 
 
-def _char_monomials(coeffs) -> np.ndarray:
-    acc = np.zeros(1)
-    ff = np.array([1.0])
+def _char_monomials(coeffs) -> tuple:
+    """sum_i a_i s(s-1)...(s-i+1) in monomial coefficients, lowest degree first."""
+    mono = [0.0] * len(coeffs)
+    ff = [1.0]  # s(s-1)...(s-i+1), lowest degree first
     for i, a in enumerate(coeffs):
-        acc = np.polynomial.polynomial.polyadd(acc, a * ff)
-        ff = np.polynomial.polynomial.polymul(ff, np.array([-float(i), 1.0]))
-    return acc
+        for k, c in enumerate(ff):
+            mono[k] += a * c
+        # times (s - i)
+        ff = [hi - i * lo for lo, hi in zip(ff + [0.0], [0.0] + ff)]
+    return tuple(mono)
 
 
-def _char_roots(coeffs) -> tuple:
-    """Roots of the characteristic polynomial of an Euler operator."""
-    n = len(coeffs) - 1
+def _char_roots(c) -> tuple:
+    """Roots of the characteristic polynomial with monomial coefficients c.
+
+    Closed forms for degree n <= 2; companion-matrix eigenvalues
+    (numpy.polynomial) plus one Newton step for n >= 3.
+    """
+    n = len(c) - 1
     if n == 0:
         return ()
-    c = _char_monomials(tuple(float(a) for a in coeffs))
     if abs(c[-1]) == 0.0:
         raise DegenerateLeadingError("leading coefficient a_n vanishes")
     if n == 1:
         return (complex(-c[0] / c[1]),)
     if n == 2:
         a, b, cc = c[2], c[1], c[0]
-        disc = complex(b * b - 4.0 * a * cc)
-        sq = np.sqrt(disc)
+        sq = cmath.sqrt(b * b - 4.0 * a * cc)
         # stable quadratic formula
-        qq = -0.5 * (b + (sq if b.real >= 0 else -sq))
+        qq = -0.5 * (b + (sq if b >= 0 else -sq))
         r1 = qq / a
         r2 = cc / qq if qq != 0 else 0.0 + 0.0j
         return (complex(r1), complex(r2))
-    roots = np.polynomial.polynomial.polyroots(c)
-    deriv = np.polynomial.polynomial.polyder(c)
+    # imported here: it costs about 4 ms, and only n >= 3 needs it
+    from numpy.polynomial import polynomial as P
+
+    roots = P.polyroots(c)
+    deriv = P.polyder(c)
     refined = []
     for r in roots:
-        pv = np.polynomial.polynomial.polyval(r, c)
-        dv = np.polynomial.polynomial.polyval(r, deriv)
+        pv = P.polyval(r, c)
+        dv = P.polyval(r, deriv)
         if dv != 0:
             r = r - pv / dv  # one Newton step
         refined.append(complex(r))

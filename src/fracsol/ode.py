@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import wright
 from .errors import (
     BranchMismatchError,
@@ -72,13 +70,11 @@ def characteristic_poly(problem: OdeProblem) -> CharPoly:
     step for n >= 3; residual checked against the coefficient norm.
     """
     op = problem.operator()
-    mono = op.char_monomials()
-    roots = op.roots
-    norm = float(np.max(np.abs(mono)))
-    for s in roots:
+    norm = max(abs(c) for c in op.monomials)
+    for s in op.roots:
         if abs(op.char_value(s)) > 1e-10 * norm * max(1.0, abs(s)) ** problem.n:
             raise ArithmeticError(f"characteristic root {s} failed residual check")
-    return CharPoly(monomials=tuple(float(c) for c in mono), roots=roots)
+    return CharPoly(monomials=op.monomials, roots=op.roots)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CancellationError, DivergentInputError, NoConvergenceError
-from .gammafn import is_nonpositive_integer, ln_gamma_vec
+from .gammafn import gamma_reciprocal, is_nonpositive_integer, ln_gamma_vec
 
 _EPS_REL = 1e-15
 _TERM_CAP = 500
@@ -164,32 +164,22 @@ def classical_wright(z, alpha: float, beta: float) -> complex:
     """Psi(z; alpha, beta) = sum_{k>=1} z^k / (Gamma(alpha k + beta) k!).
 
     The sum starts at k = 1, so the usual k = 0 term 1/Gamma(beta) is
-    subtracted from the 0Psi1 value.  Cross-library comparisons against
-    the k = 0 convention must add it back.
+    left out.  Cross-library comparisons against the k = 0 convention must
+    add it back.  With j = k - 1 the sum is z times
+    1Psi2[(1, 1); (2, 1), (alpha + beta, alpha) | z], evaluated by
+    :func:`evaluate` and under its guards; subtracting 1/Gamma(beta) from
+    0Psi1 instead would lose all relative accuracy as z -> 0.  For
+    alpha = 0, which is not a Wright weight, it is (e^z - 1) / Gamma(beta).
     """
     if alpha <= -1:
         raise ValueError("classical_wright requires alpha > -1")
     z = complex(z)
-    if z == 0:
-        return 0.0 + 0.0j
-    # summed directly: alpha = 0 is admissible here but not as a pPsiq weight
-    from .gammafn import gamma_reciprocal
-
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    small_run = 0
-    zp = 1.0 + 0.0j
-    for k in range(1, _TERM_CAP + 1):
-        zp *= z / k
-        term = zp * gamma_reciprocal(alpha * k + beta)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < _EPS_REL * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                return total
-        else:
-            small_run = 0
-    raise NoConvergenceError(f"classical Wright series did not converge at z = {z}")
+    if alpha == 0:
+        # e^z - 1 without cancellation near z = 0
+        expm1 = complex(
+            math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(z.imag / 2.0) ** 2,
+            math.exp(z.real) * math.sin(z.imag),
+        )
+        return expm1 * gamma_reciprocal(beta)
+    spec = WrightSpec(upper=((1.0, 1.0),), lower=((2.0, 1.0), (alpha + beta, alpha)))
+    return z * evaluate(spec, z)

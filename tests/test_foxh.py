@@ -4,7 +4,7 @@ Gauss multiplication) plus the large-argument decay envelope.
 
 Primary oracle: H^{1,0}_{0,1}[z | -; (0,1)] = e^{-z}, plus the internal
 residue-series evaluator as an independent summation path, and
-mpmath.meijerg for specs whose weights are all 1 (H reduces to Meijer G).
+mpmath.meijerg for specs whose weights are all equal (H reduces to Meijer G).
 """
 
 import math
@@ -12,6 +12,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracsol import foxh
@@ -280,6 +282,120 @@ class TestBatchedEvaluation:
             eval_mellin_barnes(EXP_SPEC, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             eval_mellin_barnes_batch(EXP_SPEC, np.ones((2, 2)))
+
+
+def meijer_oracle(spec, z, k):
+    """H at z of an l = 0 spec whose weights all equal k, by mpmath.meijerg:
+    by the power_scale identity it is G[z^(1/k)] / k for the same A_i, B_j."""
+    with mpmath.workdps(40):
+        a = [[], [a for a, _ in spec.upper]]
+        b = [[b for b, _ in spec.lower[: spec.m]], [b for b, _ in spec.lower[spec.m :]]]
+        return float(mpmath.meijerg(a, b, mpmath.mpf(z) ** (1 / mpmath.mpf(k)))) / k
+
+
+@st.composite
+def slide_specs(draw):
+    """H^{q,0}_{p,q} with q = 2 or 3, distinct B_j and every weight k: m = q,
+    so large arguments slide the contour to the real saddle."""
+    k = draw(st.floats(0.5, 2.0))
+    q = draw(st.sampled_from((2, 3)))
+    bs = draw(st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q))
+    # the oracle's hypergeometric sums slow down at (nearly) coincident poles
+    assume(min(abs(x - y) for i, x in enumerate(bs) for y in bs[i + 1 :]) > 0.05)
+    upper = ((draw(st.floats(1.0, 2.0)), k),) if q == 3 else ()
+    return HFunctionSpec(m=q, l=0, upper=upper, lower=tuple((b, k) for b in bs)), k
+
+
+# decay levels nu (mu z)^(1/nu) at which H is near 1, 1e-1 and 1e-40
+DECAY_LEVELS = (0.5, 2.5, 95.0)
+
+
+class TestHalfLineQuadrature:
+    """The integrand is conjugate-symmetric on the line, so the trapezoid
+    rule evaluates it at Im s >= 0 only."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        log_integrand = foxh._log_integrand
+
+        def recording(spec, s):
+            calls.append(np.asarray(s))
+            return log_integrand(spec, s)
+
+        monkeypatch.setattr(foxh, "_log_integrand", recording)
+        return calls
+
+    def test_nodes_in_upper_half_plane(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        # fixed line, saddle contour with three doublings of T, and l > 0
+        eval_mellin_barnes(FIXED_SPEC, np.array([0.5, 30.0]))
+        eval_mellin_barnes(MEIJER_SPEC, 1e4)
+        _eval_general(invert_argument(EXP_SPEC), 0.5)
+        nodes = np.concatenate([s.ravel() for s in calls])
+        assert np.all(nodes.imag >= 0.0)
+        assert np.count_nonzero(nodes.imag > 0.0) > nodes.size / 2
+
+    def test_first_pass_has_n_plus_one_nodes(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
+        rate = math.pi * convergence_params(EXP_SPEC).omega / 2.0
+        n = max(math.ceil(foxh._DECAY_LOGS / rate / foxh._H0), foxh._N_MIN)
+        first = calls[foxh._SADDLE_STAGES]
+        assert first.size == n + 1
+        assert_allclose(first.imag, np.arange(n + 1) * foxh._H0, rtol=1e-15)
+
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=slide_specs())
+    def test_saddle_slide_vs_meijer_g(self, drawn):
+        spec, k = drawn
+        c = convergence_params(spec)
+        zs = np.array([(level / c.nu) ** c.nu / c.mu for level in DECAY_LEVELS])
+        want = np.array([meijer_oracle(spec, z, k) for z in zs])
+        assert abs(want[-1]) < 1e-35
+        assert_allclose(eval_mellin_barnes(spec, zs), want, rtol=1e-9)
+
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=slide_specs())
+    def test_general_contour_vs_meijer_g(self, drawn):
+        # the inverted spec has m = 0 and l = q > 0; it is evaluated by
+        # _eval_general at 1/z, on the real saddle
+        spec, k = drawn
+        c = convergence_params(spec)
+        inv = invert_argument(spec)
+        for level in DECAY_LEVELS:
+            z = (level / c.nu) ** c.nu / c.mu
+            assert_allclose(_eval_general(inv, 1.0 / z), meijer_oracle(spec, z, k), rtol=1e-9)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        be1=st.floats(0.6, 1.5),
+        be2_share=st.floats(0.05, 0.8),
+        b1=st.floats(0.3, 0.6),
+        b2=st.floats(-0.5, 0.5),
+        upper=st.one_of(st.none(), st.tuples(st.floats(1.5, 2.5), st.floats(0.05, 0.9))),
+    )
+    def test_fixed_line_vs_residue_sum(self, be1, be2_share, b1, b2, upper):
+        # m = 1 < q = 2: every argument stays on the fixed line, whose
+        # integrand is about z^(-1/2) times larger than H at small z,
+        # so z is placed where H is near 1/2 and 1/10 and b1 / beta_1 >= 0.2
+        # keeps z above 1e-7
+        be2 = be2_share * be1
+        up = ()
+        if upper is not None:
+            assume(upper[1] < be1 - be2)
+            up = (upper,)
+        spec = HFunctionSpec(m=1, l=0, upper=up, lower=((b1, be1), (b2, be2)))
+        # the leading residue, at s0 = b1 / be1, is c0 z^s0
+        s0 = b1 / be1
+        c0 = 1.0 / (be1 * math.gamma(1.0 - b2 + be2 * s0))
+        for a, al in up:
+            c0 /= math.gamma(a - al * s0)
+        for target in (0.5, 0.1):
+            z = min((target / c0) ** (1.0 / s0), 1.0)
+            want = mp_residue_sum(spec, z, dps=40, kmax=150)
+            assume(0.01 < abs(want) < 2.0)
+            assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-9)
 
 
 class TestInvertArgument:

@@ -3,6 +3,10 @@ differentiation, the Euler polynomial operator, series evaluation, and the
 gamma product identity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -114,6 +118,54 @@ class TestEulerOperator:
         # a2 z^2 d^2/dz^2 contributes a2 * s(s-1)
         op = EulerPolynomialOperator(coeffs=(0.0, 0.0, 1.0), time_weight=0)
         assert complex(op.char_value(4.0)).real == pytest.approx(12.0)
+
+
+def old_char_monomials(coeffs):
+    """The numpy.polynomial expansion the operator used to make."""
+    from numpy.polynomial import polynomial as P
+
+    acc = np.zeros(1)
+    ff = np.array([1.0])
+    for i, a in enumerate(coeffs):
+        acc = P.polyadd(acc, a * ff)
+        ff = P.polymul(ff, np.array([-float(i), 1.0]))
+    return acc
+
+
+class TestCharMonomials:
+    @pytest.mark.parametrize("n", range(5))
+    def test_equal_numpy_polynomial_expansion(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            coeffs = tuple(rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3, 3, n + 1))
+            op = EulerPolynomialOperator(coeffs=coeffs)
+            assert np.array_equal(op.monomials, old_char_monomials(coeffs))
+
+    def test_falling_factorials(self):
+        # s(s-1)(s-2) = s^3 - 3 s^2 + 2 s
+        assert EulerPolynomialOperator(coeffs=(0.0, 0.0, 0.0, 1.0)).monomials == (
+            0.0,
+            2.0,
+            -3.0,
+            1.0,
+        )
+
+    def test_pde_solve_leaves_numpy_polynomial_unimported(self):
+        # the n = 2 roots come from the quadratic formula, so building an
+        # H form and a Wright form off d = 2 does not import numpy.polynomial
+        code = (
+            "import sys\n"
+            "from fracsol import pde\n"
+            "for alpha in (0.8, 2.5):\n"
+            "    pde.solve(pde.DiffusionProblem(alpha=alpha, m=0, d=1.0, A=1.0, C=-0.1))\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestEvalSeries:

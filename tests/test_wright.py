@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol.errors import CancellationError, DivergentInputError, NoConvergenceError
+from fracsol.errors import (
+    CancellationError,
+    DivergentInputError,
+    FracsolError,
+    NoConvergenceError,
+)
 from fracsol.wright import (
     WrightSpec,
     classical_wright,
@@ -178,6 +183,46 @@ class TestClassicalWright:
         # Psi(1;0,1): terms 1/Gamma(1) * 1/k!, k>=1, sum e - 1
         assert_allclose(
             complex(classical_wright(1.0, 0.0, 1.0)).real, math.e - 1, rtol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "z,alpha,beta", [(-100.0, 0.5, 1.0), (-200.0, 1.0, 1.0), (-20.0, 0.0, 1.0)]
+    )
+    def test_large_negative_argument(self, z, alpha, beta):
+        # the direct sum gave 6.77 at the first point (the value is
+        # -1.00000000024), and was off by 6.6e-5 and 4e-9 at the others
+        try:
+            got = classical_wright(z, alpha, beta)
+        except FracsolError:
+            return
+        with mpmath.workdps(80):
+            want = complex(
+                mpmath.nsum(
+                    lambda k: mpmath.mpf(z) ** k
+                    / (mpmath.gamma(alpha * k + beta) * mpmath.factorial(k)),
+                    [1, mpmath.inf],
+                )
+            )
+        assert_allclose(complex(got), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("z", [1e-8, -1e-3, 0.5 + 0.5j])
+    def test_small_argument_keeps_relative_accuracy(self, z):
+        # Psi ~ z / Gamma(alpha + beta): subtracting 1/Gamma(beta) from
+        # 0Psi1 would leave eps / |z| of relative error
+        with mpmath.workdps(40):
+            want = complex(
+                mpmath.nsum(
+                    lambda k: mpmath.mpc(z) ** k
+                    / (mpmath.gamma(0.5 * k + 1.5) * mpmath.factorial(k)),
+                    [1, mpmath.inf],
+                )
+            )
+        assert_allclose(complex(classical_wright(z, 0.5, 1.5)), want, rtol=1e-14)
+        # and for alpha = 0, e^z - 1 without cancellation
+        assert_allclose(
+            complex(classical_wright(z, 0.0, 1.5)),
+            complex(mpmath.expm1(z) * mpmath.rgamma(1.5)),
+            rtol=1e-14,
         )
 
 
