@@ -1,18 +1,23 @@
 """Fox H-function: Mellin-Barnes contour evaluation and transformations.
 
-The public evaluator handles the l = 0, real-parameter class (the only
-class the solvers emit) for z > 0.  eval_mellin_barnes takes a scalar z,
-which gives a float, or a 1-D array of z, which gives an array of the
-same length (eval_mellin_barnes_batch is its array-only form); a scalar
-is a batch of one, evaluated on the same nodes as an array element.
+The evaluator handles real-parameter specs of every (m, l) at z > 0, as
+long as a vertical line separates the left poles of Gamma(1 - A_i +
+alpha_i s), i <= l, from the right poles of Gamma(B_j - beta_j s), j <= m
+(Mathai, Saxena & Haubold, The H-Function, 2010, ch. 1).  The solvers
+emit l = 0 specs; argument inversion turns them into m = 0 specs.
+eval_mellin_barnes takes a scalar z, which gives a float, or a 1-D array
+of z, which gives an array of the same length (eval_mellin_barnes_batch
+is its array-only form); a scalar is a batch of one, evaluated on the
+same nodes as an array element.
 
-The contour is the vertical line Re s = gamma with
-gamma0 = min_j(B_j / beta_j) - 1/2, which separates the numerator poles
-for every l = 0 spec; for large arguments the line is slid left to the
-real saddle of phi_z(s) = Re K(s) + s log z, where K is the log of the
-gamma-ratio kernel, so the quadrature keeps relative accuracy deep into
-the exponential decay.  The saddle is found by a grid search run for all
-z at once.
+The contour is the vertical line Re s = gamma in that strip, at gamma0 =
+min_j(B_j / beta_j) - 1/2 for l = 0, max_i((A_i - 1) / alpha_i) + 1/2 for
+m = 0 and the strip's midpoint otherwise.  For (m, l) = (q, 0) and large
+arguments the line slides left to the real saddle of phi_z(s) = Re K(s) +
+s log z, where K is the log of the gamma-ratio kernel, so the quadrature
+keeps relative accuracy deep into the exponential decay; for (m, l) =
+(0, p), the s -> -s mirror of that class, it slides right at small
+arguments.  The saddle is found by a grid search run for all z at once.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and each
@@ -27,11 +32,9 @@ The quadrature is the trapezoid rule in tau on s = gamma + i tau, summed
 over tau >= 0 only.  HFunctionSpec holds real parameters and z is real
 and positive, so every gamma factor and z^s take conjugate values at
 conjugate s: f(gamma - i tau) = conj f(gamma + i tau) (Mathai, Saxena &
-Haubold, The H-Function, 2010, ch. 1).  The rule's sum over the whole
-line is therefore f(gamma) + 2 Re sum_{tau > 0} f(gamma + i tau), which
-is real, and the kernel is evaluated on half the nodes.  This holds on
-every contour here, the slid ones and the l > 0 lines of _eval_general
-alike.
+Haubold, 2010).  The rule's sum over the whole line is therefore
+f(gamma) + 2 Re sum_{tau > 0} f(gamma + i tau), which is real, and the
+kernel is evaluated on half the nodes.  This holds on every contour here.
 
 The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
@@ -48,8 +51,7 @@ QuadratureFailureError.
 
 A residue-based small-argument series is kept as an internal cross-check
 oracle (it raises CancellationError where its terms cancel below double
-precision), together with a general-contour evaluator used by the
-identity tests (argument inversion produces l > 0 specs).
+precision, and NoConvergenceError where they have not settled by kmax).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import numpy as np
 
 from .errors import (
     CancellationError,
+    NoConvergenceError,
     NonConvergentError,
     NonDecayingError,
     QuadratureFailureError,
@@ -319,28 +322,40 @@ def _real_minimum(spec: HFunctionSpec, log_z: np.ndarray, lo: float, hi: float):
     return grids[which, i], phi[np.arange(len(i)), i]
 
 
-def _contour_bands(spec: HFunctionSpec, conv: HConvergence, z: np.ndarray, gamma0: float):
+def _contour_bands(
+    spec: HFunctionSpec, conv: HConvergence, z: np.ndarray, left: float, right: float
+):
     """Split the arguments into bands that share one contour abscissa.
 
     Yields (abscissa, indices into z), at most _BAND_MAX indices each.
-    The contour slides left to the real saddle sigma*_z when that lies
-    left of gamma0; this is only attempted for m = q specs, where the
-    integrand has no zeros on the real axis left of the numerator poles
-    and log|integrand| is smooth there.  Every other z stays on gamma0.
-    Slid z, in saddle order, are grouped under the saddle of one member
-    such that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.
+    The default line gamma0 lies in the strip left < Re s < right.  The
+    contour slides to the real saddle sigma*_z when that lies beyond
+    gamma0 on the side without poles: left for (m, l) = (q, 0) with
+    nu > 0, right for its mirror (0, p) with nu < 0.  There the integrand
+    has no poles and log|integrand| is smooth.  Every other z stays on
+    gamma0.  Slid z, nearest gamma0 first, are grouped under the saddle of
+    one member such that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS
+    for each.
     """
+    gamma0 = right - 0.5 if spec.l == 0 else left + 0.5 if spec.m == 0 else 0.5 * (left + right)
+    # d = 1 slides left, d = -1 right
+    d = 1 if (spec.m, spec.l) == (spec.q, 0) else -1 if (spec.m, spec.l) == (0, spec.p) else 0
     fixed = np.arange(len(z))
     order = fixed[:0]
-    if spec.m == spec.q and conv.nu > 0 and z.size:
-        hi = min(b / be for b, be in spec.lower) - 1e-3
-        # the bracket of the largest z holds every smaller z's saddle too
-        lo = hi - 3.0 * (conv.mu * z.max()) ** (1.0 / conv.nu) - 20.0
+    if d * conv.nu > 0 and z.size:
+        near = (right if d > 0 else left) - d * 1e-3
+        # the saddle moves out with the decay level nu (mu z)^(1/nu), so the
+        # bracket sized for the farthest z holds every other z's saddle; the
+        # width is capped past double underflow (decay level 900), so that
+        # far members do not coarsen the search for the others
+        width = (conv.mu * (z.max() if d > 0 else z.min())) ** (1.0 / conv.nu)
+        far = near - d * 3.0 * min(width, 900.0 / abs(conv.nu)) - d * 20.0
         log_z = np.log(z)
-        sstar, phi = _real_minimum(spec, log_z, lo, hi)
-        fixed = np.flatnonzero(sstar >= gamma0)
-        order = np.flatnonzero(sstar < gamma0)
-        order = order[np.argsort(-sstar[order], kind="stable")]
+        sstar, phi = _real_minimum(spec, log_z, min(near, far), max(near, far))
+        slid = d * sstar < d * gamma0
+        fixed = np.flatnonzero(~slid)
+        order = np.flatnonzero(slid)
+        order = order[np.argsort(-d * sstar[order], kind="stable")]
         # Re K(sigma*) of the gamma-ratio kernel, known from the saddle search
         kernel = phi - sstar * log_z
     for start in range(0, fixed.size, _BAND_MAX):
@@ -361,8 +376,11 @@ def _contour_bands(spec: HFunctionSpec, conv: HConvergence, z: np.ndarray, gamma
 def eval_mellin_barnes(spec: HFunctionSpec, z):
     """Numerical Mellin-Barnes integral of the H-function at real z > 0.
 
-    z is a scalar, which gives a float, or a 1-D array, which gives an
-    array of the same length; a scalar is evaluated as a batch of one by
+    Takes every (m, l) whose pole families a vertical line separates, that
+    is max_i (A_i - 1) / alpha_i < min_j B_j / beta_j over i <= l and
+    j <= m; raises UnsupportedClassError when no line does.  z is a
+    scalar, which gives a float, or a 1-D array, which gives an array of
+    the same length; a scalar is evaluated as a batch of one by
     eval_mellin_barnes_batch.
     """
     zs = np.asarray(z, dtype=float)
@@ -376,8 +394,6 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     Arguments that share a contour abscissa share its kernel evaluations
     (see the module docstring).
     """
-    if spec.l != 0:
-        raise UnsupportedClassError("contour evaluator handles l = 0 specs only")
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("eval_mellin_barnes_batch takes a 1-D array of z")
@@ -386,40 +402,16 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     conv = convergence_params(spec)
     if conv.omega <= 0:
         raise NonConvergentError(f"omega = {conv.omega:g} <= 0: integral diverges")
-    gamma0 = min(b / be for b, be in spec.lower[: spec.m]) - 0.5
+    # the rightmost pole of the Gamma(1 - A_i + alpha_i s), i <= l, and the
+    # leftmost of the Gamma(B_j - beta_j s), j <= m
+    left = max(((a - 1.0) / al for a, al in spec.upper[: spec.l]), default=-math.inf)
+    right = min((b / be for b, be in spec.lower[: spec.m]), default=math.inf)
+    if left >= right:
+        raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
-    for gamma, idx in _contour_bands(spec, conv, z, gamma0):
+    for gamma, idx in _contour_bands(spec, conv, z, left, right):
         out[idx] = _trapezoid_line(spec, z[idx], gamma, conv.omega)
     return out
-
-
-def _eval_general(spec: HFunctionSpec, z: float) -> float:
-    """Contour evaluation without the l = 0 restriction (test cross-check).
-
-    The line must separate the left poles of Gamma(1 - a_i + alpha_i s)
-    from the right poles of Gamma(b_j - beta_j s); no saddle logic, so
-    only moderate arguments are reliable.
-    """
-    if z <= 0:
-        raise ValueError("requires z > 0")
-    conv = convergence_params(spec)
-    if conv.omega <= 0:
-        raise NonConvergentError(f"omega = {conv.omega:g} <= 0")
-    left = max((a - 1.0) / al for a, al in spec.upper[: spec.l]) if spec.l else -math.inf
-    right = min(b / be for b, be in spec.lower[: spec.m]) if spec.m else math.inf
-    if left >= right:
-        raise UnsupportedClassError("no separating contour between pole families")
-    if math.isinf(left):
-        gamma = right - 0.5
-    elif math.isinf(right):
-        # m = 0: no right poles, the contour slides right freely; park it on
-        # the real saddle so small function values are not lost to
-        # cancellation against an O(1) integrand
-        hi = left + 20.0 + 10.0 * abs(math.log(z))
-        gamma = float(_real_minimum(spec, np.log([z]), left + 1e-3, hi)[0][0])
-    else:
-        gamma = 0.5 * (left + right)
-    return float(_trapezoid_line(spec, np.array([z]), gamma, conv.omega)[0])
 
 
 def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
@@ -428,7 +420,9 @@ def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
     Requires l = 0 and all right poles simple; declines (ShapeMismatchError)
     on pole collisions.  Valid as a small/moderate-argument cross-check:
     raises CancellationError when eps * sum|t_k| exceeds _CANCEL_TOL times
-    |sum t_k|, where the alternating terms cancel below double precision.
+    |sum t_k|, where the alternating terms cancel below double precision,
+    and NoConvergenceError when a pole family reaches kmax before its
+    terms fall below 1e-16 of the sum.
     """
     if spec.l != 0:
         raise UnsupportedClassError("series oracle handles l = 0 specs only")
@@ -477,6 +471,10 @@ def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
                     break
             else:
                 tail = 0
+        else:
+            raise NoConvergenceError(
+                f"residue series of pole family {j} reached kmax = {kmax} at z = {z}"
+            )
     if _EPS * total_abs > _CANCEL_TOL * abs(total):
         raise CancellationError(
             f"residue series cancels at z = {z}: sum|t| = {total_abs:.3g}, sum = {total:.3g}"

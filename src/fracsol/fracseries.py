@@ -26,7 +26,6 @@ from .gammafn import gamma_ratio, is_nonpositive_integer, ln_gamma_vec
 EXPONENT_TOL = 1e-12
 
 DEFAULT_ORDER_VERIFY = 50
-DEFAULT_ORDER_EVAL = 200
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,15 @@ class TestEval:
             math.exp(-1.5), rel=1e-9
         )
 
+    def test_foxh_inverted_exp(self, capsys):
+        # H^{0,1}_{1,0}[z | (1, 1); -] = exp(-1/z), the inverse of exp(-z)
+        spec = json.dumps({"m": 0, "l": 1, "upper": [[1, 1]]})
+        code, out = run_capture(capsys, ["eval", "foxh", "--json", spec, "--z", "0.5,1.5"])
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[-2:]]
+        for z, value in rows:
+            assert float(value) == pytest.approx(math.exp(-1.0 / float(z)), rel=1e-9)
+
     def test_malformed_json_is_input_error(self, capsys):
         code, _ = run_capture(capsys, ["eval", "wright", "--json", "{not json", "--z", "1"])
         assert code == 1

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from fracsol import foxh
 from fracsol.errors import (
     CancellationError,
+    NoConvergenceError,
     NonConvergentError,
     NonDecayingError,
     QuadratureFailureError,
@@ -27,7 +28,6 @@ from fracsol.errors import (
 )
 from fracsol.foxh import (
     HFunctionSpec,
-    _eval_general,
     asymptotic_estimate,
     convergence_params,
     eval_mellin_barnes,
@@ -128,10 +128,22 @@ class TestEvalMellinBarnes:
         want = mp_residue_sum(spec, z) if z > 1.0 else series_expansion(spec, z)
         assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-8)
 
-    def test_rejects_l_positive(self):
-        spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())
+    def test_rejects_empty_strip(self):
+        # the left poles of Gamma(-1 + s) reach s = 1, right of the first
+        # right pole of Gamma(-s) at s = 0: no line separates them
+        spec = HFunctionSpec(m=1, l=1, upper=((2.0, 1.0),), lower=((0.0, 1.0),))
         with pytest.raises(UnsupportedClassError):
             eval_mellin_barnes(spec, 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+    def test_two_sided_strip(self, a):
+        # H^{1,1}_{1,1}[z | (1 - a, 1); (0, 1)] = Gamma(a) (1 + z)^(-a): the
+        # line is the midpoint of the strip -a < Re s < 0
+        spec = HFunctionSpec(m=1, l=1, upper=((1.0 - a, 1.0),), lower=((0.0, 1.0),))
+        zs = np.geomspace(0.01, 1e3, 25)
+        assert_allclose(
+            eval_mellin_barnes(spec, zs), math.gamma(a) * (1.0 + zs) ** -a, rtol=1e-11
+        )
 
     @pytest.mark.parametrize("alpha_p", [1.0, 2.0])
     def test_rejects_nonpositive_omega(self, alpha_p):
@@ -206,6 +218,14 @@ class TestSeriesExpansion:
         with pytest.raises(CancellationError):
             series_expansion(spec, 30.0)
 
+    def test_term_cap_raises(self):
+        # the terms 40^k / (k! Gamma(1/2 - k/2)) still grow at k = 300;
+        # the truncated sum was 1.46e127, the contour gives 1.08e-174
+        spec = HFunctionSpec(m=1, l=0, upper=((0.5, 0.5),), lower=((0.0, 1.0),))
+        assert_allclose(eval_mellin_barnes(spec, 40.0), 1.0805e-174, rtol=1e-4)
+        with pytest.raises(NoConvergenceError):
+            series_expansion(spec, 40.0)
+
 
 # the two H-form specs of the GL verification: m = q, so large arguments
 # slide the contour to the saddle, and each profile spans deep decay
@@ -250,6 +270,25 @@ class TestBatchedEvaluation:
         normal = zs < 700.0
         assert_allclose(got[normal], np.exp(-zs[normal]), rtol=1e-10)
         assert np.all(got[zs > 750.0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "alpha,m,zs",
+        [
+            (1.5, 2, np.array([0.3, 400.0])),
+            (1.5, 2, np.geomspace(1e-3, 50.0, 40)),
+            (1.67, 1, np.geomspace(1e-3, 50.0, 40)),
+            (1.67, 2, np.geomspace(1e-3, 50.0, 40)),
+        ],
+    )
+    def test_far_member_keeps_saddles(self, alpha, m, zs):
+        # members far past double underflow share the saddle search with
+        # the others; its bracket must stay fine enough for every member
+        spec = case1_spec(alpha, m)
+        got = eval_mellin_barnes(spec, zs)
+        want = np.array([eval_mellin_barnes(spec, z) for z in zs])
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert want[0] > 0.0
+        assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_kernel_matches_factor_loop(self):
         # the stacked arguments of every factor, in chunks of
@@ -331,7 +370,7 @@ class TestHalfLineQuadrature:
         # fixed line, saddle contour with three doublings of T, and l > 0
         eval_mellin_barnes(FIXED_SPEC, np.array([0.5, 30.0]))
         eval_mellin_barnes(MEIJER_SPEC, 1e4)
-        _eval_general(invert_argument(EXP_SPEC), 0.5)
+        eval_mellin_barnes(invert_argument(EXP_SPEC), 0.5)
         nodes = np.concatenate([s.ravel() for s in calls])
         assert np.all(nodes.imag >= 0.0)
         assert np.count_nonzero(nodes.imag > 0.0) > nodes.size / 2
@@ -358,14 +397,16 @@ class TestHalfLineQuadrature:
     @settings(max_examples=10, deadline=None)
     @given(drawn=slide_specs())
     def test_general_contour_vs_meijer_g(self, drawn):
-        # the inverted spec has m = 0 and l = q > 0; it is evaluated by
-        # _eval_general at 1/z, on the real saddle
+        # the inverted spec has m = 0 and l = q > 0; at 1/z its contour
+        # slides right to the real saddle
         spec, k = drawn
         c = convergence_params(spec)
         inv = invert_argument(spec)
         for level in DECAY_LEVELS:
             z = (level / c.nu) ** c.nu / c.mu
-            assert_allclose(_eval_general(inv, 1.0 / z), meijer_oracle(spec, z, k), rtol=1e-9)
+            assert_allclose(
+                eval_mellin_barnes(inv, 1.0 / z), meijer_oracle(spec, z, k), rtol=1e-9
+            )
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -410,10 +451,9 @@ class TestInvertArgument:
 
     @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
     def test_numeric_contract(self, z):
-        # eval(spec, z) = eval(inverse, 1/z); the inverse has l>0 so it is
-        # evaluated by the internal general-contour path
+        # eval(spec, z) = eval(inverse, 1/z); the inverse has m = 0, l = 1
         inv = invert_argument(EXP_SPEC)
-        assert_allclose(_eval_general(inv, 1.0 / z), math.exp(-z), rtol=1e-8)
+        assert_allclose(eval_mellin_barnes(inv, 1.0 / z), math.exp(-z), rtol=1e-8)
 
     @pytest.mark.parametrize("alpha,m", [(0.5, 0), (0.8, 1), (1.5, 2)])
     @pytest.mark.parametrize("w", [0.5, 1.0, 2.0, 5.0])
@@ -425,7 +465,7 @@ class TestInvertArgument:
         z = w**c.nu / c.mu
         inv = invert_argument(spec)
         assert_allclose(
-            _eval_general(inv, 1.0 / z), eval_mellin_barnes(spec, z), rtol=1e-6
+            eval_mellin_barnes(inv, 1.0 / z), eval_mellin_barnes(spec, z), rtol=1e-6
         )
 
 
