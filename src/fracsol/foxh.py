@@ -17,7 +17,9 @@ arguments the line slides left to the real saddle of phi_z(s) = Re K(s) +
 s log z, where K is the log of the gamma-ratio kernel, so the quadrature
 keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
-arguments.  The saddle is found by a grid search run for all z at once.
+arguments.  The saddle search evaluates the kernel in three array calls
+for all z of a call: a grid they share, spaced in log|sigma - edge| from
+the strip edge, a local grid per z, and each z's parabola vertex.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and each
@@ -47,7 +49,10 @@ Weideman, SIAM Rev. 56 (2014)).  Every test is made per z: a band keeps
 extending T, and then refining, until each of its z has passed.  A value
 whose modulus bound lies below the double range returns 0.0 after the
 first pass; a stalled refinement or a runaway T raises
-QuadratureFailureError.
+QuadratureFailureError, and a value whose rounding, eps times the
+integral of |f|, exceeds _CANCEL_TOL of |H| raises CancellationError (as
+at small z on the fixed line of an m < q spec, where f is about z^(-1/2)
+times larger than H).
 
 A residue-based small-argument series is kept as an internal cross-check
 oracle (it raises CancellationError where its terms cancel below double
@@ -93,13 +98,14 @@ _TAIL_FRACTION = 1e-2
 _EPS = np.finfo(float).eps
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
+# points of the saddle search's shared grid, and of each z's local grid
 _SADDLE_GRID = 65
-_SADDLE_UNIT = np.linspace(0.0, 1.0, _SADDLE_GRID)
-_SADDLE_STAGES = 3
+_SADDLE_LOCAL = 9
 # ln_gamma_vec elements per call in _log_integrand
 _LN_GAMMA_CHUNK = 4096
-# series_expansion refuses a sum whose terms' rounding, eps * sum|t_k|,
-# exceeds this share of |sum t_k| (the rule wright.evaluate uses)
+# series_expansion and the contour refuse a sum whose terms' rounding,
+# eps * sum|t_k|, exceeds this share of |sum t_k| (the rule wright.evaluate
+# uses)
 _CANCEL_TOL = 1e-10
 
 
@@ -217,7 +223,8 @@ def _trapezoid_line(
     until every z's bound on both tails is under _TAIL_FRACTION of the
     tolerance times its running integral, or under the rounding floor
     eps * sum|f| that no longer T can improve; refinement goes on until
-    every z's last two passes agree.
+    every z's last two passes agree.  A z whose agreed value is below
+    eps sum|f| / _CANCEL_TOL raises CancellationError.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -242,8 +249,10 @@ def _trapezoid_line(
     total_abs = np.zeros(len(z))
     for doubling in range(_MAX_DOUBLINGS + 1):
         scaled = lf - ref
-        total += (np.exp(scaled).real * weight).sum(axis=1)
-        total_abs += (np.exp(scaled.real) * weight).sum(axis=1)
+        # |f| and Re f from one exponential
+        mag = np.exp(scaled.real) * weight
+        total += (mag * np.cos(scaled.imag)).sum(axis=1)
+        total_abs += mag.sum(axis=1)
         edge = lf.real[:, -1]
         decay = np.minimum((lf.real[:, -2] - edge) / h, rate)
         # both tails; a z whose end nodes do not decay has an unbounded tail
@@ -275,51 +284,76 @@ def _trapezoid_line(
         weight = 2.0
         n *= 2
     val = h * total
+    # h * total_abs is the integral of |f| on the truncation lattice
+    total_abs *= h
     for _ in range(_MAX_REFINE):
-        total += 2.0 * np.exp(log_f((np.arange(n) + 0.5) * h) - ref).sum(axis=1).real
+        scaled = log_f((np.arange(n) + 0.5) * h) - ref
+        total += 2.0 * (np.exp(scaled.real) * np.cos(scaled.imag)).sum(axis=1)
         h, n = h / 2.0, 2 * n
         new = h * total
         agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)
+        cancels = agree & (_EPS * total_abs > _CANCEL_TOL * np.abs(new))
+        if cancels.any():
+            k = np.flatnonzero(cancels)[0]
+            raise CancellationError(
+                f"contour integrand cancels at z = {z[idx[k]]}: "
+                f"integral of |f| / |integral of f| = {total_abs[k] / abs(new[k]):.3g}"
+            )
         out[idx[agree]] = np.exp(ref[agree, 0]) / (2.0 * math.pi) * new[agree]
         if agree.all():
             return out
-        idx, log_z, ref, total, val = (a[~agree] for a in (idx, log_z, ref, total, new))
+        idx, log_z, ref, total, total_abs, val = (
+            a[~agree] for a in (idx, log_z, ref, total, total_abs, new)
+        )
     raise QuadratureFailureError(
         f"contour refinement stalled at z = {z[idx[0]]} "
         f"(last value {math.exp(ref[0, 0]) / (2.0 * math.pi) * val[0]!r})"
     )
 
 
-def _real_minimum(spec: HFunctionSpec, log_z: np.ndarray, lo: float, hi: float):
+def _real_minimum(
+    spec: HFunctionSpec, log_z: np.ndarray, edge: float, d: int, gap: float, reach: float
+):
     """Minimise phi_z(sigma) = log|integrand(sigma)| + sigma log z over real
-    sigma in [lo, hi], for every z at once.  Returns the minimisers and
-    phi_z there.
+    sigma = edge - d r, gap <= r <= reach, for every z at once.  Returns
+    the minimisers and phi_z there.
 
-    Grid search: each stage evaluates the kernel once on _SADDLE_GRID
-    points of every distinct bracket and narrows each z's bracket to the
-    neighbours of its smallest value.  Every z starts from [lo, hi], so
-    the first stage costs _SADDLE_GRID points however many z there are,
-    and z whose minima fall between the same grid points share the next.
+    The search evaluates the kernel in three array calls, however many z
+    there are.  The first is a grid of _SADDLE_GRID points that every z
+    shares, uniform in u = log r: the saddle moves out like (mu z)^(1/nu)
+    and phi_z'' falls like nu / |sigma|, so log spacing resolves every z's
+    saddle equally well.  The second is a local grid of _SADDLE_LOCAL
+    points over the two cells beside each z's smallest value (z with the
+    same smallest point share it).  A parabola in u through the local
+    minimum and its neighbours gives the abscissa, where the third call
+    evaluates phi_z: the returned phi_z is the function's value there, not
+    the parabola's.
     """
-    lo, hi = np.array([lo]), np.array([hi])
-    which = np.zeros(len(log_z), dtype=int)
-    for stage in range(_SADDLE_STAGES):
-        if stage:
-            row, col = which, i
-            if len(log_z) > 1:
-                # z whose minima fall on the same grid point share a bracket
-                key = which * _SADDLE_GRID + i
-                seen = np.zeros(grids.size, dtype=bool)
-                seen[key] = True
-                which = (np.cumsum(seen) - 1)[key]
-                row, col = np.divmod(np.flatnonzero(seen), _SADDLE_GRID)
-            lo = grids[row, np.maximum(col - 1, 0)]
-            hi = grids[row, np.minimum(col + 1, _SADDLE_GRID - 1)]
-        grids = lo[:, None] + (hi - lo)[:, None] * _SADDLE_UNIT
-        phi = _log_integrand(spec, grids).real[which] + grids[which] * log_z[:, None]
-        phi[~np.isfinite(phi)] = np.inf
-        i = np.argmin(phi, axis=1)
-    return grids[which, i], phi[np.arange(len(i)), i]
+
+    def phi_at(u, lz, which=...):
+        # phi_z on the abscissae u, the rows of u picked by which
+        sigma = edge - d * np.exp(u)
+        phi = _log_integrand(spec, sigma).real[which] + sigma[which] * lz
+        return sigma[which], np.where(np.isfinite(phi), phi, np.inf)
+
+    rows = np.arange(len(log_z))
+    grid = np.linspace(math.log(gap), math.log(reach), _SADDLE_GRID)
+    _, phi = phi_at(grid, log_z[:, None])
+    cells, which = np.unique(np.argmin(phi, axis=1), return_inverse=True)
+    lo = grid[np.maximum(cells - 1, 0)]
+    step = (grid[np.minimum(cells + 1, _SADDLE_GRID - 1)] - lo) / (_SADDLE_LOCAL - 1)
+    local = lo[:, None] + step[:, None] * np.arange(_SADDLE_LOCAL)
+    _, phi = phi_at(local, log_z[:, None], which)
+    j = np.argmin(phi, axis=1)
+    k = np.clip(j, 1, _SADDLE_LOCAL - 2)
+    below, above = phi[rows, k - 1] - phi[rows, k], phi[rows, k + 1] - phi[rows, k]
+    curv = below + above
+    # at an interior minimum below, above >= 0, so the vertex lies within
+    # half a step of it and inside the bracket; a minimum at a bracket end
+    # is returned as it is
+    fit = (j == k) & np.isfinite(curv) & (curv > 0)
+    shift = np.divide(below - above, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
+    return phi_at(local[which, j] + shift * step[which], log_z)
 
 
 def _contour_bands(
@@ -332,10 +366,11 @@ def _contour_bands(
     contour slides to the real saddle sigma*_z when that lies beyond
     gamma0 on the side without poles: left for (m, l) = (q, 0) with
     nu > 0, right for its mirror (0, p) with nu < 0.  There the integrand
-    has no poles and log|integrand| is smooth.  Every other z stays on
-    gamma0.  Slid z, nearest gamma0 first, are grouped under the saddle of
-    one member such that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS
-    for each.
+    has no poles and log|integrand| is smooth.  One _real_minimum call
+    finds every z's saddle, on a bracket from 1e-3 off the strip edge out
+    past the farthest z's saddle.  Every other z stays on gamma0.  Slid z,
+    nearest gamma0 first, are grouped under the saddle of one member such
+    that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.
     """
     gamma0 = right - 0.5 if spec.l == 0 else left + 0.5 if spec.m == 0 else 0.5 * (left + right)
     # d = 1 slides left, d = -1 right
@@ -343,15 +378,16 @@ def _contour_bands(
     fixed = np.arange(len(z))
     order = fixed[:0]
     if d * conv.nu > 0 and z.size:
-        near = (right if d > 0 else left) - d * 1e-3
+        edge = right if d > 0 else left
         # the saddle moves out with the decay level nu (mu z)^(1/nu), so the
         # bracket sized for the farthest z holds every other z's saddle; the
         # width is capped past double underflow (decay level 900), so that
         # far members do not coarsen the search for the others
         width = (conv.mu * (z.max() if d > 0 else z.min())) ** (1.0 / conv.nu)
-        far = near - d * 3.0 * min(width, 900.0 / abs(conv.nu)) - d * 20.0
+        gap = 1e-3
+        reach = gap + 3.0 * min(width, 900.0 / abs(conv.nu)) + 20.0
         log_z = np.log(z)
-        sstar, phi = _real_minimum(spec, log_z, min(near, far), max(near, far))
+        sstar, phi = _real_minimum(spec, log_z, edge, d, gap, reach)
         slid = d * sstar < d * gamma0
         fixed = np.flatnonzero(~slid)
         order = np.flatnonzero(slid)

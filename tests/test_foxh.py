@@ -112,6 +112,12 @@ class TestConvergenceParams:
         assert convergence_params(spec).omega == pytest.approx(3.0)
 
 
+def first_line_pass(calls):
+    """Position of the first _log_integrand call off the real axis: the
+    saddle search before it evaluates the kernel at real s only."""
+    return next(i for i, s in enumerate(calls) if np.any(s.imag > 0.0))
+
+
 class TestEvalMellinBarnes:
     @pytest.mark.parametrize("z", [0.05, 0.5, 1.0, 2.0, 8.0, 20.0, 50.0])
     def test_exp_reduction(self, z):
@@ -173,18 +179,12 @@ class TestEvalMellinBarnes:
         assert_allclose(eval_mellin_barnes(MEIJER_SPEC, z), want, rtol=1e-9)
 
     def test_refinement_adds_only_midpoints(self, monkeypatch):
-        sizes = []
-        log_integrand = foxh._log_integrand
-
-        def counting(spec, s):
-            sizes.append(np.size(s))
-            return log_integrand(spec, s)
-
-        monkeypatch.setattr(foxh, "_log_integrand", counting)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
-        # the saddle search comes first; then a first pass on 2n + 1 nodes
-        # and one refinement on its 2n midpoints (not 8n + 1 fresh nodes)
-        first, second = sizes[foxh._SADDLE_STAGES:]
+        # the saddle search on the real axis comes first; then a first pass
+        # on 2n + 1 nodes and one refinement on its 2n midpoints (not 8n + 1
+        # fresh nodes)
+        first, second = (s.size for s in calls[first_line_pass(calls) :])
         assert second == first - 1
 
     def test_runaway_truncation_raises(self, monkeypatch):
@@ -207,6 +207,66 @@ class TestEvalMellinBarnes:
         monkeypatch.setattr(foxh, "_REFINE_TOL", 0.0)
         with pytest.raises(QuadratureFailureError):
             eval_mellin_barnes(spec, 30.0)
+
+
+    # m < q keeps the fixed line, whose integrand is about z^(-1/2) times
+    # larger than H at small z
+    SMALL_Z_SPEC = HFunctionSpec(m=1, l=0, upper=(), lower=((0.1, 1.875), (0.0, 0.9375)))
+
+    def test_small_argument_cancellation_raises(self):
+        # eps * integral|f| / |integral f| = 8.2e-10: the value came back
+        # 1.7e-9 relative off the residue sum, 0.0999891
+        with pytest.raises(CancellationError):
+            eval_mellin_barnes(self.SMALL_Z_SPEC, 1.41e-14)
+
+    def test_small_argument_below_cancellation_tolerance(self):
+        # the ratio is 9.7e-12 here, under the 1e-10 tolerance
+        want = mp_residue_sum(self.SMALL_Z_SPEC, 1e-10, dps=40, kmax=150)
+        assert_allclose(eval_mellin_barnes(self.SMALL_Z_SPEC, 1e-10), want, rtol=1e-10)
+
+
+class TestSaddleSearch:
+    @staticmethod
+    def search(monkeypatch, spec, z):
+        """The brackets, minimisers and phi of _contour_bands' saddle search."""
+        calls = []
+        real_minimum = foxh._real_minimum
+
+        def recording(*args):
+            calls.append((args, real_minimum(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(foxh, "_real_minimum", recording)
+        right = min(b / be for b, be in spec.lower)
+        list(foxh._contour_bands(spec, convergence_params(spec), z, -math.inf, right))
+        (args, result), = calls
+        return args, result
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 1.9])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_within_a_hundredth_of_dense_search(self, alpha, m, monkeypatch):
+        spec = case1_spec(alpha, m)
+        z = np.geomspace(1e-3, 1e4, 60)
+        (_, log_z, edge, d, gap, reach), (sigma, phi) = self.search(monkeypatch, spec, z)
+        # dense in log r near the edge and in r far from it
+        r = np.concatenate([np.geomspace(gap, reach, 40001), np.linspace(gap, reach, 40001)])
+        dense = edge - d * r
+        kernel = foxh._log_integrand(spec, dense).real
+        best = np.array([np.min(kernel + dense * lz) for lz in log_z])
+        at_sigma = foxh._log_integrand(spec, sigma).real + sigma * log_z
+        assert np.array_equal(phi, at_sigma)
+        assert np.all(at_sigma - best <= 0.01)
+
+    def test_calls_do_not_grow_with_z(self, monkeypatch):
+        # the right poles start at s = 0; search 1e-3 <= -sigma <= 100
+        spec = case1_spec(0.8, 1)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        counts = []
+        for z in (np.array([3.0]), np.geomspace(1e-3, 1e4, 320)):
+            calls.clear()
+            foxh._real_minimum(spec, np.log(z), 0.0, 1, 1e-3, 100.0)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestSeriesExpansion:
@@ -380,7 +440,7 @@ class TestHalfLineQuadrature:
         assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
         rate = math.pi * convergence_params(EXP_SPEC).omega / 2.0
         n = max(math.ceil(foxh._DECAY_LOGS / rate / foxh._H0), foxh._N_MIN)
-        first = calls[foxh._SADDLE_STAGES]
+        first = calls[first_line_pass(calls)]
         assert first.size == n + 1
         assert_allclose(first.imag, np.arange(n + 1) * foxh._H0, rtol=1e-15)
 
