@@ -38,17 +38,27 @@ Haubold, 2010).  The rule's sum over the whole line is therefore
 f(gamma) + 2 Re sum_{tau > 0} f(gamma + i tau), which is real, and the
 kernel is evaluated on half the nodes.  This holds on every contour here.
 
+The first pass's step h0 is _H0 = 0.1 on the default line.  On a slid
+band's line the integrand is close to a Gaussian in tau of width w =
+1 / sqrt(K''(sigma)), K'' the real curvature of Re K at the abscissa,
+which grows like sqrt(|sigma| / nu), and the nearest pole is dist =
+|sigma - edge| away; there h0 = max(_H0, min(w / 4, dist / 5)), since
+the trapezoid rule's error on an analytic integrand is set by its decay
+scale and its strip of analyticity, not by a fixed step (Trefethen &
+Weideman, SIAM Rev. 56 (2014)).  The saddle search's parabola gives K''
+with no extra kernel call; a band whose search fitted none keeps _H0.
+
 The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
-(pi omega / 2), and T then doubles, evaluating only the new outer
-segment, until a bound on both tails is negligible.  Refinement halves h
-and evaluates only the midpoints of the previous lattice, so each pass
-costs as many nodes as all earlier ones together; it stops when two
-passes agree to _REFINE_TOL (the nested error estimate of Trefethen &
-Weideman, SIAM Rev. 56 (2014)).  Every test is made per z: a band keeps
-extending T, and then refining, until each of its z has passed.  A value
-whose modulus bound lies below the double range returns 0.0 after the
-first pass; a stalled refinement or a runaway T raises
+(pi omega / 2), at least _N_MIN steps, and T then doubles, evaluating
+only the new outer segment, until a bound on both tails is negligible.
+Refinement halves h and evaluates only the midpoints of the previous
+lattice, so each pass costs as many nodes as all earlier ones together;
+it stops when two passes agree to _REFINE_TOL (the nested error
+estimate of Trefethen & Weideman).  Every test is made per z: a band
+keeps extending T, and then refining, until each of its z has passed.  A
+value whose modulus bound lies below the double range returns 0.0 after
+the first pass; a stalled refinement or a runaway T raises
 QuadratureFailureError, and a value whose rounding, eps times the
 integral of |f|, exceeds _CANCEL_TOL of |H| raises CancellationError (as
 at small z on the fixed line of an m < q spec, where f is about z^(-1/2)
@@ -207,10 +217,11 @@ def _log_integrand(spec: HFunctionSpec, s):
 
 
 def _trapezoid_line(
-    spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float
+    spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float, h0: float
 ) -> np.ndarray:
-    """Trapezoid rule on Re s = gamma for every z of a band (truncation and
-    refinement as in the module docstring).
+    """Trapezoid rule on Re s = gamma for every z of a band, starting from
+    the step h0 (the step rule, truncation and refinement are in the module
+    docstring).
 
     The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
     and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
@@ -236,7 +247,7 @@ def _trapezoid_line(
         s = gamma + 1j * tau
         return _log_integrand(spec, s) + s * log_z
 
-    h = _H0
+    h = h0
     n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
     lf = log_f(np.arange(n + 1) * h)
     # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
@@ -316,7 +327,7 @@ def _real_minimum(
 ):
     """Minimise phi_z(sigma) = log|integrand(sigma)| + sigma log z over real
     sigma = edge - d r, gap <= r <= reach, for every z at once.  Returns
-    the minimisers and phi_z there.
+    the minimisers, phi_z there and K''.
 
     The search evaluates the kernel in three array calls, however many z
     there are.  The first is a grid of _SADDLE_GRID points that every z
@@ -327,7 +338,8 @@ def _real_minimum(
     same smallest point share it).  A parabola in u through the local
     minimum and its neighbours gives the abscissa, where the third call
     evaluates phi_z: the returned phi_z is the function's value there, not
-    the parabola's.
+    the parabola's.  The parabola's curvature also gives K'' at the
+    abscissa, returned third (NaN where no parabola was fitted).
     """
 
     def phi_at(u, lz, which=...):
@@ -353,7 +365,13 @@ def _real_minimum(
     # is returned as it is
     fit = (j == k) & np.isfinite(curv) & (curv > 0)
     shift = np.divide(below - above, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
-    return phi_at(local[which, j] + shift * step[which], log_z)
+    u = local[which, j] + shift * step[which]
+    # phi_uu = K'' r^2 + phi_sigma (dsigma/du), and phi_sigma = 0 at the
+    # saddle: the parabola's curvature curv / step^2 gives K'' = phi_uu / r^2
+    kpp = np.divide(
+        curv, (step[which] * np.exp(u)) ** 2, out=np.full(len(rows), math.nan), where=fit
+    )
+    return (*phi_at(u, log_z), kpp)
 
 
 def _contour_bands(
@@ -361,7 +379,8 @@ def _contour_bands(
 ):
     """Split the arguments into bands that share one contour abscissa.
 
-    Yields (abscissa, indices into z), at most _BAND_MAX indices each.
+    Yields (abscissa, indices into z, first-pass step h0), at most
+    _BAND_MAX indices each.
     The default line gamma0 lies in the strip left < Re s < right.  The
     contour slides to the real saddle sigma*_z when that lies beyond
     gamma0 on the side without poles: left for (m, l) = (q, 0) with
@@ -370,7 +389,8 @@ def _contour_bands(
     finds every z's saddle, on a bracket from 1e-3 off the strip edge out
     past the farthest z's saddle.  Every other z stays on gamma0.  Slid z,
     nearest gamma0 first, are grouped under the saddle of one member such
-    that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.
+    that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each; their
+    h0 comes from K'' at that member's saddle.
     """
     gamma0 = right - 0.5 if spec.l == 0 else left + 0.5 if spec.m == 0 else 0.5 * (left + right)
     # d = 1 slides left, d = -1 right
@@ -382,12 +402,13 @@ def _contour_bands(
         # the saddle moves out with the decay level nu (mu z)^(1/nu), so the
         # bracket sized for the farthest z holds every other z's saddle; the
         # width is capped past double underflow (decay level 900), so that
-        # far members do not coarsen the search for the others
-        width = (conv.mu * (z.max() if d > 0 else z.min())) ** (1.0 / conv.nu)
-        gap = 1e-3
-        reach = gap + 3.0 * min(width, 900.0 / abs(conv.nu)) + 20.0
+        # far members do not coarsen the search for the others, and is
+        # taken in logs, where mu z cannot overflow
         log_z = np.log(z)
-        sstar, phi = _real_minimum(spec, log_z, edge, d, gap, reach)
+        log_width = (math.log(conv.mu) + (log_z.max() if d > 0 else log_z.min())) / conv.nu
+        gap = 1e-3
+        reach = gap + 3.0 * math.exp(min(log_width, math.log(900.0 / abs(conv.nu)))) + 20.0
+        sstar, phi, kpp = _real_minimum(spec, log_z, edge, d, gap, reach)
         slid = d * sstar < d * gamma0
         fixed = np.flatnonzero(~slid)
         order = np.flatnonzero(slid)
@@ -395,7 +416,7 @@ def _contour_bands(
         # Re K(sigma*) of the gamma-ratio kernel, known from the saddle search
         kernel = phi - sstar * log_z
     for start in range(0, fixed.size, _BAND_MAX):
-        yield gamma0, fixed[start : start + _BAND_MAX]
+        yield gamma0, fixed[start : start + _BAND_MAX], _H0
     while order.size:
         w = order[:_BAND_MAX]
         b, size = 0, 1
@@ -405,12 +426,16 @@ def _contour_bands(
             covered = np.cumprod(loss <= _BAND_LOSS, axis=0).sum(axis=0)
             b = int(np.argmax(covered))
             size = covered[b]
-        yield float(sstar[w[b]]), w[:size]
+        sigma, curv = sstar[w[b]], kpp[w[b]]
+        # the step rule of the module docstring; a NaN curv (no fit) keeps _H0
+        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sigma - edge) / 5.0)) if curv > 0 else _H0
+        yield float(sigma), w[:size], h0
         order = order[size:]
 
 
 def eval_mellin_barnes(spec: HFunctionSpec, z):
-    """Numerical Mellin-Barnes integral of the H-function at real z > 0.
+    """Numerical Mellin-Barnes integral of the H-function at finite z > 0
+    (ValueError otherwise).
 
     Takes every (m, l) whose pole families a vertical line separates, that
     is max_i (A_i - 1) / alpha_i < min_j B_j / beta_j over i <= l and
@@ -433,8 +458,8 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("eval_mellin_barnes_batch takes a 1-D array of z")
-    if not np.all(z > 0):
-        raise ValueError("eval_mellin_barnes requires z > 0")
+    if not np.all(np.isfinite(z) & (z > 0)):
+        raise ValueError("eval_mellin_barnes requires finite z > 0")
     conv = convergence_params(spec)
     if conv.omega <= 0:
         raise NonConvergentError(f"omega = {conv.omega:g} <= 0: integral diverges")
@@ -445,8 +470,8 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     if left >= right:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
-    for gamma, idx in _contour_bands(spec, conv, z, left, right):
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, conv.omega)
+    for gamma, idx, h0 in _contour_bands(spec, conv, z, left, right):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, conv.omega, h0)
     return out
 
 

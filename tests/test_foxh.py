@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from fracsol import foxh
 from fracsol.errors import (
     CancellationError,
+    FracsolError,
     NoConvergenceError,
     NonConvergentError,
     NonDecayingError,
@@ -112,6 +113,13 @@ class TestConvergenceParams:
         assert convergence_params(spec).omega == pytest.approx(3.0)
 
 
+def kernel_curvature(spec, sigma):
+    """K''(sigma) of Re log kernel on the real axis, by a central difference."""
+    h = 1e-4 * np.maximum(1.0, np.abs(sigma))
+    k = lambda x: foxh._log_integrand(spec, x).real
+    return (k(sigma + h) - 2.0 * k(sigma) + k(sigma - h)) / h**2
+
+
 def first_line_pass(calls):
     """Position of the first _log_integrand call off the real axis: the
     saddle search before it evaluates the kernel at real s only."""
@@ -188,10 +196,15 @@ class TestEvalMellinBarnes:
         assert second == first - 1
 
     def test_runaway_truncation_raises(self, monkeypatch):
-        # z = 1e4 on the saddle contour needs three doublings of T
-        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 2)
+        # z = 2.2 on the saddle contour needs one doubling of T: it settles
+        # when one is allowed and raises when none is
+        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 1)
+        with mpmath.workdps(30):
+            want = float(mpmath.meijerg([[], [1.2]], [[0.0, 0.3, 0.7], []], 2.2))
+        assert_allclose(eval_mellin_barnes(MEIJER_SPEC, 2.2), want, rtol=1e-9)
+        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 0)
         with pytest.raises(QuadratureFailureError):
-            eval_mellin_barnes(MEIJER_SPEC, 1e4)
+            eval_mellin_barnes(MEIJER_SPEC, 2.2)
 
     def test_underflow_returns_zero(self):
         # exp(-z) at z = 800 lies below the smallest subnormal
@@ -228,7 +241,7 @@ class TestEvalMellinBarnes:
 class TestSaddleSearch:
     @staticmethod
     def search(monkeypatch, spec, z):
-        """The brackets, minimisers and phi of _contour_bands' saddle search."""
+        """The brackets, minimisers, phi and K'' of _contour_bands' saddle search."""
         calls = []
         real_minimum = foxh._real_minimum
 
@@ -247,7 +260,7 @@ class TestSaddleSearch:
     def test_within_a_hundredth_of_dense_search(self, alpha, m, monkeypatch):
         spec = case1_spec(alpha, m)
         z = np.geomspace(1e-3, 1e4, 60)
-        (_, log_z, edge, d, gap, reach), (sigma, phi) = self.search(monkeypatch, spec, z)
+        (_, log_z, edge, d, gap, reach), (sigma, phi, kpp) = self.search(monkeypatch, spec, z)
         # dense in log r near the edge and in r far from it
         r = np.concatenate([np.geomspace(gap, reach, 40001), np.linspace(gap, reach, 40001)])
         dense = edge - d * r
@@ -256,6 +269,11 @@ class TestSaddleSearch:
         at_sigma = foxh._log_integrand(spec, sigma).real + sigma * log_z
         assert np.array_equal(phi, at_sigma)
         assert np.all(at_sigma - best <= 0.01)
+        # the fitted curvature is K'' at the abscissa, by a central
+        # difference, within 10%; NaN only where no parabola was fitted
+        fit = np.isfinite(kpp)
+        assert np.count_nonzero(fit) >= 10
+        assert_allclose(kpp[fit], kernel_curvature(spec, sigma[fit]), rtol=0.1)
 
     def test_calls_do_not_grow_with_z(self, monkeypatch):
         # the right poles start at s = 0; search 1e-3 <= -sigma <= 100
@@ -380,6 +398,8 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError):
             eval_mellin_barnes(EXP_SPEC, np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
+            eval_mellin_barnes(EXP_SPEC, math.nan)
+        with pytest.raises(ValueError):
             eval_mellin_barnes_batch(EXP_SPEC, np.ones((2, 2)))
 
 
@@ -405,8 +425,9 @@ def slide_specs(draw):
     return HFunctionSpec(m=q, l=0, upper=upper, lower=tuple((b, k) for b in bs)), k
 
 
-# decay levels nu (mu z)^(1/nu) at which H is near 1, 1e-1 and 1e-40
-DECAY_LEVELS = (0.5, 2.5, 95.0)
+# decay levels nu (mu z)^(1/nu) at which H is near 1, 1e-1, 1e-40 and
+# 1e-130; the deepest takes the largest contour steps
+DECAY_LEVELS = (0.5, 2.5, 95.0, 300.0)
 
 
 class TestHalfLineQuadrature:
@@ -436,13 +457,25 @@ class TestHalfLineQuadrature:
         assert np.count_nonzero(nodes.imag > 0.0) > nodes.size / 2
 
     def test_first_pass_has_n_plus_one_nodes(self, monkeypatch):
+        # exp(-z) slides to sigma < 0 at every z; the first pass spans k h0,
+        # 0 <= k <= n, with h0 by the step rule (a fifth of the distance
+        # |sigma| to the pole at s = 0 at z = 0.5, a quarter of the
+        # Gaussian width at z = 40 and 300)
         calls = self.record(monkeypatch)
-        assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
         rate = math.pi * convergence_params(EXP_SPEC).omega / 2.0
-        n = max(math.ceil(foxh._DECAY_LOGS / rate / foxh._H0), foxh._N_MIN)
-        first = calls[first_line_pass(calls)]
-        assert first.size == n + 1
-        assert_allclose(first.imag, np.arange(n + 1) * foxh._H0, rtol=1e-15)
+        for z in (0.5, 40.0, 300.0):
+            calls.clear()
+            assert_allclose(eval_mellin_barnes(EXP_SPEC, z), math.exp(-z), rtol=1e-10)
+            first = calls[first_line_pass(calls)]
+            sigma = first[0].real
+            assert sigma < -0.5
+            w = 1.0 / math.sqrt(kernel_curvature(EXP_SPEC, np.array([sigma]))[0])
+            h0 = first[1].imag
+            assert h0 > foxh._H0
+            assert_allclose(h0, min(w / 4.0, abs(sigma) / 5.0), rtol=0.1)
+            n = max(math.ceil(foxh._DECAY_LOGS / rate / h0), foxh._N_MIN)
+            assert first.size == n + 1
+            assert_allclose(first.imag, np.arange(n + 1) * h0, rtol=1e-15)
 
     @settings(max_examples=10, deadline=None)
     @given(drawn=slide_specs())
@@ -497,6 +530,83 @@ class TestHalfLineQuadrature:
             want = mp_residue_sum(spec, z, dps=40, kmax=150)
             assume(0.01 < abs(want) < 2.0)
             assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-9)
+
+
+def outcome(spec, z):
+    """eval_mellin_barnes(spec, z), or the type of the error it raises."""
+    try:
+        return eval_mellin_barnes(spec, z)
+    except FracsolError as exc:
+        return type(exc)
+
+
+class TestContourStep:
+    """A slid band's first pass takes the step h0 = max(_H0, min(w / 4,
+    dist / 5)), w = 1 / sqrt(K'') being the Gaussian width of the integrand
+    along its line and dist the distance to the nearest pole; bands on the
+    default line keep _H0."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.2, 1.5, 1.67, 1.9])
+    def test_values_match_base_step(self, alpha, monkeypatch):
+        # each case1 spec at 60 z, and its inverted spec at 1/z, whose
+        # contour slides right; against every band forced onto h0 = _H0
+        zs = np.geomspace(1e-3, 1e4, 60)
+        cases = [(case1_spec(alpha, m), zs) for m in (0, 1, 2)]
+        cases += [(invert_argument(spec), 1.0 / z) for spec, z in cases]
+        got = [outcome(spec, z) for spec, z in cases]
+        trapezoid_line = foxh._trapezoid_line
+        monkeypatch.setattr(
+            foxh, "_trapezoid_line",
+            lambda spec, z, gamma, omega, h0: trapezoid_line(spec, z, gamma, omega, foxh._H0),
+        )
+        want = [outcome(spec, z) for spec, z in cases]
+        for g, w in zip(got, want):
+            if isinstance(w, type):
+                assert g is w
+                continue
+            assert np.array_equal(g == 0.0, w == 0.0)
+            # subnormal values carry only absolute accuracy
+            assert_allclose(g, w, rtol=1e-10, atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize(
+        "spec,z", [(FIXED_SPEC, 0.5), (FIXED_SPEC, 30.0), (case1_spec(0.8, 1), 1e-3)]
+    )
+    def test_default_line_keeps_base_step(self, spec, z, monkeypatch):
+        # m < q never slides, and the small-argument case1 saddle lies
+        # right of gamma0 = -1/2: both stay on the _H0 lattice
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        eval_mellin_barnes(spec, z)
+        rate = math.pi * convergence_params(spec).omega / 2.0
+        n = max(math.ceil(foxh._DECAY_LOGS / rate / foxh._H0), foxh._N_MIN)
+        first = calls[first_line_pass(calls)]
+        assert first.size == n + 1
+        assert np.all(first.real == -0.5)
+        assert_allclose(first.imag, np.arange(n + 1) * foxh._H0, rtol=1e-15)
+
+    def test_deep_point_costs_few_nodes(self, monkeypatch):
+        # decay level 100 puts the saddle near sigma = -306, where the
+        # Gaussian is about 31 wide; on h = _H0 its line took 4,633 nodes
+        # (a first pass, two doublings of T and a refinement)
+        spec = case1_spec(1.67, 0)
+        c = convergence_params(spec)
+        z = (100.0 / c.nu) ** c.nu / c.mu
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        got = eval_mellin_barnes(spec, z)
+        assert sum(s.size for s in calls[first_line_pass(calls) :]) <= 300
+        assert 1e-50 < got < 1e-40
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_arguments(self):
+        # the bracket width (mu z)^(1/nu) is taken in logs, so 1e300 does
+        # not overflow; a non-finite z is refused before it reaches a step
+        spec = case1_spec(1.67, 0)
+        assert eval_mellin_barnes(spec, 1e300) == 0.0
+        assert eval_mellin_barnes(invert_argument(spec), 1e-300) == 0.0
+        for z in (math.inf, np.array([1.0, math.inf])):
+            with pytest.raises(ValueError):
+                eval_mellin_barnes(spec, z)
+            with pytest.raises(ValueError):
+                eval_mellin_barnes(invert_argument(spec), z)
 
 
 class TestInvertArgument:
