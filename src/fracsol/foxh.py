@@ -17,9 +17,11 @@ arguments the line slides left to the real saddle of phi_z(s) = Re K(s) +
 s log z, where K is the log of the gamma-ratio kernel, so the quadrature
 keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
-arguments.  The saddle search evaluates the kernel in three array calls
-for all z of a call: a grid they share, spaced in log|sigma - edge| from
-the strip edge, a local grid per z, and each z's parabola vertex.
+arguments.  K does not depend on z, so the saddle search reads a table
+of Re K on the real axis beyond the strip edge, built in one kernel call
+on a spec's first search and kept per spec with its other constants
+(_constants); every later search, for any number of z, is array
+arithmetic on it and evaluates no kernel.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and each
@@ -60,9 +62,9 @@ keeps extending T, and then refining, until each of its z has passed.  A
 value whose modulus bound lies below the double range returns 0.0 after
 the first pass; a stalled refinement or a runaway T raises
 QuadratureFailureError, and a value whose rounding, eps times the
-integral of |f|, exceeds _CANCEL_TOL of |H| raises CancellationError (as
-at small z on the fixed line of an m < q spec, where f is about z^(-1/2)
-times larger than H).
+integral of |f|, exceeds _CANCEL_TOL of |H| after any refinement pass
+raises CancellationError, agreed or not (as at small z on the fixed line
+of an m < q spec, where f is about z^(-1/2) times larger than H).
 
 A residue-based small-argument series is kept as an internal cross-check
 oracle (it raises CancellationError where its terms cancel below double
@@ -71,6 +73,7 @@ precision, and NoConvergenceError where they have not settled by kmax).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -108,9 +111,15 @@ _TAIL_FRACTION = 1e-2
 _EPS = np.finfo(float).eps
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
-# points of the saddle search's shared grid, and of each z's local grid
-_SADDLE_GRID = 65
-_SADDLE_LOCAL = 9
+# the saddle table (see _real_minimum) starts _SADDLE_GAP off the strip
+# edge and steps by _SADDLE_DV in v, 0.05 in log|sigma - edge| near the
+# edge; far from it a step moves phi_z by about _SADDLE_STEP^2 / 2 = 0.21
+# e-folds at the saddle.  The search first scans every _SADDLE_STRIDE-th
+# point.
+_SADDLE_GAP = 1e-3
+_SADDLE_DV = 0.025
+_SADDLE_STEP = 0.65
+_SADDLE_STRIDE = 16
 # ln_gamma_vec elements per call in _log_integrand
 _LN_GAMMA_CHUNK = 4096
 # series_expansion and the contour refuse a sum whose terms' rounding,
@@ -190,29 +199,75 @@ def convergence_params(spec: HFunctionSpec) -> HConvergence:
     return HConvergence(omega=omega, mu=mu, delta=delta, nu=nu)
 
 
+class _SpecConstants:
+    """What the contour evaluator derives from a spec alone, built once per
+    spec by _constants: the convergence parameters, the kernel's factor
+    arrays, the strip left < Re s < right, the default line gamma0, the
+    slide direction d (1 left, -1 right, 0 none), the strip edge the slide
+    starts from and, on first use, the saddle table."""
+
+    def __init__(self, spec: HFunctionSpec):
+        self.spec = spec
+        self.conv = convergence_params(spec)
+        # the kernel is the product of the factors Gamma(c0 + c1 s)^sign
+        factors = (
+            [(b, -be, 1.0) for b, be in spec.lower[: spec.m]]
+            + [(1.0 - a, al, 1.0) for a, al in spec.upper[: spec.l]]
+            + [(a, -al, -1.0) for a, al in spec.upper[spec.l :]]
+            + [(1.0 - b, be, -1.0) for b, be in spec.lower[spec.m :]]
+        )
+        self.c0, self.c1, self.sign = (np.array(col)[:, None] for col in zip(*factors))
+        # the rightmost pole of the Gamma(1 - A_i + alpha_i s), i <= l, and
+        # the leftmost of the Gamma(B_j - beta_j s), j <= m
+        self.left = max(((a - 1.0) / al for a, al in spec.upper[: spec.l]), default=-math.inf)
+        self.right = min((b / be for b, be in spec.lower[: spec.m]), default=math.inf)
+        l, m, left, right = spec.l, spec.m, self.left, self.right
+        self.gamma0 = right - 0.5 if l == 0 else left + 0.5 if m == 0 else 0.5 * (left + right)
+        self.d = 1 if (m, l) == (spec.q, 0) else -1 if (m, l) == (0, spec.p) else 0
+        self.edge = right if self.d > 0 else left
+
+    @property
+    def scale(self) -> float:
+        """a of the table's map r(v) = (a log(1 + e^v))^2."""
+        return _SADDLE_STEP / (2.0 * _SADDLE_DV * math.sqrt(abs(self.conv.nu)))
+
+    @functools.cached_property
+    def table(self):
+        """(v, sigma, Re K(sigma)) on sigma = edge - d r(v), v uniform in
+        steps of _SADDLE_DV from r = _SADDLE_GAP out to r = 3 * 900 / |nu| +
+        20, past the saddle at decay level 900, far beyond double
+        underflow; one kernel call.  A non-finite Re K is stored as +inf,
+        which no minimum picks."""
+        reach = _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0
+        v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in (_SADDLE_GAP, reach))
+        v = v0 + _SADDLE_DV * np.arange(math.ceil((v1 - v0) / _SADDLE_DV) + 1)
+        sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
+        kernel = _log_integrand(self.spec, sigma).real
+        return v, sigma, np.where(np.isfinite(kernel), kernel, math.inf)
+
+
+# keyed by the frozen, hashable spec: a solution's evaluations reuse its
+# few specs, and an entry holds a few hundred table points
+_constants = functools.lru_cache(maxsize=128)(_SpecConstants)
+
+
 def _log_integrand(spec: HFunctionSpec, s):
     """Log of the gamma-ratio kernel (without z^s) on an array of s values.
 
     The kernel is a product of factors Gamma(c0 + c1 s)^(+-1).  Their
     arguments go through ln_gamma_vec together, _LN_GAMMA_CHUNK elements
-    per call: on the short arrays of the saddle search and the first
-    contour passes one call replaces one per factor, whose fixed cost
-    outweighs the cost per element, and on long passes the chunks bound
-    the size of its temporaries.
+    per call: on the short arrays of the first contour passes one call
+    replaces one per factor, whose fixed cost outweighs the cost per
+    element, and on long passes the chunks bound the size of its
+    temporaries.
     """
+    c = _constants(spec)
     s = np.asarray(s, dtype=complex)
-    factors = (
-        [(b, -be, 1.0) for b, be in spec.lower[: spec.m]]
-        + [(1.0 - a, al, 1.0) for a, al in spec.upper[: spec.l]]
-        + [(a, -al, -1.0) for a, al in spec.upper[spec.l :]]
-        + [(1.0 - b, be, -1.0) for b, be in spec.lower[spec.m :]]
-    )
-    c0, c1, sign = (np.array(col)[:, None] for col in zip(*factors))
     flat = s.ravel()
     out = np.empty_like(flat)
-    step = _LN_GAMMA_CHUNK // len(factors)
+    step = _LN_GAMMA_CHUNK // len(c.c0)
     for i in range(0, flat.size, step):
-        out[i : i + step] = (sign * ln_gamma_vec(c0 + c1 * flat[i : i + step])).sum(axis=0)
+        out[i : i + step] = (c.sign * ln_gamma_vec(c.c0 + c.c1 * flat[i : i + step])).sum(axis=0)
     return out.reshape(s.shape)
 
 
@@ -234,8 +289,9 @@ def _trapezoid_line(
     until every z's bound on both tails is under _TAIL_FRACTION of the
     tolerance times its running integral, or under the rounding floor
     eps * sum|f| that no longer T can improve; refinement goes on until
-    every z's last two passes agree.  A z whose agreed value is below
-    eps sum|f| / _CANCEL_TOL raises CancellationError.
+    every z's last two passes agree.  A z whose value after a refinement
+    pass, agreed or not, is below eps sum|f| / _CANCEL_TOL raises
+    CancellationError.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -303,7 +359,10 @@ def _trapezoid_line(
         h, n = h / 2.0, 2 * n
         new = h * total
         agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)
-        cancels = agree & (_EPS * total_abs > _CANCEL_TOL * np.abs(new))
+        # eps * integral|f| is fixed on the truncation lattice: a z whose
+        # rounding exceeds _CANCEL_TOL of its value is refused whether or not
+        # its passes agree, since above _REFINE_TOL of it they never can
+        cancels = _EPS * total_abs > _CANCEL_TOL * np.abs(new)
         if cancels.any():
             k = np.flatnonzero(cancels)[0]
             raise CancellationError(
@@ -318,65 +377,57 @@ def _trapezoid_line(
         )
     raise QuadratureFailureError(
         f"contour refinement stalled at z = {z[idx[0]]} "
-        f"(last value {math.exp(ref[0, 0]) / (2.0 * math.pi) * val[0]!r})"
+        f"(last value {float(math.exp(ref[0, 0]) / (2.0 * math.pi) * val[0])!r})"
     )
 
 
-def _real_minimum(
-    spec: HFunctionSpec, log_z: np.ndarray, edge: float, d: int, gap: float, reach: float
-):
-    """Minimise phi_z(sigma) = log|integrand(sigma)| + sigma log z over real
-    sigma = edge - d r, gap <= r <= reach, for every z at once.  Returns
-    the minimisers, phi_z there and K''.
+def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
+    """Minimise phi_z(sigma) = Re K(sigma) + sigma log z over the real
+    sigma of the spec's saddle table, for every z at once.  Returns the
+    minimisers and K'' there.
 
-    The search evaluates the kernel in three array calls, however many z
-    there are.  The first is a grid of _SADDLE_GRID points that every z
-    shares, uniform in u = log r: the saddle moves out like (mu z)^(1/nu)
-    and phi_z'' falls like nu / |sigma|, so log spacing resolves every z's
-    saddle equally well.  The second is a local grid of _SADDLE_LOCAL
-    points over the two cells beside each z's smallest value (z with the
-    same smallest point share it).  A parabola in u through the local
-    minimum and its neighbours gives the abscissa, where the third call
-    evaluates phi_z: the returned phi_z is the function's value there, not
-    the parabola's.  The parabola's curvature also gives K'' at the
-    abscissa, returned third (NaN where no parabola was fitted).
+    K does not depend on z, so the table, built in one kernel call on the
+    spec's first search, serves every later z, and the search makes no
+    kernel call.  The table is uniform in v, where r = |sigma - edge| =
+    (a log(1 + e^v))^2.  Near the edge r grows like e^(2v), uniformly in
+    log r, where a saddle's width is O(1).  Far from it, where the saddle
+    moves out like (mu z)^(1/nu) and phi_z'' in log r grows like nu r, r
+    grows like (a v)^2, so each step spans the same share of the saddle's
+    width: a = _SADDLE_STEP / (2 _SADDLE_DV sqrt|nu|) makes a step move
+    phi_z by about _SADDLE_STEP^2 / 2 e-folds there.  Per z, a coarse
+    argmin over every _SADDLE_STRIDE-th point finds the saddle's cell and
+    a fine argmin within _SADDLE_STRIDE points of it the nearest table
+    point; a parabola in v through that point and its neighbours gives the
+    abscissa, and its curvature curv gives K'' = curv / (dv r'(v))^2
+    there.  A minimum at a table end is returned as it is, with K'' NaN.
     """
-
-    def phi_at(u, lz, which=...):
-        # phi_z on the abscissae u, the rows of u picked by which
-        sigma = edge - d * np.exp(u)
-        phi = _log_integrand(spec, sigma).real[which] + sigma[which] * lz
-        return sigma[which], np.where(np.isfinite(phi), phi, np.inf)
-
+    v, sigma, kernel = c.table
+    n, stride = sigma.size, _SADDLE_STRIDE
     rows = np.arange(len(log_z))
-    grid = np.linspace(math.log(gap), math.log(reach), _SADDLE_GRID)
-    _, phi = phi_at(grid, log_z[:, None])
-    cells, which = np.unique(np.argmin(phi, axis=1), return_inverse=True)
-    lo = grid[np.maximum(cells - 1, 0)]
-    step = (grid[np.minimum(cells + 1, _SADDLE_GRID - 1)] - lo) / (_SADDLE_LOCAL - 1)
-    local = lo[:, None] + step[:, None] * np.arange(_SADDLE_LOCAL)
-    _, phi = phi_at(local, log_z[:, None], which)
-    j = np.argmin(phi, axis=1)
-    k = np.clip(j, 1, _SADDLE_LOCAL - 2)
-    below, above = phi[rows, k - 1] - phi[rows, k], phi[rows, k + 1] - phi[rows, k]
+    log_z = log_z[:, None]
+    coarse = np.argmin(kernel[::stride] + sigma[::stride] * log_z, axis=1) * stride
+    window = np.clip(coarse[:, None] + np.arange(-stride, stride + 1), 0, n - 1)
+    j = window[rows, np.argmin(kernel[window] + sigma[window] * log_z, axis=1)]
+    k = np.clip(j, 1, n - 2)
+    nodes = k[:, None] + np.arange(-1, 2)
+    phi = kernel[nodes] + sigma[nodes] * log_z
+    below, above = phi[:, 0] - phi[:, 1], phi[:, 2] - phi[:, 1]
     curv = below + above
     # at an interior minimum below, above >= 0, so the vertex lies within
-    # half a step of it and inside the bracket; a minimum at a bracket end
-    # is returned as it is
+    # half a step of it
     fit = (j == k) & np.isfinite(curv) & (curv > 0)
     shift = np.divide(below - above, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
-    u = local[which, j] + shift * step[which]
-    # phi_uu = K'' r^2 + phi_sigma (dsigma/du), and phi_sigma = 0 at the
-    # saddle: the parabola's curvature curv / step^2 gives K'' = phi_uu / r^2
-    kpp = np.divide(
-        curv, (step[which] * np.exp(u)) ** 2, out=np.full(len(rows), math.nan), where=fit
-    )
-    return (*phi_at(u, log_z), kpp)
+    vs = v[j] + shift * _SADDLE_DV
+    # r(v) = (a softplus(v))^2 and r'(v) = 2 a^2 softplus(v) sigmoid(v)
+    soft = np.logaddexp(0.0, vs)
+    r, dr = (c.scale * soft) ** 2, 2.0 * c.scale**2 * soft / (1.0 + np.exp(-vs))
+    # phi_vv = K'' r'^2 + phi_sigma (d^2 sigma / dv^2), and phi_sigma = 0 at
+    # the saddle: the parabola's curvature curv / dv^2 gives K'' = phi_vv / r'^2
+    kpp = np.divide(curv, (_SADDLE_DV * dr) ** 2, out=np.full(len(rows), math.nan), where=fit)
+    return c.edge - c.d * r, kpp
 
 
-def _contour_bands(
-    spec: HFunctionSpec, conv: HConvergence, z: np.ndarray, left: float, right: float
-):
+def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
     Yields (abscissa, indices into z, first-pass step h0), at most
@@ -386,37 +437,29 @@ def _contour_bands(
     gamma0 on the side without poles: left for (m, l) = (q, 0) with
     nu > 0, right for its mirror (0, p) with nu < 0.  There the integrand
     has no poles and log|integrand| is smooth.  One _real_minimum call
-    finds every z's saddle, on a bracket from 1e-3 off the strip edge out
-    past the farthest z's saddle.  Every other z stays on gamma0.  Slid z,
-    nearest gamma0 first, are grouped under the saddle of one member such
-    that phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each; their
-    h0 comes from K'' at that member's saddle.
+    finds every z's saddle on the spec's saddle table.  Every other z
+    stays on gamma0.  Slid z, nearest gamma0 first, are grouped under the
+    saddle of one member such that phi_z(abscissa) - phi_z(sigma*_z) <=
+    _BAND_LOSS for each; their h0 comes from K'' at that member's saddle.
+    A lone slid z needs no grouping, so a single-z call evaluates no
+    kernel here.
     """
-    gamma0 = right - 0.5 if spec.l == 0 else left + 0.5 if spec.m == 0 else 0.5 * (left + right)
-    # d = 1 slides left, d = -1 right
-    d = 1 if (spec.m, spec.l) == (spec.q, 0) else -1 if (spec.m, spec.l) == (0, spec.p) else 0
+    d = c.d
     fixed = np.arange(len(z))
     order = fixed[:0]
-    if d * conv.nu > 0 and z.size:
-        edge = right if d > 0 else left
-        # the saddle moves out with the decay level nu (mu z)^(1/nu), so the
-        # bracket sized for the farthest z holds every other z's saddle; the
-        # width is capped past double underflow (decay level 900), so that
-        # far members do not coarsen the search for the others, and is
-        # taken in logs, where mu z cannot overflow
+    if d * c.conv.nu > 0 and z.size:
         log_z = np.log(z)
-        log_width = (math.log(conv.mu) + (log_z.max() if d > 0 else log_z.min())) / conv.nu
-        gap = 1e-3
-        reach = gap + 3.0 * math.exp(min(log_width, math.log(900.0 / abs(conv.nu)))) + 20.0
-        sstar, phi, kpp = _real_minimum(spec, log_z, edge, d, gap, reach)
-        slid = d * sstar < d * gamma0
+        sstar, kpp = _real_minimum(c, log_z)
+        slid = d * sstar < d * c.gamma0
         fixed = np.flatnonzero(~slid)
         order = np.flatnonzero(slid)
         order = order[np.argsort(-d * sstar[order], kind="stable")]
-        # Re K(sigma*) of the gamma-ratio kernel, known from the saddle search
-        kernel = phi - sstar * log_z
+        if order.size > 1:
+            # grouping needs Re K at the saddles: one kernel call
+            kernel = _log_integrand(c.spec, sstar).real
+            phi = kernel + sstar * log_z
     for start in range(0, fixed.size, _BAND_MAX):
-        yield gamma0, fixed[start : start + _BAND_MAX], _H0
+        yield c.gamma0, fixed[start : start + _BAND_MAX], _H0
     while order.size:
         w = order[:_BAND_MAX]
         b, size = 0, 1
@@ -428,7 +471,7 @@ def _contour_bands(
             size = covered[b]
         sigma, curv = sstar[w[b]], kpp[w[b]]
         # the step rule of the module docstring; a NaN curv (no fit) keeps _H0
-        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sigma - edge) / 5.0)) if curv > 0 else _H0
+        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sigma - c.edge) / 5.0)) if curv > 0 else _H0
         yield float(sigma), w[:size], h0
         order = order[size:]
 
@@ -460,18 +503,14 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
         raise ValueError("eval_mellin_barnes_batch takes a 1-D array of z")
     if not np.all(np.isfinite(z) & (z > 0)):
         raise ValueError("eval_mellin_barnes requires finite z > 0")
-    conv = convergence_params(spec)
-    if conv.omega <= 0:
-        raise NonConvergentError(f"omega = {conv.omega:g} <= 0: integral diverges")
-    # the rightmost pole of the Gamma(1 - A_i + alpha_i s), i <= l, and the
-    # leftmost of the Gamma(B_j - beta_j s), j <= m
-    left = max(((a - 1.0) / al for a, al in spec.upper[: spec.l]), default=-math.inf)
-    right = min((b / be for b, be in spec.lower[: spec.m]), default=math.inf)
-    if left >= right:
+    c = _constants(spec)
+    if c.conv.omega <= 0:
+        raise NonConvergentError(f"omega = {c.conv.omega:g} <= 0: integral diverges")
+    if c.left >= c.right:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
-    for gamma, idx, h0 in _contour_bands(spec, conv, z, left, right):
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, conv.omega, h0)
+    for gamma, idx, h0 in _contour_bands(c, z):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, c.conv.omega, h0)
     return out
 
 

@@ -3,6 +3,10 @@ syntax, output formats, exit codes, and determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -303,3 +307,16 @@ class TestGridSyntax:
         prob = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
         code, _ = run_capture(capsys, ["solve", "pde", "--json", prob, "--grid", "x=1:2"])
         assert code == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where a GL profile needs a spline, so the
+    # CLI's cold start and the solvers' set-up do not pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fracsol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -122,7 +122,7 @@ def kernel_curvature(spec, sigma):
 
 def first_line_pass(calls):
     """Position of the first _log_integrand call off the real axis: the
-    saddle search before it evaluates the kernel at real s only."""
+    saddle table built before it evaluates the kernel at real s only."""
     return next(i for i, s in enumerate(calls) if np.any(s.imag > 0.0))
 
 
@@ -189,7 +189,7 @@ class TestEvalMellinBarnes:
     def test_refinement_adds_only_midpoints(self, monkeypatch):
         calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
-        # the saddle search on the real axis comes first; then a first pass
+        # a saddle table on the real axis may come first; then a first pass
         # on 2n + 1 nodes and one refinement on its 2n midpoints (not 8n + 1
         # fresh nodes)
         first, second = (s.size for s in calls[first_line_pass(calls) :])
@@ -232,6 +232,22 @@ class TestEvalMellinBarnes:
         with pytest.raises(CancellationError):
             eval_mellin_barnes(self.SMALL_Z_SPEC, 1.41e-14)
 
+    @pytest.mark.parametrize("z", [1e-16, 1e-20, 1e-30, 1e-300])
+    def test_small_argument_stall_is_cancellation(self, z, monkeypatch):
+        # the default line of an m = q spec at tiny z: eps * integral|f|
+        # exceeds _REFINE_TOL of |H|, so no two passes can agree; this is
+        # refused after a refinement pass, not after all of them (at z =
+        # 1e-20 six passes took 74,188 nodes and raised
+        # QuadratureFailureError)
+        spec = case1_spec(1.67, 0)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        with pytest.raises(CancellationError):
+            eval_mellin_barnes(spec, z)
+        assert sum(s.size for s in calls) <= 4000
+        # closer to the cancellation tolerance values still come back
+        want = mp_residue_sum(spec, 1e-12, dps=40, kmax=150)
+        assert_allclose(eval_mellin_barnes(spec, 1e-12), want, rtol=1e-10)
+
     def test_small_argument_below_cancellation_tolerance(self):
         # the ratio is 9.7e-12 here, under the 1e-10 tolerance
         want = mp_residue_sum(self.SMALL_Z_SPEC, 1e-10, dps=40, kmax=150)
@@ -239,52 +255,66 @@ class TestEvalMellinBarnes:
 
 
 class TestSaddleSearch:
-    @staticmethod
-    def search(monkeypatch, spec, z):
-        """The brackets, minimisers, phi and K'' of _contour_bands' saddle search."""
-        calls = []
-        real_minimum = foxh._real_minimum
-
-        def recording(*args):
-            calls.append((args, real_minimum(*args)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(foxh, "_real_minimum", recording)
-        right = min(b / be for b, be in spec.lower)
-        list(foxh._contour_bands(spec, convergence_params(spec), z, -math.inf, right))
-        (args, result), = calls
-        return args, result
-
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 1.9])
     @pytest.mark.parametrize("m", [0, 2])
-    def test_within_a_hundredth_of_dense_search(self, alpha, m, monkeypatch):
+    def test_within_a_hundredth_of_dense_search(self, alpha, m):
+        # the case1 spec slides left at large z, its inverted spec right
+        # at small z
         spec = case1_spec(alpha, m)
         z = np.geomspace(1e-3, 1e4, 60)
-        (_, log_z, edge, d, gap, reach), (sigma, phi, kpp) = self.search(monkeypatch, spec, z)
-        # dense in log r near the edge and in r far from it
-        r = np.concatenate([np.geomspace(gap, reach, 40001), np.linspace(gap, reach, 40001)])
-        dense = edge - d * r
-        kernel = foxh._log_integrand(spec, dense).real
-        best = np.array([np.min(kernel + dense * lz) for lz in log_z])
-        at_sigma = foxh._log_integrand(spec, sigma).real + sigma * log_z
-        assert np.array_equal(phi, at_sigma)
-        assert np.all(at_sigma - best <= 0.01)
-        # the fitted curvature is K'' at the abscissa, by a central
-        # difference, within 10%; NaN only where no parabola was fitted
-        fit = np.isfinite(kpp)
-        assert np.count_nonzero(fit) >= 10
-        assert_allclose(kpp[fit], kernel_curvature(spec, sigma[fit]), rtol=0.1)
+        for spec, z in ((spec, z), (invert_argument(spec), 1.0 / z)):
+            c = foxh._constants(spec)
+            log_z = np.log(z)
+            sigma, kpp = foxh._real_minimum(c, log_z)
+            # dense in log r near the edge and in r far from it, over the
+            # table's range
+            gap, reach = np.abs(c.table[1][[0, -1]] - c.edge)
+            r = np.concatenate([np.geomspace(gap, reach, 40001), np.linspace(gap, reach, 40001)])
+            dense = c.edge - c.d * r
+            kernel = foxh._log_integrand(spec, dense).real
+            best = np.array([np.min(kernel + dense * lz) for lz in log_z])
+            at_sigma = foxh._log_integrand(spec, sigma).real + sigma * log_z
+            assert np.all(at_sigma - best <= 0.01)
+            # the fitted curvature is K'' at the abscissa, by a central
+            # difference, within 10%; NaN only where no parabola was fitted
+            fit = np.isfinite(kpp)
+            assert np.count_nonzero(fit) >= 10
+            assert_allclose(kpp[fit], kernel_curvature(spec, sigma[fit]), rtol=0.1)
 
     def test_calls_do_not_grow_with_z(self, monkeypatch):
-        # the right poles start at s = 0; search 1e-3 <= -sigma <= 100
-        spec = case1_spec(0.8, 1)
+        # once the table exists, the search itself evaluates no kernel
+        c = foxh._constants(case1_spec(0.8, 1))
+        c.table
         calls = TestHalfLineQuadrature.record(monkeypatch)
-        counts = []
         for z in (np.array([3.0]), np.geomspace(1e-3, 1e4, 320)):
+            foxh._real_minimum(c, np.log(z))
+        assert calls == []
+
+    def test_first_slid_evaluation_builds_table(self, monkeypatch):
+        # a fresh spec's first slid evaluation builds the table in one
+        # kernel call on the real axis; a second single-z evaluation, slid
+        # or not, makes none and runs line passes only
+        foxh._constants.cache_clear()
+        spec = case1_spec(1.5, 1)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        eval_mellin_barnes(spec, 50.0)
+        real = [s for s in calls if np.all(s.imag == 0.0)]
+        assert len(real) == 1 and real[0] is calls[0]
+        assert real[0].size == foxh._constants(spec).table[1].size
+        assert calls[1].real.max() < -0.5
+        for z in (1e3, 0.01):
             calls.clear()
-            foxh._real_minimum(spec, np.log(z), 0.0, 1, 1e-3, 100.0)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            eval_mellin_barnes(spec, z)
+            assert calls and not any(np.all(s.imag == 0.0) for s in calls)
+
+    def test_equal_specs_share_the_table(self, monkeypatch):
+        a, b = case1_spec(1.2, 2), case1_spec(1.2, 2)
+        assert a is not b
+        assert foxh._constants(a) is foxh._constants(b)
+        eval_mellin_barnes(a, 40.0)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        assert_allclose(eval_mellin_barnes(b, 40.0), eval_mellin_barnes(a, 40.0), rtol=0.0)
+        assert not any(np.all(s.imag == 0.0) for s in calls)
 
 
 class TestSeriesExpansion:
@@ -360,7 +390,7 @@ class TestBatchedEvaluation:
     )
     def test_far_member_keeps_saddles(self, alpha, m, zs):
         # members far past double underflow share the saddle search with
-        # the others; its bracket must stay fine enough for every member
+        # the others; every member must still find its own saddle
         spec = case1_spec(alpha, m)
         got = eval_mellin_barnes(spec, zs)
         want = np.array([eval_mellin_barnes(spec, z) for z in zs])
@@ -447,6 +477,10 @@ class TestHalfLineQuadrature:
         return calls
 
     def test_nodes_in_upper_half_plane(self, monkeypatch):
+        # the saddle tables lie on the real axis and are not quadrature
+        # nodes: build them before counting
+        foxh._constants(MEIJER_SPEC).table
+        foxh._constants(invert_argument(EXP_SPEC)).table
         calls = self.record(monkeypatch)
         # fixed line, saddle contour with three doublings of T, and l > 0
         eval_mellin_barnes(FIXED_SPEC, np.array([0.5, 30.0]))
