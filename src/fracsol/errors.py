@@ -10,7 +10,8 @@ class PoleError(FracsolError):
 
 
 class DivergentInputError(FracsolError):
-    """Argument lies outside the convergence radius of a series."""
+    """Series or integral diverges: an argument outside a series'
+    convergence radius, or a contour integral with omega <= 0."""
 
 
 class NoConvergenceError(FracsolError):
@@ -25,20 +26,8 @@ class UnsupportedClassError(FracsolError):
     """The evaluator does not handle this parameter class."""
 
 
-class NonConvergentError(FracsolError):
-    """Contour-integral convergence conditions are violated (omega <= 0)."""
-
-
 class QuadratureFailureError(FracsolError):
     """Quadrature refinement stalled before reaching the target tolerance."""
-
-
-class ShapeMismatchError(FracsolError):
-    """Spec does not carry the parameter entries required by the identity."""
-
-
-class NonDecayingError(FracsolError):
-    """Asymptotic decay envelope undefined (nu <= 0)."""
 
 
 class ExponentOutOfRangeError(FracsolError):
@@ -50,7 +39,8 @@ class BranchMismatchError(FracsolError):
 
 
 class ComplexRootsError(FracsolError):
-    """Characteristic roots are complex; the contour evaluator declines."""
+    """Characteristic roots are complex (negative discriminant); the H form
+    and the exponential closed form decline."""
 
 
 class DegenerateLeadingError(FracsolError):
@@ -59,14 +49,6 @@ class DegenerateLeadingError(FracsolError):
 
 class DegenerateDError(FracsolError):
     """Space exponent d = 2: the similarity reduction degenerates."""
-
-
-class UnsupportedAlphaError(FracsolError):
-    """Fractional order falls in the gap no solution branch covers."""
-
-
-class ComplexDiscriminantError(FracsolError):
-    """Closed-form branch requires a non-negative discriminant."""
 
 
 class StepTooLargeError(FracsolError):
@@ -78,7 +60,7 @@ class ExponentMisalignmentError(FracsolError):
 
 
 class PreconditionViolationError(FracsolError):
-    """Operator-identity preconditions not met by the supplied spec."""
+    """The spec lacks the entries or values an identity requires."""
 
 
 class DomainError(FracsolError):

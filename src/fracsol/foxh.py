@@ -65,10 +65,6 @@ QuadratureFailureError, and a value whose rounding, eps times the
 integral of |f|, exceeds _CANCEL_TOL of |H| after any refinement pass
 raises CancellationError, agreed or not (as at small z on the fixed line
 of an m < q spec, where f is about z^(-1/2) times larger than H).
-
-A residue-based small-argument series is kept as an internal cross-check
-oracle (it raises CancellationError where its terms cancel below double
-precision, and NoConvergenceError where they have not settled by kmax).
 """
 
 from __future__ import annotations
@@ -82,14 +78,12 @@ import numpy as np
 
 from .errors import (
     CancellationError,
-    NoConvergenceError,
-    NonConvergentError,
-    NonDecayingError,
+    DivergentInputError,
+    PreconditionViolationError,
     QuadratureFailureError,
-    ShapeMismatchError,
     UnsupportedClassError,
 )
-from .gammafn import gamma_reciprocal, ln_gamma_vec
+from .gammafn import ln_gamma_vec
 
 _REFINE_TOL = 1e-9
 # a band's abscissa may lie at most _BAND_LOSS e-folds above a member's own
@@ -122,9 +116,9 @@ _SADDLE_STEP = 0.65
 _SADDLE_STRIDE = 16
 # ln_gamma_vec elements per call in _log_integrand
 _LN_GAMMA_CHUNK = 4096
-# series_expansion and the contour refuse a sum whose terms' rounding,
-# eps * sum|t_k|, exceeds this share of |sum t_k| (the rule wright.evaluate
-# uses)
+# the contour refuses a value whose rounding, eps times the integral of
+# |f|, exceeds this share of |H| (the rule wright.evaluate applies to its
+# terms)
 _CANCEL_TOL = 1e-10
 
 
@@ -505,81 +499,13 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
         raise ValueError("eval_mellin_barnes requires finite z > 0")
     c = _constants(spec)
     if c.conv.omega <= 0:
-        raise NonConvergentError(f"omega = {c.conv.omega:g} <= 0: integral diverges")
+        raise DivergentInputError(f"omega = {c.conv.omega:g} <= 0: integral diverges")
     if c.left >= c.right:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
     for gamma, idx, h0 in _contour_bands(c, z):
         out[idx] = _trapezoid_line(spec, z[idx], gamma, c.conv.omega, h0)
     return out
-
-
-def series_expansion(spec: HFunctionSpec, z: float, kmax: int = 300) -> float:
-    """Residue series over the right poles s = (B_j + k) / beta_j (oracle).
-
-    Requires l = 0 and all right poles simple; declines (ShapeMismatchError)
-    on pole collisions.  Valid as a small/moderate-argument cross-check:
-    raises CancellationError when eps * sum|t_k| exceeds _CANCEL_TOL times
-    |sum t_k|, where the alternating terms cancel below double precision,
-    and NoConvergenceError when a pole family reaches kmax before its
-    terms fall below 1e-16 of the sum.
-    """
-    if spec.l != 0:
-        raise UnsupportedClassError("series oracle handles l = 0 specs only")
-    poles = []
-    for j, (b, be) in enumerate(spec.lower[: spec.m]):
-        for k in range(kmax + 1):
-            poles.append(((b + k) / be, j, k))
-    poles.sort()
-    for (p1, *_), (p2, *_) in zip(poles, poles[1:]):
-        if abs(p1 - p2) < 1e-8:
-            raise ShapeMismatchError("coincident right poles: series oracle declines")
-    total = 0.0
-    total_abs = 0.0
-    for j, (b, be) in enumerate(spec.lower[: spec.m]):
-        tail = 0
-        for k in range(kmax + 1):
-            s0 = (b + k) / be
-            log_rest = 0.0 + 0.0j
-            sign = 1.0
-            for jj, (b2, be2) in enumerate(spec.lower[: spec.m]):
-                if jj == j:
-                    continue
-                log_rest += complex(ln_gamma_vec(b2 - be2 * s0))
-            for a, al in spec.upper:
-                rec = gamma_reciprocal(a - al * s0)
-                if rec == 0:
-                    sign = 0.0
-                    break
-                log_rest -= complex(ln_gamma_vec(a - al * s0))
-            for b2, be2 in spec.lower[spec.m :]:
-                rec = gamma_reciprocal(1.0 - b2 + be2 * s0)
-                if rec == 0:
-                    sign = 0.0
-                    break
-                log_rest -= complex(ln_gamma_vec(1.0 - b2 + be2 * s0))
-            if sign == 0.0:
-                term = 0.0
-            else:
-                lt = log_rest + s0 * math.log(z) - complex(ln_gamma_vec(k + 1.0))
-                term = ((-1.0) ** k / be) * float(np.exp(lt).real)
-            total += term
-            total_abs += abs(term)
-            if abs(term) < 1e-16 * max(abs(total), 1e-300):
-                tail += 1
-                if tail >= 3 and k > 2:
-                    break
-            else:
-                tail = 0
-        else:
-            raise NoConvergenceError(
-                f"residue series of pole family {j} reached kmax = {kmax} at z = {z}"
-            )
-    if _EPS * total_abs > _CANCEL_TOL * abs(total):
-        raise CancellationError(
-            f"residue series cancels at z = {z}: sum|t| = {total_abs:.3g}, sum = {total:.3g}"
-        )
-    return total
 
 
 def invert_argument(spec: HFunctionSpec) -> HFunctionSpec:
@@ -631,7 +557,7 @@ def gauss_multiplication_reduce(spec: HFunctionSpec, r: int) -> GaussReduction:
             up_idx = i
             break
     if up_idx is None:
-        raise ShapeMismatchError(f"no upper entry (1, {r}) outside the l-group")
+        raise PreconditionViolationError(f"no upper entry (1, {r}) outside the l-group")
     low_idx = []
     used = set()
     for j in range(1, r + 1):
@@ -644,7 +570,7 @@ def gauss_multiplication_reduce(spec: HFunctionSpec, r: int) -> GaussReduction:
                 found = i
                 break
         if found is None:
-            raise ShapeMismatchError(f"missing lower entry ({j}/{r}, 1) in the m-group")
+            raise PreconditionViolationError(f"missing lower entry ({j}/{r}, 1) in the m-group")
         used.add(found)
         low_idx.append(found)
     new_upper = tuple(e for i, e in enumerate(spec.upper) if i != up_idx)
@@ -663,7 +589,7 @@ def asymptotic_estimate(spec: HFunctionSpec, z: float) -> float:
         raise UnsupportedClassError("decay envelope applies to l = 0 specs")
     conv = convergence_params(spec)
     if conv.nu <= 0:
-        raise NonDecayingError(f"nu = {conv.nu:g} <= 0: no exponential decay")
+        raise UnsupportedClassError(f"nu = {conv.nu:g} <= 0: no exponential decay")
     zp = z ** (1.0 / conv.nu)
     return math.exp(-conv.nu * conv.mu ** (1.0 / conv.nu) * zp) * z ** (
         (2.0 * conv.delta + 1.0) / (2.0 * conv.nu)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (
     DegenerateLeadingError,
+    ExponentMisalignmentError,
     ExponentOutOfRangeError,
-    NoConvergenceError,
     PoleError,
 )
 from .gammafn import gamma_ratio, is_nonpositive_integer, ln_gamma_vec
@@ -197,34 +197,6 @@ def euler_apply(op: EulerPolynomialOperator, series: FracPowerSeries) -> FracPow
     return FracPowerSeries(series.gamma0 + op.time_weight, series.rho, new)
 
 
-def eval_series(series: FracPowerSeries, z: float) -> complex:
-    """Compensated summation of the truncated series at z > 0.
-
-    Raises NoConvergenceError when the retained tail is still growing and
-    non-negligible, which signals z outside the empirical convergence range.
-    """
-    if z <= 0:
-        raise ValueError("eval_series requires z > 0")
-    logz = math.log(z)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    mags = []
-    for j, c in enumerate(series.coeffs):
-        term = c * complex(np.exp(series.exponent(j) * logz))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        mags.append(abs(term))
-    if len(mags) >= 4:
-        tail = mags[-3:]
-        if tail[-1] > tail[0] and tail[-1] > 1e-12 * max(abs(total), 1e-300):
-            raise NoConvergenceError(
-                f"series tail not decaying at z = {z:g} (last |term| = {tail[-1]:g})"
-            )
-    return total
-
-
 def gamma_product_identity_check(a: float, m: int, b) -> tuple:
     """Both sides of the gamma product identity
     Gamma(1+ab+m)^{-1} prod_i Gamma(i/a+b+1) = (a^m Gamma(1+ab))^{-1} prod_i Gamma(i/a+b).
@@ -264,11 +236,10 @@ def align_series(sa: FracPowerSeries, sb: FracPowerSeries):
     """Index offset aligning the exponent lattices of two series.
 
     Returns (offset, n_overlap) such that sa.exponent(j + offset) matches
-    sb.exponent(j).  Raises ExponentMisalignmentError when the lattices
-    are incompatible.
+    sb.exponent(j) for 0 <= j < n_overlap.  Raises ExponentMisalignmentError
+    when the lattices are incompatible, or when sb starts below sa, where
+    j + offset would be negative for the first terms.
     """
-    from .errors import ExponentMisalignmentError
-
     if abs(sa.rho - sb.rho) > EXPONENT_TOL * max(1.0, abs(sa.rho)):
         raise ExponentMisalignmentError(
             f"exponent steps differ: {sa.rho:g} vs {sb.rho:g}"
@@ -278,6 +249,10 @@ def align_series(sa: FracPowerSeries, sb: FracPowerSeries):
     if abs(off - offset) > 1e-9:
         raise ExponentMisalignmentError(
             f"leading exponents {sa.gamma0:g}, {sb.gamma0:g} not on a common lattice"
+        )
+    if offset < 0:
+        raise ExponentMisalignmentError(
+            f"second series starts at {sb.gamma0:g}, below the first at {sa.gamma0:g}"
         )
     n_overlap = min(len(sa.coeffs) - offset, len(sb.coeffs))
     return offset, max(0, n_overlap)

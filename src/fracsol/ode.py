@@ -55,26 +55,20 @@ class OdeProblem:
         return EulerPolynomialOperator(coeffs=self.a_coeffs, time_weight=self.m)
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Characteristic polynomial in expanded monomial form plus its roots."""
-
-    monomials: tuple  # lowest degree first
-    roots: tuple
-
-
-def characteristic_poly(problem: OdeProblem) -> CharPoly:
-    """P(s) = a_n s(s-1)...(s-n+1) + ... + a_1 s + a_0, expanded, with roots.
+def characteristic_poly(problem: OdeProblem) -> EulerPolynomialOperator:
+    """The problem's operator, whose P(s) = a_n s(s-1)...(s-n+1) + ... +
+    a_1 s + a_0 carries its expanded monomials and roots, with every root's
+    residual checked against the coefficient norm.
 
     Closed forms for n <= 2, companion-matrix eigenvalues plus one Newton
-    step for n >= 3; residual checked against the coefficient norm.
+    step for n >= 3.
     """
     op = problem.operator()
     norm = max(abs(c) for c in op.monomials)
     for s in op.roots:
         if abs(op.char_value(s)) > 1e-10 * norm * max(1.0, abs(s)) ** problem.n:
             raise ArithmeticError(f"characteristic root {s} failed residual check")
-    return CharPoly(monomials=op.monomials, roots=op.roots)
+    return op
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from . import ode
 from .errors import (
-    ComplexDiscriminantError,
+    BranchMismatchError,
+    ComplexRootsError,
     DegenerateDError,
     DomainError,
-    UnsupportedAlphaError,
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
 from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator
@@ -154,14 +154,13 @@ def solve(problem: DiffusionProblem) -> PdeSolution:
 
     Complex characteristic roots follow the ODE's policy: the H form
     (alpha < 2) raises ComplexRootsError, the Wright members (alpha > 2)
-    carry complex parameters.
+    carry complex parameters.  alpha = 2 with d != 2 reduces to an ODE with
+    alpha = n, which raises BranchMismatchError.
     """
     if problem.d == 2:
         lam = problem.K * problem.rho**problem.m
         members = ode.wright_members(problem.alpha, problem.m, (), lam)
         return PdeSolution(problem, WrightSeriesForm(members, SimilarityMap(problem.a, 0.0)))
-    if problem.alpha == 2:
-        raise UnsupportedAlphaError("alpha = 2 with d != 2 is covered by no branch")
     ode_problem, smap = similarity_reduce(problem)
     ode_sol = ode.solve(ode_problem)
     small = ode_sol.small
@@ -180,13 +179,13 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
         exp(-(1+m) x^(2-d) / (A (d-2)^2 t^(1+m))),   D = (1-B/A)^2 - 4C/A.
     """
     if problem.alpha != 1:
-        raise UnsupportedAlphaError("exp closed form requires alpha = 1")
+        raise BranchMismatchError("exp closed form requires alpha = 1")
     if problem.d == 2:
         raise DegenerateDError("exp closed form requires d != 2")
     A, B, C, d, m = problem.A, problem.B, problem.C, problem.d, problem.m
     disc = (1.0 - B / A) ** 2 - 4.0 * C / A
     if disc < 0:
-        raise ComplexDiscriminantError(f"discriminant {disc:g} < 0")
+        raise ComplexRootsError(f"discriminant {disc:g} < 0: the roots are complex")
     sq = sign * math.sqrt(disc)
     x_exp = -0.5 * (B / A - 1.0 + sq)
     t_exp = -((1.0 + m) / (d - 2.0)) * (d - 2.0 + sq)

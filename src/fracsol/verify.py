@@ -20,6 +20,7 @@ from .errors import (
 )
 from .fracseries import EulerPolynomialOperator, FracPowerSeries, align_series
 from .foxh import HFunctionSpec, eval_mellin_barnes_batch
+from .gammafn import is_nonpositive_integer
 from .pde import (
     ClosedFormExp,
     DiffusionProblem,
@@ -261,6 +262,22 @@ def residual_pde(
     return _numeric_residual(sol, problem, grid, h)
 
 
+def _termwise_report(lhs: FracPowerSeries, rhs: FracPowerSeries, n_coeffs: int) -> ResidualReport:
+    """Coefficient residual of two series on their common exponent lattice:
+    each lhs coefficient below rhs's lattice against 0, then the first
+    n_coeffs aligned pairs."""
+    offset, overlap = align_series(lhs, rhs)
+    pts = [
+        ((lhs.exponent(j),), lhs.coeffs[j], 0.0 + 0.0j)
+        for j in range(min(offset, len(lhs.coeffs)))
+    ]
+    pts += [
+        ((rhs.exponent(j),), lhs.coeffs[j + offset], rhs.coeffs[j])
+        for j in range(min(overlap, n_coeffs))
+    ]
+    return _build_report(METHOD_TERMWISE, pts)
+
+
 def residual_ode_coefficients(
     member: FracPowerSeries,
     op: EulerPolynomialOperator,
@@ -276,20 +293,7 @@ def residual_ode_coefficients(
         raise ValueError(f"member carries {member.order + 1} coefficients < {n_coeffs}")
     deriv = fracseries.rl_derivative(member, alpha)
     image = fracseries.euler_apply(op, member)
-    offset, overlap = align_series(deriv, image)
-    pts = []
-    # derivative coefficients below the operator lattice must be ~0
-    for j in range(min(offset, len(deriv.coeffs))):
-        pts.append(((deriv.exponent(j),), deriv.coeffs[j], 0.0 + 0.0j))
-    for j in range(min(overlap, n_coeffs)):
-        pts.append(
-            (
-                (image.exponent(j),),
-                deriv.coeffs[j + offset],
-                image.coeffs[j],
-            )
-        )
-    return _build_report(METHOD_TERMWISE, pts)
+    return _termwise_report(deriv, image, n_coeffs)
 
 
 def h_operator_identity_check(
@@ -392,7 +396,7 @@ def wright_operator_identity_check(
         if beta1 <= 0 or b1 <= 0:
             raise PreconditionViolationError("requires beta_1 > 0 and B_1 > 0")
         mshift = 0
-        while _is_negative_integer(b1 + mshift * beta1 - alpha - 1.0):
+        while is_nonpositive_integer(b1 + mshift * beta1 - alpha, tol=1e-9):
             mshift += 1
         lhs_series = fracseries.rl_derivative(
             _wright_series_image(spec, a, b1 - 1.0, beta1, order), alpha
@@ -429,21 +433,4 @@ def wright_operator_identity_check(
         )
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    offset, overlap = align_series(lhs_series, rhs_series)
-    pts = []
-    for j in range(min(offset, len(lhs_series.coeffs))):
-        pts.append(((lhs_series.exponent(j),), lhs_series.coeffs[j], 0.0 + 0.0j))
-    for j in range(min(overlap, n_coeffs)):
-        pts.append(
-            (
-                (rhs_series.exponent(j),),
-                lhs_series.coeffs[j + offset],
-                rhs_series.coeffs[j],
-            )
-        )
-    return _build_report(METHOD_TERMWISE, pts)
-
-
-def _is_negative_integer(x: float, tol: float = 1e-9) -> bool:
-    r = round(x)
-    return r <= -1 and abs(x - r) <= tol
+    return _termwise_report(lhs_series, rhs_series, n_coeffs)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fracsol.cli import run
+from fracsol.cli import build_parser, run
+from fracsol.errors import InputError
 
 
 def run_capture(capsys, argv):
@@ -59,8 +60,13 @@ class TestEval:
             assert float(value) == pytest.approx(math.exp(-1.0 / float(z)), rel=1e-9)
 
     def test_malformed_json_is_input_error(self, capsys):
-        code, _ = run_capture(capsys, ["eval", "wright", "--json", "{not json", "--z", "1"])
+        argv = ["eval", "wright", "--json", "{not json", "--z", "1"]
+        code = run(argv)
         assert code == 1
+        assert capsys.readouterr().err.startswith("input error: malformed JSON")
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InputError):
+            args.func(args)
 
 
 class TestSolve:
@@ -207,6 +213,14 @@ class TestSolvePdeDescriptors:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("ComplexRootsError")
+        assert captured.out == ""
+
+    def test_alpha_2_rejected(self, capsys):
+        # d != 2 reduces alpha = 2 to an ODE with alpha = n = 2
+        code = run(["solve", "pde", "--json", json.dumps({"alpha": 2, "d": 1, "A": 1})])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("BranchMismatchError")
         assert captured.out == ""
 
 

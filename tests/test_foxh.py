@@ -2,9 +2,10 @@
 argument-transformation identities (inversion, power scaling, power shift,
 Gauss multiplication) plus the large-argument decay envelope.
 
-Primary oracle: H^{1,0}_{0,1}[z | -; (0,1)] = e^{-z}, plus the internal
-residue-series evaluator as an independent summation path, and
-mpmath.meijerg for specs whose weights are all equal (H reduces to Meijer G).
+Primary oracle: H^{1,0}_{0,1}[z | -; (0,1)] = e^{-z}, plus the residue
+series summed in mpmath (mp_residue_sum) as an independent summation path,
+and mpmath.meijerg for specs whose weights are all equal (H reduces to
+Meijer G).
 """
 
 import math
@@ -19,12 +20,10 @@ from numpy.testing import assert_allclose
 from fracsol import foxh
 from fracsol.errors import (
     CancellationError,
+    DivergentInputError,
     FracsolError,
-    NoConvergenceError,
-    NonConvergentError,
-    NonDecayingError,
+    PreconditionViolationError,
     QuadratureFailureError,
-    ShapeMismatchError,
     UnsupportedClassError,
 )
 from fracsol.foxh import (
@@ -36,7 +35,6 @@ from fracsol.foxh import (
     gauss_multiplication_reduce,
     invert_argument,
     power_scale,
-    series_expansion,
     shift_by_power,
 )
 from fracsol.gammafn import ln_gamma_vec
@@ -58,8 +56,9 @@ def case1_spec(alpha, m, s1=0.0, s2=-0.5):
 
 
 def mp_residue_sum(spec, z, dps=50, kmax=200):
-    """The residue series of series_expansion, summed by mpmath at dps
-    digits, where double-precision terms would cancel."""
+    """The residue series over the right poles s = (B_j + k) / beta_j of an
+    l = 0 spec with simple poles, summed by mpmath at dps digits, where
+    double-precision terms would cancel."""
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for j, (b, be) in enumerate(spec.lower[: spec.m]):
@@ -136,11 +135,10 @@ class TestEvalMellinBarnes:
 
     @pytest.mark.parametrize("z", [0.3, 1.0, 3.0])
     def test_case1_vs_residue_series(self, z):
+        # at z = 3 the terms cancel (sum|t| = 1.1e3 against a sum of 3.4e-4),
+        # which mpmath's precision absorbs
         spec = case1_spec(0.8, 1)
-        # at z = 3 the terms cancel (sum|t| = 1.1e3 against a sum of 3.4e-4)
-        # and series_expansion refuses; the same series in mpmath stands in
-        want = mp_residue_sum(spec, z) if z > 1.0 else series_expansion(spec, z)
-        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-8)
+        assert_allclose(eval_mellin_barnes(spec, z), mp_residue_sum(spec, z), rtol=1e-8)
 
     def test_rejects_empty_strip(self):
         # the left poles of Gamma(-1 + s) reach s = 1, right of the first
@@ -164,7 +162,7 @@ class TestEvalMellinBarnes:
         # omega = 1 - alpha_p: the kernel does not decay along the line
         spec = HFunctionSpec(m=1, l=0, upper=((1.0, alpha_p),), lower=((0.0, 1.0),))
         assert convergence_params(spec).omega <= 0
-        with pytest.raises(NonConvergentError):
+        with pytest.raises(DivergentInputError):
             eval_mellin_barnes(spec, 1.0)
 
     @pytest.mark.parametrize("z", [0.1, 0.3, 0.7])
@@ -173,9 +171,7 @@ class TestEvalMellinBarnes:
         # and the first pass spans |tau| <= 30 / (pi omega / 2) = 58
         spec = case1_spec(1.67, 0)
         assert convergence_params(spec).omega == pytest.approx(0.33)
-        assert_allclose(
-            eval_mellin_barnes(spec, z), series_expansion(spec, z), rtol=1e-9
-        )
+        assert_allclose(eval_mellin_barnes(spec, z), mp_residue_sum(spec, z), rtol=1e-9)
 
     @pytest.mark.parametrize("z", [50.0, 400.0, 2500.0, 1e4])
     def test_deep_decay_vs_meijer_g(self, z):
@@ -317,22 +313,22 @@ class TestSaddleSearch:
         assert not any(np.all(s.imag == 0.0) for s in calls)
 
 
-class TestSeriesExpansion:
-    def test_cancellation_raises(self):
+class TestResidueSeriesRegimes:
+    """Arguments where the residue series fails in double precision; the
+    contour does not."""
+
+    def test_cancelling_terms(self):
         # the terms reach 2.7e7 against a sum of -7.06126e-5 (a 60-digit
         # mpmath residue sum); double-precision summation returned -7.0641e-5
         spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0), (0.5, 0.5)))
         assert_allclose(mp_residue_sum(spec, 30.0), -7.06125526294963e-05, rtol=1e-12)
-        with pytest.raises(CancellationError):
-            series_expansion(spec, 30.0)
+        assert_allclose(eval_mellin_barnes(spec, 30.0), -7.06125526294963e-05, rtol=1e-9)
 
-    def test_term_cap_raises(self):
+    def test_growing_terms(self):
         # the terms 40^k / (k! Gamma(1/2 - k/2)) still grow at k = 300;
-        # the truncated sum was 1.46e127, the contour gives 1.08e-174
+        # a 300-term double sum was 1.46e127, the contour gives 1.08e-174
         spec = HFunctionSpec(m=1, l=0, upper=((0.5, 0.5),), lower=((0.0, 1.0),))
         assert_allclose(eval_mellin_barnes(spec, 40.0), 1.0805e-174, rtol=1e-4)
-        with pytest.raises(NoConvergenceError):
-            series_expansion(spec, 40.0)
 
 
 # the two H-form specs of the GL verification: m = q, so large arguments
@@ -748,7 +744,7 @@ class TestGaussMultiplication:
         assert_allclose(lhs, rhs, rtol=1e-6)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(PreconditionViolationError):
             gauss_multiplication_reduce(EXP_SPEC, 2)
 
 
@@ -775,7 +771,15 @@ class TestAsymptoticEstimate:
 
     def test_nondecaying_rejected(self):
         spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())
-        with pytest.raises((NonDecayingError, UnsupportedClassError)):
+        with pytest.raises(UnsupportedClassError, match="l = 0"):
+            asymptotic_estimate(spec, 1.0)
+
+    def test_growing_l0_spec_rejected(self):
+        # H^{1,0}_{1,1}[(1, 2); (0, 1)]: l = 0 but nu = 1 - 2 = -1, so there
+        # is no decay envelope
+        spec = HFunctionSpec(m=1, l=0, upper=((1.0, 2.0),), lower=((0.0, 1.0),))
+        assert convergence_params(spec).nu == -1.0
+        with pytest.raises(UnsupportedClassError, match="nu = -1"):
             asymptotic_estimate(spec, 1.0)
 
 

@@ -1,5 +1,5 @@
 """Tests for generalized power-series calculus: termwise Riemann-Liouville
-differentiation, the Euler polynomial operator, series evaluation, and the
+differentiation, the Euler polynomial operator, lattice alignment, and the
 gamma product identity."""
 
 import math
@@ -19,7 +19,6 @@ from fracsol.fracseries import (
     FracPowerSeries,
     align_series,
     euler_apply,
-    eval_series,
     gamma_product_identity_check,
     rl_derivative,
 )
@@ -168,17 +167,6 @@ class TestCharMonomials:
         assert out.stdout.strip() == "False"
 
 
-class TestEvalSeries:
-    def test_exponential_series(self):
-        coeffs = tuple(1 / math.factorial(k) for k in range(31))
-        s = FracPowerSeries(gamma0=0.0, rho=1.0, coeffs=coeffs)
-        assert_allclose(complex(eval_series(s, 1.0)).real, math.e, rtol=1e-12)
-
-    def test_single_term(self):
-        s = FracPowerSeries(gamma0=0.5, rho=1.0, coeffs=(2.0,))
-        assert complex(eval_series(s, 4.0)).real == pytest.approx(4.0)
-
-
 class TestGammaProductIdentity:
     def test_a2_m1(self):
         # lhs = Gamma(2)/Gamma(3) = 1/2; rhs = Gamma(1)/(2 Gamma(2)) = 1/2
@@ -240,3 +228,11 @@ class TestAlignSeries:
         b = FracPowerSeries(gamma0=0.5, rho=0.7, coeffs=(1.0, 2.0))
         with pytest.raises(ExponentMisalignmentError):
             align_series(a, b)
+
+    def test_second_series_below_first_rejected(self):
+        # an offset of -1 would pair b's z^0 with a.coeffs[-1], the z^3 term
+        a = FracPowerSeries(gamma0=1.0, rho=1.0, coeffs=(1.0, 2.0, 3.0))
+        b = FracPowerSeries(gamma0=0.0, rho=1.0, coeffs=(5.0, 6.0, 7.0))
+        with pytest.raises(ExponentMisalignmentError, match="below"):
+            align_series(a, b)
+        assert align_series(b, a) == (1, 2)

@@ -8,11 +8,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracsol.errors import (
-    ComplexDiscriminantError,
+    BranchMismatchError,
     ComplexRootsError,
     DegenerateDError,
     DomainError,
-    UnsupportedAlphaError,
 )
 from fracsol.ode import characteristic_poly
 from fracsol.pde import (
@@ -124,7 +123,7 @@ class TestSolveBranches:
 
     def test_alpha2_rejected(self):
         prob = DiffusionProblem(alpha=2.0, m=0, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
-        with pytest.raises(UnsupportedAlphaError):
+        with pytest.raises(BranchMismatchError):
             solve(prob)
 
     def test_d2_branch(self):
@@ -187,7 +186,12 @@ class TestExpClosedForm:
 
     def test_complex_discriminant_rejected(self):
         prob = DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=0.0, C=1.0, a=0.0)
-        with pytest.raises(ComplexDiscriminantError):
+        with pytest.raises(ComplexRootsError):
+            exp_closed_form(prob)
+
+    def test_fractional_alpha_rejected(self):
+        prob = DiffusionProblem(alpha=0.5, m=0, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
+        with pytest.raises(BranchMismatchError):
             exp_closed_form(prob)
 
 
