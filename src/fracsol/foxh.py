@@ -54,11 +54,27 @@ The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
 (pi omega / 2), at least _N_MIN steps, and T then doubles, evaluating
 only the new outer segment, until a bound on both tails is negligible.
-Refinement halves h and evaluates only the midpoints of the previous
-lattice, so each pass costs as many nodes as all earlier ones together;
-it stops when two passes agree to _REFINE_TOL (the nested error
-estimate of Trefethen & Weideman).  Every test is made per z: a band
-keeps extending T, and then refining, until each of its z has passed.  A
+The trapezoid rule on an integrand analytic in a strip about the line
+errs by about C exp(-2 pi a / h), a the strip's half-width (Trefethen &
+Weideman, SIAM Rev. 56 (2014), Thm 5.1): the error at h is about the
+square of the error at 2h over C, and T(2h), the rule on the even nodes
+of the same lattice, costs no kernel call.  A z is settled by this
+first pass, with no refinement, when (|T(h) - T(2h)| / |T(h)|)^2 times
+max(1, integral|f| / |T(h)|) is below _FIRST_PASS_SHARE = 1e-3 of
+_REFINE_TOL (the safety factor is derived in _trapezoid_line), when it
+passes the cancellation test below, and when the lattice of T(2h)
+resolves the integrand's phase: 2 max |Delta Im log f| between
+neighbouring nodes is below pi.  Im log f is the analytic log the kernel
+returns plus tau log z, not an angle(), so an undersampled oscillation
+shows as a large step; without this guard T(h) and T(2h) can agree by
+aliasing (as on a fixed line at tiny z, where tau log z turns by 6.9 per
+step at z = 1e-30).  A 2 pi branch jump of the reflected log-gamma only
+sends its z on to refinement.  Every other z is refined: refinement
+halves h and evaluates only the midpoints of the previous lattice, so
+each pass costs as many nodes as all earlier ones together; it stops
+when two passes agree to _REFINE_TOL (the nested error estimate of
+Trefethen & Weideman).  Every test is made per z: a band keeps
+extending T, and then refining, until each of its z has passed.  A
 value whose modulus bound lies below the double range returns 0.0 after
 the first pass; a stalled refinement or a runaway T raises
 QuadratureFailureError, and a value whose rounding, eps times the
@@ -86,6 +102,9 @@ from .errors import (
 from .gammafn import ln_gamma_vec
 
 _REFINE_TOL = 1e-9
+# share of _REFINE_TOL the squared first-pass estimate may take (the safety
+# factor of _trapezoid_line)
+_FIRST_PASS_SHARE = 1e-3
 # a band's abscissa may lie at most _BAND_LOSS e-folds above a member's own
 # saddle value phi_z(sigma*_z); that member's rounding error then grows by
 # at most e^_BAND_LOSS, to about 1e-14 relative
@@ -269,8 +288,8 @@ def _trapezoid_line(
     spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float, h0: float
 ) -> np.ndarray:
     """Trapezoid rule on Re s = gamma for every z of a band, starting from
-    the step h0 (the step rule, truncation and refinement are in the module
-    docstring).
+    the step h0 (the step rule, truncation, first-pass rule and refinement
+    are in the module docstring).
 
     The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
     and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
@@ -282,10 +301,25 @@ def _trapezoid_line(
     while a far-left saddle contour still decays like a Gaussian.  T grows
     until every z's bound on both tails is under _TAIL_FRACTION of the
     tolerance times its running integral, or under the rounding floor
-    eps * sum|f| that no longer T can improve; refinement goes on until
-    every z's last two passes agree.  A z whose value after a refinement
-    pass, agreed or not, is below eps sum|f| / _CANCEL_TOL raises
-    CancellationError.
+    eps * sum|f| that no longer T can improve.
+
+    The truncation passes also sum the even nodes, the rule T(2h), and
+    track the largest step of Im log f between neighbouring nodes.  By
+    Thm 5.1 of Trefethen & Weideman the errors are E(h) ~ C q^2 and E(2h)
+    ~ C q, so E(h) ~ E(2h)^2 / C, and |T(h) - T(2h)| estimates E(2h).
+    With e = |T(h) - T(2h)| / |T(h)| and r = integral|f| / |T(h)|, the
+    relative error of T(h) is about e^2 |T(h)| / C.  C is of the order of
+    the integral of |f| on lines inside the strip, which the lattice does
+    not see; the test e^2 max(1, r) <= _FIRST_PASS_SHARE * _REFINE_TOL
+    keeps the error within _REFINE_TOL as long as C >= _FIRST_PASS_SHARE
+    min(|T|, |T|^2 / integral|f|): the factor max(1, r) admits a C as
+    small as |H|, or smaller than |H| by the cancellation ratio when f
+    cancels, and the share 1e-3 a further 1000 below that.  A z that also
+    passes the cancellation test and whose phase steps are below pi / 2
+    (so the 2h lattice samples the oscillation above its Nyquist rate)
+    returns T(h); the rest are refined until every z's last two passes
+    agree.  A z whose value after a refinement pass, agreed or not, is
+    below eps sum|f| / _CANCEL_TOL raises CancellationError.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -299,7 +333,8 @@ def _trapezoid_line(
 
     h = h0
     n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
-    lf = log_f(np.arange(n + 1) * h)
+    cols = np.arange(n + 1)
+    lf = log_f(cols * h)
     # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
     # node tau = 0 is its own mirror
     weight = np.full(n + 1, 2.0)
@@ -308,12 +343,21 @@ def _trapezoid_line(
     ref = np.max(lf.real, axis=1, keepdims=True)
     total = np.zeros(len(z))
     total_abs = np.zeros(len(z))
+    # the sum over the even nodes, the rule at step 2h, and the largest
+    # step of Im log f between neighbouring nodes
+    total_even = np.zeros(len(z))
+    phase = np.zeros(len(z))
+    prev = lf.imag[:, :1]
     for doubling in range(_MAX_DOUBLINGS + 1):
         scaled = lf - ref
         # |f| and Re f from one exponential
         mag = np.exp(scaled.real) * weight
-        total += (mag * np.cos(scaled.imag)).sum(axis=1)
+        part = mag * np.cos(scaled.imag)
+        total += part.sum(axis=1)
+        total_even += part[:, cols % 2 == 0].sum(axis=1)
         total_abs += mag.sum(axis=1)
+        phase = np.maximum(phase, np.abs(np.diff(lf.imag, axis=1, prepend=prev)).max(axis=1))
+        prev = lf.imag[:, -1:]
         edge = lf.real[:, -1]
         decay = np.minimum((lf.real[:, -2] - edge) / h, rate)
         # both tails; a z whose end nodes do not decay has an unbounded tail
@@ -326,8 +370,8 @@ def _trapezoid_line(
         floor = _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref[:, 0]
         live = np.log(h * total_abs + tail) >= floor
         if not live.all():
-            idx, log_z, ref, total, total_abs, tail = (
-                a[live] for a in (idx, log_z, ref, total, total_abs, tail)
+            idx, log_z, ref, total, total_abs, tail, total_even, phase, prev = (
+                a[live] for a in (idx, log_z, ref, total, total_abs, tail, total_even, phase, prev)
             )
             if not idx.size:
                 return out
@@ -341,12 +385,27 @@ def _trapezoid_line(
                 f"contour truncation did not settle by T = {n * h:g} "
                 f"at z = {z[idx[~settled][0]]}"
             )
-        lf = log_f(np.arange(n + 1, 2 * n + 1) * h)
+        cols = np.arange(n + 1, 2 * n + 1)
+        lf = log_f(cols * h)
         weight = 2.0
         n *= 2
     val = h * total
     # h * total_abs is the integral of |f| on the truncation lattice
     total_abs *= h
+    # the first pass is accepted on its squared estimate e^2 max(1, r),
+    # r = integral|f| / |T(h)|, written without a division by |T(h)|
+    size = np.abs(val)
+    first = (
+        (val - 2.0 * h * total_even) ** 2 * np.maximum(size, total_abs)
+        <= _FIRST_PASS_SHARE * _REFINE_TOL * size**3
+    )
+    first &= (2.0 * phase < math.pi) & (_EPS * total_abs <= _CANCEL_TOL * size)
+    out[idx[first]] = np.exp(ref[first, 0]) / (2.0 * math.pi) * val[first]
+    if first.all():
+        return out
+    idx, log_z, ref, total, total_abs, val = (
+        a[~first] for a in (idx, log_z, ref, total, total_abs, val)
+    )
     for _ in range(_MAX_REFINE):
         scaled = log_f((np.arange(n) + 0.5) * h) - ref
         total += 2.0 * (np.exp(scaled.real) * np.cos(scaled.imag)).sum(axis=1)

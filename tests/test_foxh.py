@@ -183,13 +183,42 @@ class TestEvalMellinBarnes:
         assert_allclose(eval_mellin_barnes(MEIJER_SPEC, z), want, rtol=1e-9)
 
     def test_refinement_adds_only_midpoints(self, monkeypatch):
+        # on the fixed line at z = 1e-10 the phase tau log z turns by 2.3
+        # per step _H0, so the first pass fails the phase guard and is
+        # refined: each refinement pass evaluates only the midpoints of
+        # the lattice before it, not a fresh lattice
+        spec = self.SMALL_Z_SPEC
         calls = TestHalfLineQuadrature.record(monkeypatch)
-        assert_allclose(eval_mellin_barnes(EXP_SPEC, 0.5), math.exp(-0.5), rtol=1e-10)
-        # a saddle table on the real axis may come first; then a first pass
-        # on 2n + 1 nodes and one refinement on its 2n midpoints (not 8n + 1
-        # fresh nodes)
-        first, second = (s.size for s in calls[first_line_pass(calls) :])
-        assert second == first - 1
+        want = mp_residue_sum(spec, 1e-10, dps=40, kmax=150)
+        assert_allclose(eval_mellin_barnes(spec, 1e-10), want, rtol=1e-10)
+        first, *later = calls[first_line_pass(calls) :]
+        lattice, refined = first.imag, 0
+        for nodes in (s.imag for s in later):
+            if nodes[0] > lattice[-1]:
+                # a doubling of T extends the lattice at its step
+                step = lattice[1] - lattice[0]
+                want = lattice[-1] + step * np.arange(1, nodes.size + 1)
+                assert_allclose(nodes, want, rtol=1e-14)
+                lattice = np.concatenate([lattice, nodes])
+            else:
+                refined += 1
+                assert_allclose(nodes, (lattice[:-1] + lattice[1:]) / 2.0, rtol=1e-14)
+                lattice = np.sort(np.concatenate([lattice, nodes]))
+        assert refined
+
+    @pytest.mark.parametrize(
+        "spec,z,want",
+        [(EXP_SPEC, 0.5, math.exp(-0.5)), (MEIJER_SPEC, 1e4, 9.716573889526e-89)],
+        ids=["exp", "deep"],
+    )
+    def test_first_pass_settles(self, spec, z, want, monkeypatch):
+        # the first pass passes its own T(h) / T(2h) estimate and the phase
+        # guard: one line pass, no refinement (the deep value, by
+        # mpmath.meijerg as in test_deep_decay_vs_meijer_g, sits near
+        # 1e-88 on the slid contour)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-10)
+        assert len(calls[first_line_pass(calls) :]) == 1
 
     def test_runaway_truncation_raises(self, monkeypatch):
         # z = 2.2 on the saddle contour needs one doubling of T: it settles
@@ -248,6 +277,28 @@ class TestEvalMellinBarnes:
         # the ratio is 9.7e-12 here, under the 1e-10 tolerance
         want = mp_residue_sum(self.SMALL_Z_SPEC, 1e-10, dps=40, kmax=150)
         assert_allclose(eval_mellin_barnes(self.SMALL_Z_SPEC, 1e-10), want, rtol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spec=st.sampled_from((SMALL_Z_SPEC, case1_spec(1.67, 0))),
+        log10_z=st.floats(-30.0, -8.0),
+    )
+    def test_small_argument_does_not_alias(self, spec, log10_z):
+        # on a fixed line tau log z turns by more than pi / 2 per step _H0
+        # below z = 1.5e-7, so T(h) and T(2h) can agree by aliasing
+        # (case1_spec(1.67, 0) at 1e-30 gave 1.2e14 without the phase
+        # guard); every value must match the residue sum to the refinement
+        # tolerance or be refused.  Next to the cancellation limit values
+        # come back up to 1.7e-10 off (z = 2.3e-13 here): the phase reaches
+        # hundreds of radians, and its rounding is up to twice the eps
+        # integral|f| that the cancellation test charges
+        z = 10.0**log10_z
+        try:
+            got = eval_mellin_barnes(spec, z)
+        except FracsolError:
+            return
+        want = mp_residue_sum(spec, z, dps=40, kmax=150)
+        assert_allclose(got, want, rtol=foxh._REFINE_TOL)
 
 
 class TestSaddleSearch:
