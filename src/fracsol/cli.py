@@ -8,12 +8,15 @@ Subcommands:
 
 Exit codes: 0 success/PASS, 1 input error, 2 verification FAIL.
 Output is CSV (comma separator, '.' decimal point, LF endings) or JSON;
-numbers are emitted as shortest round-trip decimals.
+numbers are emitted as shortest round-trip decimals.  Input is checked before
+anything is written, so a failing command leaves stdout and --out untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -24,10 +27,21 @@ from . import __version__, foxh, fracseries, ode, pde, verify, wright
 from .errors import FracsolError, InputError
 
 
-def _parse_grid(text: str, log_grid: bool = False):
-    """Parse 'name=start:stop:count[,name=start:stop:count]' (inclusive ends)."""
+def _parse_z(text: str) -> list:
+    """Parse --z 'z1,z2,...' into floats."""
+    try:
+        return [float(z) for z in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--z must be comma-separated numbers, got {text!r}") from exc
+
+
+def _parse_grid(args, names) -> list:
+    """Parse --grid 'name=start:stop:count[,...]' (inclusive ends) into the
+    points of the product of the named axes, which must be strictly positive."""
+    if not args.grid:
+        raise InputError(f"this command needs --grid with axes {', '.join(names)}")
     axes = {}
-    for part in text.split(","):
+    for part in args.grid.split(","):
         try:
             name, rng = part.split("=")
             s_start, s_stop, s_count = rng.split(":")
@@ -36,22 +50,26 @@ def _parse_grid(text: str, log_grid: bool = False):
             raise InputError(f"bad grid component {part!r}") from exc
         if count < 1:
             raise InputError(f"grid count must be >= 1 in {part!r}")
-        if log_grid:
-            if start <= 0 or stop <= 0:
-                raise InputError("--log-grid requires positive endpoints")
-            vals = np.geomspace(start, stop, count)
-        else:
-            vals = np.linspace(start, stop, count)
-        axes[name.strip()] = [float(v) for v in vals]
-    return axes
+        if args.log_grid and (start <= 0 or stop <= 0):
+            raise InputError("--log-grid requires positive endpoints")
+        spacing = np.geomspace if args.log_grid else np.linspace
+        axes[name.strip()] = [float(v) for v in spacing(start, stop, count)]
+    if any(n not in axes for n in names):
+        raise InputError(f"grid must define the axes {', '.join(names)}")
+    if any(v <= 0 for n in names for v in axes[n]):
+        raise InputError("grid ranges must be strictly positive")
+    return list(itertools.product(*(axes[n] for n in names)))
 
 
 def _load_json(args) -> dict:
-    if getattr(args, "json", None):
+    if args.json:
         text = args.json
-    elif getattr(args, "input", None):
-        with open(args.input) as fh:
-            text = fh.read()
+    elif args.input:
+        try:
+            with open(args.input) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read --input {args.input!r}: {exc.strerror}") from exc
     else:
         raise InputError("provide --json or --input")
     try:
@@ -63,35 +81,43 @@ def _load_json(args) -> dict:
     return obj
 
 
-def _out_stream(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", newline="\n")
-    return sys.stdout
-
-
-def _write(args, text: str):
-    stream = _out_stream(args)
+def _write(args, text: str, head: str = None, tail: str = None):
+    """Write text to --out (or stdout), with head and tail on stdout around
+    it.  --out is opened first, so a path that cannot be written fails before
+    stdout is touched."""
     try:
-        stream.write(text)
-        if not text.endswith("\n"):
-            stream.write("\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+        out = open(args.out, "w", newline="\n") if args.out else None
+    except OSError as exc:
+        raise InputError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+    with out or contextlib.nullcontext(sys.stdout) as stream:
+        if head is not None:
+            print(head)
+        print(text, file=stream)
+        if tail is not None:
+            print(tail)
 
 
 def _fmt(v) -> str:
-    if isinstance(v, complex):
-        if v.imag == 0:
-            return repr(v.real)
-        return repr(v)
     return repr(float(v))
 
 
-def emit_report(report: verify.ResidualReport, fmt: str, tol: float = None) -> str:
-    """Serialize a ResidualReport as JSON or CSV."""
+def _complex_json(v):
+    v = complex(v)
+    return v.real if v.imag == 0 else {"re": v.real, "im": v.imag}
+
+
+def _rows(args, header: str, rows) -> str:
+    """Serialize value rows as CSV (with the header line) or as JSON records."""
+    if args.format == "json":
+        cols = header.split(",")
+        return json.dumps([dict(zip(cols, r)) for r in rows], indent=2)
+    return "\n".join([header] + [",".join(_fmt(v) for v in r) for r in rows])
+
+
+def emit_report(report: verify.ResidualReport, fmt: str, tol: float) -> str:
+    """Serialize a ResidualReport, with its verdict at tol, as JSON or CSV."""
     if fmt == "json":
-        obj = {
+        return json.dumps({
             "method": report.method,
             "points": [
                 {
@@ -106,28 +132,14 @@ def emit_report(report: verify.ResidualReport, fmt: str, tol: float = None) -> s
                 for p in report.points
             ],
             "max_rel_err": report.max_rel_err,
-        }
-        if tol is not None:
-            obj["pass"] = report.passes(tol)
-        return json.dumps(obj, indent=2)
+            "pass": report.passes(tol),
+        }, indent=2)
     lines = ["x,t,lhs,rhs,abs_err,rel_err"]
     for p in report.points:
-        coords = list(p.point) + [""] * (2 - len(p.point))
-        lines.append(
-            ",".join(
-                [_fmt(c) if c != "" else "" for c in coords[:2]]
-                + [_fmt(complex(p.lhs).real), _fmt(complex(p.rhs).real)]
-                + [_fmt(p.abs_err), _fmt(p.rel_err)]
-            )
-        )
+        coords = [_fmt(c) for c in p.point[:2]] + [""] * (2 - len(p.point))
+        values = [complex(p.lhs).real, complex(p.rhs).real, p.abs_err, p.rel_err]
+        lines.append(",".join(coords + [_fmt(v) for v in values]))
     return "\n".join(lines)
-
-
-def _complex_json(v):
-    v = complex(v)
-    if v.imag == 0:
-        return v.real
-    return {"re": v.real, "im": v.imag}
 
 
 def _parse_pairs(obj, key):
@@ -138,15 +150,19 @@ def _parse_pairs(obj, key):
         raise InputError(f"{key} must be a list of [value, weight] pairs") from exc
 
 
+def _emit_values(args, values) -> int:
+    """Write the rows z,value of values(zs) over the --z arguments."""
+    zs = _parse_z(args.z)
+    _write(args, _rows(args, "z,value", list(zip(zs, values(zs)))))
+    return 0
+
+
 def cmd_eval_wright(args) -> int:
     spec_obj = _load_json(args)
     spec = wright.WrightSpec(
         upper=_parse_pairs(spec_obj, "upper"), lower=_parse_pairs(spec_obj, "lower")
     )
-    zs = [float(z) for z in args.z.split(",")]
-    rows = [(z, complex(wright.evaluate(spec, z)).real) for z in zs]
-    _emit_value_rows(args, "z,value", rows)
-    return 0
+    return _emit_values(args, lambda zs: [complex(wright.evaluate(spec, z)).real for z in zs])
 
 
 def cmd_eval_foxh(args) -> int:
@@ -157,36 +173,32 @@ def cmd_eval_foxh(args) -> int:
         upper=_parse_pairs(spec_obj, "upper"),
         lower=_parse_pairs(spec_obj, "lower"),
     )
-    zs = [float(z) for z in args.z.split(",")]
-    rows = list(zip(zs, foxh.eval_mellin_barnes(spec, np.array(zs)).tolist()))
-    _emit_value_rows(args, "z,value", rows)
-    return 0
+    return _emit_values(args, lambda zs: foxh.eval_mellin_barnes(spec, np.array(zs)).tolist())
 
 
 def cmd_eval_ml(args) -> int:
-    zs = [float(z) for z in args.z.split(",")]
-    rows = [
-        (z, complex(wright.mittag_leffler(args.alpha, args.beta, z)).real) for z in zs
-    ]
-    _emit_value_rows(args, "z,value", rows)
-    return 0
+    ml = wright.mittag_leffler
+    return _emit_values(args, lambda zs: [complex(ml(args.alpha, args.beta, z)).real for z in zs])
 
 
-def _emit_value_rows(args, header, rows):
-    if args.format == "json":
-        cols = header.split(",")
-        _write(args, json.dumps([dict(zip(cols, r)) for r in rows], indent=2))
-    else:
-        lines = [header] + [",".join(_fmt(v) for v in r) for r in rows]
-        _write(args, "\n".join(lines))
+def _emit_solution(args, descriptor: dict, header: str, sample):
+    """Print the descriptor; with --grid, also write the rows of header: the
+    grid axes it names, then sample(*point).  The grid is parsed and sampled
+    before anything is written."""
+    head = json.dumps(descriptor, indent=2)
+    if not args.grid:
+        print(head)
+        return
+    points = _parse_grid(args, header.split(",")[:-1])
+    rows = [p + (complex(sample(*p)).real,) for p in points]
+    _write(args, _rows(args, header, rows), head=head)
 
 
 def cmd_solve_ode(args) -> int:
     obj = _load_json(args)
     try:
         problem = ode.OdeProblem(
-            alpha=float(obj["alpha"]),
-            m=int(obj.get("m", 0)),
+            alpha=float(obj["alpha"]), m=int(obj.get("m", 0)),
             a_coeffs=tuple(float(a) for a in obj["a_coeffs"]),
         )
     except KeyError as exc:
@@ -213,13 +225,7 @@ def cmd_solve_ode(args) -> int:
             }
             for mem in sol.members
         ]
-    print(json.dumps(descriptor, indent=2))
-    if args.grid:
-        axes = _parse_grid(args.grid, args.log_grid)
-        if "z" not in axes:
-            raise InputError("ODE sampling grid must define z=start:stop:count")
-        rows = [(z, complex(sol.evaluate(z)).real) for z in axes["z"]]
-        _emit_value_rows(args, "z,y", rows)
+    _emit_solution(args, descriptor, "z,y", sol.evaluate)
     return 0
 
 
@@ -232,9 +238,11 @@ def _h_spec_json(spec: foxh.HFunctionSpec) -> dict:
     }
 
 
-def _diffusion_problem(obj) -> pde.DiffusionProblem:
+def _pde_solution(args):
+    """Parse the PDE problem and build the solution --form and --sign ask for."""
+    obj = _load_json(args)
     try:
-        return pde.DiffusionProblem(
+        problem = pde.DiffusionProblem(
             alpha=float(obj["alpha"]),
             m=int(obj.get("m", 0)),
             d=float(obj["d"]),
@@ -246,41 +254,28 @@ def _diffusion_problem(obj) -> pde.DiffusionProblem:
         )
     except KeyError as exc:
         raise InputError(f"missing field {exc} in PDE problem JSON") from exc
-
-
-def _build_pde_solution(problem, form, sign):
-    signv = +1 if sign == "plus" else -1
-    if form == "exp" or (
-        form == "auto" and problem.alpha == 1 and problem.d != 2
-    ):
+    if args.form == "exp" or (args.form == "auto" and problem.alpha == 1 and problem.d != 2):
         try:
-            return pde.exp_closed_form(problem, sign=signv)
+            return problem, pde.exp_closed_form(problem, sign=+1 if args.sign == "plus" else -1)
         except FracsolError:
-            if form == "exp":
+            if args.form == "exp":
                 raise
-    if form == "h" and not (problem.alpha < 2 and problem.d != 2):
+    if args.form == "h" and not (problem.alpha < 2 and problem.d != 2):
         raise InputError("--form h requires 0 < alpha < 2 and d != 2")
-    if form == "series" and problem.d != 2 and problem.alpha < 2:
+    if args.form == "series" and problem.d != 2 and problem.alpha < 2:
         raise InputError("--form series requires alpha > 2 or d = 2")
-    return pde.solve(problem)
+    return problem, pde.solve(problem)
 
 
 def cmd_solve_pde(args) -> int:
-    problem = _diffusion_problem(_load_json(args))
-    sol = _build_pde_solution(problem, args.form, args.sign)
+    problem, sol = _pde_solution(args)
     s1, s2 = pde.s_roots(problem) if problem.d != 2 else (None, None)
     descriptor = {
         "branch": type(sol.form).__name__,
         "K": problem.K,
         "s1": None if s1 is None else _complex_json(s1),
         "s2": None if s2 is None else _complex_json(s2),
-        "alpha": problem.alpha,
-        "m": problem.m,
-        "d": problem.d,
-        "A": problem.A,
-        "B": problem.B,
-        "C": problem.C,
-        "a": problem.a,
+        **{key: getattr(problem, key) for key in ("alpha", "m", "d", "A", "B", "C", "a")},
     }
     if isinstance(sol.form, pde.FoxHForm):
         descriptor["h_spec"] = _h_spec_json(sol.form.spec)
@@ -300,47 +295,26 @@ def cmd_solve_pde(args) -> int:
             }
             for mem in sol.form.members
         ]
-    print(json.dumps(descriptor, indent=2))
-    if args.grid:
-        axes = _parse_grid(args.grid, args.log_grid)
-        if "x" not in axes or "t" not in axes:
-            raise InputError("PDE grid must define x= and t= axes")
-        if any(v <= 0 for v in axes["x"] + axes["t"]):
-            raise InputError("PDE grid ranges must be strictly positive")
-        rows = []
-        for x in axes["x"]:
-            for t in axes["t"]:
-                rows.append((x, t, complex(pde.evaluate(sol, x, t)).real))
-        if args.format == "json":
-            _write(
-                args,
-                json.dumps([{"x": x, "t": t, "u": u} for x, t, u in rows], indent=2),
-            )
-        else:
-            lines = ["x,t,u"] + [",".join(_fmt(v) for v in r) for r in rows]
-            _write(args, "\n".join(lines))
+    _emit_solution(args, descriptor, "x,t,u", lambda x, t: pde.evaluate(sol, x, t))
     return 0
 
 
 def cmd_verify(args) -> int:
-    problem = _diffusion_problem(_load_json(args))
-    sol = _build_pde_solution(problem, args.form, args.sign)
-    if isinstance(sol.form, pde.WrightSeriesForm) and args.mode == "coefficients":
+    problem, sol = _pde_solution(args)
+    if args.mode == "coefficients":
+        if not isinstance(sol.form, pde.WrightSeriesForm):
+            raise InputError("--mode coefficients needs a Wright-series solution")
         reports = [
             verify.residual_ode_coefficients(series, op, problem.alpha, args.n_coeffs)
             for series, op in pde.series_members(sol, order=args.n_coeffs + 8)
         ]
-        report = verify.ResidualReport(
-            method=verify.METHOD_TERMWISE,
-            points=tuple(p for r in reports for p in r.points),
-        )
+        points = tuple(p for r in reports for p in r.points)
+        report = verify.ResidualReport(method=verify.METHOD_TERMWISE, points=points)
     else:
-        axes = _parse_grid(args.grid, args.log_grid)
-        grid = [(x, t) for x in axes["x"] for t in axes["t"]]
-        report = verify.residual_pde(sol, problem, grid, h=args.h)
-    _write(args, emit_report(report, args.format, tol=args.tol))
+        report = verify.residual_pde(sol, problem, _parse_grid(args, ["x", "t"]), h=args.h)
     ok = report.passes(args.tol)
-    print(f"{'PASS' if ok else 'FAIL'} max_rel_err={report.max_rel_err:.3e} tol={args.tol:g}")
+    verdict = f"{'PASS' if ok else 'FAIL'} max_rel_err={report.max_rel_err:.3e} tol={args.tol:g}"
+    _write(args, emit_report(report, args.format, tol=args.tol), tail=verdict)
     return 0 if ok else 2
 
 
@@ -362,13 +336,11 @@ def cmd_identities(args) -> int:
                 continue
             worst = max(worst, abs(lhs - rhs) / denom)
             checked += 1
-    elif args.suite == "wright":
+    else:  # wright
         for _ in range(args.n):
             x = float(rng.uniform(-5.0, 5.0))
             got = complex(wright.mittag_leffler(1.0, 1.0, x)).real
             worst = max(worst, abs(got - math.exp(x)) / math.exp(x))
-    else:
-        raise InputError(f"unknown suite {args.suite!r}")
     ok = worst < args.tol
     print(f"{'PASS' if ok else 'FAIL'} suite={args.suite} n={args.n} "
           f"max_rel_err={worst:.3e} tol={args.tol:g}")
@@ -376,84 +348,68 @@ def cmd_identities(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fracsol",
-        description="Evaluate and verify explicit solutions of time-fractional "
-        "anomalous diffusion equations.",
-    )
+    parser = argparse.ArgumentParser(prog="fracsol", description="Evaluate and verify explicit "
+                                     "solutions of time-fractional anomalous diffusion equations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, grid=True):
-        p.add_argument("--out", help="write results to this path instead of stdout")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        if grid:
-            p.add_argument("--grid", help="axis grid, e.g. x=0.5:2:4,t=0.5:2:4")
-            p.add_argument(
-                "--log-grid", action="store_true", help="geometric axis spacing"
-            )
-
-    p_eval = sub.add_parser("eval", help="evaluate a special function")
-    eval_sub = p_eval.add_subparsers(dest="function", required=True)
-
-    p_w = eval_sub.add_parser("wright", help="generalized Wright function")
-    p_w.add_argument("--json", help="spec JSON {upper:[[a,alpha]..], lower:[[b,beta]..]}")
-    p_w.add_argument("--input", help="path to spec JSON file")
-    p_w.add_argument("--z", required=True, help="comma-separated arguments")
-    add_io(p_w, grid=False)
-    p_w.set_defaults(func=cmd_eval_wright)
-
-    p_h = eval_sub.add_parser("foxh", help="Fox H-function (Mellin-Barnes)")
-    p_h.add_argument("--json", help="spec JSON {m,l,upper:[[A,alpha]..],lower:[[B,beta]..]}")
-    p_h.add_argument("--input", help="path to spec JSON file")
-    p_h.add_argument("--z", required=True, help="comma-separated arguments (z > 0)")
-    add_io(p_h, grid=False)
-    p_h.set_defaults(func=cmd_eval_foxh)
-
-    p_ml = eval_sub.add_parser("ml", help="Mittag-Leffler function")
-    p_ml.add_argument("--alpha", type=float, required=True)
-    p_ml.add_argument("--beta", type=float, required=True)
-    p_ml.add_argument("--z", required=True, help="comma-separated arguments")
-    add_io(p_ml, grid=False)
-    p_ml.set_defaults(func=cmd_eval_ml)
-
-    p_solve = sub.add_parser("solve", help="construct an explicit solution")
-    solve_sub = p_solve.add_subparsers(dest="target", required=True)
-
-    p_so = solve_sub.add_parser("ode", help="model fractional ODE")
-    p_so.add_argument("--json", help='problem JSON {"alpha":..,"m":..,"a_coeffs":[a0..an]}')
-    p_so.add_argument("--input", help="path to problem JSON file")
-    add_io(p_so)
-    p_so.set_defaults(func=cmd_solve_ode)
-
-    p_sp = solve_sub.add_parser("pde", help="anomalous diffusion PDE")
-    p_sp.add_argument("--json", help='problem JSON {"alpha":..,"m":..,"d":..,"A":..,...}')
-    p_sp.add_argument("--input", help="path to problem JSON file")
-    p_sp.add_argument(
-        "--form",
-        choices=["auto", "exp", "h", "series"],
-        default="auto",
+    # shared option groups, attached to subcommands as parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write results to this path instead of stdout")
+    out.add_argument("--format", choices=["csv", "json"], default="csv")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--json", help="spec or problem JSON (fields as listed with the command)")
+    source.add_argument("--input", help="path to a file holding that JSON")
+    zs = argparse.ArgumentParser(add_help=False)
+    zs.add_argument("--z", required=True, help="comma-separated arguments")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", help="axis grid, e.g. x=0.5:2:4,t=0.5:2:4")
+    grid.add_argument("--log-grid", action="store_true", help="geometric axis spacing")
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument(
+        "--form", choices=["auto", "exp", "h", "series"], default="auto",
         help="solution representation (auto: exp closed form when alpha=1, else branch)",
     )
-    p_sp.add_argument("--sign", choices=["plus", "minus"], default="plus")
-    add_io(p_sp)
-    p_sp.set_defaults(func=cmd_solve_pde)
+    form.add_argument("--sign", choices=["plus", "minus"], default="plus")
 
-    p_v = sub.add_parser("verify", help="residual verification of a PDE solution")
-    p_v.add_argument("--json", help="problem JSON as for solve pde")
-    p_v.add_argument("--input", help="path to problem JSON file")
-    p_v.add_argument("--form", choices=["auto", "exp", "h", "series"], default="auto")
-    p_v.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    eval_sub = sub.add_parser("eval", help="evaluate a special function").add_subparsers(
+        dest="function", required=True)
+    eval_sub.add_parser(
+        "wright", parents=[source, zs, out],
+        help="generalized Wright function; JSON {upper:[[a,alpha]..], lower:[[b,beta]..]}",
+    ).set_defaults(func=cmd_eval_wright)
+    eval_sub.add_parser(
+        "foxh", parents=[source, zs, out],
+        help="Fox H-function (Mellin-Barnes), z > 0; "
+        "JSON {m,l,upper:[[A,alpha]..],lower:[[B,beta]..]}",
+    ).set_defaults(func=cmd_eval_foxh)
+    p_ml = eval_sub.add_parser("ml", parents=[zs, out], help="Mittag-Leffler function")
+    p_ml.add_argument("--alpha", type=float, required=True)
+    p_ml.add_argument("--beta", type=float, required=True)
+    p_ml.set_defaults(func=cmd_eval_ml)
+
+    solve_sub = sub.add_parser("solve", help="construct an explicit solution").add_subparsers(
+        dest="target", required=True)
+    solve_sub.add_parser(
+        "ode", parents=[source, out, grid],
+        help='model fractional ODE; JSON {"alpha":..,"m":..,"a_coeffs":[a0..an]}',
+    ).set_defaults(func=cmd_solve_ode)
+    solve_sub.add_parser(
+        "pde", parents=[source, form, out, grid],
+        help='anomalous diffusion PDE; JSON {"alpha":..,"m":..,"d":..,"A":..,...}',
+    ).set_defaults(func=cmd_solve_pde)
+
+    p_v = sub.add_parser(
+        "verify", parents=[source, form, out, grid],
+        help="residual verification of a PDE solution; JSON as for solve pde",
+    )
     p_v.add_argument(
-        "--mode",
-        choices=["grid", "coefficients"],
-        default="grid",
-        help="grid: pointwise residual; coefficients: termwise series residual",
+        "--mode", choices=["grid", "coefficients"], default="grid",
+        help="grid: pointwise residual; coefficients: termwise residual of a Wright series",
     )
     p_v.add_argument("--h", type=float, default=1e-4, help="GL time step")
     p_v.add_argument("--n-coeffs", type=int, default=20)
     p_v.add_argument("--tol", type=float, required=True)
-    add_io(p_v)
     p_v.set_defaults(func=cmd_verify)
 
     p_i = sub.add_parser("identities", help="randomized identity suites")
@@ -467,11 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Malformed input, a bad argument value (the library's
+    ValueError) and an unreadable --input or unwritable --out print
+    'input error: ...'; other library errors print their class name."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except FracsolError as exc:

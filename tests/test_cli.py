@@ -334,3 +334,42 @@ def test_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+HEAT = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
+H_FORM = json.dumps({"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2})
+EXP_SPEC = json.dumps({"m": 1, "l": 0, "upper": [], "lower": [[0, 1]]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "foxh", "--json", EXP_SPEC, "--z", "1,abc"],
+        ["eval", "ml", "--alpha", "1", "--beta", "1", "--z", "1,"],
+        ["eval", "foxh", "--json", EXP_SPEC, "--z", "0"],
+        ["eval", "ml", "--alpha", "0", "--beta", "1", "--z", "1"],
+        ["eval", "foxh", "--json", json.dumps({"m": 2, "l": 0, "lower": [[0, 1]]}), "--z", "1"],
+        ["solve", "pde", "--json", json.dumps({"alpha": 1, "d": 0, "A": -1})],
+        ["solve", "pde", "--input", str(Path(__file__).with_name("no-such-problem.json"))],
+        ["verify", "--json", HEAT, "--tol", "1e-8"],
+        ["verify", "--json", HEAT, "--tol", "1e-8", "--mode", "coefficients"],
+        ["verify", "--json", H_FORM, "--tol", "1e-8", "--mode", "coefficients",
+         "--grid", "x=1:1:1,t=1:1:1"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=1:2:2"],
+        ["solve", "ode", "--json", json.dumps({"alpha": 0.5, "a_coeffs": [0, 1]}),
+         "--grid", "z=0:1:2"],
+    ],
+    ids=[
+        "z-not-a-number", "z-trailing-comma", "foxh-z-zero", "ml-alpha-zero", "foxh-m-above-q",
+        "pde-negative-A", "missing-input", "verify-without-grid", "coefficients-on-closed-form",
+        "coefficients-on-h-form", "pde-grid-without-t", "ode-grid-at-zero",
+    ],
+)
+def test_bad_input_is_one_line_input_error(capsys, argv):
+    # every input is checked before output, so a failing command writes nothing to stdout
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
