@@ -1,7 +1,8 @@
-"""Layer benchmark: the log-gamma kernel and single Fox-H evaluations.
+"""Layer benchmark: the log-gamma kernel, single Fox-H evaluations, the GL
+spline profile and CLI cold start.
 
 Writes one JSON file of rows, each with the time it measured and the
-accuracy it reached against mpmath:
+accuracy it reached:
 
 - ``gammafn.ln_gamma_vec``: ns per element on a 4,096-element complex
   array shaped like the contour's kernel arguments, and the largest
@@ -11,7 +12,16 @@ accuracy it reached against mpmath:
   100), warm (the spec's constants and saddle table built) and cold
   (rebuilt on every call), with the kernel nodes one call evaluates,
   those off the real axis (the contour lines) among them, and the
-  relative error against mpmath.meijerg.
+  relative error against mpmath.meijerg;
+- ``verify._HProfile``: us per build of the Grunwald-Letnikov spline
+  profile of acceptance criterion 4's solution at x = 1 (320 H values
+  and the spline), warm (the spec's constants built), and the largest
+  relative error at 50 midpoints between its nodes against a direct
+  ``eval_mellin_barnes``;
+- ``cli``: wall seconds and peak RSS of a fresh interpreter running
+  ``eval ml`` and an H-form ``verify`` (medians of 5), and the
+  accuracy of what each printed (``E_{0.5,1}(1.3)`` against its closed
+  form, the verify report's max_rel_err).
 
 Times are perf_counter medians.  ``scaled`` divides them by the
 benchmark's Speed probe (benchmark/run.py), so they read as times on the
@@ -24,8 +34,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -39,7 +52,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 
 from run import Speed  # noqa: E402
 
-from fracsol import foxh  # noqa: E402
+from fracsol import foxh, pde, verify  # noqa: E402
 from fracsol.foxh import HFunctionSpec, convergence_params, power_scale  # noqa: E402
 from fracsol.gammafn import ln_gamma_vec  # noqa: E402
 
@@ -51,6 +64,15 @@ SPECS = {"meijer-k1": (MEIJER, 1.0), "meijer-k0.25": (power_scale(MEIJER, 0.25),
 # calls; each block is scaled by the Speed samples just before and after it
 BLOCKS = 15
 REPEATS = 7
+# acceptance criterion 4's H-form problem, whose profile the GL check reads
+GL_PROBLEM = {"alpha": 0.8, "m": 1, "d": 0.0, "A": 1.0, "B": 0.0, "C": 0.0, "a": 0.0}
+# E_{0.5,1}(1.3) = exp(1.69) erfc(-1.3)
+CLI_COMMANDS = {
+    "eval-ml": ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--z", "1.3"],
+    "verify-h-form": ["verify", "--json", json.dumps(GL_PROBLEM),
+                      "--grid", "x=1:1:1,t=1:1.2:2", "--tol", "1e-3"],
+}
+COLD_RUNS = 5
 
 
 def timed(fn, speed):
@@ -138,12 +160,71 @@ def foxh_rows(speed):
     return rows
 
 
+def profile_row(speed):
+    form = pde.solve(pde.DiffusionProblem(**GL_PROBLEM)).form
+
+    def build():
+        return verify._HProfile(form.spec, coef=form.arg_coef, power=form.rho, v_max=1.5, h=1e-4)
+
+    profile = build()
+    t, ts = timed(build, speed)
+    mids = 0.5 * (profile.xs[:-1] + profile.xs[1:])
+    log_w = mids[np.linspace(0, mids.size - 1, 50).astype(int)]
+    want = foxh.eval_mellin_barnes(form.spec, np.exp(log_w))
+    got = profile((np.exp(log_w) / profile.coef) ** (-1.0 / profile.power))
+    return {"layer": "verify._HProfile", "nodes": profile.xs.size, "us": t * 1e6,
+            "scaled_us": ts * 1e6, "max_rel_err": float(np.max(np.abs(got / want - 1.0)))}
+
+
+# runs the CLI, then prints the peak RSS of its own address space (VmHWM,
+# kB) to stderr: ru_maxrss survives exec, so a child of this larger
+# process would report this process's peak
+COLD_RUN = """import runpy, sys
+sys.argv[0] = "fracsol"
+try:
+    runpy.run_module("fracsol.cli", run_name="__main__")
+finally:
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM")).split()[1], file=sys.stderr)
+"""
+
+
+def cold_run(argv):
+    """(wall seconds, peak RSS in MB, stdout) of one fresh `fracsol` run."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    wall = time.perf_counter() - t0
+    return wall, int(done.stderr.split()[-1]) / 1024.0, done.stdout
+
+
+def cli_rows():
+    rows = []
+    for name, argv in CLI_COMMANDS.items():
+        runs = [cold_run(argv) for _ in range(COLD_RUNS)]
+        out = runs[-1][2]
+        if name == "eval-ml":
+            got = float(out.splitlines()[1].split(",")[1])
+            accuracy = {"rel_err": abs(got / (math.exp(1.69) * math.erfc(-1.3)) - 1.0)}
+        else:
+            verdict = out.splitlines()[-1]
+            accuracy = {"verdict": verdict.split()[0],
+                        "max_rel_err": float(verdict.split("max_rel_err=")[1].split()[0])}
+        rows.append({
+            "layer": "cli", "command": name, "runs": COLD_RUNS,
+            "wall_s": statistics.median(r[0] for r in runs),
+            "peak_rss_mb": statistics.median(r[1] for r in runs), **accuracy,
+        })
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     speed = Speed()
-    rows = [lngamma_row(speed)] + foxh_rows(speed)
+    rows = [lngamma_row(speed)] + foxh_rows(speed) + [profile_row(speed)] + cli_rows()
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "fracsol").glob("*.py"))
     report = {
         "python": platform.python_version(), "numpy": np.__version__,

@@ -142,12 +142,33 @@ def emit_report(report: verify.ResidualReport, fmt: str, tol: float) -> str:
     return "\n".join(lines)
 
 
-def _parse_pairs(obj, key):
-    pairs = obj.get(key, [])
+_REQUIRED = object()
+
+
+def _field(obj, key, convert, default=_REQUIRED):
+    """convert(obj[key]), or default when the field is absent.  A missing
+    required field, or a value convert rejects, is an InputError naming it."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise InputError(f"missing field {key!r}")
+        return default
     try:
-        return tuple((float(a), float(b)) for a, b in pairs)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{key} must be a list of [value, weight] pairs") from exc
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad field {key!r}: {json.dumps(obj[key])}") from exc
+
+
+def _integer(value) -> int:
+    """value as an int; a fractional value is refused, not truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(value)
+    return n
+
+
+def _pairs(values) -> tuple:
+    """[[value, weight], ...] as float pairs."""
+    return tuple((float(a), float(b)) for a, b in values)
 
 
 def _emit_values(args, values) -> int:
@@ -160,7 +181,7 @@ def _emit_values(args, values) -> int:
 def cmd_eval_wright(args) -> int:
     spec_obj = _load_json(args)
     spec = wright.WrightSpec(
-        upper=_parse_pairs(spec_obj, "upper"), lower=_parse_pairs(spec_obj, "lower")
+        upper=_field(spec_obj, "upper", _pairs, ()), lower=_field(spec_obj, "lower", _pairs, ())
     )
     return _emit_values(args, lambda zs: [complex(wright.evaluate(spec, z)).real for z in zs])
 
@@ -168,10 +189,10 @@ def cmd_eval_wright(args) -> int:
 def cmd_eval_foxh(args) -> int:
     spec_obj = _load_json(args)
     spec = foxh.HFunctionSpec(
-        m=int(spec_obj.get("m", 0)),
-        l=int(spec_obj.get("l", 0)),
-        upper=_parse_pairs(spec_obj, "upper"),
-        lower=_parse_pairs(spec_obj, "lower"),
+        m=_field(spec_obj, "m", _integer, 0),
+        l=_field(spec_obj, "l", _integer, 0),
+        upper=_field(spec_obj, "upper", _pairs, ()),
+        lower=_field(spec_obj, "lower", _pairs, ()),
     )
     return _emit_values(args, lambda zs: foxh.eval_mellin_barnes(spec, np.array(zs)).tolist())
 
@@ -196,13 +217,10 @@ def _emit_solution(args, descriptor: dict, header: str, sample):
 
 def cmd_solve_ode(args) -> int:
     obj = _load_json(args)
-    try:
-        problem = ode.OdeProblem(
-            alpha=float(obj["alpha"]), m=int(obj.get("m", 0)),
-            a_coeffs=tuple(float(a) for a in obj["a_coeffs"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"missing field {exc} in ODE problem JSON") from exc
+    problem = ode.OdeProblem(
+        alpha=_field(obj, "alpha", float), m=_field(obj, "m", _integer, 0),
+        a_coeffs=_field(obj, "a_coeffs", lambda cs: tuple(map(float, cs))),
+    )
     sol = ode.solve(problem)
     descriptor = {
         "branch": sol.branch,
@@ -241,19 +259,16 @@ def _h_spec_json(spec: foxh.HFunctionSpec) -> dict:
 def _pde_solution(args):
     """Parse the PDE problem and build the solution --form and --sign ask for."""
     obj = _load_json(args)
-    try:
-        problem = pde.DiffusionProblem(
-            alpha=float(obj["alpha"]),
-            m=int(obj.get("m", 0)),
-            d=float(obj["d"]),
-            A=float(obj["A"]),
-            B=float(obj.get("B", 0.0)),
-            C=float(obj.get("C", 0.0)),
-            a=float(obj.get("a", 0.0)),
-            constants=tuple(obj["constants"]) if "constants" in obj else None,
-        )
-    except KeyError as exc:
-        raise InputError(f"missing field {exc} in PDE problem JSON") from exc
+    problem = pde.DiffusionProblem(
+        alpha=_field(obj, "alpha", float),
+        m=_field(obj, "m", _integer, 0),
+        d=_field(obj, "d", float),
+        A=_field(obj, "A", float),
+        B=_field(obj, "B", float, 0.0),
+        C=_field(obj, "C", float, 0.0),
+        a=_field(obj, "a", float, 0.0),
+        constants=_field(obj, "constants", lambda cs: tuple(map(complex, cs)), None),
+    )
     if args.form == "exp" or (args.form == "auto" and problem.alpha == 1 and problem.d != 2):
         try:
             return problem, pde.exp_closed_form(problem, sign=+1 if args.sign == "plus" else -1)

@@ -7,6 +7,7 @@ independent numeric cross-checks at their known (coarser) accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,20 +136,30 @@ def _closed_form_residual(sol: PdeSolution, problem: DiffusionProblem, grid):
     return _build_report(METHOD_TERMWISE, pts)
 
 
+@functools.cache
+def _not_a_knot_inverse(n: int) -> np.ndarray:
+    """Inverse of the not-a-knot slope equations on n uniform nodes, in
+    units of the node spacing (scipy's CubicSpline default)."""
+    a = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = 1.0, 4.0, 1.0
+    a[0, :2] = 1.0, 2.0
+    a[-1, -2:] = 2.0, 1.0
+    return np.linalg.inv(a)
+
+
 class _HProfile:
     """v -> scale * H[coef * v^(-power)] for v > 0, backed by a log-log
     spline of H.
 
     The Grunwald-Letnikov sum needs the function on a dense lattice; one
     contour quadrature per lattice node is prohibitive, so H is sampled on
-    a logarithmic argument grid once and interpolated.  Beyond the point
-    where the decay envelope is negligible the profile is exactly 0.
+    a logarithmic argument grid once and interpolated with a not-a-knot
+    cubic spline.  Beyond the point where the decay envelope is negligible
+    the profile is exactly 0.
     """
 
     def __init__(self, spec, coef, power, v_max, h, scale=1.0, nodes: int = 320):
-        # imported here so that importing the package loads no scipy
-        from scipy.interpolate import CubicSpline
-
         self.coef = coef
         self.power = power
         self.scale = scale
@@ -161,10 +172,19 @@ class _HProfile:
             w_cut = (138.0 / conv.nu) ** conv.nu / conv.mu
             w_hi = min(w_hi, max(w_cut, w_lo * 10.0))
         self.w_hi = w_hi
-        ws = np.exp(np.linspace(math.log(w_lo), math.log(w_hi), nodes))
-        vals = eval_mellin_barnes_batch(spec, ws)
+        self.xs = np.linspace(math.log(w_lo), math.log(w_hi), nodes)
+        self.dx = self.xs[1] - self.xs[0]
+        vals = eval_mellin_barnes_batch(spec, np.exp(self.xs))
         self.positive = bool(np.all(vals > 0))
-        self.spline = CubicSpline(np.log(ws), np.log(vals) if self.positive else vals)
+        y = np.log(vals) if self.positive else vals
+        m = np.diff(y) / self.dx
+        rhs = np.concatenate((
+            [(5.0 * m[0] + m[1]) / 2.0], 3.0 * (m[:-1] + m[1:]), [(m[-2] + 5.0 * m[-1]) / 2.0]
+        ))
+        s = _not_a_knot_inverse(nodes) @ rhs
+        # piecewise cubic in u = log w - xs[i], highest power first
+        t = (s[:-1] + s[1:] - 2.0 * m) / self.dx
+        self.coeffs = (t / self.dx, (m - s[:-1]) / self.dx - t, s[:-1], y[:-1])
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -172,7 +192,12 @@ class _HProfile:
         ok = v > 0
         w = np.where(ok, self.coef * np.where(ok, v, 1.0) ** (-self.power), np.inf)
         inside = ok & (w <= self.w_hi)
-        hv = self.spline(np.log(np.where(inside, w, 1.0)))
+        # points outside are evaluated at the last node and discarded
+        x = np.log(np.where(inside, w, self.w_hi))
+        i = np.clip(np.floor((x - self.xs[0]) / self.dx).astype(int), 0, len(self.xs) - 2)
+        u = x - self.xs[i]
+        c3, c2, c1, c0 = (c[i] for c in self.coeffs)
+        hv = ((c3 * u + c2) * u + c1) * u + c0
         if self.positive:
             hv = np.exp(hv)
         out[inside] = self.scale * hv[inside]
@@ -253,6 +278,12 @@ def residual_pde(
     ClosedFormExp solutions with integer alpha go through the exact
     analytic-derivative path (h-independent); everything else uses the
     Grunwald-Letnikov time derivative and finite differences in x.
+
+    An H-form solution is read from one spline profile per x.  A
+    Wright-series solution has none: ``pde.evaluate`` runs at every GL
+    node (102 s for one point at h = 1e-4), and the GL sum converges only
+    as O(h^(1/2)) when a member has exponent 1/2.  The termwise
+    ``residual_ode_coefficients`` is the check for that branch.
     """
     grid = [(float(x), float(t)) for x, t in grid]
     if any(x <= 0 or t <= 0 for x, t in grid):

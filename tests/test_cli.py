@@ -323,22 +323,28 @@ class TestGridSyntax:
         assert code == 1
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only where a GL profile needs a spline, so the
-    # CLI's cold start and the solvers' set-up do not pay for it
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, fracsol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-
-
 HEAT = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
 H_FORM = json.dumps({"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2})
 EXP_SPEC = json.dumps({"m": 1, "l": 0, "upper": [], "lower": [[0, 1]]})
+
+
+def test_import_loads_no_scipy():
+    # nothing in fracsol imports scipy, so neither the CLI's cold start nor
+    # a GL profile, which is a numpy spline, pays for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import json, sys, fracsol.cli\n"
+        "from fracsol import pde, verify\n"
+        "p = pde.DiffusionProblem(**json.loads(sys.argv[1]))\n"
+        "verify.residual_pde(pde.solve(p), p, [(1.0, 1.0)], h=1e-3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, H_FORM], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -373,3 +379,21 @@ def test_bad_input_is_one_line_input_error(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["solve", "pde", "--json", json.dumps({"alpha": None, "d": 0, "A": 1})], "alpha"),
+        (["eval", "foxh", "--json", json.dumps({"m": [1], "lower": [[0, 1]]}), "--z", "1"], "m"),
+        (["solve", "ode", "--json", json.dumps({"alpha": 0.5, "a_coeffs": 5})], "a_coeffs"),
+        (["solve", "pde", "--json", json.dumps({"alpha": 0.8, "m": 1.5, "d": 0, "A": 1})], "m"),
+    ],
+    ids=["pde-alpha-null", "foxh-m-list", "ode-a-coeffs-number", "pde-m-fractional"],
+)
+def test_mistyped_field_is_input_error_naming_it(capsys, argv, field):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: bad field {field!r}")

@@ -2,6 +2,7 @@
 residuals, coefficient-level residuals, and the operator-identity harnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,46 @@ class TestResidualPde:
             u = complex(evaluate(sol, x, t)).real
             u_t = u * (form.t_exponent / t + form.exp_coef * x**2 * t**-2)
             assert complex(p.rhs).real == pytest.approx(u_t, rel=1e-7), p.point
+
+
+def h_profile(alpha, m, d, x):
+    """The GL profile that residual_pde builds at x for t <= 1.5, h = 1e-4,
+    and its H spec."""
+    form = solve(DiffusionProblem(alpha=alpha, m=m, d=d, A=1.0, B=0.0, C=0.0, a=0.0)).form
+    profile = verify._HProfile(
+        form.spec, coef=form.arg_coef * x ** (2.0 - form.d), power=form.rho, v_max=1.5, h=1e-4
+    )
+    return profile, form.spec
+
+
+class TestHProfile:
+    @pytest.mark.parametrize(
+        "alpha, m, d, x, positive",
+        [(0.8, 1, 0.0, 1.0, True), (0.62, 0, 0.45, 1.1, True), (1.9, 0, 0.0, 1.5, False)],
+        ids=["criterion-4", "gl-verify-m0", "sign-changing"],
+    )
+    def test_matches_scipy_not_a_knot_spline(self, alpha, m, d, x, positive):
+        from scipy.interpolate import CubicSpline
+
+        profile, spec = h_profile(alpha, m, d, x)
+        assert profile.positive is positive
+        vals = verify.eval_mellin_barnes_batch(spec, np.exp(profile.xs))
+        spline = CubicSpline(profile.xs, np.log(vals) if positive else vals)
+        log_w = np.linspace(profile.xs[0], profile.xs[-1], 20001)[1:-1]
+        want = np.exp(spline(log_w)) if positive else spline(log_w)
+        got = profile((np.exp(log_w) / profile.coef) ** (-1.0 / profile.power))
+        # a sign-changing profile is compared against its largest value
+        scale = np.abs(want) if positive else np.max(np.abs(want))
+        assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+    def test_zero_outside_its_range_without_warnings(self):
+        profile, _ = h_profile(0.8, 1, 0.0, 1.0)
+        v_hi = (profile.w_hi / profile.coef) ** (-1.0 / profile.power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = profile(np.array([-1.0, 0.0, 0.5 * v_hi, 1.0]))
+        assert got[:3].tolist() == [0.0, 0.0, 0.0]
+        assert got[3] > 0.0
 
 
 class TestResidualOdeCoefficients:
