@@ -1,5 +1,6 @@
 """Layer benchmark: the log-gamma kernel, single Fox-H evaluations, the GL
-spline profile and CLI cold start.
+spline profile, the GL residual of acceptance criterion 4 and CLI cold
+start.
 
 Writes one JSON file of rows, each with the time it measured and the
 accuracy it reached:
@@ -18,6 +19,10 @@ accuracy it reached:
   and the spline), warm (the spec's constants built), and the largest
   relative error at 50 midpoints between its nodes against a direct
   ``eval_mellin_barnes``;
+- ``verify.residual_pde``: seconds per call on acceptance criterion 4's
+  grid (five x, two t, h = 1e-4), warm (the spec's constants built), with
+  the ``eval_mellin_barnes_batch`` calls and contour bands one call
+  makes and the report's max_rel_err;
 - ``cli``: wall seconds and peak RSS of a fresh interpreter running
   ``eval ml`` and an H-form ``verify`` (medians of 5), and the
   accuracy of what each printed (``E_{0.5,1}(1.3)`` against its closed
@@ -66,6 +71,9 @@ BLOCKS = 15
 REPEATS = 7
 # acceptance criterion 4's H-form problem, whose profile the GL check reads
 GL_PROBLEM = {"alpha": 0.8, "m": 1, "d": 0.0, "A": 1.0, "B": 0.0, "C": 0.0, "a": 0.0}
+# acceptance criterion 4's grid and GL step
+GL_GRID = [(float(x), float(t)) for x in np.linspace(0.8, 1.5, 5) for t in np.linspace(0.8, 1.5, 2)]
+GL_STEP = 1e-4
 # E_{0.5,1}(1.3) = exp(1.69) erfc(-1.3)
 CLI_COMMANDS = {
     "eval-ml": ["eval", "ml", "--alpha", "0.5", "--beta", "1", "--z", "1.3"],
@@ -176,6 +184,36 @@ def profile_row(speed):
             "scaled_us": ts * 1e6, "max_rel_err": float(np.max(np.abs(got / want - 1.0)))}
 
 
+def residual_row(speed):
+    prob = pde.DiffusionProblem(**GL_PROBLEM)
+    sol = pde.solve(prob)
+
+    def call():
+        return verify.residual_pde(sol, prob, GL_GRID, h=GL_STEP)
+
+    counts = {"calls": 0, "bands": 0}
+    batch, bands = verify.eval_mellin_barnes_batch, foxh._contour_bands
+
+    def counting_batch(spec, z):
+        counts["calls"] += 1
+        return batch(spec, z)
+
+    def counting_bands(c, z):
+        for band in bands(c, z):
+            counts["bands"] += 1
+            yield band
+
+    verify.eval_mellin_barnes_batch, foxh._contour_bands = counting_batch, counting_bands
+    try:
+        report = call()
+    finally:
+        verify.eval_mellin_barnes_batch, foxh._contour_bands = batch, bands
+    t, ts = timed(call, speed)
+    return {"layer": "verify.residual_pde", "grid_points": len(GL_GRID), "h": GL_STEP,
+            "s": t, "scaled_s": ts, "h_batch_calls": counts["calls"], "bands": counts["bands"],
+            "max_rel_err": report.max_rel_err}
+
+
 # runs the CLI, then prints the peak RSS of its own address space (VmHWM,
 # kB) to stderr: ru_maxrss survives exec, so a child of this larger
 # process would report this process's peak
@@ -224,7 +262,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     speed = Speed()
-    rows = [lngamma_row(speed)] + foxh_rows(speed) + [profile_row(speed)] + cli_rows()
+    rows = [lngamma_row(speed)] + foxh_rows(speed) + [profile_row(speed), residual_row(speed)]
+    rows += cli_rows()
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "fracsol").glob("*.py"))
     report = {
         "python": platform.python_version(), "numpy": np.__version__,

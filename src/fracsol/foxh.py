@@ -26,11 +26,15 @@ arithmetic on it and evaluates no kernel.
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and each
 quadrature pass evaluates K once per band: every z that stays at gamma0
-shares that line, and slid z are grouped under the saddle of one member
-so that no member's phi_z at the band's abscissa exceeds its own saddle
-value by more than _BAND_LOSS = 4 e-folds.  Its relative rounding error
-then grows by at most e^4, to about 1e-14.  A band holds at most
-_BAND_MAX z, so each pass's (z x nodes) arrays stay near 1 MB.
+shares that line, and slid z are grouped under the saddle of a member
+near the band's first (its member nearest gamma0) so that no member's
+phi_z at the band's abscissa exceeds its own saddle value by more than
+_BAND_LOSS = 4 e-folds.  Its relative rounding error then grows by at
+most e^4, to about 1e-14.  Memory, not a count of z, bounds a band: it
+holds at most _BAND_ELEMENTS // n z, n its first-pass node count, so its
+first-pass (z x nodes) array stays within 2^13 elements, 128 KiB.  A band
+ends at a wide gap in log z, so z that a caller differences, as a
+finite-difference stencil does, share one line.
 
 The quadrature is the trapezoid rule in tau on s = gamma + i tau, summed
 over tau >= 0 only.  HFunctionSpec holds real parameters and z is real
@@ -47,8 +51,10 @@ which grows like sqrt(|sigma| / nu), and the nearest pole is dist =
 |sigma - edge| away; there h0 = max(_H0, min(w / 4, dist / 5)), since
 the trapezoid rule's error on an analytic integrand is set by its decay
 scale and its strip of analyticity, not by a fixed step (Trefethen &
-Weideman, SIAM Rev. 56 (2014)).  The saddle search's parabola gives K''
-with no extra kernel call; a band whose search fitted none keeps _H0.
+Weideman, SIAM Rev. 56 (2014)).  A band takes w and dist at its first
+member's saddle, which has the narrowest Gaussian and the nearest pole
+of its members.  The saddle search's parabola gives K'' with no extra
+kernel call; a band whose search fitted none keeps _H0.
 
 The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
@@ -109,8 +115,12 @@ _FIRST_PASS_SHARE = 1e-3
 # saddle value phi_z(sigma*_z); that member's rounding error then grows by
 # at most e^_BAND_LOSS, to about 1e-14 relative
 _BAND_LOSS = 4.0
-# at most this many z per band, so a pass's (z x nodes) arrays stay near 1 MB
-_BAND_MAX = 32
+# a band's line lies at most _LINE_LOSS e-folds above its first member's
+# saddle value (see _contour_bands)
+_LINE_LOSS = 0.125
+# a band's first-pass (z x nodes) array holds at most this many elements,
+# 128 KiB of complex128
+_BAND_ELEMENTS = 2**13
 _MAX_REFINE = 6
 _H0 = 0.1
 # the first pass spans |tau| <= _DECAY_LOGS / (pi omega / 2), where the
@@ -284,6 +294,19 @@ def _log_integrand(spec: HFunctionSpec, s):
     return out.reshape(s.shape)
 
 
+def _first_pass_steps(omega: float, h0: float) -> int:
+    """Steps n of the first pass at step h0: its nodes are tau = k h0,
+    0 <= k <= n (the truncation rule of the module docstring)."""
+    return max(int(math.ceil(_DECAY_LOGS / (math.pi * omega / 2.0) / h0)), _N_MIN)
+
+
+def _band_size(omega: float, h0: float) -> int:
+    """The most z a band on step h0 may hold: its first-pass (z x nodes)
+    array stays within _BAND_ELEMENTS, or holds one z when one z's is
+    larger (omega near 0)."""
+    return max(_BAND_ELEMENTS // (_first_pass_steps(omega, h0) + 1), 1)
+
+
 def _trapezoid_line(
     spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float, h0: float
 ) -> np.ndarray:
@@ -332,7 +355,7 @@ def _trapezoid_line(
         return _log_integrand(spec, s) + s * log_z
 
     h = h0
-    n = max(int(math.ceil(_DECAY_LOGS / rate / h)), _N_MIN)
+    n = _first_pass_steps(omega, h)
     cols = np.arange(n + 1)
     lf = log_f(cols * h)
     # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
@@ -418,9 +441,11 @@ def _trapezoid_line(
         cancels = _EPS * total_abs > _CANCEL_TOL * np.abs(new)
         if cancels.any():
             k = np.flatnonzero(cancels)[0]
+            # a sum that cancels to exactly 0.0 has an infinite ratio
+            ratio = total_abs[k] / abs(new[k]) if new[k] else math.inf
             raise CancellationError(
                 f"contour integrand cancels at z = {z[idx[k]]}: "
-                f"integral of |f| / |integral of f| = {total_abs[k] / abs(new[k]):.3g}"
+                f"integral of |f| / |integral of f| = {ratio:.3g}"
             )
         out[idx[agree]] = np.exp(ref[agree, 0]) / (2.0 * math.pi) * new[agree]
         if agree.all():
@@ -480,28 +505,50 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     return c.edge - c.d * r, kpp
 
 
+def _end_at_gap(log_z: np.ndarray, size: int) -> int:
+    """A band's z count: size, or less so that the band ends at the last
+    gap in log z, within its last quarter, that is at least half the widest
+    there.  log_z holds the remaining z in band order, the band's and the
+    next one's at least.  z that a caller differences, as a
+    finite-difference stencil does, are far closer than their neighbours
+    and so share one line: the second difference would magnify the
+    rounding gap between two lines by about 1 / dx^2."""
+    if size >= log_z.size:
+        return size
+    lo = max(size - size // 4, 1)
+    gaps = np.abs(np.diff(log_z[lo - 1 : size + 1]))
+    return lo + int(np.flatnonzero(gaps >= gaps.max() / 2.0)[-1])
+
+
 def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
     Yields (abscissa, indices into z, first-pass step h0), at most
-    _BAND_MAX indices each.
+    _band_size(omega, h0) indices each.
     The default line gamma0 lies in the strip left < Re s < right.  The
     contour slides to the real saddle sigma*_z when that lies beyond
     gamma0 on the side without poles: left for (m, l) = (q, 0) with
     nu > 0, right for its mirror (0, p) with nu < 0.  There the integrand
     has no poles and log|integrand| is smooth.  One _real_minimum call
     finds every z's saddle on the spec's saddle table.  Every other z
-    stays on gamma0.  Slid z, nearest gamma0 first, are grouped under the
-    saddle of one member such that phi_z(abscissa) - phi_z(sigma*_z) <=
-    _BAND_LOSS for each; their h0 comes from K'' at that member's saddle.
-    A lone slid z needs no grouping, so a single-z call evaluates no
-    kernel here.
+    stays on gamma0, in bands of neighbouring z.  Slid z, nearest gamma0
+    first, share the deepest saddle on which the band's first member loses
+    at most _LINE_LOSS, and the band takes the following z while
+    phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.  h0 comes
+    from the first member's saddle, the narrowest Gaussian and the
+    nearest pole of the band.  The line stays near the first member: a
+    member between it and gamma0 adds its offset log z - log z_line to
+    the drift of Im log f along the line, and the first pass's phase test
+    then sends it on to refinement; deeper members subtract it.  On the
+    first member's own saddle, the line lies so near the pole that the
+    deepest members miss the first-pass estimate.  A lone slid z needs no
+    grouping, so a single-z call evaluates no kernel here.
     """
-    d = c.d
+    d, omega = c.d, c.conv.omega
+    log_z = np.log(z)
     fixed = np.arange(len(z))
     order = fixed[:0]
     if d * c.conv.nu > 0 and z.size:
-        log_z = np.log(z)
         sstar, kpp = _real_minimum(c, log_z)
         slid = d * sstar < d * c.gamma0
         fixed = np.flatnonzero(~slid)
@@ -511,21 +558,24 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
             # grouping needs Re K at the saddles: one kernel call
             kernel = _log_integrand(c.spec, sstar).real
             phi = kernel + sstar * log_z
-    for start in range(0, fixed.size, _BAND_MAX):
-        yield c.gamma0, fixed[start : start + _BAND_MAX], _H0
+    fixed = fixed[np.argsort(z[fixed], kind="stable")]
+    while fixed.size:
+        size = _end_at_gap(log_z[fixed], _band_size(omega, _H0))
+        yield c.gamma0, fixed[:size], _H0
+        fixed = fixed[size:]
     while order.size:
-        w = order[:_BAND_MAX]
-        b, size = 0, 1
+        a = line = order[0]
+        # the step rule of the module docstring; a NaN K'' (no fit) keeps _H0
+        curv = kpp[a]
+        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar[a] - c.edge) / 5.0)) if curv > 0 else _H0
+        w = order[: _band_size(omega, h0)]
         if w.size > 1:
-            # loss[a, b]: e-folds z_a loses on the saddle of z_b
-            loss = kernel[w] + sstar[w] * log_z[w, None] - phi[w, None]
-            covered = np.cumprod(loss <= _BAND_LOSS, axis=0).sum(axis=0)
-            b = int(np.argmax(covered))
-            size = covered[b]
-        sigma, curv = sstar[w[b]], kpp[w[b]]
-        # the step rule of the module docstring; a NaN curv (no fit) keeps _H0
-        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sigma - c.edge) / 5.0)) if curv > 0 else _H0
-        yield float(sigma), w[:size], h0
+            first = kernel[w] + sstar[w] * log_z[a] - phi[a]
+            line = w[np.cumprod(first <= _LINE_LOSS).sum() - 1]
+            loss = kernel[line] + sstar[line] * log_z[w] - phi[w]
+            w = w[: np.cumprod(loss <= _BAND_LOSS).sum()]
+        size = _end_at_gap(log_z[order[: w.size + 1]], w.size)
+        yield float(sstar[line]), order[:size], h0
         order = order[size:]
 
 

@@ -37,14 +37,20 @@ METHOD_GL = "grunwald-letnikov"
 _REL_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidualPoint:
     point: tuple
     lhs: complex
     rhs: complex
-    abs_err: float
-    rel_err: float
     counted: bool = True  # False when both sides are negligible vs the grid scale
+
+    @property
+    def abs_err(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def rel_err(self) -> float:
+        return self.abs_err / max(abs(self.lhs), abs(self.rhs), _REL_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -65,25 +71,12 @@ class ResidualReport:
         return self.max_rel_err < tol
 
 
-def _rel(lhs, rhs) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _REL_FLOOR)
-
-
 def _build_report(method, points_lhs_rhs) -> ResidualReport:
     scale = max((max(abs(l), abs(r)) for _, l, r in points_lhs_rhs), default=0.0)
     pts = []
     for point, lhs, rhs in points_lhs_rhs:
         counted = not (abs(lhs) < 1e-12 * scale and abs(rhs) < 1e-12 * scale)
-        pts.append(
-            ResidualPoint(
-                point=tuple(point),
-                lhs=lhs,
-                rhs=rhs,
-                abs_err=abs(lhs - rhs),
-                rel_err=_rel(lhs, rhs),
-                counted=counted,
-            )
-        )
+        pts.append(ResidualPoint(point=tuple(point), lhs=lhs, rhs=rhs, counted=counted))
     return ResidualReport(method=method, points=tuple(pts))
 
 
@@ -93,10 +86,12 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha) / j)))
 
 
-def gl_fractional_derivative(f, alpha: float, t: float, h: float) -> float:
+def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> float:
     """First-order Grunwald-Letnikov approximation of the RL derivative.
 
     h^{-alpha} sum_j (-1)^j C(alpha, j) f(t - j h) with lower terminal 0.
+    w, if given, is gl_weights(alpha, N) for some N >= t / h, built once
+    for several t; the sum reads its first floor(t / h) + 1 entries.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -105,7 +100,7 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float) -> float:
     if h > t / 50.0:
         raise StepTooLargeError(f"h = {h:g} exceeds t/50 = {t / 50.0:g}")
     n = int(math.floor(t / h))
-    w = gl_weights(alpha, n)
+    w = gl_weights(alpha, n) if w is None else w[: n + 1]
     ts = t - np.arange(n + 1) * h
     ts = np.where(ts < 0, 0.0, ts)
     try:
@@ -114,7 +109,9 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float) -> float:
             raise TypeError
     except TypeError:
         vals = np.array([float(f(tv)) for tv in ts])
-    return float(h ** (-alpha) * np.dot(w, vals))
+    # pairwise summation: a BLAS dot may thread a long sum, and its digits
+    # then depend on the thread count
+    return float(h ** (-alpha) * np.sum(w * vals))
 
 
 def _closed_form_residual(sol: PdeSolution, problem: DiffusionProblem, grid):
@@ -156,11 +153,13 @@ class _HProfile:
     contour quadrature per lattice node is prohibitive, so H is sampled on
     a logarithmic argument grid once and interpolated with a not-a-knot
     cubic spline.  Beyond the point where the decay envelope is negligible
-    the profile is exactly 0.
+    the profile is exactly 0.  H at the arguments in extra is evaluated in
+    the same batch as the nodes and kept in self.extra.
     """
 
-    def __init__(self, spec, coef, power, v_max, h, scale=1.0, nodes: int = 320):
+    def __init__(self, spec, coef, power, v_max, h, scale=1.0, nodes: int = 320, extra=()):
         self.coef = coef
+        self.log_coef = math.log(coef)
         self.power = power
         self.scale = scale
         w_lo = coef * v_max ** (-power) * 0.5
@@ -174,7 +173,8 @@ class _HProfile:
         self.w_hi = w_hi
         self.xs = np.linspace(math.log(w_lo), math.log(w_hi), nodes)
         self.dx = self.xs[1] - self.xs[0]
-        vals = eval_mellin_barnes_batch(spec, np.exp(self.xs))
+        vals = eval_mellin_barnes_batch(spec, np.concatenate((np.exp(self.xs), extra)))
+        vals, self.extra = vals[:nodes], vals[nodes:]
         self.positive = bool(np.all(vals > 0))
         y = np.log(vals) if self.positive else vals
         m = np.diff(y) / self.dx
@@ -182,22 +182,23 @@ class _HProfile:
             [(5.0 * m[0] + m[1]) / 2.0], 3.0 * (m[:-1] + m[1:]), [(m[-2] + 5.0 * m[-1]) / 2.0]
         ))
         s = _not_a_knot_inverse(nodes) @ rhs
-        # piecewise cubic in u = log w - xs[i], highest power first
+        # piecewise cubic in u = log w - xs[i], one row per interval,
+        # highest power first
         t = (s[:-1] + s[1:] - 2.0 * m) / self.dx
-        self.coeffs = (t / self.dx, (m - s[:-1]) / self.dx - t, s[:-1], y[:-1])
+        self.coeffs = np.stack((t / self.dx, (m - s[:-1]) / self.dx - t, s[:-1], y[:-1]), axis=1)
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
         ok = v > 0
-        w = np.where(ok, self.coef * np.where(ok, v, 1.0) ** (-self.power), np.inf)
-        inside = ok & (w <= self.w_hi)
+        x = self.log_coef - self.power * np.log(np.where(ok, v, 1.0))
+        inside = ok & (x <= self.xs[-1])
         # points outside are evaluated at the last node and discarded
-        x = np.log(np.where(inside, w, self.w_hi))
+        x = np.where(inside, x, self.xs[-1])
         i = np.clip(np.floor((x - self.xs[0]) / self.dx).astype(int), 0, len(self.xs) - 2)
         u = x - self.xs[i]
-        c3, c2, c1, c0 = (c[i] for c in self.coeffs)
-        hv = ((c3 * u + c2) * u + c1) * u + c0
+        c = self.coeffs[i]
+        hv = ((c[..., 0] * u + c[..., 1]) * u + c[..., 2]) * u + c[..., 3]
         if self.positive:
             hv = np.exp(hv)
         out[inside] = self.scale * hv[inside]
@@ -205,7 +206,11 @@ class _HProfile:
 
 
 def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: float):
-    """GL time derivative vs finite-difference spatial operator."""
+    """GL time derivative vs finite-difference spatial operator.
+
+    An H-form solution makes one eval_mellin_barnes_batch call per x: the
+    profile's nodes and the stencil points of every grid point at that x.
+    """
     A, B, C, d, m, alpha = (
         problem.A,
         problem.B,
@@ -214,60 +219,52 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
         problem.m,
         problem.alpha,
     )
+    form = sol.form
 
     def u_point(x, t):
         return complex(pde_evaluate(sol, x, t)).real
 
-    def u_values(xs, t):
-        form = sol.form
-        if isinstance(form, FoxHForm):
-            args = np.array([form.argument(xv, t) for xv in xs])
-            scale = complex(sol.problem.constant(1)).real * xs**form.a
-            return scale * eval_mellin_barnes_batch(form.spec, args)
-        return np.array([u_point(xv, t) for xv in xs])
-
-    profiles = {}
     t_max = max(t for _, t in grid)
-    pts = []
-    for x, t in grid:
-        if isinstance(sol.form, FoxHForm):
-            if x not in profiles:
-                form: FoxHForm = sol.form
-                profiles[x] = _HProfile(
-                    form.spec,
-                    coef=form.arg_coef * x ** (2.0 - form.d),
-                    power=form.rho,
-                    v_max=t_max,
-                    h=h,
-                    scale=complex(sol.problem.constant(1)).real * x**form.a,
-                )
-            f_t = profiles[x]
-        else:
-            def f_t(ts, _x=x):
-                ts = np.atleast_1d(np.asarray(ts, dtype=float))
-                return np.array([u_point(_x, tv) if tv > 0 else 0.0 for tv in ts])
-
-        lhs = gl_fractional_derivative(f_t, alpha, t, h)
-
+    w = gl_weights(alpha, int(math.floor(t_max / h)))
+    rows = [None] * len(grid)
+    for x in dict.fromkeys(x for x, _ in grid):
+        at_x = [i for i, (xv, _) in enumerate(grid) if xv == x]
+        ts = [grid[i][1] for i in at_x]
         # the stencil's rounding, about eps |u| / dx^2 in u_xx, against its
-        # O(dx^4) truncation after one Richardson step
+        # O(dx^4) truncation after one Richardson step; its five distinct
+        # points, each evaluated once
         dx = 2e-3 * x
-        # the stencil's five distinct points, each evaluated once
-        offsets = (-dx, -dx / 2.0, 0.0, dx / 2.0, dx)
-        u = dict(zip(offsets, u_values(x + np.array(offsets), t)))
+        xs = x + np.array((-dx, -dx / 2.0, 0.0, dx / 2.0, dx))
+        if isinstance(form, FoxHForm):
+            scale = complex(sol.problem.constant(1)).real
+            f_t = _HProfile(
+                form.spec,
+                coef=form.arg_coef * x ** (2.0 - form.d),
+                power=form.rho,
+                v_max=t_max,
+                h=h,
+                scale=scale * x**form.a,
+                extra=[form.argument(xv, t) for t in ts for xv in xs],
+            )
+            u = scale * xs**form.a * f_t.extra.reshape(len(ts), xs.size)
+        else:
+            def f_t(tv, _x=x):
+                tv = np.atleast_1d(np.asarray(tv, dtype=float))
+                return np.array([u_point(_x, t) if t > 0 else 0.0 for t in tv])
 
-        def d1(step):
-            return (u[step] - u[-step]) / (2.0 * step)
+            u = np.array([[u_point(xv, t) for xv in xs] for t in ts])
 
-        def d2(step):
-            return (u[step] - 2.0 * u[0.0] + u[-step]) / step**2
-
-        ux = (4.0 * d1(dx / 2.0) - d1(dx)) / 3.0  # one Richardson step
-        uxx = (4.0 * d2(dx / 2.0) - d2(dx)) / 3.0
-        u0 = u[0.0]
-        rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u0)
-        pts.append(((x, t), lhs, rhs))
-    return _build_report(METHOD_GL, pts)
+        for i, t, (u_m2, u_m1, u0, u_p1, u_p2) in zip(at_x, ts, u):
+            lhs = gl_fractional_derivative(f_t, alpha, t, h, w)
+            # one Richardson step on the central first and second differences
+            ux = (4.0 * ((u_p1 - u_m1) / dx) - (u_p2 - u_m2) / (2.0 * dx)) / 3.0
+            uxx = (
+                4.0 * ((u_p1 - 2.0 * u0 + u_m1) / (dx / 2.0) ** 2)
+                - (u_p2 - 2.0 * u0 + u_m2) / dx**2
+            ) / 3.0
+            rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u0)
+            rows[i] = ((x, t), lhs, rhs)
+    return _build_report(METHOD_GL, rows)
 
 
 def residual_pde(
@@ -365,9 +362,10 @@ def h_operator_identity_check(
         )
         zmax = max(z_points)
         cache = _HProfile(spec, coef=a, power=alpha_p, v_max=zmax, h=h)
+        w = gl_weights(alpha, int(math.floor(zmax / h)))
         rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
         for z, h_shifted in zip(z_points, rhs):
-            lhs = gl_fractional_derivative(cache, alpha, z, h)
+            lhs = gl_fractional_derivative(cache, alpha, z, h, w)
             pts.append(((z,), lhs, z ** (-alpha) * h_shifted))
     elif kind == "euler-shift":
         if spec.m < 1:

@@ -257,6 +257,13 @@ class TestEvalMellinBarnes:
         with pytest.raises(CancellationError):
             eval_mellin_barnes(self.SMALL_Z_SPEC, 1.41e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_sum_cancellation_raises(self):
+        # a refinement pass here sums to exactly 0.0: the ratio in the
+        # error's message is infinite, and no division warns
+        with pytest.raises(CancellationError, match="= inf"):
+            eval_mellin_barnes(self.SMALL_Z_SPEC, 6.0352115906421594e-30)
+
     @pytest.mark.parametrize("z", [1e-16, 1e-20, 1e-30, 1e-300])
     def test_small_argument_stall_is_cancellation(self, z, monkeypatch):
         # the default line of an m = q spec at tiny z: eps * integral|f|
@@ -417,6 +424,45 @@ class TestBatchedEvaluation:
         assert np.array_equal(got == 0.0, want == 0.0)
         # the shared kernel: under a quarter of the scalar calls' nodes
         assert batched < sum(sizes) / 4
+
+    def test_bands_sized_by_first_pass_array(self, monkeypatch):
+        # criterion 4's spec at 320 log-spaced z: each band's first-pass
+        # (z x nodes) array holds at most 2^13 elements, the call takes at
+        # most 6 bands (a cap of 32 z per band needed 10), and a shared
+        # line moves no value by 1e-10 from its single-z evaluation
+        first_pass = []
+        trapezoid_line, log_integrand = foxh._trapezoid_line, foxh._log_integrand
+
+        def line(spec, z, gamma, omega, h0):
+            first_pass.append(len(z))
+            return trapezoid_line(spec, z, gamma, omega, h0)
+
+        def counting(spec, s):
+            # the first kernel call of a band is its first pass; the
+            # grouping's call at the saddles comes before any band
+            if first_pass and isinstance(first_pass[-1], int):
+                first_pass[-1] = (first_pass[-1], np.size(s))
+            return log_integrand(spec, s)
+
+        zs = np.geomspace(0.1, 50.0, 320)
+        monkeypatch.setattr(foxh, "_trapezoid_line", line)
+        monkeypatch.setattr(foxh, "_log_integrand", counting)
+        got = eval_mellin_barnes(GL_SPECS[0], zs)
+        monkeypatch.undo()
+        assert len(first_pass) <= 6
+        assert sum(n_z for n_z, _ in first_pass) == zs.size
+        assert max(n_z * nodes for n_z, nodes in first_pass) <= 2**13
+        want = np.array([eval_mellin_barnes(GL_SPECS[0], z) for z in zs])
+        assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_one_z_per_band_past_the_array_bound(self):
+        # omega = 0.02: one z's first pass has 9,550 nodes, more than the
+        # 2^13 elements a band's array may hold, so each band takes one z
+        spec = HFunctionSpec(m=1, l=0, upper=((0.5, 0.98),), lower=((0.0, 1.0),))
+        assert foxh._band_size(convergence_params(spec).omega, foxh._H0) == 1
+        zs = np.array([0.5, 1.0, 2.0])
+        want = [eval_mellin_barnes(spec, z) for z in zs]
+        assert_allclose(eval_mellin_barnes(spec, zs), want, rtol=1e-12)
 
     def test_exp_array_with_underflow(self):
         # exp(-z) lies below the smallest subnormal beyond z = 745

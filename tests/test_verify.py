@@ -1,6 +1,7 @@
 """Tests for the verification engines: Grunwald-Letnikov derivative, PDE
 residuals, coefficient-level residuals, and the operator-identity harnesses."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,6 +17,8 @@ from fracsol.pde import DiffusionProblem, evaluate, exp_closed_form, solve
 from fracsol.verify import (
     METHOD_GL,
     METHOD_TERMWISE,
+    ResidualPoint,
+    ResidualReport,
     gl_fractional_derivative,
     gl_weights,
     h_operator_identity_check,
@@ -99,8 +102,8 @@ class TestResidualPde:
         assert report.max_rel_err < 1e-2
 
     def test_gl_path_batches_h_values(self, monkeypatch):
-        # one 320-node profile per x, then one call per grid point for the
-        # five distinct points of the finite-difference stencil
+        # one call per x: its 320 profile nodes and the five distinct
+        # points of the finite-difference stencil of each grid point there
         sizes = []
         batch = verify.eval_mellin_barnes_batch
 
@@ -110,8 +113,10 @@ class TestResidualPde:
 
         monkeypatch.setattr(verify, "eval_mellin_barnes_batch", counting)
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
-        residual_pde(solve(prob), prob, [(1.0, 1.0), (1.0, 1.2)], h=1e-3)
-        assert sizes == [320, 5, 5]
+        grid = [(1.0, 1.0), (1.3, 1.1), (1.0, 1.2)]
+        report = residual_pde(solve(prob), prob, grid, h=1e-3)
+        assert sizes == [320 + 5 * 2, 320 + 5]
+        assert [p.point for p in report.points] == grid
 
     def test_finite_difference_rhs_on_alpha1_h_form(self):
         # alpha = 1 with the prefactor exponent at which the H-form is a
@@ -265,6 +270,17 @@ class TestResidualReportShape:
         report = residual_pde(sol, HEAT, [(1.0, 1.0)])
         p = report.points[0]
         assert p.rel_err == p.abs_err / max(abs(p.lhs), abs(p.rhs), 1e-300)
+
+    def test_errors_follow_replaced_sides(self):
+        # the errors are read from lhs and rhs, so a point rebuilt with
+        # another lhs reports that lhs's error
+        report = ResidualReport(METHOD_GL, (ResidualPoint((1.0,), 1.0, 1.0),))
+        assert report.passes(1e-3)
+        bad = dataclasses.replace(report.points[0], lhs=5.0)
+        assert (bad.abs_err, bad.rel_err) == (4.0, 0.8)
+        report = dataclasses.replace(report, points=(bad,))
+        assert report.max_rel_err == 0.8
+        assert not report.passes(1e-3)
 
     def test_report_nonempty(self):
         sol = exp_closed_form(HEAT)
