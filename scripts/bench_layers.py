@@ -1,6 +1,6 @@
-"""Layer benchmark: the log-gamma kernel, single Fox-H evaluations, the GL
-spline profile, the GL residual of acceptance criterion 4 and CLI cold
-start.
+"""Layer benchmark: the log-gamma kernel, single Mittag-Leffler and Fox-H
+evaluations, the GL spline profile, the GL residual of acceptance
+criterion 4 and CLI cold start.
 
 Writes one JSON file of rows, each with the time it measured and the
 accuracy it reached:
@@ -8,6 +8,8 @@ accuracy it reached:
 - ``gammafn.ln_gamma_vec``: ns per element on a 4,096-element complex
   array shaped like the contour's kernel arguments, and the largest
   relative error of Gamma on 300 of them;
+- ``wright.mittag_leffler``: us per ``E_{0.5,1}(z)`` at z = 1.3 and -2,
+  and the relative error against its closed form exp(z^2) erfc(-z);
 - ``foxh.eval_mellin_barnes``: us per scalar evaluation at a small, a
   moderate and a deep-decay argument (decay level nu (mu z)^(1/nu) =
   100), warm (the spec's constants and saddle table built) and cold
@@ -18,11 +20,14 @@ accuracy it reached:
   profile of acceptance criterion 4's solution at x = 1 (320 H values
   and the spline), warm (the spec's constants built), and the largest
   relative error at 50 midpoints between its nodes against a direct
+  ``eval_mellin_barnes``, and us per read of that profile on the
+  13,001-node Grunwald-Letnikov lattice of t = 1.3, h = 1e-4, with the
+  largest relative error at 50 of those nodes against a direct
   ``eval_mellin_barnes``;
 - ``verify.residual_pde``: seconds per call on acceptance criterion 4's
   grid (five x, two t, h = 1e-4), warm (the spec's constants built), with
-  the ``eval_mellin_barnes_batch`` calls and contour bands one call
-  makes and the report's max_rel_err;
+  the ``eval_mellin_barnes_batch`` calls, contour bands and kernel nodes
+  one call makes and the report's max_rel_err;
 - ``cli``: wall seconds and peak RSS of a fresh interpreter running
   ``eval ml`` and an H-form ``verify`` (medians of 5), and the
   accuracy of what each printed (``E_{0.5,1}(1.3)`` against its closed
@@ -57,7 +62,7 @@ sys.path.insert(0, str(ROOT / "benchmark"))
 
 from run import Speed  # noqa: E402
 
-from fracsol import foxh, pde, verify  # noqa: E402
+from fracsol import foxh, pde, verify, wright  # noqa: E402
 from fracsol.foxh import HFunctionSpec, convergence_params, power_scale  # noqa: E402
 from fracsol.gammafn import ln_gamma_vec  # noqa: E402
 
@@ -121,8 +126,19 @@ def lngamma_row(speed):
             "scaled_ns_per_element": ts / z.size * 1e9, "max_rel_err": err}
 
 
-def count_nodes(spec, z):
-    """Kernel nodes of one evaluation, all and off the real axis."""
+def ml_rows(speed):
+    rows = []
+    for z in (1.3, -2.0):
+        t, ts = timed(lambda: wright.mittag_leffler(0.5, 1.0, z), speed)
+        want = math.exp(z * z) * math.erfc(-z)
+        got = complex(wright.mittag_leffler(0.5, 1.0, z))
+        rows.append({"layer": "wright.mittag_leffler", "alpha": 0.5, "beta": 1.0, "z": z,
+                     "us": t * 1e6, "scaled_us": ts * 1e6, "rel_err": abs(got - want) / abs(want)})
+    return rows
+
+
+def count_nodes(fn):
+    """Kernel nodes fn() evaluates, all and off the real axis."""
     sizes = []
     log_integrand = foxh._log_integrand
 
@@ -133,7 +149,7 @@ def count_nodes(spec, z):
 
     foxh._log_integrand = counting
     try:
-        foxh.eval_mellin_barnes(spec, z)
+        fn()
     finally:
         foxh._log_integrand = log_integrand
     return sum(a for a, _ in sizes), sum(b for _, b in sizes)
@@ -157,7 +173,7 @@ def foxh_rows(speed):
                 t, ts = timed(call, speed)
                 if cache == "cold":
                     foxh._constants.cache_clear()
-                nodes, line_nodes = count_nodes(spec, z)
+                nodes, line_nodes = count_nodes(lambda: foxh.eval_mellin_barnes(spec, z))
                 got = foxh.eval_mellin_barnes(spec, z)
                 rows.append({
                     "layer": "foxh.eval_mellin_barnes", "spec": name, "point": where,
@@ -168,7 +184,7 @@ def foxh_rows(speed):
     return rows
 
 
-def profile_row(speed):
+def profile_rows(speed):
     form = pde.solve(pde.DiffusionProblem(**GL_PROBLEM)).form
 
     def build():
@@ -180,8 +196,20 @@ def profile_row(speed):
     log_w = mids[np.linspace(0, mids.size - 1, 50).astype(int)]
     want = foxh.eval_mellin_barnes(form.spec, np.exp(log_w))
     got = profile((np.exp(log_w) / profile.coef) ** (-1.0 / profile.power))
-    return {"layer": "verify._HProfile", "nodes": profile.xs.size, "us": t * 1e6,
-            "scaled_us": ts * 1e6, "max_rel_err": float(np.max(np.abs(got / want - 1.0)))}
+    build_row = {"layer": "verify._HProfile", "op": "build", "nodes": profile.xs.size,
+                 "us": t * 1e6, "scaled_us": ts * 1e6,
+                 "max_rel_err": float(np.max(np.abs(got / want - 1.0)))}
+    # the lattice gl_fractional_derivative reads at t = 1.3; 50 of its
+    # nodes inside the profile's range are checked
+    lattice = np.maximum(1.3 - np.arange(13001) * GL_STEP, 0.0)
+    t, ts = timed(lambda: profile(lattice), speed)
+    got = profile(lattice)
+    check = np.flatnonzero(got != 0.0)[np.linspace(0, np.count_nonzero(got) - 1, 50).astype(int)]
+    want = foxh.eval_mellin_barnes(form.spec, profile.coef * lattice[check] ** -profile.power)
+    read_row = {"layer": "verify._HProfile", "op": "read", "lattice_nodes": lattice.size,
+                "us": t * 1e6, "scaled_us": ts * 1e6,
+                "max_rel_err": float(np.max(np.abs(got[check] / want - 1.0)))}
+    return [build_row, read_row]
 
 
 def residual_row(speed):
@@ -203,15 +231,17 @@ def residual_row(speed):
             counts["bands"] += 1
             yield band
 
+    # warm: the spec's constants and saddle table are built before counting
+    report = call()
     verify.eval_mellin_barnes_batch, foxh._contour_bands = counting_batch, counting_bands
     try:
-        report = call()
+        nodes, line_nodes = count_nodes(call)
     finally:
         verify.eval_mellin_barnes_batch, foxh._contour_bands = batch, bands
     t, ts = timed(call, speed)
     return {"layer": "verify.residual_pde", "grid_points": len(GL_GRID), "h": GL_STEP,
             "s": t, "scaled_s": ts, "h_batch_calls": counts["calls"], "bands": counts["bands"],
-            "max_rel_err": report.max_rel_err}
+            "nodes": nodes, "line_nodes": line_nodes, "max_rel_err": report.max_rel_err}
 
 
 # runs the CLI, then prints the peak RSS of its own address space (VmHWM,
@@ -262,7 +292,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     speed = Speed()
-    rows = [lngamma_row(speed)] + foxh_rows(speed) + [profile_row(speed), residual_row(speed)]
+    rows = [lngamma_row(speed)] + ml_rows(speed) + foxh_rows(speed) + profile_rows(speed)
+    rows.append(residual_row(speed))
     rows += cli_rows()
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "fracsol").glob("*.py"))
     report = {

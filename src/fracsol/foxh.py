@@ -20,8 +20,8 @@ keeps relative accuracy deep into the exponential decay; for (m, l) =
 arguments.  K does not depend on z, so the saddle search reads a table
 of Re K on the real axis beyond the strip edge, built in one kernel call
 on a spec's first search and kept per spec with its other constants
-(_constants); every later search, for any number of z, is array
-arithmetic on it and evaluates no kernel.
+(_constants); every later search, for any number of z, and the grouping
+below, which reads Re K at the saddles from it, are array arithmetic.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and each
@@ -30,11 +30,13 @@ shares that line, and slid z are grouped under the saddle of a member
 near the band's first (its member nearest gamma0) so that no member's
 phi_z at the band's abscissa exceeds its own saddle value by more than
 _BAND_LOSS = 4 e-folds.  Its relative rounding error then grows by at
-most e^4, to about 1e-14.  Memory, not a count of z, bounds a band: it
-holds at most _BAND_ELEMENTS // n z, n its first-pass node count, so its
-first-pass (z x nodes) array stays within 2^13 elements, 128 KiB.  A band
-ends at a wide gap in log z, so z that a caller differences, as a
-finite-difference stencil does, share one line.
+most e^4, to about 1e-14.  Since log f = K(s) + gamma log z + i tau log z
+on the line, each pass's only (z x nodes) array is one float64 matrix of
+cos(Im K + tau log z) (see _trapezoid_line).  Memory, not a count of z,
+bounds a band: it holds at most _BAND_ELEMENTS // n z, n its first-pass
+node count, so that matrix stays within 2^13 elements, 64 KiB, on the
+first pass.  A band ends at a wide gap in log z, so z that a caller
+differences, as a finite-difference stencil does, share one line.
 
 The quadrature is the trapezoid rule in tau on s = gamma + i tau, summed
 over tau >= 0 only.  HFunctionSpec holds real parameters and z is real
@@ -118,8 +120,8 @@ _BAND_LOSS = 4.0
 # a band's line lies at most _LINE_LOSS e-folds above its first member's
 # saddle value (see _contour_bands)
 _LINE_LOSS = 0.125
-# a band's first-pass (z x nodes) array holds at most this many elements,
-# 128 KiB of complex128
+# a band's first-pass (z x nodes) cosine matrix holds at most this many
+# elements, 64 KiB of float64
 _BAND_ELEMENTS = 2**13
 _MAX_REFINE = 6
 _H0 = 0.1
@@ -317,17 +319,23 @@ def _trapezoid_line(
     The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
     and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
     f(gamma + i tau): every pass evaluates the kernel at tau >= 0 only.
-    Each pass evaluates the gamma-ratio kernel once on its new nodes; every
-    z then adds only s log z.  The tests stay per z: the tail beyond T on
-    each side is |f(T)| / r, with r the smaller of pi omega / 2 and the
-    local decay rate at the end node, which is below the asymptotic rate
-    while a far-left saddle contour still decays like a Gaussian.  T grows
-    until every z's bound on both tails is under _TAIL_FRACTION of the
-    tolerance times its running integral, or under the rounding floor
-    eps * sum|f| that no longer T can improve.
+    Each pass evaluates the gamma-ratio kernel once on its new nodes, and
+    the sum separates: log f = K(s) + gamma log z + i tau log z on the line.
+    In units of e^ref, ref = max Re K + gamma log z per z, the moduli
+    e^(Re K_j - max Re K), their sum, the tail bounds and the steps of Im K
+    are the same for every z; the only (z x nodes) work is cos(Im K_j +
+    tau_j log z), summed against the weights of T(h) and of T(2h).  The
+    tests stay per z: the tail beyond T on each side is |f(T)| / r, with r
+    the smaller of pi omega / 2 and the local decay rate at the end node,
+    which is below the asymptotic rate while a far-left saddle contour
+    still decays like a Gaussian.  T grows until every z's bound on both
+    tails is under _TAIL_FRACTION of the tolerance times its running
+    integral, or under the rounding floor eps * sum|f| that no longer T
+    can improve.
 
     The truncation passes also sum the even nodes, the rule T(2h), and
-    track the largest step of Im log f between neighbouring nodes.  By
+    track the largest step of Im log f between neighbouring nodes, max(dmax
+    + h log z, -(dmin + h log z)) over the steps of Im K.  By
     Thm 5.1 of Trefethen & Weideman the errors are E(h) ~ C q^2 and E(2h)
     ~ C q, so E(h) ~ E(2h)^2 / C, and |T(h) - T(2h)| estimates E(2h).
     With e = |T(h) - T(2h)| / |T(h)| and r = integral|f| / |T(h)|, the
@@ -348,90 +356,80 @@ def _trapezoid_line(
     out = np.zeros(len(z))
     # the z still open, as positions in out; per-z state is kept for these only
     idx = np.arange(len(z))
-    log_z = np.log(z)[:, None]
+    log_z = np.log(z)
 
-    def log_f(tau):
-        s = gamma + 1j * tau
-        return _log_integrand(spec, s) + s * log_z
+    def cosine_sums(tau, im_k, columns):
+        # sum_j columns[c, j] cos(Im K_j + tau_j log z) for each open z: the
+        # pass's one (z x nodes) array, reduced by einsum in a fixed order (a
+        # BLAS product may thread, and its digits then depend on the count)
+        arg = np.multiply.outer(log_z, tau)
+        arg += im_k
+        return np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns)
 
     h = h0
     n = _first_pass_steps(omega, h)
     cols = np.arange(n + 1)
-    lf = log_f(cols * h)
-    # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
-    # node tau = 0 is its own mirror
-    weight = np.full(n + 1, 2.0)
-    weight[0] = 1.0
-    # every node is scaled by the first pass's largest modulus for its z
-    ref = np.max(lf.real, axis=1, keepdims=True)
-    total = np.zeros(len(z))
-    total_abs = np.zeros(len(z))
-    # the sum over the even nodes, the rule at step 2h, and the largest
-    # step of Im log f between neighbouring nodes
-    total_even = np.zeros(len(z))
-    phase = np.zeros(len(z))
-    prev = lf.imag[:, :1]
+    k = _log_integrand(spec, gamma + 1j * (cols * h))
+    # every node is scaled by the first pass's largest modulus for its z,
+    # e^ref with ref = top + gamma log z
+    top = k.real.max()
+    ref = top + gamma * log_z
+    # per z, the sum over all nodes and over the even ones, the rule at 2h
+    sums = np.zeros((len(z), 2))
+    total_abs = 0.0
+    # the extreme steps of Im K between neighbouring nodes; there is no
+    # step before the first node
+    steps = np.diff(k.imag)
+    lo, hi = steps.min(), steps.max()
     for doubling in range(_MAX_DOUBLINGS + 1):
-        scaled = lf - ref
-        # |f| and Re f from one exponential
-        mag = np.exp(scaled.real) * weight
-        part = mag * np.cos(scaled.imag)
-        total += part.sum(axis=1)
-        total_even += part[:, cols % 2 == 0].sum(axis=1)
-        total_abs += mag.sum(axis=1)
-        phase = np.maximum(phase, np.abs(np.diff(lf.imag, axis=1, prepend=prev)).max(axis=1))
-        prev = lf.imag[:, -1:]
-        edge = lf.real[:, -1]
-        decay = np.minimum((lf.real[:, -2] - edge) / h, rate)
-        # both tails; a z whose end nodes do not decay has an unbounded tail
-        tail = 2.0 * np.divide(
-            np.exp(edge - ref[:, 0]), decay, out=np.full(decay.shape, math.inf),
-            where=decay > 0,
-        )
+        # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
+        # node tau = 0 is its own mirror
+        mag = np.exp(k.real - top) * np.where(cols > 0, 2.0, 1.0)
+        sums += cosine_sums(cols * h, k.imag, np.stack((mag, np.where(cols % 2, 0.0, mag))))
+        total_abs += mag.sum()
+        decay = min((k.real[-2] - k.real[-1]) / h, rate)
+        # both tails; a band whose end nodes do not decay has an unbounded tail
+        tail = 2.0 * math.exp(k.real[-1] - top) / decay if decay > 0 else math.inf
         # |H| <= (h sum|f| + tail) e^ref / 2 pi; below half the smallest
         # subnormal it is 0.0
-        floor = _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref[:, 0]
-        live = np.log(h * total_abs + tail) >= floor
-        if not live.all():
-            idx, log_z, ref, total, total_abs, tail, total_even, phase, prev = (
-                a[live] for a in (idx, log_z, ref, total, total_abs, tail, total_even, phase, prev)
-            )
-            if not idx.size:
-                return out
-        settled = tail <= h * np.maximum(
-            _TAIL_FRACTION * _REFINE_TOL * np.abs(total), _EPS * total_abs
-        )
-        if settled.all():
+        live = math.log(h * total_abs + tail) >= _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref
+        idx, log_z, ref, sums = (a[live] for a in (idx, log_z, ref, sums))
+        if not idx.size:
+            return out
+        floor = h * np.maximum(_TAIL_FRACTION * _REFINE_TOL * np.abs(sums[:, 0]), _EPS * total_abs)
+        if np.all(tail <= floor):
             break
         if doubling == _MAX_DOUBLINGS:
             raise QuadratureFailureError(
                 f"contour truncation did not settle by T = {n * h:g} "
-                f"at z = {z[idx[~settled][0]]}"
+                f"at z = {z[idx[tail > floor][0]]}"
             )
         cols = np.arange(n + 1, 2 * n + 1)
-        lf = log_f(cols * h)
-        weight = 2.0
+        last = k.imag[-1]
+        k = _log_integrand(spec, gamma + 1j * (cols * h))
+        steps = np.diff(k.imag, prepend=last)
+        lo, hi = min(lo, steps.min()), max(hi, steps.max())
         n *= 2
-    val = h * total
+    val, val_2h = h * sums[:, 0], 2.0 * h * sums[:, 1]
     # h * total_abs is the integral of |f| on the truncation lattice
     total_abs *= h
     # the first pass is accepted on its squared estimate e^2 max(1, r),
     # r = integral|f| / |T(h)|, written without a division by |T(h)|
     size = np.abs(val)
-    first = (
-        (val - 2.0 * h * total_even) ** 2 * np.maximum(size, total_abs)
-        <= _FIRST_PASS_SHARE * _REFINE_TOL * size**3
+    first = (val - val_2h) ** 2 * np.maximum(size, total_abs) <= (
+        _FIRST_PASS_SHARE * _REFINE_TOL * size**3
     )
+    # the largest step of Im log f = Im K + tau log z between neighbours
+    phase = np.maximum(hi + h * log_z, -(lo + h * log_z))
     first &= (2.0 * phase < math.pi) & (_EPS * total_abs <= _CANCEL_TOL * size)
-    out[idx[first]] = np.exp(ref[first, 0]) / (2.0 * math.pi) * val[first]
+    out[idx[first]] = np.exp(ref[first]) / (2.0 * math.pi) * val[first]
     if first.all():
         return out
-    idx, log_z, ref, total, total_abs, val = (
-        a[~first] for a in (idx, log_z, ref, total, total_abs, val)
-    )
+    idx, log_z, ref, val, total = (a[~first] for a in (idx, log_z, ref, val, sums[:, 0]))
     for _ in range(_MAX_REFINE):
-        scaled = log_f((np.arange(n) + 0.5) * h) - ref
-        total += 2.0 * (np.exp(scaled.real) * np.cos(scaled.imag)).sum(axis=1)
+        tau = (np.arange(n) + 0.5) * h
+        k = _log_integrand(spec, gamma + 1j * tau)
+        total += cosine_sums(tau, k.imag, 2.0 * np.exp(k.real - top)[None, :])[:, 0]
         h, n = h / 2.0, 2 * n
         new = h * total
         agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)
@@ -440,29 +438,27 @@ def _trapezoid_line(
         # its passes agree, since above _REFINE_TOL of it they never can
         cancels = _EPS * total_abs > _CANCEL_TOL * np.abs(new)
         if cancels.any():
-            k = np.flatnonzero(cancels)[0]
+            j = np.flatnonzero(cancels)[0]
             # a sum that cancels to exactly 0.0 has an infinite ratio
-            ratio = total_abs[k] / abs(new[k]) if new[k] else math.inf
+            ratio = total_abs / abs(new[j]) if new[j] else math.inf
             raise CancellationError(
-                f"contour integrand cancels at z = {z[idx[k]]}: "
+                f"contour integrand cancels at z = {z[idx[j]]}: "
                 f"integral of |f| / |integral of f| = {ratio:.3g}"
             )
-        out[idx[agree]] = np.exp(ref[agree, 0]) / (2.0 * math.pi) * new[agree]
+        out[idx[agree]] = np.exp(ref[agree]) / (2.0 * math.pi) * new[agree]
         if agree.all():
             return out
-        idx, log_z, ref, total, total_abs, val = (
-            a[~agree] for a in (idx, log_z, ref, total, total_abs, new)
-        )
+        idx, log_z, ref, total, val = (a[~agree] for a in (idx, log_z, ref, total, new))
     raise QuadratureFailureError(
         f"contour refinement stalled at z = {z[idx[0]]} "
-        f"(last value {float(math.exp(ref[0, 0]) / (2.0 * math.pi) * val[0])!r})"
+        f"(last value {float(math.exp(ref[0]) / (2.0 * math.pi) * val[0])!r})"
     )
 
 
 def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     """Minimise phi_z(sigma) = Re K(sigma) + sigma log z over the real
     sigma of the spec's saddle table, for every z at once.  Returns the
-    minimisers and K'' there.
+    minimisers, K'' there and Re K there.
 
     K does not depend on z, so the table, built in one kernel call on the
     spec's first search, serves every later z, and the search makes no
@@ -502,7 +498,11 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     # phi_vv = K'' r'^2 + phi_sigma (d^2 sigma / dv^2), and phi_sigma = 0 at
     # the saddle: the parabola's curvature curv / dv^2 gives K'' = phi_vv / r'^2
     kpp = np.divide(curv, (_SADDLE_DV * dr) ** 2, out=np.full(len(rows), math.nan), where=fit)
-    return c.edge - c.d * r, kpp
+    sigma_min = c.edge - c.d * r
+    # Re K there, from the vertex value phi_z(sigma[j]) - (below - above)^2 /
+    # (8 curv); with no fit sigma_min = sigma[j], and this is the table's
+    drop = np.divide((below - above) ** 2, 8.0 * curv, out=np.zeros(len(rows)), where=fit)
+    return sigma_min, kpp, kernel[j] + (sigma[j] - sigma_min) * log_z[:, 0] - drop
 
 
 def _end_at_gap(log_z: np.ndarray, size: int) -> int:
@@ -526,38 +526,34 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     Yields (abscissa, indices into z, first-pass step h0), at most
     _band_size(omega, h0) indices each.
     The default line gamma0 lies in the strip left < Re s < right.  The
-    contour slides to the real saddle sigma*_z when that lies beyond
-    gamma0 on the side without poles: left for (m, l) = (q, 0) with
-    nu > 0, right for its mirror (0, p) with nu < 0.  There the integrand
-    has no poles and log|integrand| is smooth.  One _real_minimum call
-    finds every z's saddle on the spec's saddle table.  Every other z
-    stays on gamma0, in bands of neighbouring z.  Slid z, nearest gamma0
-    first, share the deepest saddle on which the band's first member loses
-    at most _LINE_LOSS, and the band takes the following z while
-    phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for each.  h0 comes
-    from the first member's saddle, the narrowest Gaussian and the
-    nearest pole of the band.  The line stays near the first member: a
-    member between it and gamma0 adds its offset log z - log z_line to
-    the drift of Im log f along the line, and the first pass's phase test
-    then sends it on to refinement; deeper members subtract it.  On the
-    first member's own saddle, the line lies so near the pole that the
-    deepest members miss the first-pass estimate.  A lone slid z needs no
-    grouping, so a single-z call evaluates no kernel here.
+    contour slides to the real saddle sigma*_z when that lies beyond gamma0
+    on the side without poles: left for (m, l) = (q, 0) with nu > 0, right
+    for its mirror (0, p) with nu < 0.  There the integrand has no poles and
+    log|integrand| is smooth.  One _real_minimum call finds every z's saddle
+    on the spec's saddle table, and Re K there, so the grouping evaluates no
+    kernel.  Every other z stays on gamma0, in bands of neighbouring z.
+    Slid z, nearest gamma0 first, share the deepest saddle on which the
+    band's first member loses at most _LINE_LOSS, and the band takes the
+    following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
+    each.  h0 comes from the first member's saddle, the narrowest Gaussian
+    and the nearest pole of the band.  The line stays near the first member:
+    a member between it and gamma0 adds its offset log z - log z_line to the
+    drift of Im log f along the line, and the first pass's phase test then
+    sends it on to refinement; deeper members subtract it.  On the first
+    member's own saddle, the line lies so near the pole that the deepest
+    members miss the first-pass estimate.
     """
     d, omega = c.d, c.conv.omega
     log_z = np.log(z)
     fixed = np.arange(len(z))
     order = fixed[:0]
     if d * c.conv.nu > 0 and z.size:
-        sstar, kpp = _real_minimum(c, log_z)
+        sstar, kpp, kernel = _real_minimum(c, log_z)
         slid = d * sstar < d * c.gamma0
         fixed = np.flatnonzero(~slid)
         order = np.flatnonzero(slid)
         order = order[np.argsort(-d * sstar[order], kind="stable")]
-        if order.size > 1:
-            # grouping needs Re K at the saddles: one kernel call
-            kernel = _log_integrand(c.spec, sstar).real
-            phi = kernel + sstar * log_z
+        phi = kernel + sstar * log_z
     fixed = fixed[np.argsort(z[fixed], kind="stable")]
     while fixed.size:
         size = _end_at_gap(log_z[fixed], _band_size(omega, _H0))

@@ -182,27 +182,30 @@ class _HProfile:
             [(5.0 * m[0] + m[1]) / 2.0], 3.0 * (m[:-1] + m[1:]), [(m[-2] + 5.0 * m[-1]) / 2.0]
         ))
         s = _not_a_knot_inverse(nodes) @ rhs
-        # piecewise cubic in u = log w - xs[i], one row per interval,
+        # piecewise cubic in u = log w - xs[i], one column per interval,
         # highest power first
         t = (s[:-1] + s[1:] - 2.0 * m) / self.dx
-        self.coeffs = np.stack((t / self.dx, (m - s[:-1]) / self.dx - t, s[:-1], y[:-1]), axis=1)
+        self.coeffs = np.stack((t / self.dx, (m - s[:-1]) / self.dx - t, s[:-1], y[:-1]))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        ok = v > 0
-        x = self.log_coef - self.power * np.log(np.where(ok, v, 1.0))
-        inside = ok & (x <= self.xs[-1])
+        # v <= 0 maps to x = inf, past the last node
+        with np.errstate(divide="ignore"):
+            x = self.log_coef - self.power * np.log(np.maximum(v, 0.0))
+        inside = x <= self.xs[-1]
         # points outside are evaluated at the last node and discarded
-        x = np.where(inside, x, self.xs[-1])
-        i = np.clip(np.floor((x - self.xs[0]) / self.dx).astype(int), 0, len(self.xs) - 2)
+        x = np.minimum(x, self.xs[-1])
+        # truncation and the clip at 0 give the floor's interval
+        i = np.clip(((x - self.xs[0]) / self.dx).astype(int), 0, len(self.xs) - 2)
         u = x - self.xs[i]
-        c = self.coeffs[i]
-        hv = ((c[..., 0] * u + c[..., 1]) * u + c[..., 2]) * u + c[..., 3]
+        hv = self.coeffs[0][i]
+        for c in self.coeffs[1:]:
+            hv *= u
+            hv += c[i]
         if self.positive:
-            hv = np.exp(hv)
-        out[inside] = self.scale * hv[inside]
-        return out
+            np.exp(hv, out=hv)
+        hv *= self.scale
+        return np.where(inside, hv, 0.0)
 
 
 def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: float):

@@ -258,11 +258,24 @@ class TestEvalMellinBarnes:
             eval_mellin_barnes(self.SMALL_Z_SPEC, 1.41e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_zero_sum_cancellation_raises(self):
-        # a refinement pass here sums to exactly 0.0: the ratio in the
-        # error's message is infinite, and no division warns
+    def test_zero_sum_cancellation_raises(self, monkeypatch):
+        # a kernel of modulus 1 at tau = h and e^-1000 or less elsewhere on
+        # the first pass, and whose first refinement adds its negative at
+        # tau = h / 2: at z = 1, where tau log z vanishes, the refinement
+        # sums to exactly 0.0, the ratio in the error's message is
+        # infinite, and no division warns
+        h = foxh._H0
+
+        def kernel(spec, s):
+            tau = np.asarray(s).imag
+            return np.where(
+                np.isclose(tau, h), 0.0, np.where(np.isclose(tau, h / 2.0), 1j * np.pi, -1000.0 - tau)
+            )
+
+        assert np.cos(np.pi) == -1.0
+        monkeypatch.setattr(foxh, "_log_integrand", kernel)
         with pytest.raises(CancellationError, match="= inf"):
-            eval_mellin_barnes(self.SMALL_Z_SPEC, 6.0352115906421594e-30)
+            eval_mellin_barnes(FIXED_SPEC, 1.0)
 
     @pytest.mark.parametrize("z", [1e-16, 1e-20, 1e-30, 1e-300])
     def test_small_argument_stall_is_cancellation(self, z, monkeypatch):
@@ -319,7 +332,7 @@ class TestSaddleSearch:
         for spec, z in ((spec, z), (invert_argument(spec), 1.0 / z)):
             c = foxh._constants(spec)
             log_z = np.log(z)
-            sigma, kpp = foxh._real_minimum(c, log_z)
+            sigma, kpp, _ = foxh._real_minimum(c, log_z)
             # dense in log r near the edge and in r far from it, over the
             # table's range
             gap, reach = np.abs(c.table[1][[0, -1]] - c.edge)
@@ -334,6 +347,19 @@ class TestSaddleSearch:
             fit = np.isfinite(kpp)
             assert np.count_nonzero(fit) >= 10
             assert_allclose(kpp[fit], kernel_curvature(spec, sigma[fit]), rtol=0.1)
+
+    def test_kernel_value_matches_kernel(self):
+        # Re K that the search returns with each slid saddle, from its
+        # parabola's vertex, is within 1e-3 of the kernel there: far below
+        # the _LINE_LOSS e-folds the grouping compares it against
+        z = np.geomspace(1e-3, 1e4, 200)
+        for spec in (case1_spec(0.8, 1), case1_spec(1.5, 2), *GL_SPECS):
+            c = foxh._constants(spec)
+            sigma, _, kernel = foxh._real_minimum(c, np.log(z))
+            slid = c.d * sigma < c.d * c.gamma0
+            assert np.count_nonzero(slid) >= 100
+            want = foxh._log_integrand(spec, sigma[slid]).real
+            assert np.max(np.abs(kernel[slid] - want)) <= 1e-3
 
     def test_calls_do_not_grow_with_z(self, monkeypatch):
         # once the table exists, the search itself evaluates no kernel
@@ -438,8 +464,7 @@ class TestBatchedEvaluation:
             return trapezoid_line(spec, z, gamma, omega, h0)
 
         def counting(spec, s):
-            # the first kernel call of a band is its first pass; the
-            # grouping's call at the saddles comes before any band
+            # the first kernel call of a band is its first pass
             if first_pass and isinstance(first_pass[-1], int):
                 first_pass[-1] = (first_pass[-1], np.size(s))
             return log_integrand(spec, s)

@@ -3,13 +3,17 @@ residuals, coefficient-level residuals, and the operator-identity harnesses."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol import verify
+from fracsol import foxh, verify
 from fracsol.errors import PreconditionViolationError, StepTooLargeError
 from fracsol.fracseries import FracPowerSeries
 from fracsol.ode import OdeProblem, solve_large_alpha
@@ -118,6 +122,32 @@ class TestResidualPde:
         assert sizes == [320 + 5 * 2, 320 + 5]
         assert [p.point for p in report.points] == grid
 
+    def test_h_batch_does_not_depend_on_blas_threads(self):
+        # a gl-verify-like point set at one x (320 profile nodes and three
+        # 5-point stencils): the contour sums in a fixed order, so one and
+        # two OpenBLAS threads give the same bits
+        code = (
+            "import hashlib\n"
+            "from fracsol import pde, verify\n"
+            "p = pde.DiffusionProblem(alpha=0.62, m=0, d=0.45, A=1.0, B=0.1, C=-0.05, a=0.1)\n"
+            "batch, vals = verify.eval_mellin_barnes_batch, []\n"
+            "verify.eval_mellin_barnes_batch = lambda spec, z: vals.append(batch(spec, z)) or vals[-1]\n"
+            "r = verify.residual_pde(pde.solve(p), p, [(1.1, 0.9), (1.1, 1.2), (1.1, 1.5)], h=1e-4)\n"
+            "print([v.size for v in vals], hashlib.sha256(vals[0].tobytes()).hexdigest(),\n"
+            "      [repr(q.lhs) for q in r.points])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0].startswith("[335]")
+        assert outs[0] == outs[1]
+
     def test_finite_difference_rhs_on_alpha1_h_form(self):
         # alpha = 1 with the prefactor exponent at which the H-form is a
         # constant multiple of the exponential closed form, so the exact
@@ -164,6 +194,23 @@ class TestHProfile:
         # a sign-changing profile is compared against its largest value
         scale = np.abs(want) if positive else np.max(np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-12
+
+    def test_bands_evaluate_no_kernel(self, monkeypatch):
+        # criterion 4's 320-node profile batch: _real_minimum returns Re K
+        # at the saddles, so once the saddle table exists, splitting the
+        # batch into bands (several of them slid) evaluates no kernel
+        profile, spec = h_profile(0.8, 1, 0.0, 1.0)
+        c = foxh._constants(spec)
+        c.table
+        calls = []
+        log_integrand = foxh._log_integrand
+        monkeypatch.setattr(
+            foxh, "_log_integrand", lambda spec, s: calls.append(s) or log_integrand(spec, s)
+        )
+        bands = list(foxh._contour_bands(c, np.exp(profile.xs)))
+        assert calls == []
+        assert sum(idx.size for _, idx, _ in bands) == profile.xs.size
+        assert sum(line != c.gamma0 for line, _, _ in bands) >= 2
 
     def test_zero_outside_its_range_without_warnings(self):
         profile, _ = h_profile(0.8, 1, 0.0, 1.0)
