@@ -44,11 +44,11 @@ class ComplexRootsError(FracsolError):
 
 
 class DegenerateLeadingError(FracsolError):
-    """Leading operator coefficient vanishes."""
+    """Leading operator coefficient a_n (n >= 1) is not positive."""
 
 
 class DegenerateDError(FracsolError):
-    """Space exponent d = 2: the similarity reduction degenerates."""
+    """Space exponent d = 2 in a formula that divides by 2 - d."""
 
 
 class StepTooLargeError(FracsolError):

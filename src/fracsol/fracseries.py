@@ -98,28 +98,17 @@ class EulerPolynomialOperator:
 
     coeffs: tuple  # a_0 .. a_n
     time_weight: int = 0
-    roots: tuple = field(default=None)
-    # monomial coefficients of P(s), lowest degree first; expanded once
+    # monomial coefficients of P(s), lowest degree first, and the roots
+    # s_j; both derived once from coeffs
     monomials: tuple = field(init=False, repr=False, compare=False)
+    roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
         if self.time_weight < 0 or self.time_weight != int(self.time_weight):
             raise ValueError("time_weight must be a non-negative integer")
         object.__setattr__(self, "monomials", _char_monomials(self.coeffs))
-        if self.roots is None:
-            object.__setattr__(self, "roots", _char_roots(self.monomials))
-        else:
-            object.__setattr__(self, "roots", tuple(complex(s) for s in self.roots))
-            self._check_root_form()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> float:
-        return self.coeffs[-1]
+        object.__setattr__(self, "roots", _char_roots(self.monomials))
 
     def char_value(self, s) -> complex:
         """P(s) via the falling-factorial expansion (exact in the coefficients)."""
@@ -130,17 +119,6 @@ class EulerPolynomialOperator:
             total += a * ff
             ff *= s - i
         return total
-
-    def _check_root_form(self):
-        for s in self.roots:
-            probe = abs(self.char_value(s))
-            norm = max(1.0, max(abs(a) for a in self.coeffs)) * max(1.0, abs(s)) ** max(
-                1, self.degree
-            )
-            if probe > 1e-8 * norm:
-                raise ValueError(
-                    f"root form disagrees with coefficients: |P({s})| = {probe:g}"
-                )
 
 
 def _char_monomials(coeffs) -> tuple:

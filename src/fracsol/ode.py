@@ -3,7 +3,8 @@
     D^alpha y(z) = z^m (a_n z^n y^(n) + ... + a_1 z y' + a_0 y),  z > 0.
 
 Two branches: alpha < n gives a single Fox-H solution, alpha > n gives
-[alpha]+1 generalized-Wright series members.  alpha = n is rejected.
+[alpha]+1 generalized-Wright series members.  alpha = n is rejected.  For
+n = 0 only the Wright branch applies, and a_0 may have either sign.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class OdeProblem:
 
     alpha: float
     m: int
-    a_coeffs: tuple  # a_0 .. a_n, leading a_n > 0
+    a_coeffs: tuple  # a_0 .. a_n, leading a_n > 0 when n >= 1
 
     def __post_init__(self):
         object.__setattr__(self, "a_coeffs", tuple(float(a) for a in self.a_coeffs))
@@ -40,7 +41,7 @@ class OdeProblem:
             raise ValueError("m must be a non-negative integer")
         if len(self.a_coeffs) < 1:
             raise ValueError("need at least a_0")
-        if self.a_coeffs[-1] <= 0:
+        if self.n >= 1 and self.a_coeffs[-1] <= 0:
             raise DegenerateLeadingError("leading coefficient a_n must be positive")
         if self.alpha == self.n:
             raise BranchMismatchError(
@@ -52,23 +53,19 @@ class OdeProblem:
         return len(self.a_coeffs) - 1
 
     def operator(self) -> EulerPolynomialOperator:
-        return EulerPolynomialOperator(coeffs=self.a_coeffs, time_weight=self.m)
+        """The operator, whose P(s) = a_n s(s-1)...(s-n+1) + ... + a_1 s + a_0
+        carries its expanded monomials and roots, with every root's residual
+        checked against the coefficient norm.
 
-
-def characteristic_poly(problem: OdeProblem) -> EulerPolynomialOperator:
-    """The problem's operator, whose P(s) = a_n s(s-1)...(s-n+1) + ... +
-    a_1 s + a_0 carries its expanded monomials and roots, with every root's
-    residual checked against the coefficient norm.
-
-    Closed forms for n <= 2, companion-matrix eigenvalues plus one Newton
-    step for n >= 3.
-    """
-    op = problem.operator()
-    norm = max(abs(c) for c in op.monomials)
-    for s in op.roots:
-        if abs(op.char_value(s)) > 1e-10 * norm * max(1.0, abs(s)) ** problem.n:
-            raise ArithmeticError(f"characteristic root {s} failed residual check")
-    return op
+        Closed forms for n <= 2, companion-matrix eigenvalues plus one Newton
+        step for n >= 3.
+        """
+        op = EulerPolynomialOperator(coeffs=self.a_coeffs, time_weight=self.m)
+        norm = max(abs(c) for c in op.monomials)
+        for s in op.roots:
+            if abs(op.char_value(s)) > 1e-10 * norm * max(1.0, abs(s)) ** self.n:
+                raise ArithmeticError(f"characteristic root {s} failed residual check")
+        return op
 
 
 @dataclass(frozen=True)
@@ -133,13 +130,13 @@ def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     """H-function solution for 0 < alpha < n (real characteristic roots only)."""
     if not problem.alpha < problem.n:
         raise BranchMismatchError(f"alpha = {problem.alpha} is not < n = {problem.n}")
-    cp = characteristic_poly(problem)
-    if not _roots_real(cp.roots):
+    roots = problem.operator().roots
+    if not _roots_real(roots):
         raise ComplexRootsError(
             "characteristic roots are complex; the H form needs real lower parameters"
         )
     rho = problem.alpha + problem.m
-    lower = tuple((-s.real / rho, 1.0) for s in cp.roots) + tuple(
+    lower = tuple((-s.real / rho, 1.0) for s in roots) + tuple(
         (j / rho, 1.0) for j in range(1, problem.m + 1)
     )
     spec = HFunctionSpec(
@@ -153,7 +150,7 @@ def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     constants = (1.0,) if constants is None else tuple(constants)
     return OdeSolution(
         problem=problem,
-        roots=cp.roots,
+        roots=roots,
         constants=constants,
         small=SmallAlphaForm(spec=spec, arg_coef=arg_coef, power=rho),
     )
@@ -185,15 +182,15 @@ def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
     if not problem.alpha > problem.n:
         raise BranchMismatchError(f"alpha = {problem.alpha} is not > n = {problem.n}")
-    cp = characteristic_poly(problem)
+    roots = problem.operator().roots
     alpha, m, n = problem.alpha, problem.m, problem.n
     an = problem.a_coeffs[-1]
     lam = an * (alpha + m) ** (m + n)
-    members = wright_members(alpha, m, cp.roots, lam)
+    members = wright_members(alpha, m, roots, lam)
     if constants is None:
         constants = (1.0,) * len(members)
     return OdeSolution(
-        problem=problem, roots=cp.roots, constants=tuple(constants), members=members
+        problem=problem, roots=roots, constants=tuple(constants), members=members
     )
 
 

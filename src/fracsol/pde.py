@@ -6,10 +6,10 @@ diffusion equation
 The substitution u = x^a phi(z), z = x^((d-2)/(alpha+m)) t, collapses the
 PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`; ``solve``
 reduces, solves that ODE and maps its solution back (Fox-H form for
-0 < alpha < 2, Wright series for alpha > 2).  For d = 2 the reduction
-degenerates and u = x^a phi(t) with phi the Wright members of
-D^alpha phi = K t^m phi.  The alpha = 1 exponential closed form is built
-here directly.
+0 < alpha < 2, Wright series for alpha > 2).  At d = 2 the reduction is
+the n = 0 ODE D^alpha phi = K t^m phi in z = t, whose solutions are its
+Wright members for every alpha.  The alpha = 1 exponential closed form is
+built here directly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
-from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator
+from .fracseries import DEFAULT_ORDER_VERIFY
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def s_roots(problem: DiffusionProblem):
     s_{1,2} = (alpha+m)/(2(2-d)) * (B/A + 2a - 1 +/- sqrt((1-B/A)^2 - 4C/A)).
     """
     if problem.d == 2:
-        raise DegenerateDError("s_roots undefined for d = 2; use the d = 2 branch")
+        raise DegenerateDError("s_roots undefined for d = 2: the reduced ODE has n = 0")
     A, B, C, a = problem.A, problem.B, problem.C, problem.a
     disc = (1.0 - B / A) ** 2 - 4.0 * C / A
     sq = cmath.sqrt(disc)
@@ -95,15 +95,14 @@ def s_roots(problem: DiffusionProblem):
 
 
 def similarity_reduce(problem: DiffusionProblem):
-    """The n = 2 OdeProblem of the reduced equation plus the ansatz map."""
-    if problem.d == 2:
-        raise DegenerateDError("similarity reduction degenerates at d = 2")
+    """The OdeProblem of the reduced equation plus the ansatz map: n = 2,
+    or n = 0 with a_0 = K at d = 2, where a_2 and a_1 vanish."""
     A, B, d, a = problem.A, problem.B, problem.d, problem.a
     rho = problem.rho
     a2 = A * (d - 2.0) ** 2 / rho**2
     a1 = ((d - 2.0) / rho) * (A * (d - 2.0) / rho + B + A * (2.0 * a - 1.0))
-    a0 = problem.K
-    reduced = ode.OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=(a0, a1, a2))
+    a_coeffs = (problem.K, a1, a2) if d != 2 else (problem.K,)
+    reduced = ode.OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=a_coeffs)
     return reduced, SimilarityMap(a=a, z_exponent=(d - 2.0) / rho)
 
 
@@ -150,17 +149,13 @@ class PdeSolution:
 
 
 def solve(problem: DiffusionProblem) -> PdeSolution:
-    """Construct the solution representation for the applicable branch.
+    """Reduce to the ODE (n = 0 at d = 2, else n = 2), solve it, map back.
 
     Complex characteristic roots follow the ODE's policy: the H form
     (alpha < 2) raises ComplexRootsError, the Wright members (alpha > 2)
     carry complex parameters.  alpha = 2 with d != 2 reduces to an ODE with
     alpha = n, which raises BranchMismatchError.
     """
-    if problem.d == 2:
-        lam = problem.K * problem.rho**problem.m
-        members = ode.wright_members(problem.alpha, problem.m, (), lam)
-        return PdeSolution(problem, WrightSeriesForm(members, SimilarityMap(problem.a, 0.0)))
     ode_problem, smap = similarity_reduce(problem)
     ode_sol = ode.solve(ode_problem)
     small = ode_sol.small
@@ -222,13 +217,9 @@ def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):
     Returns a list of (FracPowerSeries, EulerPolynomialOperator).  The
     series live on the lattice gamma = alpha - k, rho = alpha + m of the
     reduced variable z; the operator encodes the right side of the reduced
-    ODE (for d = 2 the operator is the constant K with time weight m).
+    ODE (for d = 2 the constant K with time weight m).
     """
     if not isinstance(sol.form, WrightSeriesForm):
         raise ValueError("series_members applies to Wright-series solutions")
-    prob = sol.problem
-    if prob.d == 2:
-        op = EulerPolynomialOperator(coeffs=(prob.K,), time_weight=prob.m, roots=())
-    else:
-        op = similarity_reduce(prob)[0].operator()
+    op = similarity_reduce(sol.problem)[0].operator()
     return [(mem.series(order), op) for mem in sol.form.members]

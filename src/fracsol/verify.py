@@ -90,8 +90,9 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> flo
     """First-order Grunwald-Letnikov approximation of the RL derivative.
 
     h^{-alpha} sum_j (-1)^j C(alpha, j) f(t - j h) with lower terminal 0.
-    w, if given, is gl_weights(alpha, N) for some N >= t / h, built once
-    for several t; the sum reads its first floor(t / h) + 1 entries.
+    f maps an array of t to an array of the same shape.  w, if given, is
+    gl_weights(alpha, N) for some N >= t / h, built once for several t; the
+    sum reads its first floor(t / h) + 1 entries.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -103,12 +104,9 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> flo
     w = gl_weights(alpha, n) if w is None else w[: n + 1]
     ts = t - np.arange(n + 1) * h
     ts = np.where(ts < 0, 0.0, ts)
-    try:
-        vals = np.asarray(f(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(f(tv)) for tv in ts])
+    vals = np.asarray(f(ts), dtype=float)
+    if vals.shape != ts.shape:
+        raise ValueError(f"f returned shape {vals.shape} for {ts.shape} values of t")
     # pairwise summation: a BLAS dot may thread a long sum, and its digits
     # then depend on the thread count
     return float(h ** (-alpha) * np.sum(w * vals))
@@ -252,7 +250,6 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
             u = scale * xs**form.a * f_t.extra.reshape(len(ts), xs.size)
         else:
             def f_t(tv, _x=x):
-                tv = np.atleast_1d(np.asarray(tv, dtype=float))
                 return np.array([u_point(_x, t) if t > 0 else 0.0 for t in tv])
 
             u = np.array([[u_point(xv, t) for xv in xs] for t in ts])
@@ -275,7 +272,7 @@ def residual_pde(
 ) -> ResidualReport:
     """Residual of the diffusion equation on the given (x, t) grid.
 
-    ClosedFormExp solutions with integer alpha go through the exact
+    ClosedFormExp solutions (alpha = 1) go through the exact
     analytic-derivative path (h-independent); everything else uses the
     Grunwald-Letnikov time derivative and finite differences in x.
 
@@ -288,7 +285,7 @@ def residual_pde(
     grid = [(float(x), float(t)) for x, t in grid]
     if any(x <= 0 or t <= 0 for x, t in grid):
         raise ValueError("grid points must be strictly positive")
-    if isinstance(sol.form, ClosedFormExp) and float(problem.alpha).is_integer():
+    if isinstance(sol.form, ClosedFormExp):
         return _closed_form_residual(sol, problem, grid)
     return _numeric_residual(sol, problem, grid, h)
 

@@ -14,7 +14,6 @@ import pytest
 from fracsol import foxh, wright
 from fracsol.errors import QuadratureFailureError
 from fracsol.fracseries import euler_apply, rl_derivative
-from fracsol.ode import characteristic_poly
 from fracsol.pde import (
     DiffusionProblem,
     exp_closed_form,
@@ -218,7 +217,7 @@ def test_criterion_9_reduction_consistency():
             a=float(rng.uniform(-1.0, 1.0)),
         )
         ode_prob, _ = similarity_reduce(prob)
-        got = [complex(r) for r in characteristic_poly(ode_prob).roots]
+        got = [complex(r) for r in ode_prob.operator().roots]
         want = [complex(s) for s in s_roots(prob)]
         err = min(
             max(abs(got[0] - want[0]), abs(got[1] - want[1])),

@@ -6,7 +6,7 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol import foxh, wright
+from fracsol import foxh, fracseries, wright
 from fracsol.errors import (
     BranchMismatchError,
     ComplexRootsError,
@@ -15,12 +15,12 @@ from fracsol.errors import (
 from fracsol.fracseries import euler_apply, rl_derivative
 from fracsol.ode import (
     OdeProblem,
-    characteristic_poly,
     solve,
     solve_large_alpha,
     solve_small_alpha,
     wright_members,
 )
+from fracsol.verify import residual_ode_coefficients
 
 
 class TestOdeProblem:
@@ -36,17 +36,17 @@ class TestOdeProblem:
 class TestCharacteristicPoly:
     def test_pure_second_order(self):
         # a2 z^2 y'': P(s) = s(s-1), roots {0, 1}
-        cp = characteristic_poly(OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 0.0, 1.0)))
+        cp = OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 0.0, 1.0)).operator()
         assert sorted(r.real for r in cp.roots) == pytest.approx([0.0, 1.0])
 
     def test_linear(self):
         # a1 z y' - 2 y: P(s) = s - 2
-        cp = characteristic_poly(OdeProblem(alpha=0.5, m=0, a_coeffs=(-2.0, 1.0)))
+        cp = OdeProblem(alpha=0.5, m=0, a_coeffs=(-2.0, 1.0)).operator()
         assert [complex(r) for r in cp.roots] == pytest.approx([2.0 + 0j])
 
     def test_double_root(self):
         # z^2 y'' + z y': P(s) = s(s-1) + s = s^2, double root 0
-        cp = characteristic_poly(OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 1.0, 1.0)))
+        cp = OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 1.0, 1.0)).operator()
         assert [complex(r) for r in cp.roots] == pytest.approx([0.0 + 0j, 0.0 + 0j])
 
 
@@ -192,3 +192,30 @@ class TestRootPermutationInvariance:
             foxh.eval_mellin_barnes(perm, z),
             rtol=1e-10,
         )
+
+
+class TestN0Problem:
+    # D^alpha y = a_0 z^m y: only the Wright branch (alpha > 0 = n) applies,
+    # so a_0 may have either sign
+    @pytest.mark.parametrize("alpha", [0.6, 2.5])
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("a0", [-0.7, 0.0, 0.7])
+    def test_coefficient_residual(self, alpha, m, a0):
+        prob = OdeProblem(alpha=alpha, m=m, a_coeffs=(a0,))
+        sol = solve(prob)
+        assert sol.branch == "large-alpha" and sol.roots == ()
+        assert len(sol.members) == math.floor(alpha) + 1
+        for member in sol.members:
+            report = residual_ode_coefficients(member.series(28), prob.operator(), alpha, 20)
+            assert report.passes(1e-10)
+
+
+class TestRootCheck:
+    def test_wrong_root_raises(self, monkeypatch):
+        char_roots = fracseries._char_roots
+        monkeypatch.setattr(
+            fracseries, "_char_roots", lambda c: tuple(s + 1e-3 for s in char_roots(c))
+        )
+        for alpha in (0.8, 2.5):
+            with pytest.raises(ArithmeticError):
+                solve(OdeProblem(alpha=alpha, m=1, a_coeffs=(0.0, 0.3, 1.0)))

@@ -7,21 +7,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracsol import fracseries
 from fracsol.errors import (
     BranchMismatchError,
     ComplexRootsError,
     DegenerateDError,
     DomainError,
 )
-from fracsol.ode import characteristic_poly
+from fracsol.fracseries import EulerPolynomialOperator
+from fracsol.ode import OdeProblem, wright_members
 from fracsol.pde import (
     ClosedFormExp,
     DiffusionProblem,
     FoxHForm,
+    SimilarityMap,
     WrightSeriesForm,
     exp_closed_form,
     evaluate,
     s_roots,
+    series_members,
     similarity_reduce,
     solve,
 )
@@ -52,6 +56,8 @@ class TestSRoots:
         prob = DiffusionProblem(alpha=1.0, m=0, d=2.0, A=1.0, B=0.0, C=0.0, a=0.0)
         with pytest.raises(DegenerateDError):
             s_roots(prob)
+        with pytest.raises(DegenerateDError):
+            exp_closed_form(prob)
 
 
 class TestSimilarityReduce:
@@ -69,7 +75,7 @@ class TestSimilarityReduce:
     def test_roots_match_s_roots(self):
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.5, A=1.5, B=0.2, C=-0.1, a=0.3)
         ode_prob, _ = similarity_reduce(prob)
-        got = sorted(complex(r).real for r in characteristic_poly(ode_prob).roots)
+        got = sorted(complex(r).real for r in ode_prob.operator().roots)
         want = sorted(complex(s).real for s in s_roots(prob))
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -87,7 +93,7 @@ class TestSimilarityReduce:
             a = float(rng.uniform(-1.0, 1.0))
             prob = DiffusionProblem(alpha=alpha, m=m, d=d, A=A, B=B, C=C, a=a)
             ode_prob, _ = similarity_reduce(prob)
-            got = [complex(r) for r in characteristic_poly(ode_prob).roots]
+            got = [complex(r) for r in ode_prob.operator().roots]
             want = [complex(s) for s in s_roots(prob)]
             # conjugate pairs sort unstably on floating-point real parts; take
             # the best of the two pairings instead
@@ -272,3 +278,43 @@ class TestZeroSolution:
         )
         sol = solve(prob)
         assert complex(evaluate(sol, 1.0, 1.0)) == 0
+
+
+class TestD2IsTheN0Ode:
+    # A = 1, B = 0, a = 0.5: K = C - 0.25, exactly 0 at C = 0.25
+    @pytest.mark.parametrize("C,K", [(-0.2, -0.45), (0.25, 0.0), (1.0, 0.75)])
+    def test_reduction(self, C, K):
+        prob = DiffusionProblem(alpha=1.5, m=1, d=2.0, A=1.0, C=C, a=0.5)
+        assert prob.K == pytest.approx(K, abs=1e-15)
+        ode_prob, smap = similarity_reduce(prob)
+        assert ode_prob == OdeProblem(alpha=1.5, m=1, a_coeffs=(prob.K,))
+        assert smap == SimilarityMap(a=0.5, z_exponent=0.0)
+        assert smap.z(1.7, 0.3) == 0.3
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.5, 3.2])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("C", [-0.2, 0.25, 1.0])
+    def test_parity_with_wright_members(self, alpha, m, C):
+        prob = DiffusionProblem(
+            alpha=alpha, m=m, d=2.0, A=1.0, C=C, a=0.5, constants=(1.0, -0.5, 2.0, 0.3)
+        )
+        sol = solve(prob)
+        members = wright_members(alpha, m, (), prob.K * prob.rho**m)
+        assert sol.form.members == members
+        pairs = series_members(sol, order=10)
+        assert [s for s, _ in pairs] == [mem.series(10) for mem in members]
+        assert all(op == EulerPolynomialOperator((prob.K,), m) for _, op in pairs)
+        for x, t in ((0.7, 0.4), (1.0, 1.0), (1.6, 2.3)):
+            want = x**0.5 * sum(prob.constant(mem.k) * mem.evaluate(t) for mem in members)
+            assert evaluate(sol, x, t) == want
+
+
+class TestRootCheck:
+    def test_wrong_root_raises_in_series_members(self, monkeypatch):
+        sol = solve(DiffusionProblem(alpha=2.5, m=1, d=1.0, A=1.0, B=0.5, C=0.1))
+        char_roots = fracseries._char_roots
+        monkeypatch.setattr(
+            fracseries, "_char_roots", lambda c: tuple(s + 1e-3 for s in char_roots(c))
+        )
+        with pytest.raises(ArithmeticError):
+            series_members(sol)

@@ -53,6 +53,11 @@ class TestGlDerivative:
         )
         assert got == pytest.approx(1 / math.sqrt(math.pi), abs=1e-4)
 
+    def test_scalar_callable_rejected(self):
+        # f maps an array of t to an array of the same shape
+        with pytest.raises(ValueError):
+            gl_fractional_derivative(lambda t: 1.0, 0.5, 1.0, 1e-4)
+
     def test_step_guard(self):
         with pytest.raises(StepTooLargeError):
             gl_fractional_derivative(lambda t: t, 0.5, 1.0, 0.5)
