@@ -185,10 +185,10 @@ def foxh_rows(speed):
 
 
 def profile_rows(speed):
-    form = pde.solve(pde.DiffusionProblem(**GL_PROBLEM)).form
+    form = pde.solve(pde.DiffusionProblem(**GL_PROBLEM)).form.small
 
     def build():
-        return verify._HProfile(form.spec, coef=form.arg_coef, power=form.rho, v_max=1.5, h=1e-4)
+        return verify._HProfile(form.spec, coef=form.arg_coef, power=form.power, v_max=1.5, h=1e-4)
 
     profile = build()
     t, ts = timed(build, speed)

@@ -15,6 +15,7 @@ anything is written, so a failing command leaves stdout and --out untouched.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import itertools
 import json
@@ -27,12 +28,33 @@ from . import __version__, foxh, fracseries, ode, pde, verify, wright
 from .errors import FracsolError, InputError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as an InputError,
+    not as a usage message with exit code 2, which means verification FAIL."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _finite(value, kind=float):
+    """kind(value), refusing NaN and the infinities, which float(), complex()
+    and json.loads accept."""
+    number = kind(value)
+    if not cmath.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+# argparse names the type in its message for a rejected flag value
+_finite.__name__ = "finite"
+
+
 def _parse_z(text: str) -> list:
     """Parse --z 'z1,z2,...' into floats."""
     try:
-        return [float(z) for z in text.split(",")]
+        return [_finite(z) for z in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"--z must be comma-separated numbers, got {text!r}") from exc
+        raise InputError(f"--z must be comma-separated finite numbers, got {text!r}") from exc
 
 
 def _parse_grid(args, names) -> list:
@@ -45,7 +67,7 @@ def _parse_grid(args, names) -> list:
         try:
             name, rng = part.split("=")
             s_start, s_stop, s_count = rng.split(":")
-            start, stop, count = float(s_start), float(s_stop), int(s_count)
+            start, stop, count = _finite(s_start), _finite(s_stop), int(s_count)
         except ValueError as exc:
             raise InputError(f"bad grid component {part!r}") from exc
         if count < 1:
@@ -168,7 +190,7 @@ def _integer(value) -> int:
 
 def _pairs(values) -> tuple:
     """[[value, weight], ...] as float pairs."""
-    return tuple((float(a), float(b)) for a, b in values)
+    return tuple((_finite(a), _finite(b)) for a, b in values)
 
 
 def _emit_values(args, values) -> int:
@@ -218,8 +240,8 @@ def _emit_solution(args, descriptor: dict, header: str, sample):
 def cmd_solve_ode(args) -> int:
     obj = _load_json(args)
     problem = ode.OdeProblem(
-        alpha=_field(obj, "alpha", float), m=_field(obj, "m", _integer, 0),
-        a_coeffs=_field(obj, "a_coeffs", lambda cs: tuple(map(float, cs))),
+        alpha=_field(obj, "alpha", _finite), m=_field(obj, "m", _integer, 0),
+        a_coeffs=_field(obj, "a_coeffs", lambda cs: tuple(map(_finite, cs))),
     )
     sol = ode.solve(problem)
     descriptor = {
@@ -260,14 +282,16 @@ def _pde_solution(args):
     """Parse the PDE problem and build the solution --form and --sign ask for."""
     obj = _load_json(args)
     problem = pde.DiffusionProblem(
-        alpha=_field(obj, "alpha", float),
+        alpha=_field(obj, "alpha", _finite),
         m=_field(obj, "m", _integer, 0),
-        d=_field(obj, "d", float),
-        A=_field(obj, "A", float),
-        B=_field(obj, "B", float, 0.0),
-        C=_field(obj, "C", float, 0.0),
-        a=_field(obj, "a", float, 0.0),
-        constants=_field(obj, "constants", lambda cs: tuple(map(complex, cs)), None),
+        d=_field(obj, "d", _finite),
+        A=_field(obj, "A", _finite),
+        B=_field(obj, "B", _finite, 0.0),
+        C=_field(obj, "C", _finite, 0.0),
+        a=_field(obj, "a", _finite, 0.0),
+        constants=_field(
+            obj, "constants", lambda cs: tuple(_finite(c, complex) for c in cs), None
+        ),
     )
     if args.form == "exp" or (args.form == "auto" and problem.alpha == 1 and problem.d != 2):
         try:
@@ -284,23 +308,24 @@ def _pde_solution(args):
 
 def cmd_solve_pde(args) -> int:
     problem, sol = _pde_solution(args)
+    form, smap = sol.form, sol.smap
+    closed = isinstance(form, pde.ClosedFormExp)
     s1, s2 = pde.s_roots(problem) if problem.d != 2 else (None, None)
     descriptor = {
-        "branch": type(sol.form).__name__,
+        "branch": "ClosedFormExp" if closed else "FoxHForm" if form.small else "WrightSeriesForm",
         "K": problem.K,
         "s1": None if s1 is None else _complex_json(s1),
         "s2": None if s2 is None else _complex_json(s2),
         **{key: getattr(problem, key) for key in ("alpha", "m", "d", "A", "B", "C", "a")},
     }
-    if isinstance(sol.form, pde.FoxHForm):
-        descriptor["h_spec"] = _h_spec_json(sol.form.spec)
-        descriptor["argument_coefficient"] = sol.form.arg_coef
-    if isinstance(sol.form, pde.ClosedFormExp):
-        descriptor["x_exponent"] = sol.form.x_exponent
-        descriptor["t_exponent"] = sol.form.t_exponent
-        descriptor["exp_coefficient"] = sol.form.exp_coef
-    if isinstance(sol.form, pde.WrightSeriesForm):
-        smap = sol.form.smap
+    if closed:
+        descriptor["x_exponent"] = form.x_exponent
+        descriptor["t_exponent"] = form.t_exponent
+        descriptor["exp_coefficient"] = form.exp_coef
+    elif form.small is not None:
+        descriptor["h_spec"] = _h_spec_json(form.small.spec)
+        descriptor["argument_coefficient"] = form.small.arg_coef
+    else:
         descriptor["members"] = [
             {
                 "k": mem.k,
@@ -308,7 +333,7 @@ def cmd_solve_pde(args) -> int:
                 "t_exponent": mem.leading_exponent,
                 "argument_coefficient": mem.lam,
             }
-            for mem in sol.form.members
+            for mem in form.members
         ]
     _emit_solution(args, descriptor, "x,t,u", lambda x, t: pde.evaluate(sol, x, t))
     return 0
@@ -317,8 +342,6 @@ def cmd_solve_pde(args) -> int:
 def cmd_verify(args) -> int:
     problem, sol = _pde_solution(args)
     if args.mode == "coefficients":
-        if not isinstance(sol.form, pde.WrightSeriesForm):
-            raise InputError("--mode coefficients needs a Wright-series solution")
         reports = [
             verify.residual_ode_coefficients(series, op, problem.alpha, args.n_coeffs)
             for series, op in pde.series_members(sol, order=args.n_coeffs + 8)
@@ -363,7 +386,7 @@ def cmd_identities(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fracsol", description="Evaluate and verify explicit "
+    parser = _Parser(prog="fracsol", description="Evaluate and verify explicit "
                                      "solutions of time-fractional anomalous diffusion equations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -399,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "JSON {m,l,upper:[[A,alpha]..],lower:[[B,beta]..]}",
     ).set_defaults(func=cmd_eval_foxh)
     p_ml = eval_sub.add_parser("ml", parents=[zs, out], help="Mittag-Leffler function")
-    p_ml.add_argument("--alpha", type=float, required=True)
-    p_ml.add_argument("--beta", type=float, required=True)
+    p_ml.add_argument("--alpha", type=_finite, required=True)
+    p_ml.add_argument("--beta", type=_finite, required=True)
     p_ml.set_defaults(func=cmd_eval_ml)
 
     solve_sub = sub.add_parser("solve", help="construct an explicit solution").add_subparsers(
@@ -422,16 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["grid", "coefficients"], default="grid",
         help="grid: pointwise residual; coefficients: termwise residual of a Wright series",
     )
-    p_v.add_argument("--h", type=float, default=1e-4, help="GL time step")
+    p_v.add_argument("--h", type=_finite, default=1e-4, help="GL time step")
     p_v.add_argument("--n-coeffs", type=int, default=20)
-    p_v.add_argument("--tol", type=float, required=True)
+    p_v.add_argument("--tol", type=_finite, required=True)
     p_v.set_defaults(func=cmd_verify)
 
     p_i = sub.add_parser("identities", help="randomized identity suites")
     p_i.add_argument("--suite", choices=["lemma1", "wright"], required=True)
     p_i.add_argument("--n", type=int, default=1000)
     p_i.add_argument("--seed", type=int, default=0)
-    p_i.add_argument("--tol", type=float, required=True)
+    p_i.add_argument("--tol", type=_finite, required=True)
     p_i.set_defaults(func=cmd_identities)
 
     return parser
@@ -441,8 +464,8 @@ def run(argv=None) -> int:
     """Run one command.  Malformed input, a bad argument value (the library's
     ValueError) and an unreadable --input or unwritable --out print
     'input error: ...'; other library errors print their class name."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

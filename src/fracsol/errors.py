@@ -15,7 +15,8 @@ class DivergentInputError(FracsolError):
 
 
 class NoConvergenceError(FracsolError):
-    """Series summation hit its term cap before its stop rule fired."""
+    """Series summation hit its term cap before its stop rule fired, or a
+    term overflowed the double range."""
 
 
 class CancellationError(FracsolError):

@@ -126,7 +126,7 @@ def _roots_real(roots) -> bool:
     return all(abs(s.imag) <= _REAL_ROOT_TOL * max(1.0, abs(s)) for s in roots)
 
 
-def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
+def solve_small_alpha(problem: OdeProblem) -> OdeSolution:
     """H-function solution for 0 < alpha < n (real characteristic roots only)."""
     if not problem.alpha < problem.n:
         raise BranchMismatchError(f"alpha = {problem.alpha} is not < n = {problem.n}")
@@ -147,11 +147,10 @@ def solve_small_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     )
     an = problem.a_coeffs[-1]
     arg_coef = 1.0 / (an * rho ** (problem.m + problem.n))
-    constants = (1.0,) if constants is None else tuple(constants)
     return OdeSolution(
         problem=problem,
         roots=roots,
-        constants=constants,
+        constants=(1.0,),
         small=SmallAlphaForm(spec=spec, arg_coef=arg_coef, power=rho),
     )
 
@@ -178,7 +177,7 @@ def wright_members(alpha: float, m: int, roots, lam: float) -> tuple:
     return tuple(members)
 
 
-def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
+def solve_large_alpha(problem: OdeProblem) -> OdeSolution:
     """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
     if not problem.alpha > problem.n:
         raise BranchMismatchError(f"alpha = {problem.alpha} is not > n = {problem.n}")
@@ -187,15 +186,13 @@ def solve_large_alpha(problem: OdeProblem, constants=None) -> OdeSolution:
     an = problem.a_coeffs[-1]
     lam = an * (alpha + m) ** (m + n)
     members = wright_members(alpha, m, roots, lam)
-    if constants is None:
-        constants = (1.0,) * len(members)
     return OdeSolution(
-        problem=problem, roots=roots, constants=tuple(constants), members=members
+        problem=problem, roots=roots, constants=(1.0,) * len(members), members=members
     )
 
 
-def solve(problem: OdeProblem, constants=None) -> OdeSolution:
+def solve(problem: OdeProblem) -> OdeSolution:
     """Dispatch on the branch condition alpha < n vs alpha > n."""
     if problem.alpha < problem.n:
-        return solve_small_alpha(problem, constants)
-    return solve_large_alpha(problem, constants)
+        return solve_small_alpha(problem)
+    return solve_large_alpha(problem)

@@ -4,19 +4,21 @@ diffusion equation
     D_t^alpha u = t^m (A x^d u_xx + B x^(d-1) u_x + C x^(d-2) u),  x, t > 0.
 
 The substitution u = x^a phi(z), z = x^((d-2)/(alpha+m)) t, collapses the
-PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`; ``solve``
-reduces, solves that ODE and maps its solution back (Fox-H form for
-0 < alpha < 2, Wright series for alpha > 2).  At d = 2 the reduction is
-the n = 0 ODE D^alpha phi = K t^m phi in z = t, whose solutions are its
-Wright members for every alpha.  The alpha = 1 exponential closed form is
-built here directly.
+PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`.  ``solve``
+reduces, solves that ODE and keeps its solution with the map back: a
+:class:`PdeSolution` holds the reduced :class:`fracsol.ode.OdeSolution`
+(Fox-H form for 0 < alpha < 2, Wright series for alpha > 2) and its
+:class:`SimilarityMap`, and u is x^a times the ODE solution at z.  At
+d = 2 the reduction is the n = 0 ODE D^alpha phi = K t^m phi in z = t,
+whose solutions are its Wright members for every alpha.  The alpha = 1
+exponential closed form is built here directly and has no map.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import ode
 from .errors import (
@@ -25,7 +27,6 @@ from .errors import (
     DegenerateDError,
     DomainError,
 )
-from .foxh import HFunctionSpec, eval_mellin_barnes
 from .fracseries import DEFAULT_ORDER_VERIFY
 
 
@@ -61,7 +62,7 @@ class DiffusionProblem:
         return self.alpha + self.m
 
     def constant(self, k: int) -> complex:
-        """c_k (1-based); defaults to 1 when not supplied."""
+        """c_k (1-based); 1 when not supplied.  Extra constants are ignored."""
         if self.constants is None or k - 1 >= len(self.constants):
             return 1.0 + 0.0j
         return self.constants[k - 1]
@@ -107,29 +108,6 @@ def similarity_reduce(problem: DiffusionProblem):
 
 
 @dataclass(frozen=True)
-class FoxHForm:
-    """u = c1 x^a H[ arg_coef * x^(2-d) / t^(alpha+m) ] (fractional-order branch)."""
-
-    spec: HFunctionSpec
-    arg_coef: float
-    a: float
-    d: float
-    rho: float
-
-    def argument(self, x: float, t: float) -> float:
-        return self.arg_coef * x ** (2.0 - self.d) * t ** (-self.rho)
-
-
-@dataclass(frozen=True)
-class WrightSeriesForm:
-    """u = x^a sum_k c_k y_k(z) over the reduced equation's Wright members
-    y_k (:class:`fracsol.ode.LargeAlphaMember`), z = smap.z(x, t)."""
-
-    members: tuple
-    smap: SimilarityMap
-
-
-@dataclass(frozen=True)
 class ClosedFormExp:
     """u = c x^x_exponent t^t_exponent exp(-exp_coef x^(2-d) t^-(1+m))."""
 
@@ -142,14 +120,18 @@ class ClosedFormExp:
 
 @dataclass(frozen=True)
 class PdeSolution:
-    """Constructed solution of a diffusion problem."""
+    """Constructed solution of a diffusion problem: the reduced ODE's
+    solution with its similarity map, u = x^a form(smap.z(x, t)), or the
+    alpha = 1 exponential closed form, which has no map."""
 
     problem: DiffusionProblem
-    form: object  # FoxHForm | WrightSeriesForm | ClosedFormExp
+    form: object  # ode.OdeSolution | ClosedFormExp
+    smap: SimilarityMap = None
 
 
 def solve(problem: DiffusionProblem) -> PdeSolution:
-    """Reduce to the ODE (n = 0 at d = 2, else n = 2), solve it, map back.
+    """Reduce to the ODE (n = 0 at d = 2, else n = 2) and solve it, with
+    the problem's constants c_k on the ODE solution's members.
 
     Complex characteristic roots follow the ODE's policy: the H form
     (alpha < 2) raises ComplexRootsError, the Wright members (alpha > 2)
@@ -158,13 +140,8 @@ def solve(problem: DiffusionProblem) -> PdeSolution:
     """
     ode_problem, smap = similarity_reduce(problem)
     ode_sol = ode.solve(ode_problem)
-    small = ode_sol.small
-    if small is None:
-        return PdeSolution(problem, WrightSeriesForm(ode_sol.members, smap))
-    form = FoxHForm(
-        spec=small.spec, arg_coef=small.arg_coef, a=problem.a, d=problem.d, rho=small.power
-    )
-    return PdeSolution(problem, form)
+    constants = tuple(problem.constant(k) for k in range(1, len(ode_sol.constants) + 1))
+    return PdeSolution(problem, replace(ode_sol, constants=constants), smap)
 
 
 def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
@@ -194,20 +171,14 @@ def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
     if x <= 0 or t <= 0:
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
     form = sol.form
-    prob = sol.problem
     if isinstance(form, ClosedFormExp):
         return (
-            prob.constant(1)
+            sol.problem.constant(1)
             * x**form.x_exponent
             * t**form.t_exponent
             * math.exp(-form.exp_coef * x ** (2.0 - form.d) * t ** (-(1.0 + form.m)))
         )
-    if isinstance(form, FoxHForm):
-        return prob.constant(1) * x**form.a * eval_mellin_barnes(
-            form.spec, form.argument(x, t)
-        )
-    z = form.smap.z(x, t)
-    return x**form.smap.a * sum(prob.constant(mem.k) * mem.evaluate(z) for mem in form.members)
+    return x**sol.smap.a * form.evaluate(sol.smap.z(x, t))
 
 
 def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):
@@ -219,7 +190,8 @@ def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):
     reduced variable z; the operator encodes the right side of the reduced
     ODE (for d = 2 the constant K with time weight m).
     """
-    if not isinstance(sol.form, WrightSeriesForm):
-        raise ValueError("series_members applies to Wright-series solutions")
-    op = similarity_reduce(sol.problem)[0].operator()
-    return [(mem.series(order), op) for mem in sol.form.members]
+    form = sol.form
+    if isinstance(form, ClosedFormExp) or form.small is not None:
+        raise ValueError("series_members needs a Wright-series solution")
+    op = form.problem.operator()
+    return [(mem.series(order), op) for mem in form.members]

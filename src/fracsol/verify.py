@@ -25,7 +25,6 @@ from .gammafn import is_nonpositive_integer
 from .pde import (
     ClosedFormExp,
     DiffusionProblem,
-    FoxHForm,
     PdeSolution,
     evaluate as pde_evaluate,
 )
@@ -220,7 +219,8 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
         problem.m,
         problem.alpha,
     )
-    form = sol.form
+    # H at arg_coef x^(2-d) t^(-power), not via z, whose rounding u_xx would magnify
+    small, a, x_power = sol.form.small, sol.smap.a, 2.0 - sol.problem.d
 
     def u_point(x, t):
         return complex(pde_evaluate(sol, x, t)).real
@@ -236,18 +236,20 @@ def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: floa
         # points, each evaluated once
         dx = 2e-3 * x
         xs = x + np.array((-dx, -dx / 2.0, 0.0, dx / 2.0, dx))
-        if isinstance(form, FoxHForm):
-            scale = complex(sol.problem.constant(1)).real
+        if small is not None:
+            scale = complex(sol.form.constants[0]).real
             f_t = _HProfile(
-                form.spec,
-                coef=form.arg_coef * x ** (2.0 - form.d),
-                power=form.rho,
+                small.spec,
+                coef=small.arg_coef * x**x_power,
+                power=small.power,
                 v_max=t_max,
                 h=h,
-                scale=scale * x**form.a,
-                extra=[form.argument(xv, t) for t in ts for xv in xs],
+                scale=scale * x**a,
+                extra=[
+                    small.arg_coef * xv**x_power * t ** (-small.power) for t in ts for xv in xs
+                ],
             )
-            u = scale * xs**form.a * f_t.extra.reshape(len(ts), xs.size)
+            u = scale * xs**a * f_t.extra.reshape(len(ts), xs.size)
         else:
             def f_t(tv, _x=x):
                 return np.array([u_point(_x, t) if t > 0 else 0.0 for t in tv])

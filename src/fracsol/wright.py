@@ -20,6 +20,7 @@ _EPS_REL = 1e-15
 _TERM_CAP = 500
 _EPS = np.finfo(float).eps
 _CANCEL_TOL = 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,8 @@ def convergence(spec: WrightSpec) -> ConvergenceVerdict:
 
 
 def series_term(spec: WrightSpec, z, k: int) -> complex:
-    """The k-th term of the defining series (0 when a lower pole kills it)."""
+    """The k-th term of the defining series (0 when a lower pole kills it);
+    NoConvergenceError when its modulus passes the double range."""
     z = complex(z)
     if z == 0:
         if k > 0:
@@ -96,6 +98,8 @@ def series_term(spec: WrightSpec, z, k: int) -> complex:
         lt += complex(ln_gamma_vec(a + al * k))
     for b, be in spec.lower:
         lt -= complex(ln_gamma_vec(b + be * k))
+    if lt.real > _LOG_MAX:
+        raise NoConvergenceError(f"Wright series term {k} at z = {z} overflows")
     return complex(np.exp(lt))
 
 
@@ -111,10 +115,10 @@ def evaluate(spec: WrightSpec, z) -> complex:
     Stops once three consecutive terms fall below 1e-15 relative to the
     partial sum.  Raises DivergentInputError outside the radius,
     NoConvergenceError when the 500-term cap is reached before that stop
-    rule fires, and CancellationError when eps * sum|t_k| exceeds
-    _CANCEL_TOL = 1e-10 times |sum t_k|: the rounding of the largest terms
-    alone would then exceed 1e-10 of the result (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 4).
+    rule fires or a term overflows, and CancellationError when
+    eps * sum|t_k| exceeds _CANCEL_TOL = 1e-10 times |sum t_k|: the
+    rounding of the largest terms alone would then exceed 1e-10 of the
+    result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
     """
     z = complex(z)
     verdict = convergence(spec)

@@ -134,7 +134,7 @@ def test_criterion_6_wright_reductions():
 
 def case1_spec(alpha, m):
     prob = DiffusionProblem(alpha=alpha, m=m, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
-    return solve(prob).form.spec
+    return solve(prob).form.small.spec
 
 
 def test_criterion_7_h_identity_suite():

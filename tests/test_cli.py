@@ -224,6 +224,44 @@ class TestSolvePdeDescriptors:
         assert captured.out == ""
 
 
+class TestFormAndSign:
+    """--form picks the representation and --sign the exp branch; the
+    descriptors are pinned to the values the solvers gave when these tests
+    were written."""
+
+    HEAT_FIELDS = {
+        "K": 0.0, "s1": 0.0, "s2": -0.5,
+        "alpha": 1.0, "m": 0, "d": 0.0, "A": 1.0, "B": 0.0, "C": 0.0, "a": 0.0,
+    }
+
+    def test_exp_minus_branch(self, capsys):
+        code, out = run_capture(
+            capsys, ["solve", "pde", "--json", HEAT, "--form", "exp", "--sign", "minus"]
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "branch": "ClosedFormExp", **self.HEAT_FIELDS,
+            "x_exponent": 1.0, "t_exponent": -1.5, "exp_coefficient": 0.25,
+        }
+
+    def test_h_form_at_alpha_1(self, capsys):
+        code, out = run_capture(capsys, ["solve", "pde", "--json", HEAT, "--form", "h"])
+        assert code == 0
+        assert json.loads(out) == {
+            "branch": "FoxHForm", **self.HEAT_FIELDS,
+            "h_spec": {"m": 2, "l": 0, "upper": [[1.0, 1.0]], "lower": [[0.5, 1.0], [0.0, 1.0]]},
+            "argument_coefficient": 0.25,
+        }
+
+    def test_exp_form_off_alpha_1_rejected(self, capsys):
+        problem = json.dumps({"alpha": 0.8, "m": 1, "d": 0, "A": 1})
+        code = run(["solve", "pde", "--json", problem, "--form", "exp"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "BranchMismatchError: exp closed form requires alpha = 1\n"
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_heat_kernel_pass(self, capsys):
         prob = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
@@ -364,11 +402,28 @@ def test_import_loads_no_scipy():
         ["solve", "pde", "--json", HEAT, "--grid", "x=1:2:2"],
         ["solve", "ode", "--json", json.dumps({"alpha": 0.5, "a_coeffs": [0, 1]}),
          "--grid", "z=0:1:2"],
+        ["solve", "pde", "--json", H_FORM, "--form", "series"],
+        ["solve", "pde", "--json", json.dumps({"alpha": 2.5, "d": 1, "A": 1}), "--form", "h"],
+        ["eval", "ml", "--alpha", "abc", "--beta", "1", "--z", "1"],
+        ["verify", "--json", HEAT, "--grid", "x=1:1:1,t=1:1:1"],
+        ["solve", "pde", "--json", '{"alpha":NaN,"m":0,"d":0,"A":1}'],
+        ["solve", "pde", "--json", '{"alpha":0.8,"d":NaN,"A":1}', "--grid", "x=1:1:1,t=1:1:1"],
+        ["solve", "pde", "--json", '{"alpha":0.8,"d":0,"A":1,"C":NaN}'],
+        ["solve", "pde", "--json", '{"alpha":0.8,"d":2,"A":1,"a":NaN}',
+         "--grid", "x=1:1:1,t=1:1:1"],
+        ["solve", "ode", "--json", '{"alpha":0.5,"a_coeffs":[0,Infinity]}'],
+        ["eval", "ml", "--alpha", "nan", "--beta", "1", "--z", "1"],
+        ["eval", "ml", "--alpha", "1", "--beta", "1", "--z", "nan"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=1:inf:2,t=1:1:1"],
+        ["verify", "--json", HEAT, "--grid", "x=1:1:1,t=1:1:1", "--tol", "nan"],
     ],
     ids=[
         "z-not-a-number", "z-trailing-comma", "foxh-z-zero", "ml-alpha-zero", "foxh-m-above-q",
         "pde-negative-A", "missing-input", "verify-without-grid", "coefficients-on-closed-form",
         "coefficients-on-h-form", "pde-grid-without-t", "ode-grid-at-zero",
+        "series-form-below-alpha-2", "h-form-above-alpha-2", "ml-alpha-not-a-number",
+        "verify-without-tol", "pde-alpha-nan", "pde-d-nan", "pde-C-nan", "pde-a-nan",
+        "ode-a-coeff-infinity", "ml-alpha-nan", "z-nan", "grid-infinity", "verify-tol-nan",
     ],
 )
 def test_bad_input_is_one_line_input_error(capsys, argv):

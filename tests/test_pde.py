@@ -13,15 +13,14 @@ from fracsol.errors import (
     ComplexRootsError,
     DegenerateDError,
     DomainError,
+    NoConvergenceError,
 )
 from fracsol.fracseries import EulerPolynomialOperator
 from fracsol.ode import OdeProblem, wright_members
 from fracsol.pde import (
     ClosedFormExp,
     DiffusionProblem,
-    FoxHForm,
     SimilarityMap,
-    WrightSeriesForm,
     exp_closed_form,
     evaluate,
     s_roots,
@@ -113,8 +112,8 @@ class TestSolveBranches:
     def test_subdiffusive_h_form(self):
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
         sol = solve(prob)
-        assert isinstance(sol.form, FoxHForm)
-        spec = sol.form.spec
+        assert sol.form.branch == "small-alpha"
+        spec = sol.form.small.spec
         assert spec.upper == ((1.0, pytest.approx(1.8)),)
         # s roots are {0, -0.9}: lower entries (-s/1.8, 1) plus (j/1.8, 1)
         firsts = sorted(b for b, _ in spec.lower)
@@ -124,7 +123,7 @@ class TestSolveBranches:
     def test_superdiffusive_wright_form(self):
         prob = DiffusionProblem(alpha=2.5, m=0, d=1.0, A=1.0, B=0.0, C=0.0, a=0.0)
         sol = solve(prob)
-        assert isinstance(sol.form, WrightSeriesForm)
+        assert sol.form.branch == "large-alpha"
         assert len(sol.form.members) == 3  # floor(2.5) + 1
 
     def test_alpha2_rejected(self):
@@ -135,7 +134,7 @@ class TestSolveBranches:
     def test_d2_branch(self):
         prob = DiffusionProblem(alpha=0.8, m=0, d=2.0, A=1.0, B=0.5, C=0.3, a=0.5)
         sol = solve(prob)
-        assert isinstance(sol.form, WrightSeriesForm)
+        assert sol.form.branch == "large-alpha"
 
     def test_complex_roots_h_form_rejected(self):
         # (1 - B/A)^2 - 4C/A = -3 < 0: the H form has no real lower parameters
@@ -225,14 +224,24 @@ class TestEvaluate:
 
         x, t = 1.0, 1e-3
         full = complex(evaluate(sol, x, t))
-        z = sol.form.smap.z(x, t)
+        z = sol.smap.z(x, t)
         leading = 0j
         for mem in sol.form.members:
             t0 = complex(series_term(mem.spec, mem.lam * z**mem.power, 0))
             leading += (
-                complex(prob.constant(mem.k)) * x**sol.form.smap.a * z**mem.leading_exponent * t0
+                complex(prob.constant(mem.k)) * x**sol.smap.a * z**mem.leading_exponent * t0
             )
         assert abs(full - leading) < 0.01 * abs(full)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_wright_term_raises(self):
+        # the d = 2 member argument is -684 here, and its terms pass the
+        # double range before the series could settle
+        prob = DiffusionProblem(
+            alpha=0.4692, m=2, d=2.0, A=1.0792, B=0.0322, C=-1.938, a=0.7624
+        )
+        with pytest.raises(NoConvergenceError):
+            evaluate(solve(prob), 0.3, 5.0)
 
 
 class TestSolverVsReduction:
@@ -278,6 +287,32 @@ class TestZeroSolution:
         )
         sol = solve(prob)
         assert complex(evaluate(sol, 1.0, 1.0)) == 0
+
+
+class TestConstants:
+    """How DiffusionProblem.constants scale a solution, pinned to the values
+    the solver gave when these tests were written."""
+
+    def test_missing_wright_constants_are_1(self):
+        # three members, two constants: c_3 = 1
+        prob = DiffusionProblem(
+            alpha=2.5, m=0, d=1.0, A=1.0, B=0.2, C=-0.3, a=0.4, constants=(0.5, -2.0)
+        )
+        sol = solve(prob)
+        assert evaluate(sol, 1.2, 0.9) == -3.7431555422523193 + 1.9182601754250624e-15j
+        assert evaluate(sol, 0.7, 1.6) == 2.003841041084306 + 7.653010526810632e-16j
+
+    def test_complex_c1_on_h_form(self):
+        prob = DiffusionProblem(
+            alpha=0.8, m=1, d=0.5, A=1.2, B=0.3, C=-0.1, a=0.2, constants=(0.5 - 1.5j,)
+        )
+        sol = solve(prob)
+        assert_allclose(
+            evaluate(sol, 0.8, 0.9), 0.4076264289352208 - 1.2228792868056624j, rtol=1e-12
+        )
+        assert_allclose(
+            evaluate(sol, 1.2, 1.3), 0.465344576885265 - 1.3960337306557948j, rtol=1e-12
+        )
 
 
 class TestD2IsTheN0Ode:

@@ -173,9 +173,10 @@ class TestResidualPde:
 def h_profile(alpha, m, d, x):
     """The GL profile that residual_pde builds at x for t <= 1.5, h = 1e-4,
     and its H spec."""
-    form = solve(DiffusionProblem(alpha=alpha, m=m, d=d, A=1.0, B=0.0, C=0.0, a=0.0)).form
+    prob = DiffusionProblem(alpha=alpha, m=m, d=d, A=1.0, B=0.0, C=0.0, a=0.0)
+    form = solve(prob).form.small
     profile = verify._HProfile(
-        form.spec, coef=form.arg_coef * x ** (2.0 - form.d), power=form.rho, v_max=1.5, h=1e-4
+        form.spec, coef=form.arg_coef * x ** (2.0 - d), power=form.power, v_max=1.5, h=1e-4
     )
     return profile, form.spec
 
@@ -260,7 +261,7 @@ class TestHOperatorIdentities:
     @staticmethod
     def case1_spec():
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
-        return solve(prob).form.spec
+        return solve(prob).form.small.spec
 
     def test_euler_shift(self):
         report = h_operator_identity_check(

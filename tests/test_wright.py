@@ -159,6 +159,12 @@ class TestMittagLeffler:
         with pytest.raises(NoConvergenceError):
             mittag_leffler(1, 1, 450.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_term_raises(self):
+        # E_{2,1}(6e5) = cosh(775): its largest terms pass the double range
+        with pytest.raises(NoConvergenceError):
+            mittag_leffler(2, 1, 6e5)
+
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_e_half_negative_argument(self, x):
         # E_{1/2,1}(-x) = exp(x^2) erfc(x): alternating, cancellation ratio
