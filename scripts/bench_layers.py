@@ -5,17 +5,19 @@ criterion 4 and CLI cold start.
 Writes one JSON file of rows, each with the time it measured and the
 accuracy it reached:
 
-- ``gammafn.ln_gamma_vec``: ns per element on a 4,096-element complex
-  array shaped like the contour's kernel arguments, and the largest
-  relative error of Gamma on 300 of them;
+- ``gammafn.ln_gamma_vec``: ns per element on two 4,096-element complex
+  arrays, a mixed one with Re z on both sides of 0.5 and a right-half-plane
+  one (Re z >= 0.5, where no element takes the reflection) shaped like the
+  contour's kernel arguments, and the largest relative error of Gamma on
+  300 elements of each;
 - ``wright.mittag_leffler``: us per ``E_{0.5,1}(z)`` at z = 1.3 and -2,
   and the relative error against its closed form exp(z^2) erfc(-z);
 - ``foxh.eval_mellin_barnes``: us per scalar evaluation at a small, a
   moderate and a deep-decay argument (decay level nu (mu z)^(1/nu) =
   100), warm (the spec's constants and saddle table built) and cold
-  (rebuilt on every call), with the kernel nodes one call evaluates,
-  those off the real axis (the contour lines) among them, and the
-  relative error against mpmath.meijerg;
+  (rebuilt on every call), with the kernel calls one call makes, the
+  nodes they evaluate and those off the real axis (the contour lines)
+  among them, and the relative error against mpmath.meijerg;
 - ``verify._HProfile``: us per build of the Grunwald-Letnikov spline
   profile of acceptance criterion 4's solution at x = 1 (320 H values
   and the spline), warm (the spec's constants built), and the largest
@@ -26,8 +28,9 @@ accuracy it reached:
   ``eval_mellin_barnes``;
 - ``verify.residual_pde``: seconds per call on acceptance criterion 4's
   grid (five x, two t, h = 1e-4), warm (the spec's constants built), with
-  the ``eval_mellin_barnes_batch`` calls, contour bands and kernel nodes
-  one call makes and the report's max_rel_err;
+  the ``eval_mellin_barnes_batch`` calls, contour bands, kernel
+  (``_log_integrand``) calls and kernel nodes one call makes and the
+  report's max_rel_err;
 - ``cli``: wall seconds and peak RSS of a fresh interpreter running
   ``eval ml`` and an H-form ``verify`` (medians of 5), and the
   accuracy of what each printed (``E_{0.5,1}(1.3)`` against its closed
@@ -112,18 +115,27 @@ def meijer_reference(z, k):
         return float(g) / k
 
 
-def lngamma_row(speed):
+def lngamma_rows(speed):
     rng = np.random.default_rng(0)
-    z = rng.uniform(-20.0, 20.0, 4096) + 1j * rng.uniform(-60.0, 60.0, 4096)
-    t, ts = timed(lambda: ln_gamma_vec(z), speed)
-    got = ln_gamma_vec(z[:300])
-    with mpmath.workdps(30):
-        err = max(
-            abs(complex(mpmath.exp(mpmath.mpc(g) - mpmath.loggamma(mpmath.mpc(x)))) - 1.0)
-            for g, x in zip(got, z[:300])
-        )
-    return {"layer": "gammafn.ln_gamma_vec", "ns_per_element": t / z.size * 1e9,
-            "scaled_ns_per_element": ts / z.size * 1e9, "max_rel_err": err}
+    arrays = {
+        "mixed": rng.uniform(-20.0, 20.0, 4096) + 1j * rng.uniform(-60.0, 60.0, 4096),
+        # the Gamma(B_j - beta_j s) factors of an l = 0 spec on a line left
+        # of its poles, at tau >= 0
+        "right-half-plane": rng.uniform(0.5, 20.0, 4096) - 1j * rng.uniform(0.0, 60.0, 4096),
+    }
+    rows = []
+    for name, z in arrays.items():
+        t, ts = timed(lambda: ln_gamma_vec(z), speed)
+        got = ln_gamma_vec(z[:300])
+        with mpmath.workdps(30):
+            err = max(
+                abs(complex(mpmath.exp(mpmath.mpc(g) - mpmath.loggamma(mpmath.mpc(x)))) - 1.0)
+                for g, x in zip(got, z[:300])
+            )
+        rows.append({"layer": "gammafn.ln_gamma_vec", "array": name,
+                     "ns_per_element": t / z.size * 1e9,
+                     "scaled_ns_per_element": ts / z.size * 1e9, "max_rel_err": err})
+    return rows
 
 
 def ml_rows(speed):
@@ -138,7 +150,8 @@ def ml_rows(speed):
 
 
 def count_nodes(fn):
-    """Kernel nodes fn() evaluates, all and off the real axis."""
+    """Kernel calls fn() makes, and the nodes they evaluate, all and off the
+    real axis."""
     sizes = []
     log_integrand = foxh._log_integrand
 
@@ -152,7 +165,7 @@ def count_nodes(fn):
         fn()
     finally:
         foxh._log_integrand = log_integrand
-    return sum(a for a, _ in sizes), sum(b for _, b in sizes)
+    return len(sizes), sum(a for a, _ in sizes), sum(b for _, b in sizes)
 
 
 def foxh_rows(speed):
@@ -173,12 +186,12 @@ def foxh_rows(speed):
                 t, ts = timed(call, speed)
                 if cache == "cold":
                     foxh._constants.cache_clear()
-                nodes, line_nodes = count_nodes(lambda: foxh.eval_mellin_barnes(spec, z))
+                calls, nodes, line_nodes = count_nodes(lambda: foxh.eval_mellin_barnes(spec, z))
                 got = foxh.eval_mellin_barnes(spec, z)
                 rows.append({
                     "layer": "foxh.eval_mellin_barnes", "spec": name, "point": where,
                     "z": z, "cache": cache, "us": t * 1e6, "scaled_us": ts * 1e6,
-                    "nodes": nodes, "line_nodes": line_nodes,
+                    "kernel_calls": calls, "nodes": nodes, "line_nodes": line_nodes,
                     "rel_err": abs(got - want) / abs(want),
                 })
     return rows
@@ -235,13 +248,14 @@ def residual_row(speed):
     report = call()
     verify.eval_mellin_barnes_batch, foxh._contour_bands = counting_batch, counting_bands
     try:
-        nodes, line_nodes = count_nodes(call)
+        kernel_calls, nodes, line_nodes = count_nodes(call)
     finally:
         verify.eval_mellin_barnes_batch, foxh._contour_bands = batch, bands
     t, ts = timed(call, speed)
     return {"layer": "verify.residual_pde", "grid_points": len(GL_GRID), "h": GL_STEP,
             "s": t, "scaled_s": ts, "h_batch_calls": counts["calls"], "bands": counts["bands"],
-            "nodes": nodes, "line_nodes": line_nodes, "max_rel_err": report.max_rel_err}
+            "kernel_calls": kernel_calls, "nodes": nodes, "line_nodes": line_nodes,
+            "max_rel_err": report.max_rel_err}
 
 
 # runs the CLI, then prints the peak RSS of its own address space (VmHWM,
@@ -292,7 +306,7 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     speed = Speed()
-    rows = [lngamma_row(speed)] + ml_rows(speed) + foxh_rows(speed) + profile_rows(speed)
+    rows = lngamma_rows(speed) + ml_rows(speed) + foxh_rows(speed) + profile_rows(speed)
     rows.append(residual_row(speed))
     rows += cli_rows()
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "fracsol").glob("*.py"))

@@ -24,12 +24,14 @@ on a spec's first search and kept per spec with its other constants
 below, which reads Re K at the saddles from it, are array arithmetic.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
-call are therefore split into bands that share an abscissa, and each
-quadrature pass evaluates K once per band: every z that stays at gamma0
-shares that line, and slid z are grouped under the saddle of a member
-near the band's first (its member nearest gamma0) so that no member's
-phi_z at the band's abscissa exceeds its own saddle value by more than
-_BAND_LOSS = 4 e-folds.  Its relative rounding error then grows by at
+call are therefore split into bands that share an abscissa, and K is
+evaluated once per band and pass: the first passes of all the call's
+bands together in one kernel call, and each later doubling or refinement
+pass of a band in one more.  Every z that stays at gamma0 shares that
+line, and slid z are grouped under the saddle of a member near the
+band's first (its member nearest gamma0) so that no member's phi_z at
+the band's abscissa exceeds its own saddle value by more than _BAND_LOSS
+= 4 e-folds.  Its relative rounding error then grows by at
 most e^4, to about 1e-14.  Since log f = K(s) + gamma log z + i tau log z
 on the line, each pass's only (z x nodes) array is one float64 matrix of
 cos(Im K + tau log z) (see _trapezoid_line).  Memory, not a count of z,
@@ -310,17 +312,18 @@ def _band_size(omega: float, h0: float) -> int:
 
 
 def _trapezoid_line(
-    spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float, h0: float
+    spec: HFunctionSpec, z: np.ndarray, gamma: float, omega: float, h0: float, k: np.ndarray
 ) -> np.ndarray:
     """Trapezoid rule on Re s = gamma for every z of a band, starting from
-    the step h0 (the step rule, truncation, first-pass rule and refinement
-    are in the module docstring).
+    the step h0, with k the kernel on the band's first-pass nodes (the step
+    rule, truncation, first-pass rule and refinement are in the module
+    docstring).
 
     The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
     and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
     f(gamma + i tau): every pass evaluates the kernel at tau >= 0 only.
-    Each pass evaluates the gamma-ratio kernel once on its new nodes, and
-    the sum separates: log f = K(s) + gamma log z + i tau log z on the line.
+    Each later pass evaluates the gamma-ratio kernel once on its new nodes,
+    and the sum separates: log f = K(s) + gamma log z + i tau log z on the line.
     In units of e^ref, ref = max Re K + gamma log z per z, the moduli
     e^(Re K_j - max Re K), their sum, the tail bounds and the steps of Im K
     are the same for every z; the only (z x nodes) work is cos(Im K_j +
@@ -367,9 +370,8 @@ def _trapezoid_line(
         return np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns)
 
     h = h0
-    n = _first_pass_steps(omega, h)
+    n = k.size - 1
     cols = np.arange(n + 1)
-    k = _log_integrand(spec, gamma + 1j * (cols * h))
     # every node is scaled by the first pass's largest modulus for its z,
     # e^ref with ref = top + gamma log z
     top = k.real.max()
@@ -608,8 +610,18 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     if c.left >= c.right:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
-    for gamma, idx, h0 in _contour_bands(c, z):
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, c.conv.omega, h0)
+    bands = list(_contour_bands(c, z))
+    if not bands:
+        return out
+    omega = c.conv.omega
+    # every band's first-pass nodes gamma + i k h0, 0 <= k <= n, go through
+    # one kernel call, whose fixed cost would otherwise recur per band
+    nodes = [gamma + 1j * (np.arange(_first_pass_steps(omega, h0) + 1) * h0)
+             for gamma, _, h0 in bands]
+    kernel = _log_integrand(spec, np.concatenate(nodes))
+    first = np.split(kernel, np.cumsum([n.size for n in nodes[:-1]]))
+    for (gamma, idx, h0), k in zip(bands, first):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, k)
     return out
 
 

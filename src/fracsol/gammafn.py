@@ -4,7 +4,9 @@ Every series term and every contour-integrand evaluation in this library
 funnels through the three functions here.  The implementation is a fixed
 Lanczos approximation (g = 7, 9 coefficients) valid for Re z >= 0.5,
 extended to the left half-plane by the reflection formula with an
-overflow-safe log-sin.
+overflow-safe log-sin.  ln_gamma_vec evaluates the reflection, and its
+log-sin, on the elements with Re z < 0.5 only: the contour's kernel
+arguments mostly lie right of that line.
 
 Branch note: in the reflected region the imaginary part of ``ln_gamma``
 may differ from the principal branch by a multiple of 2*pi.  All call
@@ -81,9 +83,10 @@ def ln_gamma_vec(z):
     """Vectorized log Gamma on complex arrays.  No pole checking."""
     z = np.asarray(z, dtype=complex)
     refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z)
-    out = _core(zz)
-    return np.where(refl, _LOG_PI - _log_sin_pi(z) - out, out)
+    # _core returns a numpy scalar for a 0-d z
+    out = np.asarray(_core(np.where(refl, 1.0 - z, z)))
+    out[refl] = _LOG_PI - _log_sin_pi(z[refl]) - out[refl]
+    return out
 
 
 def ln_gamma(z) -> complex:

@@ -61,13 +61,13 @@ class ResidualReport:
         if not self.points:
             raise ValueError("ResidualReport requires at least one point")
 
+    # Python float and bool, not numpy scalars, so that json can write them
     @property
     def max_rel_err(self) -> float:
-        counted = [p.rel_err for p in self.points if p.counted]
-        return max(counted) if counted else 0.0
+        return float(max((p.rel_err for p in self.points if p.counted), default=0.0))
 
     def passes(self, tol: float) -> bool:
-        return self.max_rel_err < tol
+        return bool(self.max_rel_err < tol)
 
 
 def _build_report(method, points_lhs_rhs) -> ResidualReport:

@@ -326,6 +326,28 @@ class TestReportFormats:
         for p in doc["points"]:
             assert set(p) >= {"x", "t", "lhs", "rhs", "rel_err"}
 
+    def test_gl_json_report_round_trips(self, capsys):
+        # a Grunwald-Letnikov report: its error and verdict are computed
+        # from numpy values and must still be written as JSON
+        prob = json.dumps(
+            {"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2}
+        )
+        code, out = run_capture(
+            capsys,
+            [
+                "verify", "--json", prob,
+                "--grid", "x=1:1.2:2,t=1:1.2:2",
+                "--tol", "1e-3", "--format", "json",
+            ],
+        )
+        assert code == 0
+        doc = json.loads(out[: out.rfind("PASS")])
+        assert doc["method"] == "grunwald-letnikov"
+        assert doc["pass"] is True
+        assert len(doc["points"]) == 4
+        assert 0.0 < doc["max_rel_err"] <= 1e-3
+        assert all(p["counted"] is True for p in doc["points"])
+
     def test_csv_header(self, capsys):
         code, out = run_capture(
             capsys,

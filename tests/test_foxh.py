@@ -457,21 +457,15 @@ class TestBatchedEvaluation:
         # most 6 bands (a cap of 32 z per band needed 10), and a shared
         # line moves no value by 1e-10 from its single-z evaluation
         first_pass = []
-        trapezoid_line, log_integrand = foxh._trapezoid_line, foxh._log_integrand
+        trapezoid_line = foxh._trapezoid_line
 
-        def line(spec, z, gamma, omega, h0):
-            first_pass.append(len(z))
-            return trapezoid_line(spec, z, gamma, omega, h0)
-
-        def counting(spec, s):
-            # the first kernel call of a band is its first pass
-            if first_pass and isinstance(first_pass[-1], int):
-                first_pass[-1] = (first_pass[-1], np.size(s))
-            return log_integrand(spec, s)
+        def line(spec, z, gamma, omega, h0, k):
+            # k is the kernel on the band's first-pass nodes
+            first_pass.append((len(z), k.size))
+            return trapezoid_line(spec, z, gamma, omega, h0, k)
 
         zs = np.geomspace(0.1, 50.0, 320)
         monkeypatch.setattr(foxh, "_trapezoid_line", line)
-        monkeypatch.setattr(foxh, "_log_integrand", counting)
         got = eval_mellin_barnes(GL_SPECS[0], zs)
         monkeypatch.undo()
         assert len(first_pass) <= 6
@@ -706,10 +700,10 @@ class TestContourStep:
         cases = [(case1_spec(alpha, m), zs) for m in (0, 1, 2)]
         cases += [(invert_argument(spec), 1.0 / z) for spec, z in cases]
         got = [outcome(spec, z) for spec, z in cases]
-        trapezoid_line = foxh._trapezoid_line
+        contour_bands = foxh._contour_bands
         monkeypatch.setattr(
-            foxh, "_trapezoid_line",
-            lambda spec, z, gamma, omega, h0: trapezoid_line(spec, z, gamma, omega, foxh._H0),
+            foxh, "_contour_bands",
+            lambda c, z: ((gamma, idx, foxh._H0) for gamma, idx, _ in contour_bands(c, z)),
         )
         want = [outcome(spec, z) for spec, z in cases]
         for g, w in zip(got, want):

@@ -5,6 +5,7 @@ recurrence and reflection identities as self-contained cross-checks.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fracsol import gammafn
 from fracsol.errors import PoleError
 from fracsol.gammafn import (
     gamma,
@@ -66,6 +68,51 @@ class TestLnGamma:
         vec = ln_gamma_vec(zs)
         for z, v in zip(zs, vec):
             assert_allclose(complex(v), complex(ln_gamma(complex(z))), rtol=1e-13)
+
+    # Re z on both sides of 0.5, and |Im z| on both sides of 1, beyond which
+    # _log_sin_pi takes its tail branch
+    MIXED = np.array([
+        0.5 + 0.0j, 0.49 + 0.3j, -3.7 + 0.2j, -0.2 - 0.9j, -2.5 + 7.0j, 0.1 - 45.0j,
+        0.3 + 1.0j, -11.2 - 1.5j, 0.51 + 0.0j, 2.0 - 5.0j, 7.3 + 60.0j, 0.8 + 1.2j,
+    ])
+
+    @staticmethod
+    def reflect_everywhere(z):
+        """ln_gamma_vec's formula with the reflection term evaluated on every
+        element and selected by np.where."""
+        z = np.asarray(z, dtype=complex)
+        refl = z.real < 0.5
+        core = gammafn._core(np.where(refl, 1.0 - z, z))
+        return np.where(refl, gammafn._LOG_PI - gammafn._log_sin_pi(z) - core, core)
+
+    def test_masked_reflection_is_bit_identical(self):
+        # the reflection runs on the elements with Re z < 0.5 only: the
+        # values equal the np.where formula's and those of per-element
+        # calls, bit for bit
+        z = self.MIXED.reshape(3, 4)
+        assert 0 < np.count_nonzero(z.real < 0.5) < z.size
+        got = ln_gamma_vec(z)
+        assert np.array_equal(got, self.reflect_everywhere(z))
+        assert np.array_equal(got.ravel(), [ln_gamma_vec(v[None])[0] for v in z.ravel()])
+
+    @pytest.mark.parametrize("z", [2.5 + 1.0j, -2.5 + 1.0j, 0.5])
+    def test_zero_d_argument_gives_zero_d_value(self, z):
+        # a 0-d argument runs numpy's scalar arithmetic, whose last bits
+        # may differ from the array loops'; the np.where formula's 0-d
+        # value is the reference
+        got = ln_gamma_vec(z)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert np.array_equal(got, self.reflect_everywhere(z))
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_no_warning_when_no_or_every_element_is_reflected(self, reflected):
+        z = self.MIXED[(self.MIXED.real < 0.5) == reflected]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ln_gamma_vec(z)
+            for v in z:
+                ln_gamma_vec(v)
+        assert np.all(np.isfinite(got))
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -218,6 +218,34 @@ class TestHProfile:
         assert sum(idx.size for _, idx, _ in bands) == profile.xs.size
         assert sum(line != c.gamma0 for line, _, _ in bands) >= 2
 
+    def test_first_passes_share_one_kernel_call(self, monkeypatch):
+        # criterion 4's 320-node profile batch: the first passes of all its
+        # bands go through one kernel call, and each doubling or refinement
+        # pass adds one more; the values equal each band's own evaluation
+        profile, spec = h_profile(0.8, 1, 0.0, 1.0)
+        c = foxh._constants(spec)
+        c.table
+        z = np.exp(profile.xs)
+        bands = list(foxh._contour_bands(c, z))
+        assert len(bands) >= 4
+        calls = []
+        log_integrand = foxh._log_integrand
+        monkeypatch.setattr(
+            foxh, "_log_integrand", lambda spec, s: calls.append(s) or log_integrand(spec, s)
+        )
+        want = np.empty(z.size)
+        omega = c.conv.omega
+        for gamma, idx, h0 in bands:
+            tau = np.arange(foxh._first_pass_steps(omega, h0) + 1) * h0
+            k = log_integrand(spec, gamma + 1j * tau)
+            want[idx] = foxh._trapezoid_line(spec, z[idx], gamma, omega, h0, k)
+        # the bands' doubling and refinement passes
+        later = len(calls)
+        calls.clear()
+        got = foxh.eval_mellin_barnes_batch(spec, z)
+        assert len(calls) == 1 + later
+        assert np.array_equal(got, want)
+
     def test_zero_outside_its_range_without_warnings(self):
         profile, _ = h_profile(0.8, 1, 0.0, 1.0)
         v_hi = (profile.w_hi / profile.coef) ** (-1.0 / profile.power)
