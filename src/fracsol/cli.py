@@ -278,8 +278,9 @@ def _h_spec_json(spec: foxh.HFunctionSpec) -> dict:
     }
 
 
-def _pde_solution(args):
-    """Parse the PDE problem and build the solution --form and --sign ask for."""
+def _pde_solution(args) -> pde.PdeSolution:
+    """Parse the PDE problem and build the solution --form and --sign ask
+    for.  --form h or series is checked against the branch pde.solve took."""
     obj = _load_json(args)
     problem = pde.DiffusionProblem(
         alpha=_field(obj, "alpha", _finite),
@@ -295,20 +296,22 @@ def _pde_solution(args):
     )
     if args.form == "exp" or (args.form == "auto" and problem.alpha == 1 and problem.d != 2):
         try:
-            return problem, pde.exp_closed_form(problem, sign=+1 if args.sign == "plus" else -1)
+            return pde.exp_closed_form(problem, sign=+1 if args.sign == "plus" else -1)
         except FracsolError:
             if args.form == "exp":
                 raise
-    if args.form == "h" and not (problem.alpha < 2 and problem.d != 2):
-        raise InputError("--form h requires 0 < alpha < 2 and d != 2")
-    if args.form == "series" and problem.d != 2 and problem.alpha < 2:
-        raise InputError("--form series requires alpha > 2 or d = 2")
-    return problem, pde.solve(problem)
+    sol = pde.solve(problem)
+    wanted = {"h": "small-alpha", "series": "large-alpha"}.get(args.form)
+    if wanted not in (None, sol.form.branch):
+        raise InputError(
+            f"--form {args.form} does not match the problem's solution branch, {sol.form.branch}"
+        )
+    return sol
 
 
 def cmd_solve_pde(args) -> int:
-    problem, sol = _pde_solution(args)
-    form, smap = sol.form, sol.smap
+    sol = _pde_solution(args)
+    problem, form = sol.problem, sol.form
     closed = isinstance(form, pde.ClosedFormExp)
     s1, s2 = pde.s_roots(problem) if problem.d != 2 else (None, None)
     descriptor = {
@@ -326,10 +329,12 @@ def cmd_solve_pde(args) -> int:
         descriptor["h_spec"] = _h_spec_json(form.small.spec)
         descriptor["argument_coefficient"] = form.small.arg_coef
     else:
+        # member k is x^a z^(alpha-k) times a series, z = x^((d-2)/rho) t
+        z_exponent = (problem.d - 2.0) / problem.rho
         descriptor["members"] = [
             {
                 "k": mem.k,
-                "x_exponent": smap.a + smap.z_exponent * mem.leading_exponent,
+                "x_exponent": problem.a + z_exponent * mem.leading_exponent,
                 "t_exponent": mem.leading_exponent,
                 "argument_coefficient": mem.lam,
             }
@@ -340,16 +345,16 @@ def cmd_solve_pde(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem, sol = _pde_solution(args)
+    sol = _pde_solution(args)
     if args.mode == "coefficients":
         reports = [
-            verify.residual_ode_coefficients(series, op, problem.alpha, args.n_coeffs)
+            verify.residual_ode_coefficients(series, op, sol.problem.alpha, args.n_coeffs)
             for series, op in pde.series_members(sol, order=args.n_coeffs + 8)
         ]
         points = tuple(p for r in reports for p in r.points)
         report = verify.ResidualReport(method=verify.METHOD_TERMWISE, points=points)
     else:
-        report = verify.residual_pde(sol, problem, _parse_grid(args, ["x", "t"]), h=args.h)
+        report = verify.residual_pde(sol, sol.problem, _parse_grid(args, ["x", "t"]), h=args.h)
     ok = report.passes(args.tol)
     verdict = f"{'PASS' if ok else 'FAIL'} max_rel_err={report.max_rel_err:.3e} tol={args.tol:g}"
     _write(args, emit_report(report, args.format, tol=args.tol), tail=verdict)
@@ -357,6 +362,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     if args.suite == "lemma1":

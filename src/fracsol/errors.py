@@ -45,7 +45,8 @@ class ComplexRootsError(FracsolError):
 
 
 class DegenerateLeadingError(FracsolError):
-    """Leading operator coefficient a_n (n >= 1) is not positive."""
+    """Leading operator coefficient a_n (n >= 1) is not positive, or a
+    characteristic root fails its residual check (coefficients near underflow)."""
 
 
 class DegenerateDError(FracsolError):

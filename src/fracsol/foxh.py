@@ -171,8 +171,8 @@ class HFunctionSpec:
             raise ValueError(f"invalid (m,l) = ({self.m},{self.l}) for p={self.p}, q={self.q}")
         if (self.m, self.l) == (0, 0):
             raise ValueError("(m, l) = (0, 0) is not a valid H-function")
-        if any(w <= 0 for _, w in self.upper + self.lower):
-            raise ValueError("all weights alpha_i, beta_j must be positive")
+        if not all(math.isfinite(a) and 0 < w < math.inf for a, w in self.upper + self.lower):
+            raise ValueError("H parameters must be finite, weights finite and positive")
 
     @property
     def p(self) -> int:
@@ -264,9 +264,14 @@ class _SpecConstants:
         steps of _SADDLE_DV from r = _SADDLE_GAP out to r = 3 * 900 / |nu| +
         20, past the saddle at decay level 900, far beyond double
         underflow; one kernel call.  A non-finite Re K is stored as +inf,
-        which no minimum picks."""
-        reach = _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0
-        v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in (_SADDLE_GAP, reach))
+        which no minimum picks.  A |nu| above about 4e6 overflows v and
+        raises UnsupportedClassError."""
+        ends = (_SADDLE_GAP, _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0)
+        try:
+            v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in ends)
+        except OverflowError:
+            msg = f"nu = {self.conv.nu:g} overflows the saddle table"
+            raise UnsupportedClassError(msg) from None
         v = v0 + _SADDLE_DV * np.arange(math.ceil((v1 - v0) / _SADDLE_DV) + 1)
         sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
         kernel = _log_integrand(self.spec, sigma).real

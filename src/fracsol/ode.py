@@ -3,8 +3,9 @@
     D^alpha y(z) = z^m (a_n z^n y^(n) + ... + a_1 z y' + a_0 y),  z > 0.
 
 Two branches: alpha < n gives a single Fox-H solution, alpha > n gives
-[alpha]+1 generalized-Wright series members.  alpha = n is rejected.  For
-n = 0 only the Wright branch applies, and a_0 may have either sign.
+[alpha]+1 generalized-Wright series members.  ``solve`` is the one place
+that picks the branch; ``OdeProblem`` rejects alpha = n.  For n = 0 only
+the Wright branch applies, and a_0 may have either sign.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class OdeProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "a_coeffs", tuple(float(a) for a in self.a_coeffs))
+        if not all(map(math.isfinite, (self.alpha, self.m) + self.a_coeffs)):
+            raise ValueError("alpha, m and a_coeffs must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.m < 0 or self.m != int(self.m):
@@ -55,7 +58,8 @@ class OdeProblem:
     def operator(self) -> EulerPolynomialOperator:
         """The operator, whose P(s) = a_n s(s-1)...(s-n+1) + ... + a_1 s + a_0
         carries its expanded monomials and roots, with every root's residual
-        checked against the coefficient norm.
+        checked against the coefficient norm: DegenerateLeadingError when
+        one fails, as it does when the coefficients sit near underflow.
 
         Closed forms for n <= 2, companion-matrix eigenvalues plus one Newton
         step for n >= 3.
@@ -64,20 +68,20 @@ class OdeProblem:
         norm = max(abs(c) for c in op.monomials)
         for s in op.roots:
             if abs(op.char_value(s)) > 1e-10 * norm * max(1.0, abs(s)) ** self.n:
-                raise ArithmeticError(f"characteristic root {s} failed residual check")
+                raise DegenerateLeadingError(f"characteristic root {s} failed its residual check")
         return op
 
 
 @dataclass(frozen=True)
 class SmallAlphaForm:
-    """y(z) = c1 * H[ arg_coef * z^(-(alpha+m)) ] for alpha < n."""
+    """y(z) = H[ arg_coef * z^(-(alpha+m)) ] for alpha < n."""
 
     spec: HFunctionSpec
     arg_coef: float
     power: float  # alpha + m
 
-    def evaluate(self, z: float, c1=1.0) -> complex:
-        return c1 * eval_mellin_barnes(self.spec, self.arg_coef * z ** (-self.power))
+    def evaluate(self, z: float) -> complex:
+        return eval_mellin_barnes(self.spec, self.arg_coef * z ** (-self.power))
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ class LargeAlphaMember:
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Tagged solution: a single H-form (alpha < n) or Wright members (alpha > n)."""
+    """Tagged solution: an H-form (alpha < n) or Wright members (alpha > n), each
+    times its constant."""
 
     problem: OdeProblem
     roots: tuple
@@ -115,23 +120,13 @@ class OdeSolution:
         return "small-alpha" if self.small is not None else "large-alpha"
 
     def evaluate(self, z: float) -> complex:
-        if self.small is not None:
-            return self.small.evaluate(z, self.constants[0])
-        return sum(
-            c * mem.evaluate(z) for c, mem in zip(self.constants, self.members)
-        )
+        parts = (self.small,) if self.small is not None else self.members
+        return sum(c * part.evaluate(z) for c, part in zip(self.constants, parts))
 
 
-def _roots_real(roots) -> bool:
-    return all(abs(s.imag) <= _REAL_ROOT_TOL * max(1.0, abs(s)) for s in roots)
-
-
-def solve_small_alpha(problem: OdeProblem) -> OdeSolution:
+def _solve_small_alpha(problem: OdeProblem, roots) -> OdeSolution:
     """H-function solution for 0 < alpha < n (real characteristic roots only)."""
-    if not problem.alpha < problem.n:
-        raise BranchMismatchError(f"alpha = {problem.alpha} is not < n = {problem.n}")
-    roots = problem.operator().roots
-    if not _roots_real(roots):
+    if not all(abs(s.imag) <= _REAL_ROOT_TOL * max(1.0, abs(s)) for s in roots):
         raise ComplexRootsError(
             "characteristic roots are complex; the H form needs real lower parameters"
         )
@@ -139,20 +134,11 @@ def solve_small_alpha(problem: OdeProblem) -> OdeSolution:
     lower = tuple((-s.real / rho, 1.0) for s in roots) + tuple(
         (j / rho, 1.0) for j in range(1, problem.m + 1)
     )
-    spec = HFunctionSpec(
-        m=problem.m + problem.n,
-        l=0,
-        upper=((1.0, rho),),
-        lower=lower,
-    )
+    spec = HFunctionSpec(m=problem.m + problem.n, l=0, upper=((1.0, rho),), lower=lower)
     an = problem.a_coeffs[-1]
     arg_coef = 1.0 / (an * rho ** (problem.m + problem.n))
-    return OdeSolution(
-        problem=problem,
-        roots=roots,
-        constants=(1.0,),
-        small=SmallAlphaForm(spec=spec, arg_coef=arg_coef, power=rho),
-    )
+    small = SmallAlphaForm(spec=spec, arg_coef=arg_coef, power=rho)
+    return OdeSolution(problem=problem, roots=roots, constants=(1.0,), small=small)
 
 
 def wright_members(alpha: float, m: int, roots, lam: float) -> tuple:
@@ -177,11 +163,8 @@ def wright_members(alpha: float, m: int, roots, lam: float) -> tuple:
     return tuple(members)
 
 
-def solve_large_alpha(problem: OdeProblem) -> OdeSolution:
+def _solve_large_alpha(problem: OdeProblem, roots) -> OdeSolution:
     """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
-    if not problem.alpha > problem.n:
-        raise BranchMismatchError(f"alpha = {problem.alpha} is not > n = {problem.n}")
-    roots = problem.operator().roots
     alpha, m, n = problem.alpha, problem.m, problem.n
     an = problem.a_coeffs[-1]
     lam = an * (alpha + m) ** (m + n)
@@ -192,7 +175,9 @@ def solve_large_alpha(problem: OdeProblem) -> OdeSolution:
 
 
 def solve(problem: OdeProblem) -> OdeSolution:
-    """Dispatch on the branch condition alpha < n vs alpha > n."""
+    """The solution of the branch alpha < n (H form) or alpha > n (Wright
+    members); the problem has already refused alpha = n."""
+    roots = problem.operator().roots
     if problem.alpha < problem.n:
-        return solve_small_alpha(problem)
-    return solve_large_alpha(problem)
+        return _solve_small_alpha(problem, roots)
+    return _solve_large_alpha(problem, roots)

@@ -5,13 +5,15 @@ diffusion equation
 
 The substitution u = x^a phi(z), z = x^((d-2)/(alpha+m)) t, collapses the
 PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`.  ``solve``
-reduces, solves that ODE and keeps its solution with the map back: a
-:class:`PdeSolution` holds the reduced :class:`fracsol.ode.OdeSolution`
-(Fox-H form for 0 < alpha < 2, Wright series for alpha > 2) and its
-:class:`SimilarityMap`, and u is x^a times the ODE solution at z.  At
+reduces and solves that ODE: a :class:`PdeSolution` is the problem and
+its form, here the reduced :class:`fracsol.ode.OdeSolution` (Fox-H form
+for 0 < alpha < 2, Wright series for alpha > 2, as ``ode.solve`` picks),
+and u is x^a times that solution at ``DiffusionProblem.z(x, t)``.  At
 d = 2 the reduction is the n = 0 ODE D^alpha phi = K t^m phi in z = t,
 whose solutions are its Wright members for every alpha.  The alpha = 1
-exponential closed form is built here directly and has no map.
+exponential closed form is built here directly; its form is a
+:class:`ClosedFormExp`.  Every number of a problem, its constants
+included, must be finite (ValueError otherwise).
 """
 
 from __future__ import annotations
@@ -44,14 +46,17 @@ class DiffusionProblem:
     constants: tuple = None
 
     def __post_init__(self):
+        if self.constants is not None:
+            object.__setattr__(self, "constants", tuple(complex(c) for c in self.constants))
+        numbers = (self.alpha, self.m, self.d, self.A, self.B, self.C, self.a)
+        if not all(map(cmath.isfinite, numbers + (self.constants or ()))):
+            raise ValueError("the problem's numbers and constants must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.m < 0 or self.m != int(self.m):
             raise ValueError("m must be a non-negative integer")
         if self.A <= 0:
             raise ValueError("A must be positive")
-        if self.constants is not None:
-            object.__setattr__(self, "constants", tuple(complex(c) for c in self.constants))
 
     @property
     def K(self) -> float:
@@ -61,22 +66,15 @@ class DiffusionProblem:
     def rho(self) -> float:
         return self.alpha + self.m
 
+    def z(self, x: float, t: float) -> float:
+        """The reduced variable z = x^((d-2)/rho) t of the ansatz u = x^a phi(z)."""
+        return x ** ((self.d - 2.0) / self.rho) * t
+
     def constant(self, k: int) -> complex:
         """c_k (1-based); 1 when not supplied.  Extra constants are ignored."""
         if self.constants is None or k - 1 >= len(self.constants):
             return 1.0 + 0.0j
         return self.constants[k - 1]
-
-
-@dataclass(frozen=True)
-class SimilarityMap:
-    """u(x,t) = x^a phi(z) with reduced variable z = x^z_exponent * t."""
-
-    a: float
-    z_exponent: float
-
-    def z(self, x: float, t: float) -> float:
-        return x**self.z_exponent * t
 
 
 def s_roots(problem: DiffusionProblem):
@@ -95,16 +93,15 @@ def s_roots(problem: DiffusionProblem):
     return complex(s1), complex(s2)
 
 
-def similarity_reduce(problem: DiffusionProblem):
-    """The OdeProblem of the reduced equation plus the ansatz map: n = 2,
-    or n = 0 with a_0 = K at d = 2, where a_2 and a_1 vanish."""
+def similarity_reduce(problem: DiffusionProblem) -> ode.OdeProblem:
+    """The OdeProblem of the reduced equation in problem.z: n = 2, or n = 0
+    with a_0 = K at d = 2, where a_2 and a_1 vanish."""
     A, B, d, a = problem.A, problem.B, problem.d, problem.a
     rho = problem.rho
     a2 = A * (d - 2.0) ** 2 / rho**2
     a1 = ((d - 2.0) / rho) * (A * (d - 2.0) / rho + B + A * (2.0 * a - 1.0))
     a_coeffs = (problem.K, a1, a2) if d != 2 else (problem.K,)
-    reduced = ode.OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=a_coeffs)
-    return reduced, SimilarityMap(a=a, z_exponent=(d - 2.0) / rho)
+    return ode.OdeProblem(alpha=problem.alpha, m=problem.m, a_coeffs=a_coeffs)
 
 
 @dataclass(frozen=True)
@@ -114,19 +111,16 @@ class ClosedFormExp:
     x_exponent: float
     t_exponent: float
     exp_coef: float
-    d: float
-    m: int
 
 
 @dataclass(frozen=True)
 class PdeSolution:
     """Constructed solution of a diffusion problem: the reduced ODE's
-    solution with its similarity map, u = x^a form(smap.z(x, t)), or the
-    alpha = 1 exponential closed form, which has no map."""
+    solution, u = x^a form(problem.z(x, t)), or the alpha = 1 exponential
+    closed form."""
 
     problem: DiffusionProblem
     form: object  # ode.OdeSolution | ClosedFormExp
-    smap: SimilarityMap = None
 
 
 def solve(problem: DiffusionProblem) -> PdeSolution:
@@ -138,10 +132,9 @@ def solve(problem: DiffusionProblem) -> PdeSolution:
     carry complex parameters.  alpha = 2 with d != 2 reduces to an ODE with
     alpha = n, which raises BranchMismatchError.
     """
-    ode_problem, smap = similarity_reduce(problem)
-    ode_sol = ode.solve(ode_problem)
+    ode_sol = ode.solve(similarity_reduce(problem))
     constants = tuple(problem.constant(k) for k in range(1, len(ode_sol.constants) + 1))
-    return PdeSolution(problem, replace(ode_sol, constants=constants), smap)
+    return PdeSolution(problem, replace(ode_sol, constants=constants))
 
 
 def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
@@ -162,7 +155,7 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
     x_exp = -0.5 * (B / A - 1.0 + sq)
     t_exp = -((1.0 + m) / (d - 2.0)) * (d - 2.0 + sq)
     q = (1.0 + m) / (A * (d - 2.0) ** 2)
-    form = ClosedFormExp(x_exponent=x_exp, t_exponent=t_exp, exp_coef=q, d=d, m=m)
+    form = ClosedFormExp(x_exponent=x_exp, t_exponent=t_exp, exp_coef=q)
     return PdeSolution(problem=problem, form=form)
 
 
@@ -170,15 +163,15 @@ def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
     """Evaluate a solution at a point of the open quadrant x, t > 0."""
     if x <= 0 or t <= 0:
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
-    form = sol.form
+    form, problem = sol.form, sol.problem
     if isinstance(form, ClosedFormExp):
         return (
-            sol.problem.constant(1)
+            problem.constant(1)
             * x**form.x_exponent
             * t**form.t_exponent
-            * math.exp(-form.exp_coef * x ** (2.0 - form.d) * t ** (-(1.0 + form.m)))
+            * math.exp(-form.exp_coef * x ** (2.0 - problem.d) * t ** (-(1.0 + problem.m)))
         )
-    return x**sol.smap.a * form.evaluate(sol.smap.z(x, t))
+    return x**problem.a * form.evaluate(problem.z(x, t))
 
 
 def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):

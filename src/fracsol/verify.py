@@ -111,9 +111,10 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> flo
     return float(h ** (-alpha) * np.sum(w * vals))
 
 
-def _closed_form_residual(sol: PdeSolution, problem: DiffusionProblem, grid):
+def _closed_form_residual(sol: PdeSolution, grid):
     """Exact-derivative residual for the alpha = 1 exponential closed form."""
     form: ClosedFormExp = sol.form
+    problem = sol.problem
     A, B, C, d, m = problem.A, problem.B, problem.C, problem.d, problem.m
     px, pt, q = form.x_exponent, form.t_exponent, form.exp_coef
     pts = []
@@ -205,22 +206,18 @@ class _HProfile:
         return np.where(inside, hv, 0.0)
 
 
-def _numeric_residual(sol: PdeSolution, problem: DiffusionProblem, grid, h: float):
+def _numeric_residual(sol: PdeSolution, grid, h: float):
     """GL time derivative vs finite-difference spatial operator.
 
     An H-form solution makes one eval_mellin_barnes_batch call per x: the
     profile's nodes and the stencil points of every grid point at that x.
     """
-    A, B, C, d, m, alpha = (
-        problem.A,
-        problem.B,
-        problem.C,
-        problem.d,
-        problem.m,
-        problem.alpha,
+    problem = sol.problem
+    A, B, C, d, m, a, alpha = (
+        problem.A, problem.B, problem.C, problem.d, problem.m, problem.a, problem.alpha
     )
     # H at arg_coef x^(2-d) t^(-power), not via z, whose rounding u_xx would magnify
-    small, a, x_power = sol.form.small, sol.smap.a, 2.0 - sol.problem.d
+    small, x_power = sol.form.small, 2.0 - d
 
     def u_point(x, t):
         return complex(pde_evaluate(sol, x, t)).real
@@ -274,7 +271,8 @@ def residual_pde(
 ) -> ResidualReport:
     """Residual of the diffusion equation on the given (x, t) grid.
 
-    ClosedFormExp solutions (alpha = 1) go through the exact
+    problem must be sol.problem, which the residual reads (ValueError
+    otherwise).  ClosedFormExp solutions (alpha = 1) go through the exact
     analytic-derivative path (h-independent); everything else uses the
     Grunwald-Letnikov time derivative and finite differences in x.
 
@@ -287,9 +285,11 @@ def residual_pde(
     grid = [(float(x), float(t)) for x, t in grid]
     if any(x <= 0 or t <= 0 for x, t in grid):
         raise ValueError("grid points must be strictly positive")
+    if problem != sol.problem:
+        raise ValueError("problem is not the solution's problem")
     if isinstance(sol.form, ClosedFormExp):
-        return _closed_form_residual(sol, problem, grid)
-    return _numeric_residual(sol, problem, grid, h)
+        return _closed_form_residual(sol, grid)
+    return _numeric_residual(sol, grid, h)
 
 
 def _termwise_report(lhs: FracPowerSeries, rhs: FracPowerSeries, n_coeffs: int) -> ResidualReport:
@@ -314,11 +314,14 @@ def residual_ode_coefficients(
     alpha: float,
     n_coeffs: int,
 ) -> ResidualReport:
-    """Termwise-exact comparison of D^alpha(member) against op(member).
+    """Termwise-exact comparison of D^alpha(member) against op(member) on
+    n_coeffs >= 1 aligned coefficients (ValueError otherwise).
 
     The two series are aligned on their common exponent lattice; leading
     derivative coefficients with no operator counterpart must vanish.
     """
+    if n_coeffs < 1:
+        raise ValueError(f"n_coeffs = {n_coeffs} compares no coefficient")
     if member.order + 1 < n_coeffs:
         raise ValueError(f"member carries {member.order + 1} coefficients < {n_coeffs}")
     deriv = fracseries.rl_derivative(member, alpha)

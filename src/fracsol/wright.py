@@ -8,6 +8,7 @@ weights alpha_i, beta_j are real and nonzero.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ class WrightSpec:
     """Parameter set of a pPsi_q generalized Wright function.
 
     ``upper`` holds the (a_i, alpha_i) pairs, ``lower`` the (b_j, beta_j)
-    pairs.  All weights must be nonzero.
+    pairs.  Every number must be finite and every weight nonzero.
     """
 
     upper: tuple
@@ -37,9 +38,9 @@ class WrightSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((complex(a), float(al)) for a, al in self.upper))
         object.__setattr__(self, "lower", tuple((complex(b), float(be)) for b, be in self.lower))
-        for _, w in self.upper + self.lower:
-            if w == 0.0:
-                raise ValueError("Wright weights alpha_i, beta_j must be nonzero")
+        for a, w in self.upper + self.lower:
+            if not (cmath.isfinite(a) and math.isfinite(w)) or w == 0.0:
+                raise ValueError("Wright parameters must be finite, weights nonzero")
 
     @property
     def p(self) -> int:
@@ -103,10 +104,18 @@ def series_term(spec: WrightSpec, z, k: int) -> complex:
     return complex(np.exp(lt))
 
 
-def coefficients(spec: WrightSpec, order: int, lam=1.0) -> tuple:
+def coefficients(spec: WrightSpec, order: int, lam: float = 1.0) -> tuple:
     """Coefficients lam^j * series_term(spec, 1, j), j = 0..order, of
-    pPsiq[lam w] as a power series in w."""
-    return tuple(series_term(spec, 1.0, j) * lam**j for j in range(order + 1))
+    pPsiq[lam w] as a power series in w, for a real lam.  Where lam^j
+    overflows, the coefficient need not: log|lam| then goes into the term's
+    log and sign(lam)^j stays outside it, which keeps real ones real."""
+    out = []
+    for j in range(order + 1):
+        try:
+            out.append(series_term(spec, 1.0, j) * lam**j)
+        except OverflowError:
+            out.append(math.copysign(1.0, lam) ** j * series_term(spec, abs(lam), j))
+    return tuple(out)
 
 
 def evaluate(spec: WrightSpec, z) -> complex:
@@ -179,11 +188,6 @@ def classical_wright(z, alpha: float, beta: float) -> complex:
         raise ValueError("classical_wright requires alpha > -1")
     z = complex(z)
     if alpha == 0:
-        # e^z - 1 without cancellation near z = 0
-        expm1 = complex(
-            math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(z.imag / 2.0) ** 2,
-            math.exp(z.real) * math.sin(z.imag),
-        )
-        return expm1 * gamma_reciprocal(beta)
+        return complex(np.expm1(z)) * gamma_reciprocal(beta)
     spec = WrightSpec(upper=((1.0, 1.0),), lower=((2.0, 1.0), (alpha + beta, alpha)))
     return z * evaluate(spec, z)

@@ -216,8 +216,7 @@ def test_criterion_9_reduction_consistency():
             C=float(rng.uniform(-1.0, 1.0)),
             a=float(rng.uniform(-1.0, 1.0)),
         )
-        ode_prob, _ = similarity_reduce(prob)
-        got = [complex(r) for r in ode_prob.operator().roots]
+        got = [complex(r) for r in similarity_reduce(prob).operator().roots]
         want = [complex(s) for s in s_roots(prob)]
         err = min(
             max(abs(got[0] - want[0]), abs(got[1] - want[1])),

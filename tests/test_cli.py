@@ -386,6 +386,8 @@ class TestGridSyntax:
 HEAT = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
 H_FORM = json.dumps({"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2})
 EXP_SPEC = json.dumps({"m": 1, "l": 0, "upper": [], "lower": [[0, 1]]})
+# d = 2, solved as the n = 0 reduced ODE; its member argument is -1.575 t^3.5
+D2 = json.dumps({"alpha": 2.5, "m": 1, "d": 2, "A": 1, "C": -0.2, "a": 0.5})
 
 
 def test_import_loads_no_scipy():
@@ -438,6 +440,10 @@ def test_import_loads_no_scipy():
         ["eval", "ml", "--alpha", "1", "--beta", "1", "--z", "nan"],
         ["solve", "pde", "--json", HEAT, "--grid", "x=1:inf:2,t=1:1:1"],
         ["verify", "--json", HEAT, "--grid", "x=1:1:1,t=1:1:1", "--tol", "nan"],
+        ["verify", "--json", D2, "--mode", "coefficients", "--n-coeffs", "0", "--tol", "1e-10"],
+        ["verify", "--json", D2, "--mode", "coefficients", "--n-coeffs", "-3", "--tol", "1e-10"],
+        ["identities", "--suite", "lemma1", "--n", "0", "--tol", "1e-11"],
+        ["identities", "--suite", "lemma1", "--n", "-5", "--tol", "1e-11"],
     ],
     ids=[
         "z-not-a-number", "z-trailing-comma", "foxh-z-zero", "ml-alpha-zero", "foxh-m-above-q",
@@ -446,6 +452,8 @@ def test_import_loads_no_scipy():
         "series-form-below-alpha-2", "h-form-above-alpha-2", "ml-alpha-not-a-number",
         "verify-without-tol", "pde-alpha-nan", "pde-d-nan", "pde-C-nan", "pde-a-nan",
         "ode-a-coeff-infinity", "ml-alpha-nan", "z-nan", "grid-infinity", "verify-tol-nan",
+        "verify-no-coefficient", "verify-negative-coefficients", "identities-n-zero",
+        "identities-n-negative",
     ],
 )
 def test_bad_input_is_one_line_input_error(capsys, argv):
@@ -474,3 +482,50 @@ def test_mistyped_field_is_input_error_naming_it(capsys, argv, field):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith(f"input error: bad field {field!r}")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # the reduced ODE's coefficients sit near underflow, and a
+        # characteristic root fails its residual check
+        (["solve", "pde", "--json", '{"alpha":0.8,"m":1,"d":0,"A":1e-300}'],
+         "DegenerateLeadingError: characteristic root"),
+        (["eval", "foxh", "--json", '{"m":1,"l":0,"upper":[],"lower":[[0,1e300]]}', "--z", "2"],
+         "UnsupportedClassError: nu = 1e+300 overflows the saddle table"),
+        # --form is compared with the branch pde.solve takes, which raises first
+        (["solve", "pde", "--json", '{"alpha":2,"d":0.5,"A":1}', "--form", "h"],
+         "BranchMismatchError: alpha = n = 2"),
+        (["solve", "pde", "--json", '{"alpha":1.5,"d":0,"A":1,"C":1}', "--form", "series"],
+         "ComplexRootsError: characteristic roots are complex"),
+    ],
+    ids=["pde-A-near-underflow", "foxh-huge-weight", "h-form-at-alpha-2",
+         "series-form-complex-roots"],
+)
+def test_library_error_is_one_line(capsys, argv, error):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(error)
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("form, branch", [("series", "small-alpha"), ("h", "large-alpha")])
+def test_form_mismatch_names_the_branch(capsys, form, branch):
+    problem = H_FORM if branch == "small-alpha" else D2
+    code = run(["solve", "pde", "--json", problem, "--form", form])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"input error: --form {form} does not match the problem's solution branch, {branch}\n"
+    )
+
+
+def test_coefficients_past_the_double_range_pass(capsys):
+    # lam^j passed the double range at order 1608 and raised OverflowError;
+    # the true coefficients underflow to 0
+    code, out = run_capture(capsys, [
+        "verify", "--json", D2, "--mode", "coefficients", "--n-coeffs", "1600", "--tol", "1e-10",
+    ])
+    assert code == 0
+    assert out.splitlines()[-1].startswith("PASS max_rel_err=")

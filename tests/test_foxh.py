@@ -89,6 +89,24 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, -1.0),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["upper value", "upper weight", "lower value",
+                                       "lower weight"])
+    def test_rejects_non_finite_number(self, where, bad):
+        # a NaN or infinite lower value used to evaluate to 0.0, and an
+        # infinite weight to raise ZeroDivisionError
+        pairs = {"upper": [[1.0, 1.0]], "lower": [[0.0, 1.0], [0.5, 1.0]]}
+        group, part = where.split()
+        pairs[group][0][0 if part == "value" else 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HFunctionSpec(m=2, l=0, upper=pairs["upper"], lower=pairs["lower"])
+
+    def test_weight_past_the_saddle_table_is_unsupported(self):
+        # nu = 1e300: the table's range in v overflows a double
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1e300),))
+        with pytest.raises(UnsupportedClassError, match="saddle table"):
+            eval_mellin_barnes(spec, 2.0)
+
 
 class TestConvergenceParams:
     def test_exp_spec(self):

@@ -13,13 +13,7 @@ from fracsol.errors import (
     DegenerateLeadingError,
 )
 from fracsol.fracseries import euler_apply, rl_derivative
-from fracsol.ode import (
-    OdeProblem,
-    solve,
-    solve_large_alpha,
-    solve_small_alpha,
-    wright_members,
-)
+from fracsol.ode import OdeProblem, solve, wright_members
 from fracsol.verify import residual_ode_coefficients
 
 
@@ -31,6 +25,18 @@ class TestOdeProblem:
     def test_rejects_alpha_equal_n(self):
         with pytest.raises(BranchMismatchError):
             solve(OdeProblem(alpha=2.0, m=0, a_coeffs=(0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "m", "a_0", "a_n"])
+def test_non_finite_number_refused(field, bad):
+    fields = {"alpha": 0.5, "m": 0, "a_coeffs": (0.0, 1.0)}
+    if field.startswith("a_"):
+        fields["a_coeffs"] = (bad, 1.0) if field == "a_0" else (0.0, bad)
+    else:
+        fields[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        OdeProblem(**fields)
 
 
 class TestCharacteristicPoly:
@@ -54,7 +60,7 @@ class TestSmallAlphaBranch:
     def test_structure(self):
         # n=2, m=1, alpha=0.8: q = m+n = 3, argument divisor a2 * 1.8^3
         prob = OdeProblem(alpha=0.8, m=1, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_small_alpha(prob)
+        sol = solve(prob)
         spec = sol.small.spec
         assert (spec.m, spec.l, spec.p, spec.q) == (3, 0, 1, 3)
         assert spec.upper == ((1.0, pytest.approx(1.8)),)
@@ -63,41 +69,37 @@ class TestSmallAlphaBranch:
     def test_lower_parameters(self):
         # roots {0, 1} of a2 z^2 y'': lower entries (-s_j/rho, 1)
         prob = OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_small_alpha(prob)
+        sol = solve(prob)
         firsts = sorted(b for b, _ in sol.small.spec.lower)
         assert firsts == pytest.approx([-1 / 0.5, 0.0])
 
     def test_h_kernel_decay(self):
         # the H-function underlying the solution decays at large argument
         prob = OdeProblem(alpha=0.8, m=1, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_small_alpha(prob)
+        sol = solve(prob)
         spec = sol.small.spec
         v5 = abs(foxh.eval_mellin_barnes(spec, 5.0))
         v10 = abs(foxh.eval_mellin_barnes(spec, 10.0))
         assert v10 < v5
-
-    def test_branch_guard(self):
-        with pytest.raises(BranchMismatchError):
-            solve_small_alpha(OdeProblem(alpha=2.5, m=0, a_coeffs=(0.0, 0.0, 1.0)))
 
     def test_complex_roots_rejected(self):
         # z^2 y'' - z y' + y: P(s) = s^2 - 2s + 1... use one with complex roots:
         # P(s) = s(s-1) + s + 1 = s^2 + 1, roots +-i
         prob = OdeProblem(alpha=0.5, m=0, a_coeffs=(1.0, 1.0, 1.0))
         with pytest.raises(ComplexRootsError):
-            solve_small_alpha(prob)
+            solve(prob)
 
 
 class TestLargeAlphaBranch:
     def test_member_count(self):
         prob = OdeProblem(alpha=2.5, m=0, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         assert len(sol.members) == 3  # floor(2.5) + 1
 
     def test_leading_exponents(self):
         # member k has prefactor z^{alpha-k}; k=1 gives gamma0 = 1.5, rho = 2.5
         prob = OdeProblem(alpha=2.5, m=0, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         s = sol.members[0].series(order=5)
         assert s.gamma0 == pytest.approx(1.5)
         assert s.rho == pytest.approx(2.5)
@@ -105,15 +107,11 @@ class TestLargeAlphaBranch:
     def test_series_entire(self):
         # Delta = (alpha+m) - (n+m+1) = alpha - n - 1 > -1 whenever alpha > n
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         for member in sol.members:
             verdict = wright.convergence(member.spec)
             assert verdict.delta == pytest.approx(prob.alpha - prob.n - 1)
             assert verdict.radius == math.inf
-
-    def test_branch_guard(self):
-        with pytest.raises(BranchMismatchError):
-            solve_large_alpha(OdeProblem(alpha=0.5, m=0, a_coeffs=(0.0, 0.0, 1.0)))
 
     @pytest.mark.parametrize("k_idx", [0, 1, 2])
     def test_coefficient_residual(self, k_idx):
@@ -122,7 +120,7 @@ class TestLargeAlphaBranch:
         # a_1 = 0.3 keeps the characteristic roots {0, 0.7} clear of the
         # degenerate coincidence s_i = alpha - k (which poles the k-th member)
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         member = sol.members[k_idx]
         u = member.series(order=25)
         lhs = rl_derivative(u, prob.alpha)
@@ -138,7 +136,7 @@ class TestLargeAlphaBranch:
     def test_member_eval_matches_series(self):
         # two independent summation paths: Wright evaluator vs power series
         prob = OdeProblem(alpha=2.5, m=0, a_coeffs=(0.0, 0.0, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         member = sol.members[0]
         z = 0.5
         direct = complex(member.evaluate(z))
@@ -162,9 +160,9 @@ class TestWrightMembers:
             )
             assert mem.spec.lower == ((1.0 + mem.leading_exponent + 0j, rho),)
 
-    def test_matches_solve_large_alpha(self):
+    def test_matches_solve(self):
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = solve(prob)
         assert wright_members(2.5, 1, sol.roots, 3.5**3) == sol.members
 
 
@@ -182,7 +180,7 @@ class TestRootPermutationInvariance:
     @pytest.mark.parametrize("z", [0.5, 2.0])
     def test_lower_order_irrelevant(self, z):
         prob = OdeProblem(alpha=0.8, m=1, a_coeffs=(0.0, 0.5, 1.0))
-        sol = solve_small_alpha(prob)
+        sol = solve(prob)
         spec = sol.small.spec
         perm = foxh.HFunctionSpec(
             m=spec.m, l=0, upper=spec.upper, lower=tuple(reversed(spec.lower))
@@ -217,5 +215,13 @@ class TestRootCheck:
             fracseries, "_char_roots", lambda c: tuple(s + 1e-3 for s in char_roots(c))
         )
         for alpha in (0.8, 2.5):
-            with pytest.raises(ArithmeticError):
+            with pytest.raises(DegenerateLeadingError):
                 solve(OdeProblem(alpha=alpha, m=1, a_coeffs=(0.0, 0.3, 1.0)))
+
+    def test_coefficients_near_underflow_raise(self):
+        # the reduced ODE of A = 1e-300: P(s) at its roots is subnormal and
+        # fails the residual check against the coefficient norm
+        prob = OdeProblem(alpha=0.8, m=1, a_coeffs=(0.0, 2.3456790123456794e-300,
+                                                    1.2345679012345679e-300))
+        with pytest.raises(DegenerateLeadingError, match="residual check"):
+            solve(prob)

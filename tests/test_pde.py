@@ -12,6 +12,7 @@ from fracsol.errors import (
     BranchMismatchError,
     ComplexRootsError,
     DegenerateDError,
+    DegenerateLeadingError,
     DomainError,
     NoConvergenceError,
 )
@@ -20,7 +21,6 @@ from fracsol.ode import OdeProblem, wright_members
 from fracsol.pde import (
     ClosedFormExp,
     DiffusionProblem,
-    SimilarityMap,
     exp_closed_form,
     evaluate,
     s_roots,
@@ -30,6 +30,16 @@ from fracsol.pde import (
 )
 
 HEAT = DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "m", "d", "A", "B", "C", "a", "constants"])
+def test_non_finite_number_refused(field, bad):
+    # a NaN constant used to evaluate to nan+nanj
+    fields = dict(alpha=0.8, m=1, d=0.0, A=1.0)
+    fields[field] = (1.0, complex(0.5, bad)) if field == "constants" else bad
+    with pytest.raises(ValueError, match="finite"):
+        DiffusionProblem(**fields)
 
 
 class TestSRoots:
@@ -61,19 +71,19 @@ class TestSRoots:
 
 class TestSimilarityReduce:
     def test_heat_coefficients(self):
-        ode_prob, _ = similarity_reduce(HEAT)
+        ode_prob = similarity_reduce(HEAT)
         # a2 = A(d-2)^2/rho^2 = 4; a1 = ((d-2)/rho)(A(d-2)/rho + B + A(2a-1))
         assert ode_prob.a_coeffs == pytest.approx((0.0, 6.0, 4.0))
 
     def test_a0_equals_K(self):
         prob = DiffusionProblem(alpha=0.7, m=2, d=1.0, A=2.0, B=0.5, C=0.3, a=0.4)
-        ode_prob, _ = similarity_reduce(prob)
+        ode_prob = similarity_reduce(prob)
         assert ode_prob.a_coeffs[0] == pytest.approx(prob.K)
         assert prob.K == pytest.approx(2 * 0.16 - 2 * 0.4 + 0.5 * 0.4 + 0.3)
 
     def test_roots_match_s_roots(self):
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.5, A=1.5, B=0.2, C=-0.1, a=0.3)
-        ode_prob, _ = similarity_reduce(prob)
+        ode_prob = similarity_reduce(prob)
         got = sorted(complex(r).real for r in ode_prob.operator().roots)
         want = sorted(complex(s).real for s in s_roots(prob))
         assert got == pytest.approx(want, abs=1e-10)
@@ -91,7 +101,7 @@ class TestSimilarityReduce:
             C = float(rng.uniform(-1.0, 1.0))
             a = float(rng.uniform(-1.0, 1.0))
             prob = DiffusionProblem(alpha=alpha, m=m, d=d, A=A, B=B, C=C, a=a)
-            ode_prob, _ = similarity_reduce(prob)
+            ode_prob = similarity_reduce(prob)
             got = [complex(r) for r in ode_prob.operator().roots]
             want = [complex(s) for s in s_roots(prob)]
             # conjugate pairs sort unstably on floating-point real parts; take
@@ -104,8 +114,8 @@ class TestSimilarityReduce:
         assert worst < 1e-10
 
     def test_map_exponent(self):
-        _, smap = similarity_reduce(HEAT)
-        assert smap.z_exponent == pytest.approx((0.0 - 2.0) / 1.0)
+        # z = x^((d-2)/rho) t; the heat problem's exponent is -2
+        assert HEAT.z(2.0, 3.0) == 2.0**-2.0 * 3.0
 
 
 class TestSolveBranches:
@@ -224,13 +234,11 @@ class TestEvaluate:
 
         x, t = 1.0, 1e-3
         full = complex(evaluate(sol, x, t))
-        z = sol.smap.z(x, t)
+        z = prob.z(x, t)
         leading = 0j
         for mem in sol.form.members:
             t0 = complex(series_term(mem.spec, mem.lam * z**mem.power, 0))
-            leading += (
-                complex(prob.constant(mem.k)) * x**sol.smap.a * z**mem.leading_exponent * t0
-            )
+            leading += complex(prob.constant(mem.k)) * x**prob.a * z**mem.leading_exponent * t0
         assert abs(full - leading) < 0.01 * abs(full)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -251,13 +259,11 @@ class TestSolverVsReduction:
         # ODE solution: two construction paths, same function
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
         sol = solve(prob)
-        ode_prob, smap = similarity_reduce(prob)
-        from fracsol.foxh import eval_mellin_barnes
         from fracsol.ode import solve as ode_solve
 
-        ode_sol = ode_solve(ode_prob)
-        z = x**smap.z_exponent * t
-        via_ode = x**smap.a * complex(ode_sol.small.evaluate(z)).real
+        ode_sol = ode_solve(similarity_reduce(prob))
+        z = x ** ((prob.d - 2.0) / prob.rho) * t
+        via_ode = x**prob.a * complex(ode_sol.small.evaluate(z)).real
         direct = complex(evaluate(sol, x, t)).real
         assert_allclose(direct, via_ode, rtol=1e-8)
 
@@ -321,10 +327,8 @@ class TestD2IsTheN0Ode:
     def test_reduction(self, C, K):
         prob = DiffusionProblem(alpha=1.5, m=1, d=2.0, A=1.0, C=C, a=0.5)
         assert prob.K == pytest.approx(K, abs=1e-15)
-        ode_prob, smap = similarity_reduce(prob)
-        assert ode_prob == OdeProblem(alpha=1.5, m=1, a_coeffs=(prob.K,))
-        assert smap == SimilarityMap(a=0.5, z_exponent=0.0)
-        assert smap.z(1.7, 0.3) == 0.3
+        assert similarity_reduce(prob) == OdeProblem(alpha=1.5, m=1, a_coeffs=(prob.K,))
+        assert prob.z(1.7, 0.3) == 0.3
 
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.5, 3.2])
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -351,5 +355,5 @@ class TestRootCheck:
         monkeypatch.setattr(
             fracseries, "_char_roots", lambda c: tuple(s + 1e-3 for s in char_roots(c))
         )
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(DegenerateLeadingError):
             series_members(sol)

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol import foxh, verify
+from fracsol import foxh, ode, verify
 from fracsol.errors import PreconditionViolationError, StepTooLargeError
 from fracsol.fracseries import FracPowerSeries
-from fracsol.ode import OdeProblem, solve_large_alpha
+from fracsol.ode import OdeProblem
 from fracsol.pde import DiffusionProblem, evaluate, exp_closed_form, solve
 from fracsol.verify import (
     METHOD_GL,
@@ -84,6 +84,27 @@ class TestResidualPde:
         report = residual_pde(sol, HEAT, grid)
         assert report.method == METHOD_TERMWISE
         assert report.max_rel_err < 1e-8
+
+    def test_wright_series_branch_converges_as_root_h(self):
+        # the GL sum on a Wright-series solution, evaluated by pde.evaluate
+        # at every node, whose member t^(1/2) limits it to O(h^(1/2)):
+        # halving h scales the error by 2^(-1/2)
+        prob = DiffusionProblem(alpha=2.5, m=0, d=0.5, A=1.0, C=0.1, a=0.2)
+        sol = solve(prob)
+        assert sol.form.branch == "large-alpha"
+        coarse, fine = (
+            residual_pde(sol, prob, [(1.0, 1.0)], h=h) for h in (2e-2, 1e-2)
+        )
+        assert coarse.method == METHOD_GL
+        # the finite-difference side does not depend on h
+        assert coarse.points[0].rhs == fine.points[0].rhs
+        ratio = fine.max_rel_err / coarse.max_rel_err
+        assert 2**-0.75 <= ratio <= 2**-0.35, (coarse.max_rel_err, fine.max_rel_err)
+
+    def test_problem_must_be_the_solutions(self):
+        other = DiffusionProblem(alpha=1.0, m=0, d=0.0, A=2.0)
+        with pytest.raises(ValueError, match="solution's problem"):
+            residual_pde(exp_closed_form(HEAT), other, [(1.0, 1.0)])
 
     def test_exact_path_h_independent(self):
         sol = exp_closed_form(HEAT)
@@ -259,13 +280,21 @@ class TestHProfile:
 class TestResidualOdeCoefficients:
     def test_wright_member(self):
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = ode.solve(prob)
         member = sol.members[0].series(order=25)
         report = residual_ode_coefficients(
             member, prob.operator(), prob.alpha, n_coeffs=20
         )
         assert report.method == METHOD_TERMWISE
         assert report.max_rel_err < 1e-10
+
+    @pytest.mark.parametrize("n_coeffs", [0, -3])
+    def test_no_coefficient_compared_is_refused(self, n_coeffs):
+        # a report over no coefficient used to pass with max_rel_err 0
+        prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
+        member = ode.solve(prob).members[0].series(order=25)
+        with pytest.raises(ValueError, match="no coefficient"):
+            residual_ode_coefficients(member, prob.operator(), prob.alpha, n_coeffs)
 
     def test_zero_series(self):
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
@@ -276,7 +305,7 @@ class TestResidualOdeCoefficients:
     def test_perturbation_sensitivity(self):
         # a wrong series must be caught: perturb one coefficient by 1e-3
         prob = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
-        sol = solve_large_alpha(prob)
+        sol = ode.solve(prob)
         member = sol.members[0].series(order=25)
         coeffs = list(member.coeffs)
         coeffs[3] = complex(coeffs[3]) * (1 + 1e-3)

@@ -61,6 +61,18 @@ class TestConvergence:
         with pytest.raises(ValueError):
             WrightSpec(((1, 0),), ((1, 1),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan)])
+    @pytest.mark.parametrize("where", ["upper value", "upper weight", "lower value",
+                                       "lower weight"])
+    def test_spec_rejects_non_finite_number(self, where, bad):
+        pairs = {"upper": [[1.0, 1.0]], "lower": [[1.5, 2.0]]}
+        group, part = where.split()
+        if part == "weight" and isinstance(bad, complex):
+            bad = bad.imag  # weights are real
+        pairs[group][0][0 if part == "value" else 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            WrightSpec(pairs["upper"], pairs["lower"])
+
 
 class TestEvaluate:
     def test_exp_reduction(self):
@@ -231,6 +243,14 @@ class TestClassicalWright:
             rtol=1e-14,
         )
 
+    def test_alpha_zero_is_expm1(self):
+        # numpy's complex expm1, on z with |Re z| and |Im z| from 1e-12 to 10
+        rng = np.random.default_rng(11)
+        parts = 10.0 ** rng.uniform(-12, 1, (2, 200)) * rng.choice((-1.0, 1.0), (2, 200))
+        for z in parts[0] + 1j * parts[1]:
+            want = complex(mpmath.expm1(mpmath.mpc(z)) * mpmath.rgamma(2.5))
+            assert abs(classical_wright(z, 0.0, 2.5) - want) <= 1e-14 * abs(want)
+
 
 class TestCoefficients:
     def test_exp_series(self):
@@ -238,6 +258,29 @@ class TestCoefficients:
         got = coefficients(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 6, lam=-1.5)
         want = [(-1.5) ** j / math.factorial(j) for j in range(7)]
         assert_allclose(np.array(got), want, rtol=1e-13)
+
+    def test_power_past_the_double_range(self):
+        # 1Psi1[(1,1); (1,1/2) | lam w] has coefficients lam^j / Gamma(1 + j/2);
+        # (-1e4)^80 overflows a double, the coefficient does not
+        spec = WrightSpec(((1.0, 1.0),), ((1.0, 0.5),))
+        got = coefficients(spec, 80, lam=-1e4)
+        for j in (79, 80):
+            want = mpmath.mpf(-1e4) ** j * mpmath.rgamma(1 + mpmath.mpf(j) / 2)
+            assert got[j].imag == 0.0
+            # the term's log is about 625, and its rounding carries over
+            assert_allclose(got[j].real, float(want), rtol=1e-12)
+
+    def test_underflowing_coefficients_are_zero(self):
+        # the d = 2 members of alpha = 2.5, m = 1, K = -0.45: lam = -1.575,
+        # whose power 1608 passes the double range while the true
+        # coefficients underflow
+        for k in (1, 2, 3):
+            spec = WrightSpec(
+                (((2.5 - k + 1.0) / 3.5, 1.0), (1.0, 1.0)), ((1.0 + 2.5 - k, 3.5),)
+            )
+            got = np.array(coefficients(spec, 1608, lam=-1.575))
+            assert np.all(got.imag == 0.0) and np.all(np.isfinite(got.real))
+            assert got[-1] == 0.0 and got[1] != 0.0
 
     def test_matches_series_terms(self):
         spec = WrightSpec(((0.3 + 0.2j, 1.0), (1.0, 1.0)), ((1.7, 2.5),))
