@@ -28,7 +28,7 @@ class UnsupportedClassError(FracsolError):
 
 
 class QuadratureFailureError(FracsolError):
-    """Quadrature refinement stalled before reaching the target tolerance."""
+    """Quadrature stalled before its target tolerance, or its sum passed the double range."""
 
 
 class ExponentOutOfRangeError(FracsolError):

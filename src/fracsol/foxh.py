@@ -86,11 +86,12 @@ when two passes agree to _REFINE_TOL (the nested error estimate of
 Trefethen & Weideman).  Every test is made per z: a band keeps
 extending T, and then refining, until each of its z has passed.  A
 value whose modulus bound lies below the double range returns 0.0 after
-the first pass; a stalled refinement or a runaway T raises
-QuadratureFailureError, and a value whose rounding, eps times the
-integral of |f|, exceeds _CANCEL_TOL of |H| after any refinement pass
-raises CancellationError, agreed or not (as at small z on the fixed line
-of an m < q spec, where f is about z^(-1/2) times larger than H).
+the first pass; one whose bound lies above it, a stalled refinement or a
+runaway T raises QuadratureFailureError, and a value whose rounding,
+eps times the integral of |f|, exceeds _CANCEL_TOL of |H| after any
+refinement pass raises CancellationError, agreed or not (as at small z
+on the fixed line of an m < q spec, where f is about z^(-1/2) times
+larger than H).
 """
 
 from __future__ import annotations
@@ -138,6 +139,8 @@ _TAIL_FRACTION = 1e-2
 _EPS = np.finfo(float).eps
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
+# log of the largest double: a bound above it is refused
+_LOG_OVERFLOW = math.log(np.finfo(float).max)
 # the saddle table (see _real_minimum) starts _SADDLE_GAP off the strip
 # edge and steps by _SADDLE_DV in v, 0.05 in log|sigma - edge| near the
 # edge; far from it a step moves phi_z by about _SADDLE_STEP^2 / 2 = 0.21
@@ -420,6 +423,14 @@ def _trapezoid_line(
     val, val_2h = h * sums[:, 0], 2.0 * h * sums[:, 1]
     # h * total_abs is the integral of |f| on the truncation lattice
     total_abs *= h
+    # |H| <= e^ref max(1, integral|f|) / 2 pi: with that bound in range, no
+    # value, refined or not, and no e^ref overflows; past it (a weight of
+    # 1000 puts e^ref at e^2605 for H = 3.7e-4) the line sum is out of scale
+    if ref.max() + max(0.0, math.log(total_abs)) >= _LOG_OVERFLOW:
+        raise QuadratureFailureError(
+            f"contour sum at z = {z[idx[ref.argmax()]]} passes the double range "
+            f"(scale e^{ref.max():.4g})"
+        )
     # the first pass is accepted on its squared estimate e^2 max(1, r),
     # r = integral|f| / |T(h)|, written without a division by |T(h)|
     size = np.abs(val)

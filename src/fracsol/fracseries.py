@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import wright
 from .errors import (
     DegenerateLeadingError,
     ExponentMisalignmentError,
     ExponentOutOfRangeError,
     PoleError,
 )
-from .gammafn import gamma_ratio, is_nonpositive_integer, ln_gamma_vec
+from .gammafn import POLE_TOL, gamma_ratio, is_nonpositive_integer, ln_gamma_vec
 
 #: tolerance for recognizing coincident exponents when aligning series
 EXPONENT_TOL = 1e-12
@@ -42,18 +43,24 @@ class FracPowerSeries:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         if self.rho <= 0:
             raise ValueError("exponent step rho must be positive")
-        if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in self.coeffs):
+        if not np.isfinite(np.asarray(self.coeffs, dtype=complex)).all():
             raise ValueError("series coefficients must be finite")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def exponent(self, j: int) -> float:
         return self.gamma0 + self.rho * j
 
+    def exponents(self) -> np.ndarray:
+        """The exponent lattice gamma0 + rho j, one exponent per coefficient."""
+        return self.gamma0 + self.rho * np.arange(len(self.coeffs))
+
     def scaled(self, factor) -> "FracPowerSeries":
         return FracPowerSeries(self.gamma0, self.rho, tuple(factor * c for c in self.coeffs))
+
+
+def wright_series(spec, lam: float, gamma0: float, rho: float, order: int) -> FracPowerSeries:
+    """z^gamma0 pPsiq[lam z^rho] as sum_j c_j z^(gamma0 + rho j), j = 0..order,
+    the coefficient image of a Wright solution member or identity side."""
+    return FracPowerSeries(gamma0, rho, wright.coefficients(spec, order, lam))
 
 
 def rl_derivative(series: FracPowerSeries, alpha: float) -> FracPowerSeries:
@@ -61,30 +68,18 @@ def rl_derivative(series: FracPowerSeries, alpha: float) -> FracPowerSeries:
 
     z^p maps to Gamma(p+1)/Gamma(p+1-alpha) z^(p-alpha); exponents where
     p - alpha is a negative integer are annihilated (kernel of D^alpha).
+    The lattice must start above -1, farther than POLE_TOL, so that no
+    numerator Gamma(p+1) sits on a pole.
     """
     if alpha <= 0:
         raise ValueError("rl_derivative requires alpha > 0")
-    if series.gamma0 <= -1.0:
+    if series.gamma0 + 1.0 <= POLE_TOL:
         raise ExponentOutOfRangeError(
-            f"leading exponent {series.gamma0:g} <= -1 is not RL-differentiable"
+            f"leading exponent {series.gamma0!r} is not above -1: not RL-differentiable"
         )
-    new = []
-    for j, c in enumerate(series.coeffs):
-        p = series.exponent(j)
-        ratio = _gamma_ratio_complexsafe(p + 1.0, p + 1.0 - alpha)
-        new.append(c * ratio)
+    p = series.exponents()
+    new = np.asarray(series.coeffs) * gamma_ratio(p + 1.0, p + 1.0 - alpha)
     return FracPowerSeries(series.gamma0 - alpha, series.rho, tuple(new))
-
-
-def _gamma_ratio_complexsafe(pnum: float, pden: float) -> float:
-    # gamma_ratio with both arguments real; numerator pole cannot occur for
-    # lattice exponents above -1, but guard anyway.
-    try:
-        return gamma_ratio(pnum, pden)
-    except PoleError:
-        raise ExponentOutOfRangeError(
-            f"exponent lattice hit a numerator gamma pole at {pnum:g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -110,27 +105,26 @@ class EulerPolynomialOperator:
         object.__setattr__(self, "monomials", _char_monomials(self.coeffs))
         object.__setattr__(self, "roots", _char_roots(self.monomials))
 
-    def char_value(self, s) -> complex:
-        """P(s) via the falling-factorial expansion (exact in the coefficients)."""
-        s = complex(s)
-        total = 0.0 + 0.0j
-        ff = 1.0 + 0.0j
+    def char_value(self, s) -> np.ndarray:
+        """P(s) via the falling-factorial expansion (exact in the
+        coefficients), elementwise over an array of s (0-d for a scalar)."""
+        s = np.asarray(s, dtype=complex)
+        total = np.zeros_like(s)
+        ff = np.ones_like(s)
         for i, a in enumerate(self.coeffs):
-            total += a * ff
-            ff *= s - i
+            total = total + a * ff
+            ff = ff * (s - i)
         return total
 
 
 def _char_monomials(coeffs) -> tuple:
     """sum_i a_i s(s-1)...(s-i+1) in monomial coefficients, lowest degree first."""
-    mono = [0.0] * len(coeffs)
-    ff = [1.0]  # s(s-1)...(s-i+1), lowest degree first
+    mono = np.zeros(len(coeffs))
+    ff = np.ones(1)  # s(s-1)...(s-i+1), lowest degree first
     for i, a in enumerate(coeffs):
-        for k, c in enumerate(ff):
-            mono[k] += a * c
-        # times (s - i)
-        ff = [hi - i * lo for lo, hi in zip(ff + [0.0], [0.0] + ff)]
-    return tuple(mono)
+        mono[: ff.size] += a * ff
+        ff = np.append(0.0, ff) - i * np.append(ff, 0.0)  # times (s - i)
+    return tuple(mono.tolist())
 
 
 def _char_roots(c) -> tuple:
@@ -171,8 +165,8 @@ def _char_roots(c) -> tuple:
 
 def euler_apply(op: EulerPolynomialOperator, series: FracPowerSeries) -> FracPowerSeries:
     """Apply the operator termwise: c_j -> c_j * P(gamma0 + rho j), exponents + m."""
-    new = tuple(c * op.char_value(series.exponent(j)) for j, c in enumerate(series.coeffs))
-    return FracPowerSeries(series.gamma0 + op.time_weight, series.rho, new)
+    new = np.asarray(series.coeffs) * op.char_value(series.exponents())
+    return FracPowerSeries(series.gamma0 + op.time_weight, series.rho, tuple(new))
 
 
 def gamma_product_identity_check(a: float, m: int, b) -> tuple:
@@ -188,26 +182,18 @@ def gamma_product_identity_check(a: float, m: int, b) -> tuple:
     if m < 1 or m != int(m):
         raise ValueError("m must be a positive integer")
     b = complex(b)
-    args = [1.0 + a * b + m, 1.0 + a * b]
-    args += [i / a + b + 1.0 for i in range(1, m + 1)]
-    args += [i / a + b for i in range(1, m + 1)]
-    for w in args:
-        if is_nonpositive_integer(w):
-            raise PoleError(f"gamma argument {w} at a pole")
-    log_lhs = -complex(ln_gamma_vec(1.0 + a * b + m))
-    for i in range(1, m + 1):
-        log_lhs += complex(ln_gamma_vec(i / a + b + 1.0))
-    log_rhs = -m * math.log(a) - complex(ln_gamma_vec(1.0 + a * b))
-    for i in range(1, m + 1):
-        log_rhs += complex(ln_gamma_vec(i / a + b))
-    shift = max(log_lhs.real, log_rhs.real)
-    if abs(shift) < 700.0:
-        shift = 0.0
-    lhs = complex(np.exp(log_lhs - shift))
-    rhs = complex(np.exp(log_rhs - shift))
-    if abs(b.imag) == 0.0:
-        return lhs.real, rhs.real
-    return lhs, rhs
+    i = np.arange(1, m + 1)
+    # Gamma(1 + ab + m), Gamma(1 + ab), Gamma(i/a + b + 1), Gamma(i/a + b)
+    args = np.concatenate(([1.0 + a * b + m, 1.0 + a * b], i / a + b + 1.0, i / a + b))
+    at_pole = is_nonpositive_integer(args)
+    if at_pole.any():
+        raise PoleError(f"gamma argument {args[at_pole][0]} at a pole")
+    lg = ln_gamma_vec(args)
+    # each side summed left to right, as the identity reads
+    logs = np.array([sum(lg[2 : m + 2], -lg[0]), sum(lg[m + 2 :], -m * math.log(a) - lg[1])])
+    shift = logs.real.max()
+    lhs, rhs = (complex(v) for v in np.exp(logs - (shift if abs(shift) >= 700.0 else 0.0)))
+    return (lhs.real, rhs.real) if b.imag == 0.0 else (lhs, rhs)
 
 
 def align_series(sa: FracPowerSeries, sb: FracPowerSeries):

@@ -41,8 +41,12 @@ _LOG_PI = 1.1447298858494001741
 POLE_TOL = 1e-14
 
 
-def is_nonpositive_integer(z, tol: float = POLE_TOL) -> bool:
-    """True when z lies within ``tol`` of 0, -1, -2, ..."""
+def is_nonpositive_integer(z, tol: float = POLE_TOL):
+    """True when z lies within ``tol`` of 0, -1, -2, ...; elementwise (a
+    boolean array) when z is an ndarray."""
+    if isinstance(z, np.ndarray):
+        r = np.round(z.real)
+        return (np.abs(z.imag) <= tol) & (r <= 0) & (np.abs(z.real - r) <= tol)
     z = complex(z)
     if abs(z.imag) > tol:
         return False
@@ -61,8 +65,7 @@ def _core(z):
 
 
 def _log_sin_pi(z):
-    # log(sin(pi z)) correct mod 2*pi*i, safe for large |Im z|.
-    z = np.asarray(z, dtype=complex)
+    # log(sin(pi z)) correct mod 2*pi*i, safe for large |Im z|; z is a complex ndarray.
     flip = z.imag < 0.0
     zz = np.where(flip, np.conj(z), z)
     small = np.abs(zz.imag) <= 1.0
@@ -112,15 +115,17 @@ def gamma_reciprocal(z) -> complex:
     return complex(np.exp(-ln_gamma_vec(z)))
 
 
-def gamma_ratio(p: float, q: float) -> float:
-    """Gamma(p) / Gamma(q) for real p, q.
+def gamma_ratio(p, q):
+    """Gamma(p) / Gamma(q) for real p, q, elementwise over broadcast arrays
+    (a float for two scalars).
 
     A pole of the denominator sends the ratio to 0 (the Riemann-Liouville
     kernel convention); a pole of the numerator raises PoleError.
     """
-    if is_nonpositive_integer(p):
-        raise PoleError(f"gamma_ratio numerator pole at p = {p}")
-    if is_nonpositive_integer(q):
-        return 0.0
-    val = np.exp(complex(ln_gamma_vec(p)) - complex(ln_gamma_vec(q)))
-    return float(val.real)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    at_pole = is_nonpositive_integer(p)
+    if at_pole.any():
+        raise PoleError(f"gamma_ratio numerator pole at p = {p[at_pole].flat[0]}")
+    dead = is_nonpositive_integer(q)
+    val = np.where(dead, 0.0, np.exp(ln_gamma_vec(p) - ln_gamma_vec(np.where(dead, 1.0, q))).real)
+    return float(val) if val.ndim == 0 else val

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import wright
+from . import fracseries, wright
 from .errors import (
     BranchMismatchError,
     ComplexRootsError,
@@ -99,8 +99,8 @@ class LargeAlphaMember:
 
     def series(self, order: int = DEFAULT_ORDER_VERIFY) -> FracPowerSeries:
         """Coefficient image on the lattice gamma = alpha - k, rho = alpha + m."""
-        return FracPowerSeries(
-            self.leading_exponent, self.power, wright.coefficients(self.spec, order, self.lam)
+        return fracseries.wright_series(
+            self.spec, self.lam, self.leading_exponent, self.power, order
         )
 
 

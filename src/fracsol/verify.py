@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import foxh, fracseries, wright
+from . import foxh, fracseries
 from .errors import (
     PreconditionViolationError,
     StepTooLargeError,
@@ -322,8 +322,8 @@ def residual_ode_coefficients(
     """
     if n_coeffs < 1:
         raise ValueError(f"n_coeffs = {n_coeffs} compares no coefficient")
-    if member.order + 1 < n_coeffs:
-        raise ValueError(f"member carries {member.order + 1} coefficients < {n_coeffs}")
+    if len(member.coeffs) < n_coeffs:
+        raise ValueError(f"member carries {len(member.coeffs)} coefficients < {n_coeffs}")
     deriv = fracseries.rl_derivative(member, alpha)
     image = fracseries.euler_apply(op, member)
     return _termwise_report(deriv, image, n_coeffs)
@@ -394,10 +394,6 @@ def h_operator_identity_check(
     return _build_report(METHOD_GL, pts)
 
 
-def _wright_series_image(spec: WrightSpec, a: float, prefactor_exp: float, sigma: float, order: int):
-    return FracPowerSeries(prefactor_exp, sigma, wright.coefficients(spec, order, a))
-
-
 def wright_operator_identity_check(
     spec: WrightSpec,
     kind: str,
@@ -433,7 +429,7 @@ def wright_operator_identity_check(
         while is_nonpositive_integer(b1 + mshift * beta1 - alpha, tol=1e-9):
             mshift += 1
         lhs_series = fracseries.rl_derivative(
-            _wright_series_image(spec, a, b1 - 1.0, beta1, order), alpha
+            fracseries.wright_series(spec, a, b1 - 1.0, beta1, order), alpha
         )
         shifted = WrightSpec(
             upper=((1.0, 1.0),)
@@ -441,7 +437,7 @@ def wright_operator_identity_check(
             lower=((b1 + mshift * beta1 - alpha, beta1),)
             + tuple((bj + mshift * be, be) for bj, be in spec.lower[1:]),
         )
-        rhs_series = _wright_series_image(
+        rhs_series = fracseries.wright_series(
             shifted, a, b1 + mshift * beta1 - 1.0 - alpha, beta1, order
         ).scaled(a**mshift)
     elif kind == "euler":
@@ -457,12 +453,12 @@ def wright_operator_identity_check(
         pexp = (a1.real * sigma) / alpha1 - alpha * R
         op = EulerPolynomialOperator(coeffs=(R, 1.0 / alpha), time_weight=0)
         lhs_series = fracseries.euler_apply(
-            op, _wright_series_image(spec, a, pexp, sigma, order)
+            op, fracseries.wright_series(spec, a, pexp, sigma, order)
         )
         shifted = WrightSpec(
             upper=((a1 + 1.0, alpha1),) + spec.upper[1:], lower=spec.lower
         )
-        rhs_series = _wright_series_image(shifted, a, pexp, sigma, order).scaled(
+        rhs_series = fracseries.wright_series(shifted, a, pexp, sigma, order).scaled(
             sigma / (alpha1 * alpha)
         )
     else:

@@ -59,6 +59,17 @@ class TestEval:
         for z, value in rows:
             assert float(value) == pytest.approx(math.exp(-1.0 / float(z)), rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_foxh_large_weight_is_a_library_error(self, capsys):
+        # the line sum's scale passes the double range; this used to print inf
+        spec = json.dumps({"m": 1, "l": 0, "upper": [], "lower": [[0, 1000]]})
+        code = run(["eval", "foxh", "--json", spec, "--z", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("QuadratureFailureError: ")
+        assert "inf" not in captured.err
+
     def test_malformed_json_is_input_error(self, capsys):
         argv = ["eval", "wright", "--json", "{not json", "--z", "1"]
         code = run(argv)

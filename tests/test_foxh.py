@@ -101,6 +101,21 @@ class TestSpecInvariants:
         with pytest.raises(ValueError, match="finite"):
             HFunctionSpec(m=2, l=0, upper=pairs["upper"], lower=pairs["lower"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [1e3, 1e5])
+    def test_large_weight_is_refused_not_inf(self, beta):
+        # H^{1,0}_{0,1}[z | (0, beta)] = exp(-z^(1/beta)) / beta; the line
+        # sum's scale e^ref passes the double range, and 1000 used to give
+        # inf, 1e5 an OverflowError from the stall message
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, beta),))
+        with pytest.raises(QuadratureFailureError, match="double range"):
+            eval_mellin_barnes(spec, np.array([0.5, 2.0]))
+
+    def test_moderate_weight_keeps_its_value(self):
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 10.0),))
+        z = np.array([0.5, 2.0])
+        assert_allclose(eval_mellin_barnes(spec, z), np.exp(-(z ** 0.1)) / 10.0, rtol=1e-13)
+
     def test_weight_past_the_saddle_table_is_unsupported(self):
         # nu = 1e300: the table's range in v overflows a double
         spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1e300),))

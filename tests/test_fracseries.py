@@ -51,6 +51,25 @@ class TestRlDerivative:
         with pytest.raises(ExponentOutOfRangeError):
             rl_derivative(monomial(-1.5), 0.5)
 
+    def test_rejects_exponent_within_pole_tolerance_of_minus_one(self):
+        # Gamma(p + 1) would sit on its pole at 0
+        with pytest.raises(ExponentOutOfRangeError):
+            rl_derivative(monomial(-1.0 + 1e-15), 0.5)
+
+    def test_lattice_through_the_kernel(self):
+        # gamma0 = alpha - 3, rho = 1: p + 1 - alpha = j - 2 is a pole of
+        # the denominator at j = 0, 1, 2, where D^alpha annihilates z^p
+        alpha = 2.5
+        s = FracPowerSeries(gamma0=alpha - 3.0, rho=1.0, coeffs=[1.0 + 0.5j * j for j in range(12)])
+        out = rl_derivative(s, alpha)
+        assert out.coeffs[:3] == (0.0, 0.0, 0.0)
+        with mpmath.workdps(40):
+            want = [
+                complex(c * mpmath.gamma(p + 1) / mpmath.gamma(p + 1 - alpha))
+                for c, p in zip(s.coeffs[3:], s.exponents()[3:])
+            ]
+        assert_allclose(out.coeffs[3:], want, rtol=1e-13)
+
     def test_integer_alpha_matches_polynomial_derivative(self):
         # D^1 of 1 + 2z + 3z^2 + 4z^3 = 2 + 6z + 12z^2
         s = FracPowerSeries(gamma0=0.0, rho=1.0, coeffs=(1.0, 2.0, 3.0, 4.0))
@@ -112,6 +131,14 @@ class TestEulerOperator:
             assert complex(lhs.coeffs[j]) == pytest.approx(
                 complex(rhs_a.coeffs[j]) + complex(rhs_b.coeffs[j])
             )
+
+    def test_array_form_matches_per_coefficient_product(self):
+        op = EulerPolynomialOperator(coeffs=(0.5, -1.0, 2.0, 0.25), time_weight=1)
+        s = FracPowerSeries(gamma0=0.3, rho=0.7, coeffs=[(-1.0) ** j / (j + 1) + 1j * j for j in range(20)])
+        out = euler_apply(op, s)
+        want = [c * complex(op.char_value(s.exponent(j))) for j, c in enumerate(s.coeffs)]
+        assert out.coeffs == tuple(want)
+        assert out.gamma0 == s.gamma0 + 1
 
     def test_char_value_falling_factorial(self):
         # a2 z^2 d^2/dz^2 contributes a2 * s(s-1)

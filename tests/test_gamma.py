@@ -178,6 +178,30 @@ class TestGammaRatio:
         with pytest.raises(PoleError):
             gamma_ratio(-2.0, 1.0)
 
+    def test_array_zero_at_denominator_poles(self):
+        q = np.array([0.0, -1.0, 2.5, -3.0 + 1e-15, -0.5])
+        got = gamma_ratio(np.full(5, 1.5), q)
+        assert got[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert_allclose(got[[2, 4]], [math.gamma(1.5) / math.gamma(x) for x in (2.5, -0.5)], rtol=1e-13)
+
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_array_numerator_pole_raises(self, where):
+        p = np.linspace(0.3, 4.3, 6)
+        p[where] = -float(where)
+        with pytest.raises(PoleError):
+            gamma_ratio(p, 1.5)
+
+    def test_array_matches_scalar_calls(self):
+        # scalar calls keep their values; an array holds the same ones
+        rng = np.random.default_rng(5)
+        p, q = rng.uniform(-6.0, 40.0, 200), rng.uniform(-6.0, 40.0, 200)
+        p[::7] = np.round(p[::7]) + 0.5
+        q[::5] = -np.round(np.abs(q[::5]))
+        got = gamma_ratio(p, q)
+        assert got.tolist() == [gamma_ratio(float(a), float(b)) for a, b in zip(p, q)]
+        assert np.count_nonzero(got == 0.0) == len(q[::5])
+        assert isinstance(gamma_ratio(1.5, 1.0), float)
+
 
 class TestPoleDetection:
     @pytest.mark.parametrize("z", [0.0, -3.0, -3.0 + 5e-15j])
