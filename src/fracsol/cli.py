@@ -59,7 +59,7 @@ def _parse_z(text: str) -> list:
 
 def _parse_grid(args, names) -> list:
     """Parse --grid 'name=start:stop:count[,...]' (inclusive ends) into the
-    points of the product of the named axes, which must be strictly positive."""
+    points of the product of the named axes, each named once and strictly positive."""
     if not args.grid:
         raise InputError(f"this command needs --grid with axes {', '.join(names)}")
     axes = {}
@@ -74,6 +74,8 @@ def _parse_grid(args, names) -> list:
             raise InputError(f"grid count must be >= 1 in {part!r}")
         if args.log_grid and (start <= 0 or stop <= 0):
             raise InputError("--log-grid requires positive endpoints")
+        if name.strip() in axes:
+            raise InputError(f"grid axis {name.strip()!r} is given twice")
         spacing = np.geomspace if args.log_grid else np.linspace
         axes[name.strip()] = [float(v) for v in spacing(start, stop, count)]
     if any(n not in axes for n in names):
@@ -129,10 +131,11 @@ def _complex_json(v):
 
 
 def _rows(args, header: str, rows) -> str:
-    """Serialize value rows as CSV (with the header line) or as JSON records."""
+    """Serialize value rows as CSV (with the header line) or as JSON records,
+    which write a complex value as {"re","im"}."""
     if args.format == "json":
         cols = header.split(",")
-        return json.dumps([dict(zip(cols, r)) for r in rows], indent=2)
+        return json.dumps([dict(zip(cols, map(_complex_json, r))) for r in rows], indent=2)
     return "\n".join([header] + [",".join(_fmt(v) for v in r) for r in rows])
 
 
@@ -156,10 +159,13 @@ def emit_report(report: verify.ResidualReport, fmt: str, tol: float) -> str:
             "max_rel_err": report.max_rel_err,
             "pass": report.passes(tol),
         }, indent=2)
-    lines = ["x,t,lhs,rhs,abs_err,rel_err"]
+    # the imaginary parts, when one is nonzero, in two last columns
+    im = any(complex(v).imag for p in report.points for v in (p.lhs, p.rhs))
+    lines = ["x,t,lhs,rhs,abs_err,rel_err" + ",lhs_im,rhs_im" * im]
     for p in report.points:
         coords = [_fmt(c) for c in p.point[:2]] + [""] * (2 - len(p.point))
         values = [complex(p.lhs).real, complex(p.rhs).real, p.abs_err, p.rel_err]
+        values += [complex(p.lhs).imag, complex(p.rhs).imag] * im
         lines.append(",".join(coords + [_fmt(v) for v in values]))
     return "\n".join(lines)
 
@@ -226,14 +232,18 @@ def cmd_eval_ml(args) -> int:
 
 def _emit_solution(args, descriptor: dict, header: str, sample):
     """Print the descriptor; with --grid, also write the rows of header: the
-    grid axes it names, then sample(*point).  The grid is parsed and sampled
-    before anything is written."""
+    grid axes it names, then sample(*point), a float or a complex, whose
+    imaginary part CSV writes in a last column <value>_im.  The grid is
+    parsed and sampled before anything is written."""
     head = json.dumps(descriptor, indent=2)
     if not args.grid:
         print(head)
         return
     points = _parse_grid(args, header.split(",")[:-1])
-    rows = [p + (complex(sample(*p)).real,) for p in points]
+    rows = [p + (sample(*p),) for p in points]
+    if args.format == "csv" and any(isinstance(r[-1], complex) for r in rows):
+        header += f",{header.split(',')[-1]}_im"
+        rows = [r[:-1] + (r[-1].real, r[-1].imag) for r in rows]
     _write(args, _rows(args, header, rows), head=head)
 
 
@@ -265,7 +275,7 @@ def cmd_solve_ode(args) -> int:
             }
             for mem in sol.members
         ]
-    _emit_solution(args, descriptor, "z,y", sol.evaluate)
+    _emit_solution(args, descriptor, "z,y", lambda z: complex(sol.evaluate(z)).real)
     return 0
 
 
@@ -340,7 +350,7 @@ def cmd_solve_pde(args) -> int:
             }
             for mem in form.members
         ]
-    _emit_solution(args, descriptor, "x,t,u", lambda x, t: pde.evaluate(sol, x, t))
+    _emit_solution(args, descriptor, "x,t,u", lambda *p: problem.reported(pde.evaluate(sol, *p)))
     return 0
 
 

@@ -70,6 +70,10 @@ class DiffusionProblem:
         """The reduced variable z = x^((d-2)/rho) t of the ansatz u = x^a phi(z)."""
         return x ** ((self.d - 2.0) / self.rho) * t
 
+    def reported(self, u: complex):
+        """u, or its real part when every constant is real."""
+        return u.real if all(c.imag == 0 for c in self.constants or ()) else u
+
     def constant(self, k: int) -> complex:
         """c_k (1-based); 1 when not supplied.  Extra constants are ignored."""
         if self.constants is None or k - 1 >= len(self.constants):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,11 +85,12 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((j - 1.0 - alpha) / j)))
 
 
-def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> float:
+def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None):
     """First-order Grunwald-Letnikov approximation of the RL derivative.
 
     h^{-alpha} sum_j (-1)^j C(alpha, j) f(t - j h) with lower terminal 0.
-    f maps an array of t to an array of the same shape.  w, if given, is
+    f maps an array of t to an array of the same shape, real or complex;
+    the sum is a float or a complex to match.  w, if given, is
     gl_weights(alpha, N) for some N >= t / h, built once for several t; the
     sum reads its first floor(t / h) + 1 entries.
     """
@@ -103,12 +104,12 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None) -> flo
     w = gl_weights(alpha, n) if w is None else w[: n + 1]
     ts = t - np.arange(n + 1) * h
     ts = np.where(ts < 0, 0.0, ts)
-    vals = np.asarray(f(ts), dtype=float)
+    vals = np.asarray(f(ts))
     if vals.shape != ts.shape:
         raise ValueError(f"f returned shape {vals.shape} for {ts.shape} values of t")
     # pairwise summation: a BLAS dot may thread a long sum, and its digits
     # then depend on the thread count
-    return float(h ** (-alpha) * np.sum(w * vals))
+    return (h ** (-alpha) * np.sum(w * vals)).item()
 
 
 def _closed_form_residual(sol: PdeSolution, grid):
@@ -119,7 +120,7 @@ def _closed_form_residual(sol: PdeSolution, grid):
     px, pt, q = form.x_exponent, form.t_exponent, form.exp_coef
     pts = []
     for x, t in grid:
-        u = complex(pde_evaluate(sol, x, t)).real
+        u = problem.reported(complex(pde_evaluate(sol, x, t)))
         gx = -q * (2.0 - d) * x ** (1.0 - d) * t ** (-(1.0 + m))
         gxx = -q * (2.0 - d) * (1.0 - d) * x ** (-d) * t ** (-(1.0 + m))
         gt = q * (1.0 + m) * x ** (2.0 - d) * t ** (-(2.0 + m))
@@ -143,23 +144,24 @@ def _not_a_knot_inverse(n: int) -> np.ndarray:
     return np.linalg.inv(a)
 
 
+_PROFILE_NODES = 320
+
+
 class _HProfile:
-    """v -> scale * H[coef * v^(-power)] for v > 0, backed by a log-log
-    spline of H.
+    """v -> H[coef * v^(-power)] for v > 0, backed by a log-log spline of H.
 
     The Grunwald-Letnikov sum needs the function on a dense lattice; one
     contour quadrature per lattice node is prohibitive, so H is sampled on
-    a logarithmic argument grid once and interpolated with a not-a-knot
-    cubic spline.  Beyond the point where the decay envelope is negligible
-    the profile is exactly 0.  H at the arguments in extra is evaluated in
-    the same batch as the nodes and kept in self.extra.
+    _PROFILE_NODES logarithmic arguments once and interpolated with a
+    not-a-knot cubic spline.  Beyond the point where the decay envelope is
+    negligible the profile is exactly 0.  H at the arguments in extra is
+    evaluated in the same batch as the nodes and kept in self.extra.
     """
 
-    def __init__(self, spec, coef, power, v_max, h, scale=1.0, nodes: int = 320, extra=()):
+    def __init__(self, spec, coef, power, v_max, h, extra=()):
         self.coef = coef
         self.log_coef = math.log(coef)
         self.power = power
-        self.scale = scale
         w_lo = coef * v_max ** (-power) * 0.5
         # cut where the decay envelope is hopelessly small
         w_hi = coef * max(h, 1e-8) ** (-power)
@@ -169,17 +171,17 @@ class _HProfile:
             w_cut = (138.0 / conv.nu) ** conv.nu / conv.mu
             w_hi = min(w_hi, max(w_cut, w_lo * 10.0))
         self.w_hi = w_hi
-        self.xs = np.linspace(math.log(w_lo), math.log(w_hi), nodes)
+        self.xs = np.linspace(math.log(w_lo), math.log(w_hi), _PROFILE_NODES)
         self.dx = self.xs[1] - self.xs[0]
         vals = eval_mellin_barnes_batch(spec, np.concatenate((np.exp(self.xs), extra)))
-        vals, self.extra = vals[:nodes], vals[nodes:]
+        vals, self.extra = vals[:_PROFILE_NODES], vals[_PROFILE_NODES:]
         self.positive = bool(np.all(vals > 0))
         y = np.log(vals) if self.positive else vals
         m = np.diff(y) / self.dx
         rhs = np.concatenate((
             [(5.0 * m[0] + m[1]) / 2.0], 3.0 * (m[:-1] + m[1:]), [(m[-2] + 5.0 * m[-1]) / 2.0]
         ))
-        s = _not_a_knot_inverse(nodes) @ rhs
+        s = _not_a_knot_inverse(_PROFILE_NODES) @ rhs
         # piecewise cubic in u = log w - xs[i], one column per interval,
         # highest power first
         t = (s[:-1] + s[1:] - 2.0 * m) / self.dx
@@ -202,68 +204,56 @@ class _HProfile:
             hv += c[i]
         if self.positive:
             np.exp(hv, out=hv)
-        hv *= self.scale
         return np.where(inside, hv, 0.0)
 
 
 def _numeric_residual(sol: PdeSolution, grid, h: float):
-    """GL time derivative vs finite-difference spatial operator.
-
-    An H-form solution makes one eval_mellin_barnes_batch call per x: the
-    profile's nodes and the stencil points of every grid point at that x.
+    """GL time derivative vs finite-difference spatial operator, both read
+    from phi in u = c x^a phi(z), z = problem.z(x, t) = k t: the GL sum of
+    u at x is that of s -> c x^a phi(k s), and the stencil values at (x, t)
+    are c x'^a phi(problem.z(x', t)).  An H-form solution reads phi from
+    one spline profile whose batch also holds every stencil argument.
     """
-    problem = sol.problem
-    A, B, C, d, m, a, alpha = (
-        problem.A, problem.B, problem.C, problem.d, problem.m, problem.a, problem.alpha
-    )
-    # H at arg_coef x^(2-d) t^(-power), not via z, whose rounding u_xx would magnify
-    small, x_power = sol.form.small, 2.0 - d
+    problem, form = sol.problem, sol.form
+    A, B, C, d, m, a = problem.A, problem.B, problem.C, problem.d, problem.m, problem.a
+    x, t = np.array(grid).T
+    k = problem.z(x, 1.0)
+    # the stencil's rounding, about eps |u| / dx^2 in u_xx, against its
+    # O(dx^4) truncation after one Richardson step; its five distinct
+    # points, each evaluated once
+    dx = 2e-3 * x
+    xs = x[:, None] + dx[:, None] * np.array((-1.0, -0.5, 0.0, 0.5, 1.0))
+    # through z, not arg_coef x'^(2-d) t^-rho: on the gl-verify inputs of
+    # seeds 1-20 rhs moves by at most 2.2e-9 and stays within 5.0e-9 of u_t
+    zs = problem.z(xs, t[:, None]).ravel()
+    if form.small is not None:
+        small, c = form.small, problem.reported(form.constants[0])
+        # over the grid's largest z, at the step of its finest lattice
+        phi = _HProfile(
+            small.spec, coef=small.arg_coef, power=small.power, v_max=float(np.max(k * t)),
+            h=float(np.min(k)) * h, extra=small.arg_coef * zs ** (-small.power),
+        )
+        at_stencil = phi.extra
+    else:
+        c = 1.0
 
-    def u_point(x, t):
-        return complex(pde_evaluate(sol, x, t)).real
+        def phi(z):
+            return problem.reported(np.array([form.evaluate(v) if v > 0 else 0.0 for v in z]))
 
-    t_max = max(t for _, t in grid)
-    w = gl_weights(alpha, int(math.floor(t_max / h)))
-    rows = [None] * len(grid)
-    for x in dict.fromkeys(x for x, _ in grid):
-        at_x = [i for i, (xv, _) in enumerate(grid) if xv == x]
-        ts = [grid[i][1] for i in at_x]
-        # the stencil's rounding, about eps |u| / dx^2 in u_xx, against its
-        # O(dx^4) truncation after one Richardson step; its five distinct
-        # points, each evaluated once
-        dx = 2e-3 * x
-        xs = x + np.array((-dx, -dx / 2.0, 0.0, dx / 2.0, dx))
-        if small is not None:
-            scale = complex(sol.form.constants[0]).real
-            f_t = _HProfile(
-                small.spec,
-                coef=small.arg_coef * x**x_power,
-                power=small.power,
-                v_max=t_max,
-                h=h,
-                scale=scale * x**a,
-                extra=[
-                    small.arg_coef * xv**x_power * t ** (-small.power) for t in ts for xv in xs
-                ],
-            )
-            u = scale * xs**a * f_t.extra.reshape(len(ts), xs.size)
-        else:
-            def f_t(tv, _x=x):
-                return np.array([u_point(_x, t) if t > 0 else 0.0 for t in tv])
-
-            u = np.array([[u_point(xv, t) for xv in xs] for t in ts])
-
-        for i, t, (u_m2, u_m1, u0, u_p1, u_p2) in zip(at_x, ts, u):
-            lhs = gl_fractional_derivative(f_t, alpha, t, h, w)
-            # one Richardson step on the central first and second differences
-            ux = (4.0 * ((u_p1 - u_m1) / dx) - (u_p2 - u_m2) / (2.0 * dx)) / 3.0
-            uxx = (
-                4.0 * ((u_p1 - 2.0 * u0 + u_m1) / (dx / 2.0) ** 2)
-                - (u_p2 - 2.0 * u0 + u_m2) / dx**2
-            ) / 3.0
-            rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u0)
-            rows[i] = ((x, t), lhs, rhs)
-    return _build_report(METHOD_GL, rows)
+        at_stencil = phi(zs)
+    u_m2, u_m1, u0, u_p1, u_p2 = (c * xs**a * at_stencil.reshape(xs.shape)).T
+    # one Richardson step on the central first and second differences
+    ux = (4.0 * ((u_p1 - u_m1) / dx) - (u_p2 - u_m2) / (2.0 * dx)) / 3.0
+    uxx = (
+        4.0 * ((u_p1 - 2.0 * u0 + u_m1) / (dx / 2.0) ** 2) - (u_p2 - 2.0 * u0 + u_m2) / dx**2
+    ) / 3.0
+    rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u0)
+    w = gl_weights(problem.alpha, int(math.floor(t.max() / h)))
+    lhs = [
+        gl_fractional_derivative(lambda s: c * xv**a * phi(kv * s), problem.alpha, tv, h, w)
+        for (xv, tv), kv in zip(grid, k)
+    ]
+    return _build_report(METHOD_GL, list(zip(grid, lhs, rhs)))
 
 
 def residual_pde(
@@ -276,11 +266,11 @@ def residual_pde(
     analytic-derivative path (h-independent); everything else uses the
     Grunwald-Letnikov time derivative and finite differences in x.
 
-    An H-form solution is read from one spline profile per x.  A
-    Wright-series solution has none: ``pde.evaluate`` runs at every GL
-    node (102 s for one point at h = 1e-4), and the GL sum converges only
-    as O(h^(1/2)) when a member has exponent 1/2.  The termwise
-    ``residual_ode_coefficients`` is the check for that branch.
+    Both sides are complex when a constant is.  An H-form solution is
+    read from one spline profile in z per call.  A Wright-series solution
+    has none: its form runs at every GL node (102 s for one point at
+    h = 1e-4), and the GL sum converges only as O(h^(1/2)) when a member
+    has exponent 1/2; ``residual_ode_coefficients`` checks that branch.
     """
     grid = [(float(x), float(t)) for x, t in grid]
     if any(x <= 0 or t <= 0 for x, t in grid):
@@ -357,38 +347,30 @@ def h_operator_identity_check(
     def h_args(zs):
         return a * np.asarray(zs, dtype=float) ** (-alpha_p)
 
-    pts = []
     if kind == "rl":
-        shifted = HFunctionSpec(
-            m=spec.m,
-            l=0,
-            upper=spec.upper[:-1] + ((1.0 - alpha, alpha_p),),
-            lower=spec.lower,
-        )
+        shifted = replace(spec, upper=spec.upper[:-1] + ((1.0 - alpha, alpha_p),))
         zmax = max(z_points)
         cache = _HProfile(spec, coef=a, power=alpha_p, v_max=zmax, h=h)
         w = gl_weights(alpha, int(math.floor(zmax / h)))
         rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
-        for z, h_shifted in zip(z_points, rhs):
-            lhs = gl_fractional_derivative(cache, alpha, z, h, w)
-            pts.append(((z,), lhs, z ** (-alpha) * h_shifted))
+        pts = [
+            ((z,), gl_fractional_derivative(cache, alpha, z, h, w), z ** (-alpha) * h_shifted)
+            for z, h_shifted in zip(z_points, rhs)
+        ]
     elif kind == "euler-shift":
         if spec.m < 1:
             raise PreconditionViolationError("euler-shift requires m >= 1")
         b1, beta1 = spec.lower[0]
-        shifted = HFunctionSpec(
-            m=spec.m,
-            l=0,
-            upper=spec.upper,
-            lower=((b1 + 1.0, beta1),) + spec.lower[1:],
-        )
+        shifted = replace(spec, lower=((b1 + 1.0, beta1),) + spec.lower[1:])
         rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
-        for z, h_shifted in zip(z_points, rhs):
-            dz = 1e-6 * z
-            g_hi, g_lo, g0 = eval_mellin_barnes_batch(spec, h_args([z + dz, z - dz, z]))
-            dgdz = (g_hi - g_lo) / (2.0 * dz)
-            lhs = (beta1 / alpha_p) * z * dgdz + b1 * g0
-            pts.append(((z,), lhs, h_shifted))
+        # every z's 3-point stencil in one batch, each on one contour line
+        z = np.asarray(z_points, dtype=float)
+        dz = 1e-6 * z
+        g_hi, g_lo, g0 = eval_mellin_barnes_batch(
+            spec, h_args(np.stack((z + dz, z - dz, z), axis=1).ravel())
+        ).reshape(-1, 3).T
+        lhs = (beta1 / alpha_p) * z * ((g_hi - g_lo) / (2.0 * dz)) + b1 * g0
+        pts = [((zv,), lv, rv) for zv, lv, rv in zip(z_points, lhs, rhs)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return _build_report(METHOD_GL, pts)

@@ -372,6 +372,75 @@ class TestReportFormats:
         assert out.splitlines()[0] == "x,t,lhs,rhs,abs_err,rel_err"
 
 
+class TestComplexConstants:
+    """A non-real constant is written and verified, not dropped with .imag."""
+
+    PROB = json.dumps({"alpha": 0.8, "m": 1, "d": 0, "A": 1, "constants": ["1j"]})
+
+    def test_solve_csv_writes_u_im(self, capsys, tmp_path):
+        out_path = tmp_path / "u.csv"
+        code, _ = run_capture(
+            capsys,
+            ["solve", "pde", "--json", self.PROB, "--grid", "x=1:1:1,t=1:1:1",
+             "--out", str(out_path)],
+        )
+        assert code == 0
+        header, row = out_path.read_text().strip().splitlines()
+        assert header == "x,t,u,u_im"
+        x, t, re, im = map(float, row.split(","))
+        assert (x, t, re) == (1.0, 1.0, 0.0)
+        assert im == pytest.approx(0.9504248291308582, rel=1e-12)
+
+    def test_solve_json_writes_re_im(self, capsys, tmp_path):
+        out_path = tmp_path / "u.json"
+        code, _ = run_capture(
+            capsys,
+            ["solve", "pde", "--json", self.PROB, "--grid", "x=1:1:1,t=1:1:1",
+             "--format", "json", "--out", str(out_path)],
+        )
+        assert code == 0
+        (row,) = json.loads(out_path.read_text())
+        assert row["u"]["re"] == 0.0
+        assert row["u"]["im"] == pytest.approx(0.9504248291308582, rel=1e-12)
+
+    def test_real_constants_keep_one_column(self, capsys, tmp_path):
+        out_path = tmp_path / "u.csv"
+        prob = json.dumps({"alpha": 0.8, "m": 1, "d": 0, "A": 1, "constants": [2.0]})
+        code, _ = run_capture(
+            capsys,
+            ["solve", "pde", "--json", prob, "--grid", "x=1:1:1,t=1:1:1", "--out", str(out_path)],
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines()[0] == "x,t,u"
+
+    def test_verify_compares_the_complex_u(self, capsys):
+        code, out = run_capture(
+            capsys,
+            ["verify", "--json", self.PROB, "--grid", "x=1:1:1,t=1:1.2:2", "--tol", "1e-3",
+             "--format", "json"],
+        )
+        assert code == 0
+        doc = json.loads(out[: out.rfind("PASS")])
+        for p in doc["points"]:
+            assert p["lhs"]["re"] == 0.0 and p["lhs"]["im"] > 1.0
+            assert p["rhs"]["im"] == pytest.approx(p["lhs"]["im"], rel=1e-3)
+        assert 0.0 < doc["max_rel_err"] < 1e-3
+
+
+    def test_verify_csv_writes_the_imaginary_parts(self, capsys):
+        code, out = run_capture(
+            capsys,
+            ["verify", "--json", self.PROB, "--grid", "x=1:1:1,t=1:1:1", "--tol", "1e-3"],
+        )
+        assert code == 0
+        header, row = out.splitlines()[:2]
+        assert header == "x,t,lhs,rhs,abs_err,rel_err,lhs_im,rhs_im"
+        cols = dict(zip(header.split(","), map(float, row.split(","))))
+        assert cols["lhs"] == cols["rhs"] == 0.0
+        assert cols["lhs_im"] == pytest.approx(cols["rhs_im"], rel=1e-3)
+        assert cols["abs_err"] == pytest.approx(abs(cols["lhs_im"] - cols["rhs_im"]), rel=1e-6)
+
+
 class TestGridSyntax:
     def test_log_grid(self, capsys, tmp_path):
         prob = json.dumps({"alpha": 1, "m": 0, "d": 0, "A": 1, "B": 0, "C": 0, "a": 0})
@@ -455,6 +524,7 @@ def test_import_loads_no_scipy():
         ["verify", "--json", D2, "--mode", "coefficients", "--n-coeffs", "-3", "--tol", "1e-10"],
         ["identities", "--suite", "lemma1", "--n", "0", "--tol", "1e-11"],
         ["identities", "--suite", "lemma1", "--n", "-5", "--tol", "1e-11"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=1:2:2,x=3:4:2,t=1:1:1"],
     ],
     ids=[
         "z-not-a-number", "z-trailing-comma", "foxh-z-zero", "ml-alpha-zero", "foxh-m-above-q",
@@ -464,7 +534,7 @@ def test_import_loads_no_scipy():
         "verify-without-tol", "pde-alpha-nan", "pde-d-nan", "pde-C-nan", "pde-a-nan",
         "ode-a-coeff-infinity", "ml-alpha-nan", "z-nan", "grid-infinity", "verify-tol-nan",
         "verify-no-coefficient", "verify-negative-coefficients", "identities-n-zero",
-        "identities-n-negative",
+        "identities-n-negative", "grid-axis-twice",
     ],
 )
 def test_bad_input_is_one_line_input_error(capsys, argv):

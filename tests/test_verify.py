@@ -101,6 +101,19 @@ class TestResidualPde:
         ratio = fine.max_rel_err / coarse.max_rel_err
         assert 2**-0.75 <= ratio <= 2**-0.35, (coarse.max_rel_err, fine.max_rel_err)
 
+    def test_wright_series_branch_scales_with_x(self):
+        # at x != 1 the GL sum runs on s -> x^a phi(k s), k = x^((d-2)/rho):
+        # the same nodes as the t-lattice sum of pde.evaluate
+        prob = DiffusionProblem(alpha=2.5, m=0, d=0.5, A=1.0, C=0.1, a=0.2)
+        sol = solve(prob)
+        x, t, h = 1.7, 1.0, 2e-2
+        (point,) = residual_pde(sol, prob, [(x, t)], h=h).points
+
+        def u(ts):
+            return np.array([complex(evaluate(sol, x, s)).real if s > 0 else 0.0 for s in ts])
+
+        assert point.lhs == pytest.approx(gl_fractional_derivative(u, 2.5, t, h), rel=1e-12)
+
     def test_problem_must_be_the_solutions(self):
         other = DiffusionProblem(alpha=1.0, m=0, d=0.0, A=2.0)
         with pytest.raises(ValueError, match="solution's problem"):
@@ -132,8 +145,8 @@ class TestResidualPde:
         assert report.max_rel_err < 1e-2
 
     def test_gl_path_batches_h_values(self, monkeypatch):
-        # one call per x: its 320 profile nodes and the five distinct
-        # points of the finite-difference stencil of each grid point there
+        # one call for the whole grid: the 320 nodes of its one profile in
+        # z and the five distinct points of each grid point's stencil
         sizes = []
         batch = verify.eval_mellin_barnes_batch
 
@@ -145,8 +158,61 @@ class TestResidualPde:
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
         grid = [(1.0, 1.0), (1.3, 1.1), (1.0, 1.2)]
         report = residual_pde(solve(prob), prob, grid, h=1e-3)
-        assert sizes == [320 + 5 * 2, 320 + 5]
+        assert sizes == [320 + 5 * 3]
         assert [p.point for p in report.points] == grid
+
+    def test_grid_points_match_one_point_residuals(self):
+        # criterion 4's grid: each x reads the one profile of the grid's
+        # largest k, against its own profile in a one-point call
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        sol = solve(prob)
+        grid = [(float(x), t) for x in np.linspace(0.8, 1.5, 5) for t in (0.8, 1.5)]
+        report = residual_pde(sol, prob, grid, h=1e-4)
+        for p in report.points:
+            (one,) = residual_pde(sol, prob, [p.point], h=1e-4).points
+            assert p.lhs == pytest.approx(one.lhs, rel=1e-6), p.point
+
+    def test_profile_is_the_largest_k_one_x_profile(self, monkeypatch):
+        # where the decay cut binds (h <= z_cut / k_max), the grid's profile
+        # has the nodes that the largest-k x would build on its own
+        profiles = []
+        profile_class = verify._HProfile
+
+        def recording(*args, **kwargs):
+            profiles.append(profile_class(*args, **kwargs))
+            return profiles[-1]
+
+        monkeypatch.setattr(verify, "_HProfile", recording)
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        sol = solve(prob)
+        grid = [(x, t) for x in (0.8, 1.15, 1.5) for t in (0.8, 1.5)]
+        residual_pde(sol, prob, grid, h=1e-4)
+        # k = x^((d-2)/rho) is largest at the smallest x here
+        residual_pde(sol, prob, grid[:2], h=1e-4)
+        grid_profile, one_x = profiles
+        k_max = prob.z(0.8, 1.0)
+        assert grid_profile.w_hi < grid_profile.coef * (k_max * 1e-4) ** -grid_profile.power
+        assert_allclose(grid_profile.xs, one_x.xs, rtol=1e-14, atol=1e-14)
+
+    def test_step_error_names_the_grid_step(self):
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        with pytest.raises(StepTooLargeError, match=r"h = 0\.05 exceeds t/50 = 0\.02$"):
+            residual_pde(solve(prob), prob, [(1.7, 1.0)], h=0.05)
+
+    def test_complex_constant_is_kept(self):
+        # u is linear in its constant: c = 1j gives 1j times the c = 1 sides,
+        # on the GL path and on the closed-form path
+        for base, sol_of in ((dict(alpha=0.8, m=1, d=0.0, A=1.0), solve),
+                             (dict(alpha=1.0, m=0, d=0.0, A=1.0), exp_closed_form)):
+            real, imag = (DiffusionProblem(**base, constants=(c,)) for c in (1.0, 1j))
+            grid = [(1.0, 1.0), (1.3, 1.2)]
+            want = residual_pde(sol_of(real), real, grid, h=1e-3)
+            got = residual_pde(sol_of(imag), imag, grid, h=1e-3)
+            for p, q in zip(want.points, got.points):
+                assert type(p.lhs) is float and isinstance(p.rhs, float)
+                assert q.lhs == pytest.approx(1j * p.lhs, rel=1e-14)
+                assert q.rhs == pytest.approx(1j * p.rhs, rel=1e-14)
+            assert got.max_rel_err == pytest.approx(want.max_rel_err, rel=1e-12)
 
     def test_h_batch_does_not_depend_on_blas_threads(self):
         # a gl-verify-like point set at one x (320 profile nodes and three
