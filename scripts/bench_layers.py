@@ -1,6 +1,6 @@
 """Layer benchmark: the log-gamma kernel, single Mittag-Leffler and Fox-H
-evaluations, the GL spline profile, the GL residual of acceptance
-criterion 4 and CLI cold start.
+evaluations, acceptance criterion 7's H identity suite, the GL spline
+profile, the GL residual of acceptance criterion 4 and CLI cold start.
 
 Writes one JSON file of rows, each with the time it measured and the
 accuracy it reached:
@@ -16,8 +16,14 @@ accuracy it reached:
   moderate and a deep-decay argument (decay level nu (mu z)^(1/nu) =
   100), warm (the spec's constants and saddle table built) and cold
   (rebuilt on every call), with the kernel calls one call makes, the
-  nodes they evaluate and those off the real axis (the contour lines)
-  among them, and the relative error against mpmath.meijerg;
+  nodes they evaluate, those off the real axis (the contour lines) and
+  those of the saddle table among them, and the relative error against
+  mpmath.meijerg;
+- ``acceptance.criterion_7``: seconds per run of acceptance criterion 7's
+  H identity suite as its test runs it (288 scalar ``eval_mellin_barnes``
+  calls on 54 specs), warm (every spec's constants and saddle table
+  built) and cold (rebuilt before every run), with the same kernel counts
+  and the suite's worst identity error;
 - ``verify._HProfile``: us per build of the Grunwald-Letnikov spline
   profile of acceptance criterion 4's solution at x = 1 (320 H values
   and the spline), warm (the spec's constants built), and the largest
@@ -91,13 +97,13 @@ CLI_COMMANDS = {
 COLD_RUNS = 5
 
 
-def timed(fn, speed):
+def timed(fn, speed, blocks=BLOCKS, repeats=REPEATS):
     """(raw, scaled) median seconds per call of fn."""
     raw, scaled = [], []
-    for _ in range(BLOCKS):
+    for _ in range(blocks):
         speed.sample()
         times = []
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
@@ -150,22 +156,33 @@ def ml_rows(speed):
 
 
 def count_nodes(fn):
-    """Kernel calls fn() makes, and the nodes they evaluate, all and off the
-    real axis."""
+    """Kernel calls fn() makes, and the nodes they evaluate: all, those off
+    the real axis and those of saddle tables."""
     sizes = []
-    log_integrand = foxh._log_integrand
+    log_integrand, grow = foxh._log_integrand, foxh._SpecConstants.grow
+    in_table = [False]
 
     def counting(spec, s):
         s = np.asarray(s)
-        sizes.append((s.size, int(np.count_nonzero(s.imag > 0.0))))
+        sizes.append((s.size, int(np.count_nonzero(s.imag > 0.0)), s.size if in_table[0] else 0))
         return log_integrand(spec, s)
 
-    foxh._log_integrand = counting
+    def growing(self, *args):
+        in_table[0] = True
+        try:
+            return grow(self, *args)
+        finally:
+            in_table[0] = False
+
+    foxh._log_integrand, foxh._SpecConstants.grow = counting, growing
     try:
         fn()
     finally:
-        foxh._log_integrand = log_integrand
-    return len(sizes), sum(a for a, _ in sizes), sum(b for _, b in sizes)
+        foxh._log_integrand, foxh._SpecConstants.grow = log_integrand, grow
+    return {"kernel_calls": len(sizes), **{
+        key: sum(row[i] for row in sizes)
+        for i, key in enumerate(("nodes", "line_nodes", "table_nodes"))
+    }}
 
 
 def foxh_rows(speed):
@@ -186,14 +203,68 @@ def foxh_rows(speed):
                 t, ts = timed(call, speed)
                 if cache == "cold":
                     foxh._constants.cache_clear()
-                calls, nodes, line_nodes = count_nodes(lambda: foxh.eval_mellin_barnes(spec, z))
+                counts = count_nodes(lambda: foxh.eval_mellin_barnes(spec, z))
                 got = foxh.eval_mellin_barnes(spec, z)
                 rows.append({
                     "layer": "foxh.eval_mellin_barnes", "spec": name, "point": where,
                     "z": z, "cache": cache, "us": t * 1e6, "scaled_us": ts * 1e6,
-                    "kernel_calls": calls, "nodes": nodes, "line_nodes": line_nodes,
-                    "rel_err": abs(got - want) / abs(want),
+                    **counts, "rel_err": abs(got - want) / abs(want),
                 })
+    return rows
+
+
+def identity_error(a, b):
+    """Relative difference of two values, 0 when both are 0."""
+    if a == 0.0 and b == 0.0:
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def criterion7():
+    """Acceptance criterion 7's H identity suite, as its test runs it: the
+    worst relative error of the inversion, power-scale, power-shift and
+    Gauss-multiplication identities of nine solution specs at four z."""
+    worst = 0.0
+    h = foxh.eval_mellin_barnes
+    for alpha in (0.5, 0.8, 1.5):
+        for m in (0, 1, 2):
+            problem = pde.DiffusionProblem(alpha=alpha, m=m, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
+            spec = pde.solve(problem).form.small.spec
+            inv, scaled = foxh.invert_argument(spec), power_scale(spec, 2.0)
+            shifted = foxh.shift_by_power(spec, 1.0)
+            aug = HFunctionSpec(m=spec.m + 2, l=0, upper=spec.upper + ((1.0, 2.0),),
+                                lower=((0.5, 1.0), (1.0, 1.0)) + spec.lower)
+            aug1 = HFunctionSpec(m=spec.m + 1, l=0, upper=spec.upper + ((1.0, 1.0),),
+                                 lower=((1.0, 1.0),) + spec.lower)
+            red2, red1 = foxh.gauss_multiplication_reduce(aug, 2), foxh.gauss_multiplication_reduce(aug1, 1)
+            for z in (0.5, 1.0, 2.0, 5.0):
+                base = h(spec, z)
+                worst = max(
+                    worst,
+                    identity_error(base, 2.0 * h(scaled, z * z)),
+                    identity_error(z * base, h(shifted, z)),
+                    identity_error(h(aug1, z), red1.scale * h(red1.spec, red1.argument_multiplier * z)),
+                    identity_error(h(aug, z), red2.scale * h(red2.spec, red2.argument_multiplier * z)),
+                    identity_error(base, h(inv, 1.0 / z)),
+                )
+    return worst
+
+
+def criterion7_rows(speed):
+    rows = []
+    for cache in ("warm", "cold"):
+
+        def run():
+            if cache == "cold":
+                foxh._constants.cache_clear()
+            return criterion7()
+
+        worst = run()
+        t, ts = timed(run, speed, blocks=5, repeats=3)
+        if cache == "cold":
+            foxh._constants.cache_clear()
+        rows.append({"layer": "acceptance.criterion_7", "cache": cache, "h_calls": 288, "specs": 54,
+                     "s": t, "scaled_s": ts, **count_nodes(run), "max_rel_err": worst})
     return rows
 
 
@@ -248,14 +319,13 @@ def residual_row(speed):
     report = call()
     verify.eval_mellin_barnes_batch, foxh._contour_bands = counting_batch, counting_bands
     try:
-        kernel_calls, nodes, line_nodes = count_nodes(call)
+        nodes = count_nodes(call)
     finally:
         verify.eval_mellin_barnes_batch, foxh._contour_bands = batch, bands
     t, ts = timed(call, speed)
     return {"layer": "verify.residual_pde", "grid_points": len(GL_GRID), "h": GL_STEP,
             "s": t, "scaled_s": ts, "h_batch_calls": counts["calls"], "bands": counts["bands"],
-            "kernel_calls": kernel_calls, "nodes": nodes, "line_nodes": line_nodes,
-            "max_rel_err": report.max_rel_err}
+            **nodes, "max_rel_err": report.max_rel_err}
 
 
 # runs the CLI, then prints the peak RSS of its own address space (VmHWM,
@@ -306,7 +376,8 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     speed = Speed()
-    rows = lngamma_rows(speed) + ml_rows(speed) + foxh_rows(speed) + profile_rows(speed)
+    rows = lngamma_rows(speed) + ml_rows(speed) + foxh_rows(speed) + criterion7_rows(speed)
+    rows += profile_rows(speed)
     rows.append(residual_row(speed))
     rows += cli_rows()
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "fracsol").glob("*.py"))

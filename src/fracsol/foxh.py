@@ -18,10 +18,10 @@ s log z, where K is the log of the gamma-ratio kernel, so the quadrature
 keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
 arguments.  K does not depend on z, so the saddle search reads a table
-of Re K on the real axis beyond the strip edge, built in one kernel call
-on a spec's first search and kept per spec with its other constants
-(_constants); every later search, for any number of z, and the grouping
-below, which reads Re K at the saddles from it, are array arithmetic.
+of Re K on the real axis beyond the strip edge, kept per spec with its
+other constants (_constants) and only as deep as its searches needed: a
+deeper search extends it by one kernel call on the new points, and other
+searches, for any number of z, and the grouping below are array arithmetic.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and K is
@@ -234,7 +234,8 @@ class _SpecConstants:
     spec by _constants: the convergence parameters, the kernel's factor
     arrays, the strip left < Re s < right, the default line gamma0, the
     slide direction d (1 left, -1 right, 0 none), the strip edge the slide
-    starts from and, on first use, the saddle table."""
+    starts from and the saddle table (v, sigma, Re K(sigma)), which
+    _real_minimum grows as deep as its searches need."""
 
     def __init__(self, spec: HFunctionSpec):
         self.spec = spec
@@ -255,30 +256,46 @@ class _SpecConstants:
         self.gamma0 = right - 0.5 if l == 0 else left + 0.5 if m == 0 else 0.5 * (left + right)
         self.d = 1 if (m, l) == (spec.q, 0) else -1 if (m, l) == (0, spec.p) else 0
         self.edge = right if self.d > 0 else left
+        self.table = (np.empty(0),) * 3
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         """a of the table's map r(v) = (a log(1 + e^v))^2."""
         return _SADDLE_STEP / (2.0 * _SADDLE_DV * math.sqrt(abs(self.conv.nu)))
 
     @functools.cached_property
-    def table(self):
-        """(v, sigma, Re K(sigma)) on sigma = edge - d r(v), v uniform in
-        steps of _SADDLE_DV from r = _SADDLE_GAP out to r = 3 * 900 / |nu| +
-        20, past the saddle at decay level 900, far beyond double
-        underflow; one kernel call.  A non-finite Re K is stored as +inf,
-        which no minimum picks.  A |nu| above about 4e6 overflows v and
-        raises UnsupportedClassError."""
+    def lattice(self):
+        """(v0, size): the saddle table's points are v = v0 + k _SADDLE_DV, k <
+        size, from r = _SADDLE_GAP out to r = 3 * 900 / |nu| + 20, past the
+        saddle at decay level 900, far beyond double underflow.  A |nu| above
+        about 4e6 overflows v and raises UnsupportedClassError."""
         ends = (_SADDLE_GAP, _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0)
         try:
             v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in ends)
         except OverflowError:
-            msg = f"nu = {self.conv.nu:g} overflows the saddle table"
-            raise UnsupportedClassError(msg) from None
-        v = v0 + _SADDLE_DV * np.arange(math.ceil((v1 - v0) / _SADDLE_DV) + 1)
-        sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
-        kernel = _log_integrand(self.spec, sigma).real
-        return v, sigma, np.where(np.isfinite(kernel), kernel, math.inf)
+            raise UnsupportedClassError(f"nu = {self.conv.nu:g} overflows the saddle table") from None
+        return v0, math.ceil((v1 - v0) / _SADDLE_DV) + 1
+
+    def grow(self, log_z: np.ndarray, size: int = 0):
+        """Extend the saddle table, sigma = edge - d r(v) on the lattice, to
+        at least size points and out to r = 3 r* + 20, r* = (mu z)^(1/nu) the
+        deepest z's asymptotic saddle, capped at decay level |nu| r* = 900:
+        one kernel call on the new points, every earlier one kept.  A
+        non-finite Re K is stored as +inf, which no minimum picks."""
+        (v0, full), nu = self.lattice, self.conv.nu
+        # mu underflows to 0.0 only for weights in the hundreds
+        log_mu_z = math.log(max(self.conv.mu, 1e-300)) + (log_z.max() if nu > 0 else log_z.min())
+        reach = _SADDLE_GAP + 3.0 * math.exp(min(log_mu_z / nu, math.log(900.0 / abs(nu)))) + 20.0
+        count = math.ceil((math.log(math.expm1(math.sqrt(reach) / self.scale)) - v0) / _SADDLE_DV) + 1
+        # extend the table read here: a concurrent extension is replaced, not spliced
+        table, count = self.table, min(max(count, size), full)
+        if count > table[0].size:
+            v = v0 + _SADDLE_DV * np.arange(table[0].size, count)
+            sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
+            kernel = _log_integrand(self.spec, sigma).real
+            new = (v, sigma, np.where(np.isfinite(kernel), kernel, math.inf))
+            self.table = tuple(map(np.concatenate, zip(table, new)))
+        return self.table
 
 
 # keyed by the frozen, hashable spec: a solution's evaluations reuse its
@@ -377,9 +394,8 @@ def _trapezoid_line(
         arg += im_k
         return np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns)
 
-    h = h0
-    n = k.size - 1
-    cols = np.arange(n + 1)
+    # start: the pass's first node (tau = 0 is its own mirror, T(2h) the even nodes)
+    h, n, start = h0, k.size - 1, 0
     # every node is scaled by the first pass's largest modulus for its z,
     # e^ref with ref = top + gamma log z
     top = k.real.max()
@@ -389,34 +405,37 @@ def _trapezoid_line(
     total_abs = 0.0
     # the extreme steps of Im K between neighbouring nodes; there is no
     # step before the first node
-    steps = np.diff(k.imag)
+    steps = k.imag[1:] - k.imag[:-1]
     lo, hi = steps.min(), steps.max()
     for doubling in range(_MAX_DOUBLINGS + 1):
-        # the weights of f(tau) and of its mirror f(-tau) = conj f(tau); the
-        # node tau = 0 is its own mirror
-        mag = np.exp(k.real - top) * np.where(cols > 0, 2.0, 1.0)
-        sums += cosine_sums(cols * h, k.imag, np.stack((mag, np.where(cols % 2, 0.0, mag))))
+        kr = k.real
+        # the weights of f(tau) and of its mirror f(-tau) = conj f(tau)
+        weights = np.zeros((2, kr.size))
+        mag = np.exp(kr - top, out=weights[0])
+        mag[start == 0 :] *= 2.0
+        weights[1, start % 2 :: 2] = mag[start % 2 :: 2]
+        sums += cosine_sums(np.arange(float(start), n + 1) * h, k.imag, weights)
         total_abs += mag.sum()
-        decay = min((k.real[-2] - k.real[-1]) / h, rate)
+        decay = min((kr[-2] - kr[-1]) / h, rate)
         # both tails; a band whose end nodes do not decay has an unbounded tail
-        tail = 2.0 * math.exp(k.real[-1] - top) / decay if decay > 0 else math.inf
+        tail = 2.0 * math.exp(kr[-1] - top) / decay if decay > 0 else math.inf
         # |H| <= (h sum|f| + tail) e^ref / 2 pi; below half the smallest
         # subnormal it is 0.0
         live = math.log(h * total_abs + tail) >= _LOG_UNDERFLOW + math.log(2.0 * math.pi) - ref
-        idx, log_z, ref, sums = (a[live] for a in (idx, log_z, ref, sums))
-        if not idx.size:
-            return out
+        if not live.all():
+            idx, log_z, ref, sums = (a[live] for a in (idx, log_z, ref, sums))
+            if not idx.size:
+                return out
         floor = h * np.maximum(_TAIL_FRACTION * _REFINE_TOL * np.abs(sums[:, 0]), _EPS * total_abs)
-        if np.all(tail <= floor):
+        if tail <= floor.min():
             break
         if doubling == _MAX_DOUBLINGS:
             raise QuadratureFailureError(
                 f"contour truncation did not settle by T = {n * h:g} "
                 f"at z = {z[idx[tail > floor][0]]}"
             )
-        cols = np.arange(n + 1, 2 * n + 1)
-        last = k.imag[-1]
-        k = _log_integrand(spec, gamma + 1j * (cols * h))
+        last, start = k.imag[-1], n + 1
+        k = _log_integrand(spec, gamma + 1j * (np.arange(float(start), 2 * n + 1) * h))
         steps = np.diff(k.imag, prepend=last)
         lo, hi = min(lo, steps.min()), max(hi, steps.max())
         n *= 2
@@ -437,9 +456,10 @@ def _trapezoid_line(
     first = (val - val_2h) ** 2 * np.maximum(size, total_abs) <= (
         _FIRST_PASS_SHARE * _REFINE_TOL * size**3
     )
-    # the largest step of Im log f = Im K + tau log z between neighbours
-    phase = np.maximum(hi + h * log_z, -(lo + h * log_z))
-    first &= (2.0 * phase < math.pi) & (_EPS * total_abs <= _CANCEL_TOL * size)
+    # the largest step of Im log f = Im K + tau log z between nodes is below pi / 2
+    step = h * log_z
+    first &= (hi + step < math.pi / 2.0) & (lo + step > -math.pi / 2.0)
+    first &= _EPS * total_abs <= _CANCEL_TOL * size
     out[idx[first]] = np.exp(ref[first]) / (2.0 * math.pi) * val[first]
     if first.all():
         return out
@@ -478,9 +498,9 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     sigma of the spec's saddle table, for every z at once.  Returns the
     minimisers, K'' there and Re K there.
 
-    K does not depend on z, so the table, built in one kernel call on the
-    spec's first search, serves every later z, and the search makes no
-    kernel call.  The table is uniform in v, where r = |sigma - edge| =
+    K does not depend on z, so the table serves every later z; a search
+    makes no kernel call unless its z lie deeper than the table reaches
+    (_SpecConstants.grow).  It is uniform in v, where r = |sigma - edge| =
     (a log(1 + e^v))^2.  Near the edge r grows like e^(2v), uniformly in
     log r, where a saddle's width is O(1).  Far from it, where the saddle
     moves out like (mu z)^(1/nu) and phi_z'' in log r grows like nu r, r
@@ -492,23 +512,29 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     point; a parabola in v through that point and its neighbours gives the
     abscissa, and its curvature curv gives K'' = curv / (dv r'(v))^2
     there.  A minimum at a table end is returned as it is, with K'' NaN.
+    phi_z rises past its saddle and the search reads up to coarse + stride
+    + 1 only, so it finds what the full table would unless a coarse minimum
+    lies in a partial table's last stride; then the table grows first.
     """
-    v, sigma, kernel = c.table
-    n, stride = sigma.size, _SADDLE_STRIDE
-    rows = np.arange(len(log_z))
-    log_z = log_z[:, None]
-    coarse = np.argmin(kernel[::stride] + sigma[::stride] * log_z, axis=1) * stride
-    window = np.clip(coarse[:, None] + np.arange(-stride, stride + 1), 0, n - 1)
-    j = window[rows, np.argmin(kernel[window] + sigma[window] * log_z, axis=1)]
-    k = np.clip(j, 1, n - 2)
+    stride, rows, lz = _SADDLE_STRIDE, np.arange(len(log_z)), log_z[:, None]
+    v, sigma, kernel = c.table if c.table[0].size else c.grow(log_z)
+    while True:
+        n = sigma.size
+        coarse = (kernel[::stride] + sigma[::stride] * lz).argmin(axis=1) * stride
+        if coarse.max() + stride + 2 <= n or n == c.lattice[1]:
+            break
+        v, sigma, kernel = c.grow(log_z, n + 2 * stride)
+    window = np.minimum(np.maximum(coarse[:, None] + np.arange(-stride, stride + 1), 0), n - 1)
+    j = window[rows, (kernel[window] + sigma[window] * lz).argmin(axis=1)]
+    k = np.minimum(np.maximum(j, 1), n - 2)
     nodes = k[:, None] + np.arange(-1, 2)
-    phi = kernel[nodes] + sigma[nodes] * log_z
+    phi = kernel[nodes] + sigma[nodes] * lz
     below, above = phi[:, 0] - phi[:, 1], phi[:, 2] - phi[:, 1]
-    curv = below + above
+    curv, diff = below + above, below - above
     # at an interior minimum below, above >= 0, so the vertex lies within
     # half a step of it
     fit = (j == k) & np.isfinite(curv) & (curv > 0)
-    shift = np.divide(below - above, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
+    shift = np.divide(diff, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
     vs = v[j] + shift * _SADDLE_DV
     # r(v) = (a softplus(v))^2 and r'(v) = 2 a^2 softplus(v) sigmoid(v)
     soft = np.logaddexp(0.0, vs)
@@ -519,8 +545,8 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     sigma_min = c.edge - c.d * r
     # Re K there, from the vertex value phi_z(sigma[j]) - (below - above)^2 /
     # (8 curv); with no fit sigma_min = sigma[j], and this is the table's
-    drop = np.divide((below - above) ** 2, 8.0 * curv, out=np.zeros(len(rows)), where=fit)
-    return sigma_min, kpp, kernel[j] + (sigma[j] - sigma_min) * log_z[:, 0] - drop
+    drop = np.divide(diff**2, 8.0 * curv, out=np.zeros(len(rows)), where=fit)
+    return sigma_min, kpp, kernel[j] + (sigma[j] - sigma_min) * log_z - drop
 
 
 def _end_at_gap(log_z: np.ndarray, size: int) -> int:
@@ -568,11 +594,9 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     if d * c.conv.nu > 0 and z.size:
         sstar, kpp, kernel = _real_minimum(c, log_z)
         slid = d * sstar < d * c.gamma0
-        fixed = np.flatnonzero(~slid)
-        order = np.flatnonzero(slid)
-        order = order[np.argsort(-d * sstar[order], kind="stable")]
-        phi = kernel + sstar * log_z
-    fixed = fixed[np.argsort(z[fixed], kind="stable")]
+        fixed, order = (~slid).nonzero()[0], slid.nonzero()[0]
+        order = order[(-d * sstar[order]).argsort(kind="stable")]
+    fixed = fixed[z[fixed].argsort(kind="stable")]
     while fixed.size:
         size = _end_at_gap(log_z[fixed], _band_size(omega, _H0))
         yield c.gamma0, fixed[:size], _H0
@@ -580,16 +604,17 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     while order.size:
         a = line = order[0]
         # the step rule of the module docstring; a NaN K'' (no fit) keeps _H0
-        curv = kpp[a]
-        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar[a] - c.edge) / 5.0)) if curv > 0 else _H0
+        curv = kpp.item(a)
+        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar.item(a) - c.edge) / 5.0)) if curv > 0 else _H0
         w = order[: _band_size(omega, h0)]
         if w.size > 1:
-            first = kernel[w] + sstar[w] * log_z[a] - phi[a]
+            phi = kernel[w] + sstar[w] * log_z[w]
+            first = kernel[w] + sstar[w] * log_z[a] - phi[0]
             line = w[np.cumprod(first <= _LINE_LOSS).sum() - 1]
-            loss = kernel[line] + sstar[line] * log_z[w] - phi[w]
+            loss = kernel[line] + sstar[line] * log_z[w] - phi
             w = w[: np.cumprod(loss <= _BAND_LOSS).sum()]
         size = _end_at_gap(log_z[order[: w.size + 1]], w.size)
-        yield float(sstar[line]), order[:size], h0
+        yield sstar.item(line), order[:size], h0
         order = order[size:]
 
 
@@ -618,7 +643,7 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError("eval_mellin_barnes_batch takes a 1-D array of z")
-    if not np.all(np.isfinite(z) & (z > 0)):
+    if not ((z > 0.0) & (z < math.inf)).all():
         raise ValueError("eval_mellin_barnes requires finite z > 0")
     c = _constants(spec)
     if c.conv.omega <= 0:
@@ -632,12 +657,12 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     omega = c.conv.omega
     # every band's first-pass nodes gamma + i k h0, 0 <= k <= n, go through
     # one kernel call, whose fixed cost would otherwise recur per band
-    nodes = [gamma + 1j * (np.arange(_first_pass_steps(omega, h0) + 1) * h0)
-             for gamma, _, h0 in bands]
-    kernel = _log_integrand(spec, np.concatenate(nodes))
-    first = np.split(kernel, np.cumsum([n.size for n in nodes[:-1]]))
-    for (gamma, idx, h0), k in zip(bands, first):
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, k)
+    steps = [_first_pass_steps(omega, h0) + 1 for _, _, h0 in bands]
+    nodes = [gamma + 1j * h0 * np.arange(n) for (gamma, _, h0), n in zip(bands, steps)]
+    kernel, end = _log_integrand(spec, np.concatenate(nodes)), 0
+    for (gamma, idx, h0), n in zip(bands, steps):
+        end += n
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, kernel[end - n : end])
     return out
 
 

@@ -38,6 +38,7 @@ from fracsol.foxh import (
     shift_by_power,
 )
 from fracsol.gammafn import ln_gamma_vec
+from fracsol.pde import DiffusionProblem, solve
 
 EXP_SPEC = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1.0),))
 # all weights 1: H^{3,0}_{1,3} = G^{3,0}_{1,3}[z | 1.2; 0, 0.3, 0.7]
@@ -53,6 +54,23 @@ def case1_spec(alpha, m, s1=0.0, s2=-0.5):
     lower = [(-s1 / rho, 1.0), (-s2 / rho, 1.0)]
     lower += [(j / rho, 1.0) for j in range(1, m + 1)]
     return HFunctionSpec(m=m + 2, l=0, upper=((1.0, rho),), lower=tuple(lower))
+
+
+def decay_arg(spec, level):
+    """The z at which the decay exponent nu (mu z)^(1/nu) of spec is level."""
+    c = convergence_params(spec)
+    return (level / c.nu) ** c.nu / c.mu
+
+
+# the H-form PDE strata of the benchmark's hform-grid workload: (alpha
+# range, m, d range)
+HFORM_STRATA = (
+    ((0.45, 0.55), 0, (-0.2, 0.2)),
+    ((0.75, 0.85), 1, (0.4, 0.6)),
+    ((1.35, 1.45), 2, (-1.1, -0.9)),
+    ((1.66, 1.68), 0, (0.9, 1.1)),
+    ((1.0, 1.0), 1, (-0.3, 0.3)),
+)
 
 
 def mp_residue_sum(spec, z, dps=50, kmax=200):
@@ -395,9 +413,10 @@ class TestSaddleSearch:
             assert np.max(np.abs(kernel[slid] - want)) <= 1e-3
 
     def test_calls_do_not_grow_with_z(self, monkeypatch):
-        # once the table exists, the search itself evaluates no kernel
+        # once the table reaches the deepest z's saddle, the search itself
+        # evaluates no kernel
         c = foxh._constants(case1_spec(0.8, 1))
-        c.table
+        foxh._real_minimum(c, np.log([1e4]))
         calls = TestHalfLineQuadrature.record(monkeypatch)
         for z in (np.array([3.0]), np.geomspace(1e-3, 1e4, 320)):
             foxh._real_minimum(c, np.log(z))
@@ -428,6 +447,69 @@ class TestSaddleSearch:
         calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(b, 40.0), eval_mellin_barnes(a, 40.0), rtol=0.0)
         assert not any(np.all(s.imag == 0.0) for s in calls)
+
+    def test_shallow_argument_builds_a_partial_table(self, monkeypatch):
+        # criterion 4's spec: the full table has 398 points, and a
+        # decay-level-1 argument, whose saddle is at point 147, builds the
+        # table only out to the level-1 reach, in one kernel call
+        foxh._constants.cache_clear()
+        spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
+        c = foxh._constants(spec)
+        assert c.lattice[1] == 398
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        eval_mellin_barnes(spec, decay_arg(spec, 1.0))
+        real = [s for s in calls if np.all(s.imag == 0.0)]
+        assert len(real) == 1 and real[0].size == c.table[1].size < 250
+
+    def test_deeper_argument_extends_the_table(self, monkeypatch):
+        # after a decay-level-1 argument, a level-140 one (where the GL
+        # profiles end) extends the table with one kernel call on the new
+        # points only; every earlier point keeps its bits, and the extended
+        # table is the first points of the full one
+        foxh._constants.cache_clear()
+        spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
+        c = foxh._constants(spec)
+        eval_mellin_barnes(spec, decay_arg(spec, 1.0))
+        before = tuple(a.copy() for a in c.table)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        eval_mellin_barnes(spec, decay_arg(spec, 140.0))
+        real = [s for s in calls if np.all(s.imag == 0.0)]
+        n = before[0].size
+        assert len(real) == 1 and real[0].size == c.table[0].size - n > 0
+        assert c.table[0].size < c.lattice[1]
+        full = foxh._SpecConstants(spec)
+        full.grow(np.log([1e4]))
+        assert full.table[0].size == c.lattice[1]
+        for got, old, whole in zip(c.table, before, full.table):
+            assert np.array_equal(got[:n], old)
+            assert np.array_equal(got, whole[: got.size])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        stratum=st.sampled_from(HFORM_STRATA),
+        u=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+        log10_z=st.floats(-3.0, 4.0),
+    )
+    def test_value_does_not_depend_on_the_table_depth(self, stratum, u, log10_z):
+        # a value from a cold cache equals the same value after a deep
+        # warm-up, and a deep value from a cold cache equals it after a
+        # warm-up at z, bit for bit: the table only locates saddles
+        (alo, ahi), m, (dlo, dhi) = stratum
+        problem = DiffusionProblem(
+            alpha=alo + u[0] * (ahi - alo), m=m, d=dlo + u[1] * (dhi - dlo),
+            A=1.0, B=0.3 * u[2] - 0.15, C=-0.2 * u[3],
+        )
+        spec = solve(problem).form.small.spec
+        z, deep = 10.0**log10_z, decay_arg(spec, 140.0)
+        foxh._constants.cache_clear()
+        cold = outcome(spec, z)
+        foxh._real_minimum(foxh._constants(spec), np.log([1e4]))
+        assert outcome(spec, z) == cold
+        foxh._constants.cache_clear()
+        deep_cold = outcome(spec, deep)
+        foxh._constants.cache_clear()
+        outcome(spec, z)
+        assert outcome(spec, deep) == deep_cold
 
 
 class TestResidueSeriesRegimes:
@@ -624,8 +706,8 @@ class TestHalfLineQuadrature:
     def test_nodes_in_upper_half_plane(self, monkeypatch):
         # the saddle tables lie on the real axis and are not quadrature
         # nodes: build them before counting
-        foxh._constants(MEIJER_SPEC).table
-        foxh._constants(invert_argument(EXP_SPEC)).table
+        foxh._real_minimum(foxh._constants(MEIJER_SPEC), np.log([1e4]))
+        foxh._real_minimum(foxh._constants(invert_argument(EXP_SPEC)), np.log([0.5]))
         calls = self.record(monkeypatch)
         # fixed line, saddle contour with three doublings of T, and l > 0
         eval_mellin_barnes(FIXED_SPEC, np.array([0.5, 30.0]))

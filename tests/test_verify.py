@@ -294,7 +294,7 @@ class TestHProfile:
         # batch into bands (several of them slid) evaluates no kernel
         profile, spec = h_profile(0.8, 1, 0.0, 1.0)
         c = foxh._constants(spec)
-        c.table
+        foxh._real_minimum(c, profile.xs)
         calls = []
         log_integrand = foxh._log_integrand
         monkeypatch.setattr(
@@ -311,7 +311,7 @@ class TestHProfile:
         # pass adds one more; the values equal each band's own evaluation
         profile, spec = h_profile(0.8, 1, 0.0, 1.0)
         c = foxh._constants(spec)
-        c.table
+        foxh._real_minimum(c, profile.xs)
         z = np.exp(profile.xs)
         bands = list(foxh._contour_bands(c, z))
         assert len(bands) >= 4
