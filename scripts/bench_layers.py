@@ -157,28 +157,22 @@ def ml_rows(speed):
 
 def count_nodes(fn):
     """Kernel calls fn() makes, and the nodes they evaluate: all, those off
-    the real axis and those of saddle tables."""
+    the real axis and those of saddle tables, the calls whose nodes are all
+    real (every contour-line call has nodes with tau > 0)."""
     sizes = []
-    log_integrand, grow = foxh._log_integrand, foxh._SpecConstants.grow
-    in_table = [False]
+    log_integrand = foxh._log_integrand
 
     def counting(spec, s):
         s = np.asarray(s)
-        sizes.append((s.size, int(np.count_nonzero(s.imag > 0.0)), s.size if in_table[0] else 0))
+        line = int(np.count_nonzero(s.imag > 0.0))
+        sizes.append((s.size, line, 0 if line else s.size))
         return log_integrand(spec, s)
 
-    def growing(self, *args):
-        in_table[0] = True
-        try:
-            return grow(self, *args)
-        finally:
-            in_table[0] = False
-
-    foxh._log_integrand, foxh._SpecConstants.grow = counting, growing
+    foxh._log_integrand = counting
     try:
         fn()
     finally:
-        foxh._log_integrand, foxh._SpecConstants.grow = log_integrand, grow
+        foxh._log_integrand = log_integrand
     return {"kernel_calls": len(sizes), **{
         key: sum(row[i] for row in sizes)
         for i, key in enumerate(("nodes", "line_nodes", "table_nodes"))

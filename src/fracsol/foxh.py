@@ -18,10 +18,10 @@ s log z, where K is the log of the gamma-ratio kernel, so the quadrature
 keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
 arguments.  K does not depend on z, so the saddle search reads a table
-of Re K on the real axis beyond the strip edge, kept per spec with its
-other constants (_constants) and only as deep as its searches needed: a
-deeper search extends it by one kernel call on the new points, and other
-searches, for any number of z, and the grouping below are array arithmetic.
+of Re K on the real axis beyond the strip edge, built by one kernel call
+at the spec's first slid search and kept with its other constants
+(_constants): every later search, for any number of z, and the grouping
+below are array arithmetic.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and K is
@@ -83,7 +83,11 @@ sends its z on to refinement.  Every other z is refined: refinement
 halves h and evaluates only the midpoints of the previous lattice, so
 each pass costs as many nodes as all earlier ones together; it stops
 when two passes agree to _REFINE_TOL (the nested error estimate of
-Trefethen & Weideman).  Every test is made per z: a band keeps
+Trefethen & Weideman) and the merged lattice passes the phase test, its
+steps folded to within pi of their median, which undoes a branch jump;
+without it two passes can agree by aliasing (on the fixed line of
+H^{1,0}_{0,1}[z | (0, 80)] Im log f turns by 15 and 7 per node at h0 / 2
+and h0 / 4).  Every test is made per z: a band keeps
 extending T, and then refining, until each of its z has passed.  A
 value whose modulus bound lies below the double range returns 0.0 after
 the first pass; one whose bound lies above it, a stalled refinement or a
@@ -216,10 +220,9 @@ def convergence_params(spec: HFunctionSpec) -> HConvergence:
         + math.fsum(betas[: spec.m])
         - math.fsum(betas[spec.m :])
     )
-    mu = math.exp(
-        math.fsum(a * math.log(a) for a in alphas)
-        - math.fsum(b * math.log(b) for b in betas)
-    )
+    log_mu = math.fsum(a * math.log(a) for a in alphas) - math.fsum(b * math.log(b) for b in betas)
+    # saturates to inf past the double range, as it underflows to 0.0
+    mu = math.exp(log_mu) if log_mu <= _LOG_OVERFLOW else math.inf
     delta = (
         math.fsum(b for b, _ in spec.lower)
         - math.fsum(a for a, _ in spec.upper)
@@ -234,8 +237,7 @@ class _SpecConstants:
     spec by _constants: the convergence parameters, the kernel's factor
     arrays, the strip left < Re s < right, the default line gamma0, the
     slide direction d (1 left, -1 right, 0 none), the strip edge the slide
-    starts from and the saddle table (v, sigma, Re K(sigma)), which
-    _real_minimum grows as deep as its searches need."""
+    starts from and, on the spec's first slid search, the saddle table."""
 
     def __init__(self, spec: HFunctionSpec):
         self.spec = spec
@@ -256,7 +258,6 @@ class _SpecConstants:
         self.gamma0 = right - 0.5 if l == 0 else left + 0.5 if m == 0 else 0.5 * (left + right)
         self.d = 1 if (m, l) == (spec.q, 0) else -1 if (m, l) == (0, spec.p) else 0
         self.edge = right if self.d > 0 else left
-        self.table = (np.empty(0),) * 3
 
     @functools.cached_property
     def scale(self) -> float:
@@ -264,38 +265,22 @@ class _SpecConstants:
         return _SADDLE_STEP / (2.0 * _SADDLE_DV * math.sqrt(abs(self.conv.nu)))
 
     @functools.cached_property
-    def lattice(self):
-        """(v0, size): the saddle table's points are v = v0 + k _SADDLE_DV, k <
-        size, from r = _SADDLE_GAP out to r = 3 * 900 / |nu| + 20, past the
-        saddle at decay level 900, far beyond double underflow.  A |nu| above
-        about 4e6 overflows v and raises UnsupportedClassError."""
+    def table(self):
+        """(v, sigma, Re K(sigma)) on sigma = edge - d r(v), v uniform in
+        steps of _SADDLE_DV from r = _SADDLE_GAP out to r = 3 * 900 / |nu| +
+        20, past the saddle at decay level 900, far beyond double
+        underflow; one kernel call.  A non-finite Re K is stored as +inf,
+        which no minimum picks.  A |nu| above about 4e6 overflows v and
+        raises UnsupportedClassError."""
         ends = (_SADDLE_GAP, _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0)
         try:
             v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in ends)
         except OverflowError:
             raise UnsupportedClassError(f"nu = {self.conv.nu:g} overflows the saddle table") from None
-        return v0, math.ceil((v1 - v0) / _SADDLE_DV) + 1
-
-    def grow(self, log_z: np.ndarray, size: int = 0):
-        """Extend the saddle table, sigma = edge - d r(v) on the lattice, to
-        at least size points and out to r = 3 r* + 20, r* = (mu z)^(1/nu) the
-        deepest z's asymptotic saddle, capped at decay level |nu| r* = 900:
-        one kernel call on the new points, every earlier one kept.  A
-        non-finite Re K is stored as +inf, which no minimum picks."""
-        (v0, full), nu = self.lattice, self.conv.nu
-        # mu underflows to 0.0 only for weights in the hundreds
-        log_mu_z = math.log(max(self.conv.mu, 1e-300)) + (log_z.max() if nu > 0 else log_z.min())
-        reach = _SADDLE_GAP + 3.0 * math.exp(min(log_mu_z / nu, math.log(900.0 / abs(nu)))) + 20.0
-        count = math.ceil((math.log(math.expm1(math.sqrt(reach) / self.scale)) - v0) / _SADDLE_DV) + 1
-        # extend the table read here: a concurrent extension is replaced, not spliced
-        table, count = self.table, min(max(count, size), full)
-        if count > table[0].size:
-            v = v0 + _SADDLE_DV * np.arange(table[0].size, count)
-            sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
-            kernel = _log_integrand(self.spec, sigma).real
-            new = (v, sigma, np.where(np.isfinite(kernel), kernel, math.inf))
-            self.table = tuple(map(np.concatenate, zip(table, new)))
-        return self.table
+        v = v0 + _SADDLE_DV * np.arange(math.ceil((v1 - v0) / _SADDLE_DV) + 1)
+        sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
+        kernel = _log_integrand(self.spec, sigma).real
+        return v, sigma, np.where(np.isfinite(kernel), kernel, math.inf)
 
 
 # keyed by the frozen, hashable spec: a solution's evaluations reuse its
@@ -377,8 +362,11 @@ def _trapezoid_line(
     passes the cancellation test and whose phase steps are below pi / 2
     (so the 2h lattice samples the oscillation above its Nyquist rate)
     returns T(h); the rest are refined until every z's last two passes
-    agree.  A z whose value after a refinement pass, agreed or not, is
-    below eps sum|f| / _CANCEL_TOL raises CancellationError.
+    agree and the merged lattice's phase steps, each folded by a multiple
+    of 2 pi to within pi of their median, are below pi / 2: a branch jump
+    is one step, an undersampled oscillation most of them.  A z whose
+    value after a refinement pass, agreed or not, is below eps sum|f| /
+    _CANCEL_TOL raises CancellationError.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -394,6 +382,11 @@ def _trapezoid_line(
         arg += im_k
         return np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns)
 
+    def resolved(steps):
+        # each open z's steps of Im log f = Im K + tau log z at step h are below pi / 2
+        drift = h * log_z
+        return (steps.max() + drift < math.pi / 2.0) & (steps.min() + drift > -math.pi / 2.0)
+
     # start: the pass's first node (tau = 0 is its own mirror, T(2h) the even nodes)
     h, n, start = h0, k.size - 1, 0
     # every node is scaled by the first pass's largest modulus for its z,
@@ -403,10 +396,8 @@ def _trapezoid_line(
     # per z, the sum over all nodes and over the even ones, the rule at 2h
     sums = np.zeros((len(z), 2))
     total_abs = 0.0
-    # the extreme steps of Im K between neighbouring nodes; there is no
-    # step before the first node
-    steps = k.imag[1:] - k.imag[:-1]
-    lo, hi = steps.min(), steps.max()
+    # Im K on the truncation lattice, pass by pass
+    phase = [k.imag]
     for doubling in range(_MAX_DOUBLINGS + 1):
         kr = k.real
         # the weights of f(tau) and of its mirror f(-tau) = conj f(tau)
@@ -434,10 +425,9 @@ def _trapezoid_line(
                 f"contour truncation did not settle by T = {n * h:g} "
                 f"at z = {z[idx[tail > floor][0]]}"
             )
-        last, start = k.imag[-1], n + 1
+        start = n + 1
         k = _log_integrand(spec, gamma + 1j * (np.arange(float(start), 2 * n + 1) * h))
-        steps = np.diff(k.imag, prepend=last)
-        lo, hi = min(lo, steps.min()), max(hi, steps.max())
+        phase.append(k.imag)
         n *= 2
     val, val_2h = h * sums[:, 0], 2.0 * h * sums[:, 1]
     # h * total_abs is the integral of |f| on the truncation lattice
@@ -456,9 +446,8 @@ def _trapezoid_line(
     first = (val - val_2h) ** 2 * np.maximum(size, total_abs) <= (
         _FIRST_PASS_SHARE * _REFINE_TOL * size**3
     )
-    # the largest step of Im log f = Im K + tau log z between nodes is below pi / 2
-    step = h * log_z
-    first &= (hi + step < math.pi / 2.0) & (lo + step > -math.pi / 2.0)
+    im_k = np.concatenate(phase)
+    first &= resolved(im_k[1:] - im_k[:-1])
     first &= _EPS * total_abs <= _CANCEL_TOL * size
     out[idx[first]] = np.exp(ref[first]) / (2.0 * math.pi) * val[first]
     if first.all():
@@ -468,9 +457,14 @@ def _trapezoid_line(
         tau = (np.arange(n) + 0.5) * h
         k = _log_integrand(spec, gamma + 1j * tau)
         total += cosine_sums(tau, k.imag, 2.0 * np.exp(k.real - top)[None, :])[:, 0]
+        # Im K on the merged lattice: each previous node, then its midpoint
+        im_k = np.insert(im_k, np.arange(1, n + 1), k.imag)
         h, n = h / 2.0, 2 * n
         new = h * total
-        agree = np.abs(new - val) <= _REFINE_TOL * np.abs(new)
+        # the phase test, on steps folded to within pi of their median
+        steps = im_k[1:] - im_k[:-1]
+        steps -= 2.0 * math.pi * np.round((steps - np.median(steps)) / (2.0 * math.pi))
+        agree = (np.abs(new - val) <= _REFINE_TOL * np.abs(new)) & resolved(steps)
         # eps * integral|f| is fixed on the truncation lattice: a z whose
         # rounding exceeds _CANCEL_TOL of its value is refused whether or not
         # its passes agree, since above _REFINE_TOL of it they never can
@@ -498,9 +492,9 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     sigma of the spec's saddle table, for every z at once.  Returns the
     minimisers, K'' there and Re K there.
 
-    K does not depend on z, so the table serves every later z; a search
-    makes no kernel call unless its z lie deeper than the table reaches
-    (_SpecConstants.grow).  It is uniform in v, where r = |sigma - edge| =
+    K does not depend on z, so the table, built by the spec's first
+    search (_SpecConstants.table), serves every later z with no kernel
+    call.  It is uniform in v, where r = |sigma - edge| =
     (a log(1 + e^v))^2.  Near the edge r grows like e^(2v), uniformly in
     log r, where a saddle's width is O(1).  Far from it, where the saddle
     moves out like (mu z)^(1/nu) and phi_z'' in log r grows like nu r, r
@@ -512,18 +506,11 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     point; a parabola in v through that point and its neighbours gives the
     abscissa, and its curvature curv gives K'' = curv / (dv r'(v))^2
     there.  A minimum at a table end is returned as it is, with K'' NaN.
-    phi_z rises past its saddle and the search reads up to coarse + stride
-    + 1 only, so it finds what the full table would unless a coarse minimum
-    lies in a partial table's last stride; then the table grows first.
     """
     stride, rows, lz = _SADDLE_STRIDE, np.arange(len(log_z)), log_z[:, None]
-    v, sigma, kernel = c.table if c.table[0].size else c.grow(log_z)
-    while True:
-        n = sigma.size
-        coarse = (kernel[::stride] + sigma[::stride] * lz).argmin(axis=1) * stride
-        if coarse.max() + stride + 2 <= n or n == c.lattice[1]:
-            break
-        v, sigma, kernel = c.grow(log_z, n + 2 * stride)
+    v, sigma, kernel = c.table
+    n = sigma.size
+    coarse = (kernel[::stride] + sigma[::stride] * lz).argmin(axis=1) * stride
     window = np.minimum(np.maximum(coarse[:, None] + np.arange(-stride, stride + 1), 0), n - 1)
     j = window[rows, (kernel[window] + sigma[window] * lz).argmin(axis=1)]
     k = np.minimum(np.maximum(j, 1), n - 2)

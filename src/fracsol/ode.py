@@ -18,6 +18,7 @@ from .errors import (
     BranchMismatchError,
     ComplexRootsError,
     DegenerateLeadingError,
+    UnsupportedClassError,
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
 from .fracseries import DEFAULT_ORDER_VERIFY, EulerPolynomialOperator, FracPowerSeries
@@ -124,6 +125,21 @@ class OdeSolution:
         return sum(c * part.evaluate(z) for c, part in zip(self.constants, parts))
 
 
+def _time_scale(problem: OdeProblem) -> float:
+    """a_n (alpha + m)^(m + n), the coefficient of the solution's argument
+    (its reciprocal on the H branch), or UnsupportedClassError past the double range."""
+    an, rho, power = problem.a_coeffs[-1], problem.alpha + problem.m, problem.m + problem.n
+    try:
+        lam = an * rho**power
+    except OverflowError:
+        lam = math.inf
+    if math.isfinite(lam):
+        return lam
+    raise UnsupportedClassError(
+        f"a_n (alpha + m)^(m + n) = {an:g} * {rho:g}^{power} passes the double range"
+    )
+
+
 def _solve_small_alpha(problem: OdeProblem, roots) -> OdeSolution:
     """H-function solution for 0 < alpha < n (real characteristic roots only)."""
     if not all(abs(s.imag) <= _REAL_ROOT_TOL * max(1.0, abs(s)) for s in roots):
@@ -135,8 +151,7 @@ def _solve_small_alpha(problem: OdeProblem, roots) -> OdeSolution:
         (j / rho, 1.0) for j in range(1, problem.m + 1)
     )
     spec = HFunctionSpec(m=problem.m + problem.n, l=0, upper=((1.0, rho),), lower=lower)
-    an = problem.a_coeffs[-1]
-    arg_coef = 1.0 / (an * rho ** (problem.m + problem.n))
+    arg_coef = 1.0 / _time_scale(problem)
     small = SmallAlphaForm(spec=spec, arg_coef=arg_coef, power=rho)
     return OdeSolution(problem=problem, roots=roots, constants=(1.0,), small=small)
 
@@ -165,10 +180,7 @@ def wright_members(alpha: float, m: int, roots, lam: float) -> tuple:
 
 def _solve_large_alpha(problem: OdeProblem, roots) -> OdeSolution:
     """Wright-series solution members for alpha > n, k = 1..[alpha]+1."""
-    alpha, m, n = problem.alpha, problem.m, problem.n
-    an = problem.a_coeffs[-1]
-    lam = an * (alpha + m) ** (m + n)
-    members = wright_members(alpha, m, roots, lam)
+    members = wright_members(problem.alpha, problem.m, roots, _time_scale(problem))
     return OdeSolution(
         problem=problem, roots=roots, constants=(1.0,) * len(members), members=members
     )

@@ -579,9 +579,20 @@ def test_mistyped_field_is_input_error_naming_it(capsys, argv, field):
          "BranchMismatchError: alpha = n = 2"),
         (["solve", "pde", "--json", '{"alpha":1.5,"d":0,"A":1,"C":1}', "--form", "series"],
          "ComplexRootsError: characteristic roots are complex"),
+        # mu = 200^200 passes the double range; omega = -199 refuses the spec
+        (["eval", "foxh", "--json", '{"m":1,"l":0,"upper":[[0.5,200]],"lower":[[0,1]]}',
+          "--z", "2"], "DivergentInputError: omega = -199"),
+        # (alpha + m)^(m + n) passes the double range on either branch
+        (["solve", "pde", "--json", '{"alpha":0.8,"m":150,"d":0,"A":1}'],
+         "UnsupportedClassError: a_n (alpha + m)^(m + n) = "),
+        (["solve", "pde", "--json", '{"alpha":2.5,"m":150,"d":0,"A":1}'],
+         "UnsupportedClassError: a_n (alpha + m)^(m + n) = "),
+        (["solve", "ode", "--json", '{"alpha":0.5,"m":300,"a_coeffs":[0,1]}'],
+         "UnsupportedClassError: a_n (alpha + m)^(m + n) = "),
     ],
     ids=["pde-A-near-underflow", "foxh-huge-weight", "h-form-at-alpha-2",
-         "series-form-complex-roots"],
+         "series-form-complex-roots", "foxh-mu-overflow", "pde-h-form-m-150",
+         "pde-series-m-150", "ode-m-300"],
 )
 def test_library_error_is_one_line(capsys, argv, error):
     code = run(argv)

@@ -62,17 +62,6 @@ def decay_arg(spec, level):
     return (level / c.nu) ** c.nu / c.mu
 
 
-# the H-form PDE strata of the benchmark's hform-grid workload: (alpha
-# range, m, d range)
-HFORM_STRATA = (
-    ((0.45, 0.55), 0, (-0.2, 0.2)),
-    ((0.75, 0.85), 1, (0.4, 0.6)),
-    ((1.35, 1.45), 2, (-1.1, -0.9)),
-    ((1.66, 1.68), 0, (0.9, 1.1)),
-    ((1.0, 1.0), 1, (-0.3, 0.3)),
-)
-
-
 def mp_residue_sum(spec, z, dps=50, kmax=200):
     """The residue series over the right poles s = (B_j + k) / beta_j of an
     l = 0 spec with simple poles, summed by mpmath at dps digits, where
@@ -371,6 +360,34 @@ class TestEvalMellinBarnes:
         want = mp_residue_sum(spec, z, dps=40, kmax=150)
         assert_allclose(got, want, rtol=foxh._REFINE_TOL)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", np.geomspace(2.0, 1000.0, 120))
+    def test_refinement_does_not_alias(self, beta):
+        # H^{1,0}_{0,1}[z | (0, beta)] = exp(-z^(1/beta)) / beta stays on
+        # the fixed line, where at beta = 80 Im log f turns by about 29.5
+        # per step _H0: the first pass was refined, and the passes at h / 2
+        # and h / 4, still turning 15 and 7 per node, agreed by aliasing
+        # (5.1e42 for 4.6e-3 at z = 0.5, 8.7e258 for 1.2e-3 at beta = 300).
+        # Every value matches the closed form or is refused
+        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, beta),))
+        for z in (0.1, 0.5, 2.0, 10.0):
+            try:
+                got = eval_mellin_barnes(spec, z)
+            except FracsolError:
+                continue
+            assert_allclose(got, math.exp(-(z ** (1.0 / beta))) / beta, rtol=1e-9)
+
+    @pytest.mark.parametrize("z", [1e-4, 1e-3, 1e-2, 0.1, 1.0])
+    def test_refinement_passes_a_branch_jump(self, z):
+        # the third factor, 1 / Gamma(1 + 1.875 s), is reflected on the
+        # line Re s = -1.59, and its log jumps by 2 pi at tau = 1 / 1.875:
+        # that step is folded back, and the refined value kept (every z
+        # here raised QuadratureFailureError with the jump read as a phase
+        # step)
+        spec = HFunctionSpec(m=2, l=0, upper=(), lower=((0.0, 2.5), (-1.9, 1.75), (0.0, 1.875)))
+        want = mp_residue_sum(spec, z, dps=40, kmax=150)
+        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-10)
+
 
 class TestSaddleSearch:
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 1.9])
@@ -423,18 +440,21 @@ class TestSaddleSearch:
         assert calls == []
 
     def test_first_slid_evaluation_builds_table(self, monkeypatch):
-        # a fresh spec's first slid evaluation builds the table in one
-        # kernel call on the real axis; a second single-z evaluation, slid
-        # or not, makes none and runs line passes only
+        # a fresh spec's first slid evaluation builds the whole table, out
+        # to decay level 900, in one kernel call on the real axis (398 points
+        # on criterion 4's spec, even for a decay-level-1 argument); no later
+        # evaluation at any depth, slid or not, makes another, and each runs
+        # line passes only
         foxh._constants.cache_clear()
-        spec = case1_spec(1.5, 1)
+        spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
         calls = TestHalfLineQuadrature.record(monkeypatch)
-        eval_mellin_barnes(spec, 50.0)
+        eval_mellin_barnes(spec, decay_arg(spec, 1.0))
         real = [s for s in calls if np.all(s.imag == 0.0)]
         assert len(real) == 1 and real[0] is calls[0]
-        assert real[0].size == foxh._constants(spec).table[1].size
-        assert calls[1].real.max() < -0.5
-        for z in (1e3, 0.01):
+        c = foxh._constants(spec)
+        assert real[0].size == c.table[1].size == 398
+        assert calls[1].real.max() < c.gamma0
+        for z in (1e-3, *(decay_arg(spec, level) for level in (1e-2, 140.0, 900.0, 5e3))):
             calls.clear()
             eval_mellin_barnes(spec, z)
             assert calls and not any(np.all(s.imag == 0.0) for s in calls)
@@ -447,69 +467,6 @@ class TestSaddleSearch:
         calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(b, 40.0), eval_mellin_barnes(a, 40.0), rtol=0.0)
         assert not any(np.all(s.imag == 0.0) for s in calls)
-
-    def test_shallow_argument_builds_a_partial_table(self, monkeypatch):
-        # criterion 4's spec: the full table has 398 points, and a
-        # decay-level-1 argument, whose saddle is at point 147, builds the
-        # table only out to the level-1 reach, in one kernel call
-        foxh._constants.cache_clear()
-        spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
-        c = foxh._constants(spec)
-        assert c.lattice[1] == 398
-        calls = TestHalfLineQuadrature.record(monkeypatch)
-        eval_mellin_barnes(spec, decay_arg(spec, 1.0))
-        real = [s for s in calls if np.all(s.imag == 0.0)]
-        assert len(real) == 1 and real[0].size == c.table[1].size < 250
-
-    def test_deeper_argument_extends_the_table(self, monkeypatch):
-        # after a decay-level-1 argument, a level-140 one (where the GL
-        # profiles end) extends the table with one kernel call on the new
-        # points only; every earlier point keeps its bits, and the extended
-        # table is the first points of the full one
-        foxh._constants.cache_clear()
-        spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
-        c = foxh._constants(spec)
-        eval_mellin_barnes(spec, decay_arg(spec, 1.0))
-        before = tuple(a.copy() for a in c.table)
-        calls = TestHalfLineQuadrature.record(monkeypatch)
-        eval_mellin_barnes(spec, decay_arg(spec, 140.0))
-        real = [s for s in calls if np.all(s.imag == 0.0)]
-        n = before[0].size
-        assert len(real) == 1 and real[0].size == c.table[0].size - n > 0
-        assert c.table[0].size < c.lattice[1]
-        full = foxh._SpecConstants(spec)
-        full.grow(np.log([1e4]))
-        assert full.table[0].size == c.lattice[1]
-        for got, old, whole in zip(c.table, before, full.table):
-            assert np.array_equal(got[:n], old)
-            assert np.array_equal(got, whole[: got.size])
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        stratum=st.sampled_from(HFORM_STRATA),
-        u=st.tuples(*[st.floats(0.0, 1.0)] * 4),
-        log10_z=st.floats(-3.0, 4.0),
-    )
-    def test_value_does_not_depend_on_the_table_depth(self, stratum, u, log10_z):
-        # a value from a cold cache equals the same value after a deep
-        # warm-up, and a deep value from a cold cache equals it after a
-        # warm-up at z, bit for bit: the table only locates saddles
-        (alo, ahi), m, (dlo, dhi) = stratum
-        problem = DiffusionProblem(
-            alpha=alo + u[0] * (ahi - alo), m=m, d=dlo + u[1] * (dhi - dlo),
-            A=1.0, B=0.3 * u[2] - 0.15, C=-0.2 * u[3],
-        )
-        spec = solve(problem).form.small.spec
-        z, deep = 10.0**log10_z, decay_arg(spec, 140.0)
-        foxh._constants.cache_clear()
-        cold = outcome(spec, z)
-        foxh._real_minimum(foxh._constants(spec), np.log([1e4]))
-        assert outcome(spec, z) == cold
-        foxh._constants.cache_clear()
-        deep_cold = outcome(spec, deep)
-        foxh._constants.cache_clear()
-        outcome(spec, z)
-        assert outcome(spec, deep) == deep_cold
 
 
 class TestResidueSeriesRegimes:
