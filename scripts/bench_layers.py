@@ -18,7 +18,11 @@ accuracy it reached:
   (rebuilt on every call), with the kernel calls one call makes, the
   nodes they evaluate, those off the real axis (the contour lines) and
   those of the saddle table among them, and the relative error against
-  mpmath.meijerg;
+  mpmath.meijerg; and us per warm array evaluation of acceptance criterion
+  4's spec at 320 log-spaced z in [1e-3, 1e2], which spans the default
+  line and the slid saddle lines, with the same kernel counts, the
+  contour bands the call forms and the largest relative error against
+  one scalar call per z;
 - ``acceptance.criterion_7``: seconds per run of acceptance criterion 7's
   H identity suite as its test runs it (288 scalar ``eval_mellin_barnes``
   calls on 54 specs), warm (every spec's constants and saddle table
@@ -179,6 +183,23 @@ def count_nodes(fn):
     }}
 
 
+def count_bands(fn):
+    """The contour bands fn() forms, with count_nodes' kernel counts."""
+    bands, formed = foxh._contour_bands, []
+
+    def counting(c, z):
+        for band in bands(c, z):
+            formed.append(band)
+            yield band
+
+    foxh._contour_bands = counting
+    try:
+        counts = count_nodes(fn)
+    finally:
+        foxh._contour_bands = bands
+    return {"bands": len(formed), **counts}
+
+
 def foxh_rows(speed):
     rows = []
     for name, (spec, k) in SPECS.items():
@@ -204,6 +225,18 @@ def foxh_rows(speed):
                     "z": z, "cache": cache, "us": t * 1e6, "scaled_us": ts * 1e6,
                     **counts, "rel_err": abs(got - want) / abs(want),
                 })
+    spec = pde.solve(pde.DiffusionProblem(**GL_PROBLEM)).form.small.spec
+    zs = np.geomspace(1e-3, 1e2, 320)
+    got = foxh.eval_mellin_barnes(spec, zs)
+    t, ts = timed(lambda: foxh.eval_mellin_barnes(spec, zs), speed)
+    want = np.array([foxh.eval_mellin_barnes(spec, z) for z in zs])
+    live = want != 0.0
+    rows.append({
+        "layer": "foxh.eval_mellin_barnes", "spec": "criterion-4", "point": f"array-{zs.size}",
+        "z": [float(zs[0]), float(zs[-1])], "cache": "warm", "us": t * 1e6, "scaled_us": ts * 1e6,
+        **count_bands(lambda: foxh.eval_mellin_barnes(spec, zs)),
+        "rel_err": float(np.max(np.abs(got[live] / want[live] - 1.0))),
+    })
     return rows
 
 
@@ -297,29 +330,23 @@ def residual_row(speed):
     def call():
         return verify.residual_pde(sol, prob, GL_GRID, h=GL_STEP)
 
-    counts = {"calls": 0, "bands": 0}
-    batch, bands = verify.eval_mellin_barnes_batch, foxh._contour_bands
+    calls, batch = [], verify.eval_mellin_barnes_batch
 
     def counting_batch(spec, z):
-        counts["calls"] += 1
+        calls.append(z)
         return batch(spec, z)
-
-    def counting_bands(c, z):
-        for band in bands(c, z):
-            counts["bands"] += 1
-            yield band
 
     # warm: the spec's constants and saddle table are built before counting
     report = call()
-    verify.eval_mellin_barnes_batch, foxh._contour_bands = counting_batch, counting_bands
+    verify.eval_mellin_barnes_batch = counting_batch
     try:
-        nodes = count_nodes(call)
+        counts = count_bands(call)
     finally:
-        verify.eval_mellin_barnes_batch, foxh._contour_bands = batch, bands
+        verify.eval_mellin_barnes_batch = batch
     t, ts = timed(call, speed)
     return {"layer": "verify.residual_pde", "grid_points": len(GL_GRID), "h": GL_STEP,
-            "s": t, "scaled_s": ts, "h_batch_calls": counts["calls"], "bands": counts["bands"],
-            **nodes, "max_rel_err": report.max_rel_err}
+            "s": t, "scaled_s": ts, "h_batch_calls": len(calls), **counts,
+            "max_rel_err": report.max_rel_err}
 
 
 # runs the CLI, then prints the peak RSS of its own address space (VmHWM,

@@ -27,18 +27,18 @@ On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and K is
 evaluated once per band and pass: the first passes of all the call's
 bands together in one kernel call, and each later doubling or refinement
-pass of a band in one more.  Every z that stays at gamma0 shares that
-line, and slid z are grouped under the saddle of a member near the
-band's first (its member nearest gamma0) so that no member's phi_z at
+pass of a band in one more.  Every z that stays at gamma0 joins one band
+on that line, and slid z are grouped under the saddle of a member near
+the band's first (its member nearest gamma0) so that no member's phi_z at
 the band's abscissa exceeds its own saddle value by more than _BAND_LOSS
-= 4 e-folds.  Its relative rounding error then grows by at
-most e^4, to about 1e-14.  Since log f = K(s) + gamma log z + i tau log z
-on the line, each pass's only (z x nodes) array is one float64 matrix of
-cos(Im K + tau log z) (see _trapezoid_line).  Memory, not a count of z,
-bounds a band: it holds at most _BAND_ELEMENTS // n z, n its first-pass
-node count, so that matrix stays within 2^13 elements, 64 KiB, on the
-first pass.  A band ends at a wide gap in log z, so z that a caller
-differences, as a finite-difference stencil does, share one line.
+= 4 e-folds.  Its relative rounding error then grows by at most e^4, to
+about 1e-14.  A slid band also ends at a wide gap in log z, so z that a
+caller differences, as a finite-difference stencil does, share one line.
+Since log f = K(s) + gamma log z + i tau log z on the line, each pass's
+only (z x nodes) array is a float64 matrix of cos(Im K + tau log z) (see
+_trapezoid_line), built in row blocks of at most _BLOCK_ELEMENTS = 2^13
+elements, 64 KiB, or of one z when one z's nodes are more: the memory
+bound lies there, not on a band, and _log_integrand chunks by it too.
 
 The quadrature is the trapezoid rule in tau on s = gamma + i tau, summed
 over tau >= 0 only.  HFunctionSpec holds real parameters and z is real
@@ -127,9 +127,9 @@ _BAND_LOSS = 4.0
 # a band's line lies at most _LINE_LOSS e-folds above its first member's
 # saddle value (see _contour_bands)
 _LINE_LOSS = 0.125
-# a band's first-pass (z x nodes) cosine matrix holds at most this many
-# elements, 64 KiB of float64
-_BAND_ELEMENTS = 2**13
+# elements of one block of a pass's (z x nodes) cosine matrix, 64 KiB of
+# float64, and of one ln_gamma_vec call in _log_integrand
+_BLOCK_ELEMENTS = 2**13
 _MAX_REFINE = 6
 _H0 = 0.1
 # the first pass spans |tau| <= _DECAY_LOGS / (pi omega / 2), where the
@@ -154,8 +154,6 @@ _SADDLE_GAP = 1e-3
 _SADDLE_DV = 0.025
 _SADDLE_STEP = 0.65
 _SADDLE_STRIDE = 16
-# ln_gamma_vec elements per call in _log_integrand
-_LN_GAMMA_CHUNK = 4096
 # the contour refuses a value whose rounding, eps times the integral of
 # |f|, exceeds this share of |H| (the rule wright.evaluate applies to its
 # terms)
@@ -174,6 +172,11 @@ class HFunctionSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(al)) for a, al in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(be)) for b, be in self.lower))
+        # stored as int: the spec is the _constants key, where 1, 1.0 and True are one
+        if not (float(self.m).is_integer() and float(self.l).is_integer()):
+            raise ValueError(f"(m,l) = ({self.m},{self.l}) must be integers")
+        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "l", int(self.l))
         if not (0 <= self.m <= self.q and 0 <= self.l <= self.p):
             raise ValueError(f"invalid (m,l) = ({self.m},{self.l}) for p={self.p}, q={self.q}")
         if (self.m, self.l) == (0, 0):
@@ -292,7 +295,7 @@ def _log_integrand(spec: HFunctionSpec, s):
     """Log of the gamma-ratio kernel (without z^s) on an array of s values.
 
     The kernel is a product of factors Gamma(c0 + c1 s)^(+-1).  Their
-    arguments go through ln_gamma_vec together, _LN_GAMMA_CHUNK elements
+    arguments go through ln_gamma_vec together, _BLOCK_ELEMENTS elements
     per call: on the short arrays of the first contour passes one call
     replaces one per factor, whose fixed cost outweighs the cost per
     element, and on long passes the chunks bound the size of its
@@ -302,7 +305,7 @@ def _log_integrand(spec: HFunctionSpec, s):
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     out = np.empty_like(flat)
-    step = _LN_GAMMA_CHUNK // len(c.c0)
+    step = _BLOCK_ELEMENTS // len(c.c0)
     for i in range(0, flat.size, step):
         out[i : i + step] = (c.sign * ln_gamma_vec(c.c0 + c.c1 * flat[i : i + step])).sum(axis=0)
     return out.reshape(s.shape)
@@ -312,13 +315,6 @@ def _first_pass_steps(omega: float, h0: float) -> int:
     """Steps n of the first pass at step h0: its nodes are tau = k h0,
     0 <= k <= n (the truncation rule of the module docstring)."""
     return max(int(math.ceil(_DECAY_LOGS / (math.pi * omega / 2.0) / h0)), _N_MIN)
-
-
-def _band_size(omega: float, h0: float) -> int:
-    """The most z a band on step h0 may hold: its first-pass (z x nodes)
-    array stays within _BAND_ELEMENTS, or holds one z when one z's is
-    larger (omega near 0)."""
-    return max(_BAND_ELEMENTS // (_first_pass_steps(omega, h0) + 1), 1)
 
 
 def _trapezoid_line(
@@ -376,11 +372,17 @@ def _trapezoid_line(
 
     def cosine_sums(tau, im_k, columns):
         # sum_j columns[c, j] cos(Im K_j + tau_j log z) for each open z: the
-        # pass's one (z x nodes) array, reduced by einsum in a fixed order (a
-        # BLAS product may thread, and its digits then depend on the count)
-        arg = np.multiply.outer(log_z, tau)
-        arg += im_k
-        return np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns)
+        # pass's one (z x nodes) array, built in blocks of rows of at most
+        # _BLOCK_ELEMENTS (one row when a row is longer) and reduced by
+        # einsum in a fixed order (a BLAS product may thread, and its digits
+        # then depend on the count)
+        out = np.empty((log_z.size, len(columns)))
+        rows = max(_BLOCK_ELEMENTS // tau.size, 1)
+        for i in range(0, log_z.size, rows):
+            arg = np.multiply.outer(log_z[i : i + rows], tau)
+            arg += im_k
+            np.einsum("zj,cj->zc", np.cos(arg, out=arg), columns, out=out[i : i + rows])
+        return out
 
     def resolved(steps):
         # each open z's steps of Im log f = Im K + tau log z at step h are below pi / 2
@@ -554,27 +556,28 @@ def _end_at_gap(log_z: np.ndarray, size: int) -> int:
 def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
-    Yields (abscissa, indices into z, first-pass step h0), at most
-    _band_size(omega, h0) indices each.
+    Yields (abscissa, indices into z, first-pass step h0).  A band bounds
+    no array: _trapezoid_line builds its (z x nodes) matrix in blocks.
     The default line gamma0 lies in the strip left < Re s < right.  The
     contour slides to the real saddle sigma*_z when that lies beyond gamma0
     on the side without poles: left for (m, l) = (q, 0) with nu > 0, right
     for its mirror (0, p) with nu < 0.  There the integrand has no poles and
     log|integrand| is smooth.  One _real_minimum call finds every z's saddle
     on the spec's saddle table, and Re K there, so the grouping evaluates no
-    kernel.  Every other z stays on gamma0, in bands of neighbouring z.
+    kernel.  Every other z stays on gamma0, and all of them form one band.
     Slid z, nearest gamma0 first, share the deepest saddle on which the
     band's first member loses at most _LINE_LOSS, and the band takes the
     following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
-    each.  h0 comes from the first member's saddle, the narrowest Gaussian
-    and the nearest pole of the band.  The line stays near the first member:
-    a member between it and gamma0 adds its offset log z - log z_line to the
-    drift of Im log f along the line, and the first pass's phase test then
-    sends it on to refinement; deeper members subtract it.  On the first
-    member's own saddle, the line lies so near the pole that the deepest
-    members miss the first-pass estimate.
+    each, up to the gap _end_at_gap picks.  h0 comes from the first
+    member's saddle, the narrowest Gaussian and the nearest pole of the
+    band.  The line stays near the first member: a member between it and
+    gamma0 adds its offset log z - log z_line to the drift of Im log f
+    along the line, and the first pass's phase test then sends it on to
+    refinement; deeper members subtract it.  On the first member's own
+    saddle, the line lies so near the pole that the deepest members miss
+    the first-pass estimate.
     """
-    d, omega = c.d, c.conv.omega
+    d = c.d
     log_z = np.log(z)
     fixed = np.arange(len(z))
     order = fixed[:0]
@@ -583,24 +586,21 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
         slid = d * sstar < d * c.gamma0
         fixed, order = (~slid).nonzero()[0], slid.nonzero()[0]
         order = order[(-d * sstar[order]).argsort(kind="stable")]
-    fixed = fixed[z[fixed].argsort(kind="stable")]
-    while fixed.size:
-        size = _end_at_gap(log_z[fixed], _band_size(omega, _H0))
-        yield c.gamma0, fixed[:size], _H0
-        fixed = fixed[size:]
+    if fixed.size:
+        yield c.gamma0, fixed, _H0
     while order.size:
         a = line = order[0]
         # the step rule of the module docstring; a NaN K'' (no fit) keeps _H0
         curv = kpp.item(a)
         h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar.item(a) - c.edge) / 5.0)) if curv > 0 else _H0
-        w = order[: _band_size(omega, h0)]
-        if w.size > 1:
-            phi = kernel[w] + sstar[w] * log_z[w]
-            first = kernel[w] + sstar[w] * log_z[a] - phi[0]
-            line = w[np.cumprod(first <= _LINE_LOSS).sum() - 1]
-            loss = kernel[line] + sstar[line] * log_z[w] - phi
-            w = w[: np.cumprod(loss <= _BAND_LOSS).sum()]
-        size = _end_at_gap(log_z[order[: w.size + 1]], w.size)
+        size = 1
+        if order.size > 1:
+            lz = log_z[order]
+            phi = kernel[order] + sstar[order] * lz
+            first = kernel[order] + sstar[order] * lz[0] - phi[0]
+            line = order[np.cumprod(first <= _LINE_LOSS).sum() - 1]
+            loss = kernel[line] + sstar[line] * lz - phi
+            size = _end_at_gap(lz, np.cumprod(loss <= _BAND_LOSS).sum())
         yield sstar.item(line), order[:size], h0
         order = order[size:]
 

@@ -106,16 +106,12 @@ def series_term(spec: WrightSpec, z, k: int) -> complex:
 
 def coefficients(spec: WrightSpec, order: int, lam: float = 1.0) -> tuple:
     """Coefficients lam^j * series_term(spec, 1, j), j = 0..order, of
-    pPsiq[lam w] as a power series in w, for a real lam.  Where lam^j
-    overflows, the coefficient need not: log|lam| then goes into the term's
-    log and sign(lam)^j stays outside it, which keeps real ones real."""
-    out = []
-    for j in range(order + 1):
-        try:
-            out.append(series_term(spec, 1.0, j) * lam**j)
-        except OverflowError:
-            out.append(math.copysign(1.0, lam) ** j * series_term(spec, abs(lam), j))
-    return tuple(out)
+    pPsiq[lam w] as a power series in w, for a real lam.  log|lam| goes
+    into each term's log and sign(lam)^j stays outside it, so a coefficient
+    is finite where lam^j overflows, and real ones stay real."""
+    return tuple(
+        math.copysign(1.0, lam) ** j * series_term(spec, abs(lam), j) for j in range(order + 1)
+    )
 
 
 def evaluate(spec: WrightSpec, z) -> complex:

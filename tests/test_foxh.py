@@ -92,6 +92,20 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             HFunctionSpec(m=0, l=0, upper=((1.0, 1.0),), lower=((0.0, 1.0),))
 
+    def test_rejects_non_integer_m_or_l(self):
+        # m = 1.5 constructed, and evaluating it raised a bare TypeError
+        # from a float slice index
+        with pytest.raises(ValueError, match="integers"):
+            HFunctionSpec(m=1.5, l=0, upper=(), lower=((0, 1), (0.5, 1)))
+        with pytest.raises(ValueError, match="integers"):
+            HFunctionSpec(m=1, l=0.5, upper=((0.5, 1),), lower=((0, 1), (0.5, 1)))
+
+    def test_integral_m_and_l_are_stored_as_int(self):
+        # the spec keys the _constants cache, where 1, 1.0 and True are one key
+        specs = [HFunctionSpec(m=m, l=0.0, upper=(), lower=((0, 1),)) for m in (1.0, True, 1)]
+        assert all(type(spec.m) is int and type(spec.l) is int for spec in specs)
+        assert eval_mellin_barnes(specs[0], 2.0) == eval_mellin_barnes(specs[2], 2.0)
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, -1.0),))
@@ -523,37 +537,65 @@ class TestBatchedEvaluation:
         # the shared kernel: under a quarter of the scalar calls' nodes
         assert batched < sum(sizes) / 4
 
-    def test_bands_sized_by_first_pass_array(self, monkeypatch):
-        # criterion 4's spec at 320 log-spaced z: each band's first-pass
-        # (z x nodes) array holds at most 2^13 elements, the call takes at
-        # most 6 bands (a cap of 32 z per band needed 10), and a shared
-        # line moves no value by 1e-10 from its single-z evaluation
-        first_pass = []
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """The (z, nodes) shape of every cosine block the contour lines build."""
+        rows, einsum = [], np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            if subscripts == "zj,cj->zc":
+                rows.append(operands[0].shape)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        return rows
+
+    def test_cosine_blocks_within_array_bound(self, monkeypatch):
+        # criterion 4's spec at 320 log-spaced z: the call takes at most 6
+        # bands (a cap of 32 z per band needed 10); a band's first-pass
+        # (z x nodes) array may pass 2^13 elements, but no cosine block of
+        # it does, and a shared line moves no value by 1e-10 from its
+        # single-z evaluation.  From z = 1e-3 on, the z whose saddle lies
+        # right of gamma0 stay on it, all in one band
+        bands = []
         trapezoid_line = foxh._trapezoid_line
 
         def line(spec, z, gamma, omega, h0, k):
             # k is the kernel on the band's first-pass nodes
-            first_pass.append((len(z), k.size))
+            bands.append((gamma, len(z), k.size))
             return trapezoid_line(spec, z, gamma, omega, h0, k)
 
         zs = np.geomspace(0.1, 50.0, 320)
         monkeypatch.setattr(foxh, "_trapezoid_line", line)
+        blocks = self.record_blocks(monkeypatch)
         got = eval_mellin_barnes(GL_SPECS[0], zs)
         monkeypatch.undo()
-        assert len(first_pass) <= 6
-        assert sum(n_z for n_z, _ in first_pass) == zs.size
-        assert max(n_z * nodes for n_z, nodes in first_pass) <= 2**13
+        assert len(bands) <= 6
+        assert sum(n_z for _, n_z, _ in bands) == zs.size
+        assert max(n_z * nodes for _, n_z, nodes in bands) > 2**13
+        assert max(n_z * nodes for n_z, nodes in blocks) <= 2**13
         want = np.array([eval_mellin_barnes(GL_SPECS[0], z) for z in zs])
         assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        c, zs = foxh._constants(GL_SPECS[0]), np.geomspace(1e-3, 50.0, 320)
+        stay = np.count_nonzero(foxh._real_minimum(c, np.log(zs))[0] >= c.gamma0)
+        bands.clear()
+        monkeypatch.setattr(foxh, "_trapezoid_line", line)
+        eval_mellin_barnes(GL_SPECS[0], zs)
+        assert stay > 0
+        assert [n_z for gamma, n_z, _ in bands if gamma == c.gamma0] == [stay]
 
-    def test_one_z_per_band_past_the_array_bound(self):
+    def test_one_z_per_block_past_the_array_bound(self, monkeypatch):
         # omega = 0.02: one z's first pass has 9,550 nodes, more than the
-        # 2^13 elements a band's array may hold, so each band takes one z
+        # 2^13 elements a cosine block may hold, so each block takes one z
         spec = HFunctionSpec(m=1, l=0, upper=((0.5, 0.98),), lower=((0.0, 1.0),))
-        assert foxh._band_size(convergence_params(spec).omega, foxh._H0) == 1
         zs = np.array([0.5, 1.0, 2.0])
         want = [eval_mellin_barnes(spec, z) for z in zs]
-        assert_allclose(eval_mellin_barnes(spec, zs), want, rtol=1e-12)
+        blocks = self.record_blocks(monkeypatch)
+        got = eval_mellin_barnes(spec, zs)
+        monkeypatch.undo()
+        assert blocks and all(n_z == 1 for n_z, _ in blocks)
+        assert max(nodes for _, nodes in blocks) > 2**13
+        assert_allclose(got, want, rtol=1e-12)
 
     def test_exp_array_with_underflow(self):
         # exp(-z) lies below the smallest subnormal beyond z = 745
@@ -584,13 +626,13 @@ class TestBatchedEvaluation:
 
     def test_kernel_matches_factor_loop(self):
         # the stacked arguments of every factor, in chunks of
-        # _LN_GAMMA_CHUNK elements, give the same numbers as one
+        # _BLOCK_ELEMENTS elements, give the same numbers as one
         # ln_gamma_vec call per factor
         spec = HFunctionSpec(
             m=1, l=1, upper=((0.3, 0.7), (1.0, 1.8)), lower=((0.2, 1.0), (0.5, 0.5))
         )
-        s = 0.1 + 1j * np.linspace(-40.0, 40.0, 2501)
-        assert 4 * s.size > 2 * foxh._LN_GAMMA_CHUNK
+        s = 0.1 + 1j * np.linspace(-40.0, 40.0, 4501)
+        assert 4 * s.size > 2 * foxh._BLOCK_ELEMENTS
         want = (
             ln_gamma_vec(0.2 - 1.0 * s)
             + ln_gamma_vec(1.0 - 0.3 + 0.7 * s)
