@@ -66,7 +66,8 @@ class PreconditionViolationError(FracsolError):
 
 
 class DomainError(FracsolError):
-    """Evaluation point outside the open domain x > 0, t > 0."""
+    """Evaluation point outside the open domain x > 0, t > 0, or where a
+    quantity of the solution's formula passes the double range."""
 
 
 class InputError(FracsolError):

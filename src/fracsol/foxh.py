@@ -32,8 +32,10 @@ on that line, and slid z are grouped under the saddle of a member near
 the band's first (its member nearest gamma0) so that no member's phi_z at
 the band's abscissa exceeds its own saddle value by more than _BAND_LOSS
 = 4 e-folds.  Its relative rounding error then grows by at most e^4, to
-about 1e-14.  A slid band also ends at a wide gap in log z, so z that a
-caller differences, as a finite-difference stencil does, share one line.
+about 1e-14.  A band ends only there, so a caller's finite-difference
+stencil may straddle two lines: with each of its z on its own line,
+verify's Richardson u_xx moved by at most 4.6e-6 of max(|u_xx|, |u| /
+x^2) over 1,890 random solution stencils, against GL gates of 1e-3.
 Since log f = K(s) + gamma log z + i tau log z on the line, each pass's
 only (z x nodes) array is a float64 matrix of cos(Im K + tau log z) (see
 _trapezoid_line), built in row blocks of at most _BLOCK_ELEMENTS = 2^13
@@ -92,7 +94,7 @@ extending T, and then refining, until each of its z has passed.  A
 value whose modulus bound lies below the double range returns 0.0 after
 the first pass; one whose bound lies above it, a stalled refinement or a
 runaway T raises QuadratureFailureError, and a value whose rounding,
-eps times the integral of |f|, exceeds _CANCEL_TOL of |H| after any
+eps times the integral of |f|, exceeds CANCEL_TOL of |H| after any
 refinement pass raises CancellationError, agreed or not (as at small z
 on the fixed line of an m < q spec, where f is about z^(-1/2) times
 larger than H).
@@ -114,7 +116,7 @@ from .errors import (
     QuadratureFailureError,
     UnsupportedClassError,
 )
-from .gammafn import ln_gamma_vec
+from .gammafn import CANCEL_TOL, EPS, LOG_MAX, ln_gamma_vec
 
 _REFINE_TOL = 1e-9
 # share of _REFINE_TOL the squared first-pass estimate may take (the safety
@@ -140,11 +142,8 @@ _N_MIN = 40
 _MAX_DOUBLINGS = 6
 # share of _REFINE_TOL the truncated tail may take
 _TAIL_FRACTION = 1e-2
-_EPS = np.finfo(float).eps
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
-# log of the largest double: a bound above it is refused
-_LOG_OVERFLOW = math.log(np.finfo(float).max)
 # the saddle table (see _real_minimum) starts _SADDLE_GAP off the strip
 # edge and steps by _SADDLE_DV in v, 0.05 in log|sigma - edge| near the
 # edge; far from it a step moves phi_z by about _SADDLE_STEP^2 / 2 = 0.21
@@ -154,10 +153,6 @@ _SADDLE_GAP = 1e-3
 _SADDLE_DV = 0.025
 _SADDLE_STEP = 0.65
 _SADDLE_STRIDE = 16
-# the contour refuses a value whose rounding, eps times the integral of
-# |f|, exceeds this share of |H| (the rule wright.evaluate applies to its
-# terms)
-_CANCEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,7 @@ def convergence_params(spec: HFunctionSpec) -> HConvergence:
     )
     log_mu = math.fsum(a * math.log(a) for a in alphas) - math.fsum(b * math.log(b) for b in betas)
     # saturates to inf past the double range, as it underflows to 0.0
-    mu = math.exp(log_mu) if log_mu <= _LOG_OVERFLOW else math.inf
+    mu = math.exp(log_mu) if log_mu <= LOG_MAX else math.inf
     delta = (
         math.fsum(b for b, _ in spec.lower)
         - math.fsum(a for a, _ in spec.upper)
@@ -362,7 +357,7 @@ def _trapezoid_line(
     of 2 pi to within pi of their median, are below pi / 2: a branch jump
     is one step, an undersampled oscillation most of them.  A z whose
     value after a refinement pass, agreed or not, is below eps sum|f| /
-    _CANCEL_TOL raises CancellationError.
+    CANCEL_TOL raises CancellationError.
     """
     rate = math.pi * omega / 2.0
     out = np.zeros(len(z))
@@ -419,7 +414,7 @@ def _trapezoid_line(
             idx, log_z, ref, sums = (a[live] for a in (idx, log_z, ref, sums))
             if not idx.size:
                 return out
-        floor = h * np.maximum(_TAIL_FRACTION * _REFINE_TOL * np.abs(sums[:, 0]), _EPS * total_abs)
+        floor = h * np.maximum(_TAIL_FRACTION * _REFINE_TOL * np.abs(sums[:, 0]), EPS * total_abs)
         if tail <= floor.min():
             break
         if doubling == _MAX_DOUBLINGS:
@@ -437,7 +432,7 @@ def _trapezoid_line(
     # |H| <= e^ref max(1, integral|f|) / 2 pi: with that bound in range, no
     # value, refined or not, and no e^ref overflows; past it (a weight of
     # 1000 puts e^ref at e^2605 for H = 3.7e-4) the line sum is out of scale
-    if ref.max() + max(0.0, math.log(total_abs)) >= _LOG_OVERFLOW:
+    if ref.max() + max(0.0, math.log(total_abs)) >= LOG_MAX:
         raise QuadratureFailureError(
             f"contour sum at z = {z[idx[ref.argmax()]]} passes the double range "
             f"(scale e^{ref.max():.4g})"
@@ -450,7 +445,7 @@ def _trapezoid_line(
     )
     im_k = np.concatenate(phase)
     first &= resolved(im_k[1:] - im_k[:-1])
-    first &= _EPS * total_abs <= _CANCEL_TOL * size
+    first &= EPS * total_abs <= CANCEL_TOL * size
     out[idx[first]] = np.exp(ref[first]) / (2.0 * math.pi) * val[first]
     if first.all():
         return out
@@ -468,9 +463,9 @@ def _trapezoid_line(
         steps -= 2.0 * math.pi * np.round((steps - np.median(steps)) / (2.0 * math.pi))
         agree = (np.abs(new - val) <= _REFINE_TOL * np.abs(new)) & resolved(steps)
         # eps * integral|f| is fixed on the truncation lattice: a z whose
-        # rounding exceeds _CANCEL_TOL of its value is refused whether or not
+        # rounding exceeds CANCEL_TOL of its value is refused whether or not
         # its passes agree, since above _REFINE_TOL of it they never can
-        cancels = _EPS * total_abs > _CANCEL_TOL * np.abs(new)
+        cancels = EPS * total_abs > CANCEL_TOL * np.abs(new)
         if cancels.any():
             j = np.flatnonzero(cancels)[0]
             # a sum that cancels to exactly 0.0 has an infinite ratio
@@ -538,21 +533,6 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     return sigma_min, kpp, kernel[j] + (sigma[j] - sigma_min) * log_z - drop
 
 
-def _end_at_gap(log_z: np.ndarray, size: int) -> int:
-    """A band's z count: size, or less so that the band ends at the last
-    gap in log z, within its last quarter, that is at least half the widest
-    there.  log_z holds the remaining z in band order, the band's and the
-    next one's at least.  z that a caller differences, as a
-    finite-difference stencil does, are far closer than their neighbours
-    and so share one line: the second difference would magnify the
-    rounding gap between two lines by about 1 / dx^2."""
-    if size >= log_z.size:
-        return size
-    lo = max(size - size // 4, 1)
-    gaps = np.abs(np.diff(log_z[lo - 1 : size + 1]))
-    return lo + int(np.flatnonzero(gaps >= gaps.max() / 2.0)[-1])
-
-
 def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
@@ -568,14 +548,15 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     Slid z, nearest gamma0 first, share the deepest saddle on which the
     band's first member loses at most _LINE_LOSS, and the band takes the
     following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
-    each, up to the gap _end_at_gap picks.  h0 comes from the first
-    member's saddle, the narrowest Gaussian and the nearest pole of the
-    band.  The line stays near the first member: a member between it and
-    gamma0 adds its offset log z - log z_line to the drift of Im log f
-    along the line, and the first pass's phase test then sends it on to
-    refinement; deeper members subtract it.  On the first member's own
-    saddle, the line lies so near the pole that the deepest members miss
-    the first-pass estimate.
+    each, and ends at the first z that would break it, even inside a
+    caller's stencil (the module docstring bounds what that costs).  h0
+    comes from the first member's saddle, the narrowest Gaussian and the
+    nearest pole of the band.  The line stays near the first member: a
+    member between it and gamma0 adds its offset log z - log z_line to the
+    drift of Im log f along the line, and the first pass's phase test then
+    sends it on to refinement; deeper members subtract it.  On the first
+    member's own saddle, the line lies so near the pole that the deepest
+    members miss the first-pass estimate.
     """
     d = c.d
     log_z = np.log(z)
@@ -600,7 +581,7 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
             first = kernel[order] + sstar[order] * lz[0] - phi[0]
             line = order[np.cumprod(first <= _LINE_LOSS).sum() - 1]
             loss = kernel[line] + sstar[line] * lz - phi
-            size = _end_at_gap(lz, np.cumprod(loss <= _BAND_LOSS).sum())
+            size = np.cumprod(loss <= _BAND_LOSS).sum()
         yield sstar.item(line), order[:size], h0
         order = order[size:]
 

@@ -18,6 +18,7 @@ from .errors import (
     BranchMismatchError,
     ComplexRootsError,
     DegenerateLeadingError,
+    DomainError,
     UnsupportedClassError,
 )
 from .foxh import HFunctionSpec, eval_mellin_barnes
@@ -82,7 +83,10 @@ class SmallAlphaForm:
     power: float  # alpha + m
 
     def evaluate(self, z: float) -> complex:
-        return eval_mellin_barnes(self.spec, self.arg_coef * z ** (-self.power))
+        w = self.arg_coef * z ** (-self.power)
+        if 0.0 < w < math.inf:
+            return eval_mellin_barnes(self.spec, w)
+        raise DomainError(f"the H argument {w!r} at z = {z!r} passes the double range")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
 )
 from .fracseries import DEFAULT_ORDER_VERIFY
+from .gammafn import LOG_MAX
 
 
 @dataclass(frozen=True)
@@ -164,18 +165,33 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
 
 
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
-    """Evaluate a solution at a point of the open quadrant x, t > 0."""
+    """Evaluate a solution at a point of the open quadrant x, t > 0, or
+    raise DomainError, naming the quantity, where z, a power of x or t, the
+    H argument or the value passes the double range."""
     if x <= 0 or t <= 0:
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
     form, problem = sol.form, sol.problem
-    if isinstance(form, ClosedFormExp):
-        return (
-            problem.constant(1)
-            * x**form.x_exponent
-            * t**form.t_exponent
-            * math.exp(-form.exp_coef * x ** (2.0 - problem.d) * t ** (-(1.0 + problem.m)))
-        )
-    return x**problem.a * form.evaluate(problem.z(x, t))
+    closed = isinstance(form, ClosedFormExp)
+    try:
+        if closed:
+            u = problem.constant(1) * x**form.x_exponent * t**form.t_exponent * math.exp(
+                -form.exp_coef * x ** (2.0 - problem.d) * t ** (-(1.0 + problem.m))
+            )
+        else:
+            z = problem.z(x, t)
+            # 0 or inf after an under- or overflowing product
+            u = x**problem.a * form.evaluate(z) if 0.0 < z < math.inf else math.inf
+    except OverflowError:
+        u = math.inf
+    if cmath.isfinite(u):
+        return u
+    if closed:
+        what = f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
+    else:
+        log_z = (problem.d - 2.0) / problem.rho * math.log(x) + math.log(t)
+        big = abs(log_z) > LOG_MAX
+        what = f"z = e^{log_z:.6g}" if big else f"x^a phi(z) at z = {math.exp(log_z):.6g}"
+    raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
 
 
 def series_members(sol: PdeSolution, order: int = DEFAULT_ORDER_VERIFY):

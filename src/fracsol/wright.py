@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CancellationError, DivergentInputError, NoConvergenceError
-from .gammafn import gamma_reciprocal, is_nonpositive_integer, ln_gamma_vec
+from .gammafn import (
+    CANCEL_TOL, EPS, LOG_MAX, gamma_reciprocal, is_nonpositive_integer, ln_gamma_vec
+)
 
 _EPS_REL = 1e-15
 _TERM_CAP = 500
-_EPS = np.finfo(float).eps
-_CANCEL_TOL = 1e-10
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,6 @@ class WrightSpec:
         for a, w in self.upper + self.lower:
             if not (cmath.isfinite(a) and math.isfinite(w)) or w == 0.0:
                 raise ValueError("Wright parameters must be finite, weights nonzero")
-
-    @property
-    def p(self) -> int:
-        return len(self.upper)
-
-    @property
-    def q(self) -> int:
-        return len(self.lower)
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,7 @@ def series_term(spec: WrightSpec, z, k: int) -> complex:
         lt += complex(ln_gamma_vec(a + al * k))
     for b, be in spec.lower:
         lt -= complex(ln_gamma_vec(b + be * k))
-    if lt.real > _LOG_MAX:
+    if lt.real > LOG_MAX:
         raise NoConvergenceError(f"Wright series term {k} at z = {z} overflows")
     return complex(np.exp(lt))
 
@@ -121,7 +112,7 @@ def evaluate(spec: WrightSpec, z) -> complex:
     partial sum.  Raises DivergentInputError outside the radius,
     NoConvergenceError when the 500-term cap is reached before that stop
     rule fires or a term overflows, and CancellationError when
-    eps * sum|t_k| exceeds _CANCEL_TOL = 1e-10 times |sum t_k|: the
+    eps * sum|t_k| exceeds CANCEL_TOL = 1e-10 times |sum t_k|: the
     rounding of the largest terms alone would then exceed 1e-10 of the
     result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
     """
@@ -148,7 +139,7 @@ def evaluate(spec: WrightSpec, z) -> complex:
         if k > 0 and mag < _EPS_REL * max(abs(total), 1e-300):
             small_run += 1
             if small_run >= 3:
-                if _EPS * total_abs > _CANCEL_TOL * abs(total):
+                if EPS * total_abs > CANCEL_TOL * abs(total):
                     raise CancellationError(
                         f"Wright series at z = {z} cancels: sum|t_k| / |sum t_k| = "
                         f"{total_abs / abs(total) if total else math.inf:.3g}"

@@ -624,6 +624,44 @@ class TestBatchedEvaluation:
         assert want[0] > 0.0
         assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    def test_slid_bands_end_at_the_loss_bound(self):
+        # 5-point clusters at relative step 1e-3, as a finite-difference
+        # stencil makes, and one more centred where the first slid band's
+        # loss crosses _BAND_LOSS: every slid band ends at the first z that
+        # would break the bound, inside a cluster or not
+        c = foxh._constants(case1_spec(0.8, 1))
+
+        def clusters(centres):
+            return (np.sort(centres)[:, None] * (1.0 + 1e-3 * np.arange(-2, 3))).ravel()
+
+        def own_minimum(z):
+            # phi_z at z's own saddle, and the saddles and Re K there
+            sstar, _, kernel = foxh._real_minimum(c, np.log(z))
+            return kernel + sstar * np.log(z), sstar, kernel
+
+        def slid_bands(z):
+            # (z -> phi_z at the band's abscissa, the band's indices)
+            _, sstar, kernel = own_minimum(z)
+            bands = []
+            for line, idx, _ in foxh._contour_bands(c, z):
+                if line != c.gamma0:
+                    k = kernel[np.flatnonzero(sstar == line)[0]]
+                    bands.append((lambda v, k=k, line=line: k + line * np.log(v), idx))
+            return bands
+
+        centres = np.geomspace(1e-2, 1e3, 40)
+        z = clusters(centres)
+        (at_line, first), (_, second) = slid_bands(z)[:2]
+        fine = np.geomspace(z[first[-1]], z[second[0]], 4001)
+        crossing = fine[np.argmax(at_line(fine) - own_minimum(fine)[0] > foxh._BAND_LOSS)]
+        z = clusters(np.append(centres, crossing))
+        bands = slid_bands(z)
+        assert any(idx[-1] % 5 != 4 for _, idx in bands)
+        for (at_line, idx), (_, following) in zip(bands, bands[1:]):
+            loss = at_line(z) - own_minimum(z)[0]
+            assert np.all(loss[idx] <= foxh._BAND_LOSS)
+            assert loss[following[0]] > foxh._BAND_LOSS
+
     def test_kernel_matches_factor_loop(self):
         # the stacked arguments of every factor, in chunks of
         # _BLOCK_ELEMENTS elements, give the same numbers as one
@@ -976,6 +1014,23 @@ class TestGaussMultiplication:
     def test_shape_mismatch(self):
         with pytest.raises(PreconditionViolationError):
             gauss_multiplication_reduce(EXP_SPEC, 2)
+
+    @pytest.mark.parametrize(
+        "drop, r, error, match",
+        [
+            # the upper (1, 2) is there, the lower (1/2, 1) is not
+            (0, 2, PreconditionViolationError, "missing lower entry"),
+            (None, 0, ValueError, "positive integer"),
+            (None, -1, ValueError, "positive integer"),
+        ],
+    )
+    def test_refusals(self, drop, r, error, match):
+        spec = self.augmented(EXP_SPEC, 2)
+        if drop is not None:
+            lower = spec.lower[:drop] + spec.lower[drop + 1 :]
+            spec = HFunctionSpec(m=spec.m - 1, l=0, upper=spec.upper, lower=lower)
+        with pytest.raises(error, match=match):
+            gauss_multiplication_reduce(spec, r)
 
 
 class TestAsymptoticEstimate:

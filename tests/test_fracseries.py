@@ -256,6 +256,14 @@ class TestAlignSeries:
         with pytest.raises(ExponentMisalignmentError):
             align_series(a, b)
 
+    @pytest.mark.parametrize("gamma0", [0.75, 1.0 + 1e-6, 2.5 - 1e-6])
+    def test_off_lattice_start_rejected(self, gamma0):
+        # same step, but b's first exponent lies between two of a's
+        a = FracPowerSeries(gamma0=0.5, rho=0.5, coeffs=(1.0, 2.0, 3.0, 4.0))
+        b = FracPowerSeries(gamma0=gamma0, rho=0.5, coeffs=(1.0, 2.0))
+        with pytest.raises(ExponentMisalignmentError, match="common lattice"):
+            align_series(a, b)
+
     def test_second_series_below_first_rejected(self):
         # an offset of -1 would pair b's z^0 with a.coeffs[-1], the z^3 term
         a = FracPowerSeries(gamma0=1.0, rho=1.0, coeffs=(1.0, 2.0, 3.0))

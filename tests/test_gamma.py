@@ -35,6 +35,11 @@ class TestLnGamma:
     def test_at_one(self):
         assert abs(ln_gamma(1.0)) < 1e-14
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_non_finite_refused(self, z):
+        with pytest.raises(ValueError, match="finite argument"):
+            ln_gamma(z)
+
     def test_at_half(self):
         # Gamma(1/2) = sqrt(pi)
         assert_allclose(ln_gamma(0.5).real, math.log(math.sqrt(math.pi)), rtol=1e-13)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracsol import fracseries
@@ -14,6 +16,7 @@ from fracsol.errors import (
     DegenerateDError,
     DegenerateLeadingError,
     DomainError,
+    FracsolError,
     NoConvergenceError,
 )
 from fracsol.fracseries import EulerPolynomialOperator
@@ -210,6 +213,22 @@ class TestExpClosedForm:
             exp_closed_form(prob)
 
 
+# a solution of each branch, the H form with and without the x^a factor
+EXTREME_BRANCHES = {
+    "h-form": solve(DiffusionProblem(alpha=0.5, m=0, d=0.0, A=1.0)),
+    "h-form-shifted": solve(
+        DiffusionProblem(alpha=1.5, m=2, d=0.5, A=1.2, B=0.3, C=-0.1, a=0.4)
+    ),
+    "wright": solve(DiffusionProblem(alpha=2.5, m=0, d=1.0, A=1.0, C=0.1, a=0.2)),
+    "wright-d2": solve(DiffusionProblem(alpha=2.5, m=1, d=2.0, A=1.0, C=-0.2, a=0.5)),
+    "closed-form": exp_closed_form(HEAT),
+    # x^11 t^-6.5 exp(-x^2 / 4t)
+    "closed-form-steep": exp_closed_form(
+        DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=-10.0), sign=-1
+    ),
+}
+
+
 class TestEvaluate:
     def test_domain_guard(self):
         sol = exp_closed_form(HEAT)
@@ -250,6 +269,31 @@ class TestEvaluate:
         )
         with pytest.raises(NoConvergenceError):
             evaluate(solve(prob), 0.3, 5.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "branch, x, t",
+        [("h-form", 1e-300, 1.0), ("h-form", 1e300, 1.0), ("h-form", 1e-200, 1e-200),
+         ("wright", 1.0, 1e300), ("closed-form", 1e300, 1.0),
+         ("closed-form-steep", 1e27, 1e-3)],
+    )
+    def test_double_range_refused(self, branch, x, t):
+        # z, a power of x or t, or the exp argument passes the double range:
+        # each used to end in a bare OverflowError or ZeroDivisionError, and
+        # the last in nan, from inf times exp(-2.5e56) = 0
+        with pytest.raises(DomainError, match="passes the double range"):
+            evaluate(EXTREME_BRANCHES[branch], x, t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("branch", sorted(EXTREME_BRANCHES))
+    @settings(max_examples=100, deadline=None)
+    @given(log_x=st.floats(-300.0, 300.0), log_t=st.floats(-300.0, 300.0))
+    def test_extreme_points_finite_or_typed(self, branch, log_x, log_t):
+        try:
+            u = evaluate(EXTREME_BRANCHES[branch], 10.0**log_x, 10.0**log_t)
+        except FracsolError:
+            return
+        assert np.isfinite(u)
 
 
 class TestSolverVsReduction:

@@ -14,7 +14,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fracsol import foxh, ode, verify
-from fracsol.errors import PreconditionViolationError, StepTooLargeError
+from fracsol.errors import (
+    PreconditionViolationError,
+    StepTooLargeError,
+    UnsupportedClassError,
+)
+from fracsol.foxh import HFunctionSpec
 from fracsol.fracseries import FracPowerSeries
 from fracsol.ode import OdeProblem
 from fracsol.pde import DiffusionProblem, evaluate, exp_closed_form, solve
@@ -61,6 +66,15 @@ class TestGlDerivative:
     def test_step_guard(self):
         with pytest.raises(StepTooLargeError):
             gl_fractional_derivative(lambda t: t, 0.5, 1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "alpha, t, h, match",
+        [(0.0, 1.0, 1e-4, "alpha"), (-0.5, 1.0, 1e-4, "alpha"),
+         (0.5, 1.0, 0.0, "t and h"), (0.5, 1.0, -1e-4, "t and h"), (0.5, 0.0, 1e-4, "t and h")],
+    )
+    def test_refusals(self, alpha, t, h, match):
+        with pytest.raises(ValueError, match=match):
+            gl_fractional_derivative(lambda s: s, alpha, t, h)
 
     def test_first_order_convergence(self):
         # error on t^2 roughly halves when h halves
@@ -171,6 +185,28 @@ class TestResidualPde:
         for p in report.points:
             (one,) = residual_pde(sol, prob, [p.point], h=1e-4).points
             assert p.lhs == pytest.approx(one.lhs, rel=1e-6), p.point
+
+    def test_stencil_across_lines(self, monkeypatch):
+        # the contour may put a stencil's points on different lines, whose
+        # values differ by rounding; with every z of the batch on its own
+        # line, criterion 4's rhs moves far less than its GL gate of 1e-3
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        sol = solve(prob)
+        grid = [(float(x), t) for x in np.linspace(0.8, 1.5, 5) for t in (0.8, 1.5)]
+        want = residual_pde(sol, prob, grid, h=1e-4)
+        contour_bands = foxh._contour_bands
+
+        def own_line_each(c, z):
+            for i in range(z.size):
+                for line, _, h0 in contour_bands(c, z[i : i + 1]):
+                    yield line, np.array([i]), h0
+
+        monkeypatch.setattr(foxh, "_contour_bands", own_line_each)
+        got = residual_pde(sol, prob, grid, h=1e-4)
+        for p, q in zip(want.points, got.points):
+            assert q.rhs == pytest.approx(p.rhs, rel=1e-5), p.point
+            assert q.lhs == pytest.approx(p.lhs, rel=1e-9), p.point
+        assert got.max_rel_err == pytest.approx(want.max_rel_err, rel=1e-2)
 
     def test_profile_is_the_largest_k_one_x_profile(self, monkeypatch):
         # where the decay cut binds (h <= z_cut / k_max), the grid's profile
@@ -409,6 +445,23 @@ class TestHOperatorIdentities:
         with pytest.raises(PreconditionViolationError):
             h_operator_identity_check(self.case1_spec(), "rl", a=a)
 
+    @pytest.mark.parametrize(
+        "case, kind, error, match",
+        [
+            ("l=1", "rl", UnsupportedClassError, "l = 0"),
+            ("last upper (0.5, 1)", "rl", PreconditionViolationError, "last upper entry"),
+            ("solution", "laplace", ValueError, "unknown kind"),
+        ],
+    )
+    def test_refusals(self, case, kind, error, match):
+        spec = {
+            "l=1": HFunctionSpec(m=1, l=1, upper=((1.0, 1.0),), lower=((0.0, 1.0),)),
+            "last upper (0.5, 1)": HFunctionSpec(m=1, l=0, upper=((0.5, 1.0),), lower=((0.0, 1.0),)),
+            "solution": self.case1_spec(),
+        }[case]
+        with pytest.raises(error, match=match):
+            h_operator_identity_check(spec, kind)
+
 
 class TestWrightOperatorIdentities:
     EXP = WrightSpec(((1.0, 1.0),), ((1.0, 1.0),))
@@ -438,6 +491,24 @@ class TestWrightOperatorIdentities:
         spec = WrightSpec(upper, ((1.3, 0.7),))
         with pytest.raises(PreconditionViolationError):
             wright_operator_identity_check(spec, "rl", alpha=0.6, a=0.8)
+
+    @pytest.mark.parametrize(
+        "upper, lower, kind, sigma, error, match",
+        [
+            (((1.0, 1.0),), (), "rl", None, PreconditionViolationError, "lower pair"),
+            (((1.0, 1.0),), ((0.0, 0.7),), "rl", None, PreconditionViolationError, "B_1 > 0"),
+            (((1.0, 1.0),), ((-0.3, 0.7),), "rl", None, PreconditionViolationError, "B_1 > 0"),
+            (((1.0, 1.0),), ((1.3, -0.7),), "rl", None, PreconditionViolationError, "beta_1 > 0"),
+            (((1.0, 1.0),), ((1.0, 1.0),), "euler", None, PreconditionViolationError, "sigma != 0"),
+            (((1.0, 1.0),), ((1.0, 1.0),), "euler", 0.0, PreconditionViolationError, "sigma != 0"),
+            (((1.0, 1.0),), ((1.0, 1.0),), "euler", -1.0, PreconditionViolationError, "sigma > 0"),
+            ((), ((1.0, 1.0),), "euler", 1.0, PreconditionViolationError, "upper pair"),
+            (((1.0, 1.0),), ((1.0, 1.0),), "laplace", 1.0, ValueError, "unknown kind"),
+        ],
+    )
+    def test_refusals(self, upper, lower, kind, sigma, error, match):
+        with pytest.raises(error, match=match):
+            wright_operator_identity_check(WrightSpec(upper, lower), kind, sigma=sigma)
 
 
 class TestResidualReportShape:

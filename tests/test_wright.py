@@ -103,6 +103,18 @@ class TestEvaluate:
         with pytest.raises(DivergentInputError):
             evaluate(spec, 2.0)
 
+    @pytest.mark.parametrize("z", [0.0, 1e-12, -0.5, 2j])
+    def test_zero_radius(self, z):
+        # Delta = 0.5 - 2 < -1: the radius is 0, and only z = 0 has a value,
+        # the k = 0 term Gamma(1)^2 / Gamma(1)
+        spec = WrightSpec(((1, 1), (1, 1)), ((1, 0.5),))
+        assert convergence(spec).radius == 0.0
+        if z == 0:
+            assert evaluate(spec, z) == 1.0
+        else:
+            with pytest.raises(DivergentInputError, match="radius 0"):
+                evaluate(spec, z)
+
     @pytest.mark.parametrize("spec_args", [
         ((( 1.0, 1.0),), ((1.0, 1.0),)),
         (((0.5, 1.0), (2.0, 1.0)), ((1.0, 1.0), (1.5, 2.0))),
