@@ -197,10 +197,6 @@ class HConvergence:
     delta: float
     nu: float
 
-    @property
-    def arg_bound(self) -> float:
-        return math.pi * self.omega / 2.0
-
 
 class GaussReduction(NamedTuple):
     spec: HFunctionSpec

@@ -3,9 +3,9 @@
 Every series term and every contour-integrand evaluation in this library
 funnels through the three functions here.  The implementation is a fixed
 Lanczos approximation (g = 7, 9 coefficients) valid for Re z >= 0.5,
-extended to the left half-plane by the reflection formula with an
-overflow-safe log-sin.  ln_gamma_vec evaluates the reflection, and its
-log-sin, on the elements with Re z < 0.5 only: the contour's kernel
+extended to the left half-plane by the reflection formula, whose log-sin
+is one overflow-safe formula.  ln_gamma_vec evaluates the reflection, and
+its log-sin, on the elements with Re z < 0.5 only: the contour's kernel
 arguments mostly lie right of that line.
 
 Branch note: in the reflected region the imaginary part of ``ln_gamma``
@@ -71,20 +71,13 @@ def _core(z):
 
 
 def _log_sin_pi(z):
-    # log(sin(pi z)) correct mod 2*pi*i, safe for large |Im z|; z is a complex ndarray.
+    # log(sin(pi z)) correct mod 2*pi*i; z is a complex ndarray.  In the
+    # closed upper half-plane sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) / (2 i)
+    # with |e^{2 i pi z}| <= 1, so no factor overflows and Im of the result
+    # is continuous off the real axis; the lower half-plane is its conjugate.
     flip = z.imag < 0.0
     zz = np.where(flip, np.conj(z), z)
-    small = np.abs(zz.imag) <= 1.0
-    # direct formula where sin cannot overflow
-    direct = np.log(np.sin(np.pi * np.where(small, zz, 0.5)))
-    # sin(pi z) = e^{-i pi z} (e^{2 i pi z} - 1) / (2 i); |e^{2 i pi z}| < 1
-    zl = np.where(small, 1.5j, zz)
-    tail = (
-        -1j * np.pi * zl
-        + np.log1p(-np.exp(2j * np.pi * zl))
-        + (1j * np.pi - np.log(2j))
-    )
-    out = np.where(small, direct, tail)
+    out = -1j * np.pi * zz + np.log1p(-np.exp(2j * np.pi * zz)) + (1j * np.pi - np.log(2j))
     return np.where(flip, np.conj(out), out)
 
 

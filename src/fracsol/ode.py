@@ -10,6 +10,7 @@ the Wright branch applies, and a_0 may have either sign.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -125,8 +126,16 @@ class OdeSolution:
         return "small-alpha" if self.small is not None else "large-alpha"
 
     def evaluate(self, z: float) -> complex:
+        """The solution at z, or DomainError where a power of z, the H
+        argument or the value passes the double range."""
         parts = (self.small,) if self.small is not None else self.members
-        return sum(c * part.evaluate(z) for c, part in zip(self.constants, parts))
+        try:
+            y = sum(c * part.evaluate(z) for c, part in zip(self.constants, parts))
+        except OverflowError:
+            y = math.inf
+        if cmath.isfinite(y):
+            return y
+        raise DomainError(f"the solution at z = {z!r} passes the double range")
 
 
 def _time_scale(problem: OdeProblem) -> float:

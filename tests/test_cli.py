@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from fracsol import ode
 from fracsol.cli import build_parser, run
 from fracsol.errors import InputError
 
@@ -87,6 +88,34 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["branch"] == "small-alpha"
+
+    def test_ode_wright_members_and_grid(self, capsys, tmp_path):
+        prob = {"alpha": 2.5, "m": 0, "a_coeffs": [0.1, 0, 1]}
+        out_path = tmp_path / "y.csv"
+        code, out = run_capture(capsys, [
+            "solve", "ode", "--json", json.dumps(prob), "--grid", "z=0.5:2:3",
+            "--out", str(out_path),
+        ])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branch"] == "large-alpha"
+        assert [mem["k"] for mem in doc["members"]] == [1, 2, 3]
+        assert [mem["leading_exponent"] for mem in doc["members"]] == [1.5, 0.5, -0.5]
+        assert doc["members"][0]["wright_lower"] == [[2.5, 2.5]]
+        rows = out_path.read_text().strip().splitlines()
+        assert rows[0] == "z,y"
+        sol = ode.solve(ode.OdeProblem(prob["alpha"], prob["m"], prob["a_coeffs"]))
+        for row in rows[1:]:
+            z, y = map(float, row.split(","))
+            assert y == complex(sol.evaluate(z)).real
+
+    def test_input_read_from_file(self, capsys, tmp_path):
+        prob = json.dumps({"alpha": 0.5, "m": 0, "a_coeffs": [0, 1]})
+        path = tmp_path / "problem.json"
+        path.write_text(prob)
+        code, out = run_capture(capsys, ["solve", "ode", "--input", str(path)])
+        assert code == 0
+        assert out == run_capture(capsys, ["solve", "ode", "--json", prob])[1]
 
     def test_pde_heat_kernel_csv(self, capsys, tmp_path):
         prob = json.dumps(
@@ -525,6 +554,12 @@ def test_import_loads_no_scipy():
         ["identities", "--suite", "lemma1", "--n", "0", "--tol", "1e-11"],
         ["identities", "--suite", "lemma1", "--n", "-5", "--tol", "1e-11"],
         ["solve", "pde", "--json", HEAT, "--grid", "x=1:2:2,x=3:4:2,t=1:1:1"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=1:2:0,t=1:1:1"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=0:2:3,t=1:1:1", "--log-grid"],
+        ["solve", "pde"],
+        ["solve", "pde", "--json", "[1, 2]"],
+        ["solve", "pde", "--json", HEAT, "--grid", "x=1:1:1,t=1:1:1",
+         "--out", str(Path(__file__).with_name("no-such-dir") / "u.csv")],
     ],
     ids=[
         "z-not-a-number", "z-trailing-comma", "foxh-z-zero", "ml-alpha-zero", "foxh-m-above-q",
@@ -534,7 +569,8 @@ def test_import_loads_no_scipy():
         "verify-without-tol", "pde-alpha-nan", "pde-d-nan", "pde-C-nan", "pde-a-nan",
         "ode-a-coeff-infinity", "ml-alpha-nan", "z-nan", "grid-infinity", "verify-tol-nan",
         "verify-no-coefficient", "verify-negative-coefficients", "identities-n-zero",
-        "identities-n-negative", "grid-axis-twice",
+        "identities-n-negative", "grid-axis-twice", "grid-count-zero", "log-grid-at-zero",
+        "no-json-or-input", "json-array", "out-unwritable",
     ],
 )
 def test_bad_input_is_one_line_input_error(capsys, argv):
@@ -589,10 +625,16 @@ def test_mistyped_field_is_input_error_naming_it(capsys, argv, field):
          "UnsupportedClassError: a_n (alpha + m)^(m + n) = "),
         (["solve", "ode", "--json", '{"alpha":0.5,"m":300,"a_coeffs":[0,1]}'],
          "UnsupportedClassError: a_n (alpha + m)^(m + n) = "),
+        # z^(alpha - k) and z^-(alpha + m) pass the double range; each used
+        # to end in a bare OverflowError traceback
+        (["solve", "ode", "--json", '{"alpha":2.5,"m":0,"a_coeffs":[0.1,0,1]}',
+          "--grid", "z=1e300:1e300:1"], "DomainError: the solution at z = 1e+300"),
+        (["solve", "ode", "--json", '{"alpha":0.5,"m":2,"a_coeffs":[0,1]}',
+          "--grid", "z=1e-300:1e-300:1"], "DomainError: the solution at z = 1e-300"),
     ],
     ids=["pde-A-near-underflow", "foxh-huge-weight", "h-form-at-alpha-2",
          "series-form-complex-roots", "foxh-mu-overflow", "pde-h-form-m-150",
-         "pde-series-m-150", "ode-m-300"],
+         "pde-series-m-150", "ode-m-300", "ode-wright-z-1e300", "ode-h-form-z-1e-300"],
 )
 def test_library_error_is_one_line(capsys, argv, error):
     code = run(argv)

@@ -151,7 +151,6 @@ class TestConvergenceParams:
         assert c.nu == 1.0
         assert c.mu == pytest.approx(1.0)
         assert c.delta == pytest.approx(-0.5)
-        assert c.arg_bound == pytest.approx(math.pi / 2)
 
     def test_case1_omega_hand_sum(self):
         # omega = sum(beta, j<=m) - sum(alpha, i>l..p): 3*1 - 1.8
@@ -940,6 +939,11 @@ class TestInvertArgument:
 class TestPowerScale:
     def test_identity_at_one(self):
         assert power_scale(EXP_SPEC, 1.0) == EXP_SPEC
+
+    @pytest.mark.parametrize("k", [0.0, -2.0])
+    def test_nonpositive_k_refused(self, k):
+        with pytest.raises(ValueError, match="k > 0"):
+            power_scale(EXP_SPEC, k)
 
     def test_composition(self):
         spec = case1_spec(0.8, 1)

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fracsol.errors import ExponentMisalignmentError, ExponentOutOfRangeError, PoleError
+from fracsol.errors import (
+    DegenerateLeadingError,
+    ExponentMisalignmentError,
+    ExponentOutOfRangeError,
+    PoleError,
+)
 from fracsol.fracseries import (
     EulerPolynomialOperator,
     FracPowerSeries,
@@ -26,6 +31,27 @@ from fracsol.fracseries import (
 
 def monomial(p, c=1.0):
     return FracPowerSeries(gamma0=p, rho=1.0, coeffs=(c,))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda: FracPowerSeries(0.5, 0.0, (1.0,)), ValueError),
+     (lambda: FracPowerSeries(0.5, -1.0, (1.0,)), ValueError),
+     (lambda: FracPowerSeries(0.5, 1.0, (1.0, math.nan)), ValueError),
+     (lambda: EulerPolynomialOperator(coeffs=(0.0, 1.0), time_weight=-1), ValueError),
+     (lambda: EulerPolynomialOperator(coeffs=(1.0, 0.0)), DegenerateLeadingError),
+     (lambda: rl_derivative(monomial(1.0), 0.0), ValueError),
+     (lambda: rl_derivative(monomial(1.0), -0.5), ValueError),
+     (lambda: gamma_product_identity_check(0.0, 1, 0.5), ValueError),
+     (lambda: gamma_product_identity_check(-1.0, 1, 0.5), ValueError),
+     (lambda: gamma_product_identity_check(0.5, 0, 0.5), ValueError)],
+    ids=["rho-zero", "rho-negative", "nan-coefficient", "time-weight-negative",
+         "leading-coefficient-zero", "rl-alpha-zero", "rl-alpha-negative",
+         "identity-a-zero", "identity-a-negative", "identity-m-zero"],
+)
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestRlDerivative:

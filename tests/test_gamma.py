@@ -52,7 +52,9 @@ class TestLnGamma:
 
     @pytest.mark.parametrize(
         "z",
-        [0.1, 0.5, 1.0, 3.7, 25.0, 171.0, 2 + 3j, 0.5 + 40j, -4.3 + 0.9j, -0.5, -7.2],
+        [0.1, 0.5, 1.0, 3.7, 25.0, 171.0, 2 + 3j, 0.5 + 40j, -4.3 + 0.9j, -0.5, -7.2,
+         # reflected, with |Im z| at 0 and on both sides of 1
+         -2.3 + 0j, -2.3 + (1 - 1e-9) * 1j, -2.3 - 1j, -2.3 + (1 + 1e-9) * 1j],
     )
     def test_against_mpmath(self, z):
         got = ln_gamma(z)
@@ -74,8 +76,8 @@ class TestLnGamma:
         for z, v in zip(zs, vec):
             assert_allclose(complex(v), complex(ln_gamma(complex(z))), rtol=1e-13)
 
-    # Re z on both sides of 0.5, and |Im z| on both sides of 1, beyond which
-    # _log_sin_pi takes its tail branch
+    # Re z on both sides of 0.5, so that some elements take the reflection;
+    # Im z of both signs, small and large
     MIXED = np.array([
         0.5 + 0.0j, 0.49 + 0.3j, -3.7 + 0.2j, -0.2 - 0.9j, -2.5 + 7.0j, 0.1 - 45.0j,
         0.3 + 1.0j, -11.2 - 1.5j, 0.51 + 0.0j, 2.0 - 5.0j, 7.3 + 60.0j, 0.8 + 1.2j,
@@ -118,6 +120,16 @@ class TestLnGamma:
             for v in z:
                 ln_gamma_vec(v)
         assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_log_sin_pi_continuous_off_the_axis(self, sign):
+        # along vertical lines strictly above or below the real axis, Im of
+        # the log-sin steps by less than pi between neighbours: no 2*pi jump
+        # where one formula would hand over to another
+        y = sign * np.arange(0.01, 5.0, 0.05)
+        for x in np.linspace(-30.0, 0.5, 62):
+            step = np.abs(np.diff(gammafn._log_sin_pi(x + 1j * y).imag))
+            assert step.max() < math.pi, x
 
     @settings(max_examples=200, deadline=None)
     @given(

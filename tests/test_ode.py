@@ -3,7 +3,10 @@ branch (order below n) and the Wright-series branch (order above n)."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracsol import foxh, fracseries, wright
@@ -11,6 +14,8 @@ from fracsol.errors import (
     BranchMismatchError,
     ComplexRootsError,
     DegenerateLeadingError,
+    DomainError,
+    FracsolError,
 )
 from fracsol.fracseries import euler_apply, rl_derivative
 from fracsol.ode import OdeProblem, solve, wright_members
@@ -25,6 +30,44 @@ class TestOdeProblem:
     def test_rejects_alpha_equal_n(self):
         with pytest.raises(BranchMismatchError):
             solve(OdeProblem(alpha=2.0, m=0, a_coeffs=(0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [({"alpha": 0.0}, ValueError), ({"alpha": -0.5}, ValueError), ({"m": 1.5}, ValueError),
+     ({"a_coeffs": ()}, ValueError), ({"a_coeffs": (0.0, 0.0)}, DegenerateLeadingError)],
+    ids=["alpha-zero", "alpha-negative", "m-fractional", "no-a-coeffs", "a_n-zero"],
+)
+def test_problem_refused(fields, error):
+    with pytest.raises(error):
+        OdeProblem(**{"alpha": 0.5, "m": 0, "a_coeffs": (0.0, 1.0), **fields})
+
+
+# one H-form and one Wright-series solution
+EXTREME_BRANCHES = {
+    "h-form": solve(OdeProblem(alpha=0.5, m=2, a_coeffs=(0.0, 1.0))),
+    "wright": solve(OdeProblem(alpha=2.5, m=0, a_coeffs=(0.1, 0.0, 1.0))),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("branch, z", [("h-form", 1e-300), ("wright", 1e300)])
+def test_double_range_refused(branch, z):
+    # z^-(alpha + m) and z^(alpha - k) used to end in a bare OverflowError
+    with pytest.raises(DomainError, match=r"z = 1e[+-]300 passes the double range"):
+        EXTREME_BRANCHES[branch].evaluate(z)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("branch", sorted(EXTREME_BRANCHES))
+@settings(max_examples=100, deadline=None)
+@given(log_z=st.floats(-300.0, 300.0))
+def test_extreme_z_finite_or_typed(branch, log_z):
+    try:
+        y = EXTREME_BRANCHES[branch].evaluate(10.0**log_z)
+    except FracsolError:
+        return
+    assert np.isfinite(y)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -533,3 +533,22 @@ class TestResidualReportShape:
         sol = exp_closed_form(HEAT)
         report = residual_pde(sol, HEAT, [(1.0, 1.0)])
         assert len(report.points) == 1
+
+
+WRIGHT_ODE = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [(lambda: ResidualReport(METHOD_GL, ()), "at least one point"),
+     (lambda: residual_pde(exp_closed_form(HEAT), HEAT, [(1.0, 1.0), (0.0, 1.0)]),
+      "strictly positive"),
+     (lambda: residual_pde(exp_closed_form(HEAT), HEAT, [(1.0, -1.0)]), "strictly positive"),
+     (lambda: residual_ode_coefficients(
+         ode.solve(WRIGHT_ODE).members[0].series(order=5), WRIGHT_ODE.operator(),
+         WRIGHT_ODE.alpha, n_coeffs=20), "6 coefficients < 20")],
+    ids=["report-no-points", "pde-x-zero", "pde-t-negative", "member-too-short"],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

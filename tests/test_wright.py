@@ -204,6 +204,11 @@ class TestClassicalWright:
     def test_zero_argument(self):
         assert classical_wright(0.0, 0.5, 1.0) == 0
 
+    @pytest.mark.parametrize("alpha", [-1.0, -2.5])
+    def test_alpha_at_or_below_minus_1_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha > -1"):
+            classical_wright(0.5, alpha, 1.0)
+
     def test_sum_from_one(self):
         # Psi(1;1,1) = sum_{k>=1} 1/(k!)^2 = I_0(2) - 1  (k=1 start)
         want = float(mpmath.besseli(0, 2)) - 1.0
