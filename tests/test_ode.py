@@ -33,13 +33,13 @@ class TestOdeProblem:
 
 
 @pytest.mark.parametrize(
-    "fields, error",
-    [({"alpha": 0.0}, ValueError), ({"alpha": -0.5}, ValueError), ({"m": 1.5}, ValueError),
-     ({"a_coeffs": ()}, ValueError), ({"a_coeffs": (0.0, 0.0)}, DegenerateLeadingError)],
-    ids=["alpha-zero", "alpha-negative", "m-fractional", "no-a-coeffs", "a_n-zero"],
+    "fields, match",
+    [({"alpha": 0.0}, "alpha"), ({"alpha": -0.5}, "alpha"), ({"m": 1.5}, "m must"),
+     ({"a_coeffs": ()}, "at least a_0")],
+    ids=["alpha-zero", "alpha-negative", "m-fractional", "no-a-coeffs"],
 )
-def test_problem_refused(fields, error):
-    with pytest.raises(error):
+def test_problem_refused(fields, match):
+    with pytest.raises(ValueError, match=match):
         OdeProblem(**{"alpha": 0.5, "m": 0, "a_coeffs": (0.0, 1.0), **fields})
 
 
