@@ -17,17 +17,18 @@ accuracy it reached:
   100), warm (the spec's constants and saddle table built) and cold
   (rebuilt on every call), with the kernel calls one call makes, the
   nodes they evaluate, those off the real axis (the contour lines) and
-  those of the saddle table among them, and the relative error against
+  those of the saddle table among them, the saddle searches
+  (``_real_minimum`` calls) it runs, and the relative error against
   mpmath.meijerg; and us per warm array evaluation of acceptance criterion
   4's spec at 320 log-spaced z in [1e-3, 1e2], which spans the default
-  line and the slid saddle lines, with the same kernel counts, the
+  line and the slid saddle lines, with the same kernel and search counts, the
   contour bands the call forms and the largest relative error against
   one scalar call per z;
 - ``acceptance.criterion_7``: seconds per run of acceptance criterion 7's
   H identity suite as its test runs it (288 scalar ``eval_mellin_barnes``
   calls on 54 specs), warm (every spec's constants and saddle table
-  built) and cold (rebuilt before every run), with the same kernel counts
-  and the suite's worst identity error;
+  built) and cold (rebuilt before every run), with the same kernel and
+  search counts and the suite's worst identity error;
 - ``verify._HProfile``: us per build of the Grunwald-Letnikov spline
   profile of acceptance criterion 4's solution at x = 1 (320 H values
   and the spline), warm (the spec's constants built), and the largest
@@ -39,8 +40,8 @@ accuracy it reached:
 - ``verify.residual_pde``: seconds per call on acceptance criterion 4's
   grid (five x, two t, h = 1e-4), warm (the spec's constants built), with
   the ``eval_mellin_barnes_batch`` calls, contour bands, kernel
-  (``_log_integrand``) calls and kernel nodes one call makes and the
-  report's max_rel_err;
+  (``_log_integrand``) calls, kernel nodes and saddle searches one call
+  makes and the report's max_rel_err;
 - ``cli``: wall seconds and peak RSS of a fresh interpreter running
   ``eval ml`` and an H-form ``verify`` (medians of 5), and the
   accuracy of what each printed (``E_{0.5,1}(1.3)`` against its closed
@@ -162,9 +163,10 @@ def ml_rows(speed):
 def count_nodes(fn):
     """Kernel calls fn() makes, and the nodes they evaluate: all, those off
     the real axis and those of saddle tables, the calls whose nodes are all
-    real (every contour-line call has nodes with tau > 0)."""
-    sizes = []
-    log_integrand = foxh._log_integrand
+    real (every contour-line call has nodes with tau > 0); and the saddle
+    searches (``_real_minimum`` calls) it runs."""
+    sizes, searches = [], []
+    log_integrand, real_minimum = foxh._log_integrand, foxh._real_minimum
 
     def counting(spec, s):
         s = np.asarray(s)
@@ -172,19 +174,23 @@ def count_nodes(fn):
         sizes.append((s.size, line, 0 if line else s.size))
         return log_integrand(spec, s)
 
-    foxh._log_integrand = counting
+    def searching(c, log_z):
+        searches.append(log_z.size)
+        return real_minimum(c, log_z)
+
+    foxh._log_integrand, foxh._real_minimum = counting, searching
     try:
         fn()
     finally:
-        foxh._log_integrand = log_integrand
-    return {"kernel_calls": len(sizes), **{
+        foxh._log_integrand, foxh._real_minimum = log_integrand, real_minimum
+    return {"kernel_calls": len(sizes), "saddle_searches": len(searches), **{
         key: sum(row[i] for row in sizes)
         for i, key in enumerate(("nodes", "line_nodes", "table_nodes"))
     }}
 
 
 def count_bands(fn):
-    """The contour bands fn() forms, with count_nodes' kernel counts."""
+    """The contour bands fn() forms, with count_nodes' counts."""
     bands, formed = foxh._contour_bands, []
 
     def counting(c, z):

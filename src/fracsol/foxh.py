@@ -19,19 +19,24 @@ keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
 arguments.  K does not depend on z, so the saddle search reads a table
 of Re K on the real axis beyond the strip edge, built by one kernel call
-at the spec's first slid search and kept with its other constants
+at the spec's first slidable evaluation and kept with its other constants
 (_constants): every later search, for any number of z, and the grouping
-below are array arithmetic.
+below are array arithmetic.  The search's slide decision is monotone in
+log z, so the table also gives the log z past which a z slides, the slide
+threshold: a z short of it stays on gamma0 with no search at all.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and K is
 evaluated once per band and pass: the first passes of all the call's
-bands together in one kernel call, and each later doubling or refinement
-pass of a band in one more.  Every z that stays at gamma0 joins one band
-on that line, and slid z are grouped under the saddle of a member near
-the band's first (its member nearest gamma0) so that no member's phi_z at
-the band's abscissa exceeds its own saddle value by more than _BAND_LOSS
-= 4 e-folds.  Its relative rounding error then grows by at most e^4, to
+slid bands together in one kernel call, and each later doubling or
+refinement pass of a band in one more.  gamma0's first-pass lattice is
+fixed (the trapezoid lattice at step _H0 below), so the kernel on it is
+kept with the table, and a z that gamma0's first pass settles costs no
+kernel call.  Every z that stays at gamma0 joins one band on that line,
+and slid z are grouped under the saddle of a member near the band's
+first (its member nearest gamma0) so that no member's phi_z at the
+band's abscissa exceeds its own saddle value by more than _BAND_LOSS = 4
+e-folds.  Its relative rounding error then grows by at most e^4, to
 about 1e-14.  A band ends only there, so a caller's finite-difference
 stencil may straddle two lines: with each of its z on its own line,
 verify's Richardson u_xx moved by at most 4.6e-6 of max(|u_xx|, |u| /
@@ -103,6 +108,7 @@ larger than H).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -231,7 +237,8 @@ class _SpecConstants:
     spec by _constants: the convergence parameters, the kernel's factor
     arrays, the strip left < Re s < right, the default line gamma0, the
     slide direction d (1 left, -1 right, 0 none), the strip edge the slide
-    starts from and, on the spec's first slid search, the saddle table."""
+    starts from and, each built at its first use, the kernel on gamma0's
+    first pass, the saddle table and the slide threshold read from it."""
 
     def __init__(self, spec: HFunctionSpec):
         self.spec = spec
@@ -275,6 +282,31 @@ class _SpecConstants:
         sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
         kernel = _log_integrand(self.spec, sigma).real
         return v, sigma, np.where(np.isfinite(kernel), kernel, math.inf)
+
+    @functools.cached_property
+    def threshold(self) -> float:
+        """The log z past which _real_minimum slides a z off gamma0 (d log z
+        > d threshold), from the table with no kernel call: at the switch
+        the saddle sits on gamma0, so this is -dK/dsigma there, from the
+        parabolas in v through the table points around gamma0 that the
+        search fits.  A non-finite value sends every z to the search."""
+        v, sigma, kernel = self.table
+        r = abs(self.gamma0 - self.edge)
+        x = (math.log(math.expm1(math.sqrt(r) / self.scale)) - v[0]) / _SADDLE_DV
+        j = round(x)
+        # twice the slopes at x, in table steps, of Re K and of sigma
+        dk, ds = (f[2] - f[0] + 2.0 * (x - j) * (f[2] - 2.0 * f[1] + f[0])
+                  for f in (kernel[j - 1 : j + 2].tolist(), sigma[j - 1 : j + 2].tolist()))
+        return -dk / ds if math.isfinite(dk) else -self.d * math.inf
+
+    @functools.cached_property
+    def first_pass(self) -> np.ndarray:
+        """The kernel on gamma0's first-pass nodes gamma0 + i k _H0, 0 <= k
+        <= _first_pass_steps(omega, _H0), read-only; one kernel call."""
+        n = _first_pass_steps(self.conv.omega, _H0)
+        k = _log_integrand(self.spec, self.gamma0 + 1j * _H0 * np.arange(n + 1))
+        k.flags.writeable = False
+        return k
 
 
 # keyed by the frozen, hashable spec: a solution's evaluations reuse its
@@ -485,9 +517,9 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     sigma of the spec's saddle table, for every z at once.  Returns the
     minimisers, K'' there and Re K there.
 
-    K does not depend on z, so the table, built by the spec's first
-    search (_SpecConstants.table), serves every later z with no kernel
-    call.  It is uniform in v, where r = |sigma - edge| =
+    K does not depend on z, so the table, built at the spec's first
+    slidable evaluation (_SpecConstants.table), serves every later z with
+    no kernel call.  It is uniform in v, where r = |sigma - edge| =
     (a log(1 + e^v))^2.  Near the edge r grows like e^(2v), uniformly in
     log r, where a saddle's width is O(1).  Far from it, where the saddle
     moves out like (mu z)^(1/nu) and phi_z'' in log r grows like nu r, r
@@ -538,9 +570,10 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     contour slides to the real saddle sigma*_z when that lies beyond gamma0
     on the side without poles: left for (m, l) = (q, 0) with nu > 0, right
     for its mirror (0, p) with nu < 0.  There the integrand has no poles and
-    log|integrand| is smooth.  One _real_minimum call finds every z's saddle
-    on the spec's saddle table, and Re K there, so the grouping evaluates no
-    kernel.  Every other z stays on gamma0, and all of them form one band.
+    log|integrand| is smooth.  A z short of the spec's slide threshold stays
+    on gamma0 unsearched; one _real_minimum call finds every other z's
+    saddle on the spec's saddle table, and Re K there, so the grouping
+    evaluates no kernel.  Every z that stays forms one band on gamma0.
     Slid z, nearest gamma0 first, share the deepest saddle on which the
     band's first member loses at most _LINE_LOSS, and the band takes the
     following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
@@ -559,7 +592,12 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
     fixed = np.arange(len(z))
     order = fixed[:0]
     if d * c.conv.nu > 0 and z.size:
-        sstar, kpp, kernel = _real_minimum(c, log_z)
+        # a z short of the slide threshold stays on gamma0 unsearched
+        past = d * log_z > d * c.threshold
+        n = np.count_nonzero(past)
+        sstar, kpp, kernel = _real_minimum(c, log_z) if n == z.size else np.full((3, z.size), math.nan)
+        if 0 < n < z.size:
+            sstar[past], kpp[past], kernel[past] = _real_minimum(c, log_z[past])
         slid = d * sstar < d * c.gamma0
         fixed, order = (~slid).nonzero()[0], slid.nonzero()[0]
         order = order[(-d * sstar[order]).argsort(kind="stable")]
@@ -602,7 +640,9 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
     """eval_mellin_barnes on a 1-D array of z > 0, returning an array.
 
     Arguments that share a contour abscissa share its kernel evaluations
-    (see the module docstring).
+    (see the module docstring): a band on gamma0 starts from the spec's
+    stored first pass, and the slid bands' first passes go through one
+    kernel call.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
@@ -616,17 +656,19 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
     bands = list(_contour_bands(c, z))
-    if not bands:
-        return out
     omega = c.conv.omega
-    # every band's first-pass nodes gamma + i k h0, 0 <= k <= n, go through
-    # one kernel call, whose fixed cost would otherwise recur per band
-    steps = [_first_pass_steps(omega, h0) + 1 for _, _, h0 in bands]
-    nodes = [gamma + 1j * h0 * np.arange(n) for (gamma, _, h0), n in zip(bands, steps)]
-    kernel, end = _log_integrand(spec, np.concatenate(nodes)), 0
-    for (gamma, idx, h0), n in zip(bands, steps):
-        end += n
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, kernel[end - n : end])
+    # gamma0's band, yielded first, reads the stored first pass; the slid
+    # bands' first-pass nodes gamma + i k h0, 0 <= k <= n, go through one
+    # kernel call, whose fixed cost would otherwise recur per band
+    lines = [c.first_pass] if bands and bands[0][0] == c.gamma0 else []
+    slid = bands[len(lines) :]
+    if slid:
+        steps = [_first_pass_steps(omega, h0) + 1 for _, _, h0 in slid]
+        nodes = [gamma + 1j * h0 * np.arange(n) for (gamma, _, h0), n in zip(slid, steps)]
+        kernel = _log_integrand(spec, np.concatenate(nodes))
+        lines += [kernel[end - n : end] for end, n in zip(itertools.accumulate(steps), steps)]
+    for (gamma, idx, h0), k in zip(bands, lines):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, k)
     return out
 
 

@@ -128,6 +128,8 @@ class OdeSolution:
     def evaluate(self, z: float) -> complex:
         """The solution at z, or DomainError where a power of z, the H
         argument or the value passes the double range."""
+        # a numpy float's powers warn and saturate where a float's raise OverflowError
+        z = float(z)
         parts = (self.small,) if self.small is not None else self.members
         try:
             y = sum(c * part.evaluate(z) for c, part in zip(self.constants, parts))

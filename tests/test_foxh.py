@@ -172,6 +172,16 @@ def kernel_curvature(spec, sigma):
     return (k(sigma + h) - 2.0 * k(sigma) + k(sigma - h)) / h**2
 
 
+@pytest.fixture
+def cold_constants():
+    """Empty foxh._constants before and after the test: a warm spec's
+    default line starts from its stored first pass with no kernel call, and
+    a kernel the test substitutes must not stay in a stored one."""
+    foxh._constants.cache_clear()
+    yield
+    foxh._constants.cache_clear()
+
+
 def first_line_pass(calls):
     """Position of the first _log_integrand call off the real axis: the
     saddle table built before it evaluates the kernel at real s only."""
@@ -311,7 +321,7 @@ class TestEvalMellinBarnes:
             eval_mellin_barnes(self.SMALL_Z_SPEC, 1.41e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_zero_sum_cancellation_raises(self, monkeypatch):
+    def test_zero_sum_cancellation_raises(self, monkeypatch, cold_constants):
         # a kernel of modulus 1 at tau = h and e^-1000 or less elsewhere on
         # the first pass, and whose first refinement adds its negative at
         # tau = h / 2: at z = 1, where tau log z vanishes, the refinement
@@ -452,13 +462,13 @@ class TestSaddleSearch:
             foxh._real_minimum(c, np.log(z))
         assert calls == []
 
-    def test_first_slid_evaluation_builds_table(self, monkeypatch):
+    def test_first_slid_evaluation_builds_table(self, monkeypatch, cold_constants):
         # a fresh spec's first slid evaluation builds the whole table, out
         # to decay level 900, in one kernel call on the real axis (398 points
         # on criterion 4's spec, even for a decay-level-1 argument); no later
-        # evaluation at any depth, slid or not, makes another, and each runs
-        # line passes only
-        foxh._constants.cache_clear()
+        # evaluation at any depth, slid or not, makes another: a slid one
+        # runs line passes only, and the gamma0 point z = 1e-3 stores its
+        # line's first pass in one call on gamma0, and then makes none
         spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
         calls = TestHalfLineQuadrature.record(monkeypatch)
         eval_mellin_barnes(spec, decay_arg(spec, 1.0))
@@ -467,7 +477,14 @@ class TestSaddleSearch:
         c = foxh._constants(spec)
         assert real[0].size == c.table[1].size == 398
         assert calls[1].real.max() < c.gamma0
-        for z in (1e-3, *(decay_arg(spec, level) for level in (1e-2, 140.0, 900.0, 5e3))):
+        calls.clear()
+        eval_mellin_barnes(spec, 1e-3)
+        assert len(calls) == 1 and np.all(calls[0].real == c.gamma0)
+        for z in (1e-3, decay_arg(spec, 1e-2)):
+            calls.clear()
+            eval_mellin_barnes(spec, z)
+            assert calls == []
+        for z in (decay_arg(spec, level) for level in (140.0, 900.0, 5e3)):
             calls.clear()
             eval_mellin_barnes(spec, z)
             assert calls and not any(np.all(s.imag == 0.0) for s in calls)
@@ -829,6 +846,105 @@ class TestHalfLineQuadrature:
             assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-9)
 
 
+# case1 specs whose contour slides left at large z, and their inverses,
+# which slide right at small z
+SLIDE_SPECS = [case1_spec(a, m) for a in (0.3, 0.5, 0.8, 1.2, 1.5, 1.67, 1.9) for m in (0, 1, 2)]
+SLIDE_SPECS += [invert_argument(spec) for spec in SLIDE_SPECS]
+CRITERION_4_SPEC = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
+
+
+class TestDefaultLineConstants:
+    """gamma0's first-pass kernel and the slide threshold are kept with the
+    spec's constants: a warm scalar value that gamma0's first pass settles
+    makes no kernel call and no saddle search."""
+
+    @staticmethod
+    def record_searches(monkeypatch):
+        searches, real_minimum = [], foxh._real_minimum
+
+        def counting(c, log_z):
+            searches.append(log_z.size)
+            return real_minimum(c, log_z)
+
+        monkeypatch.setattr(foxh, "_real_minimum", counting)
+        return searches
+
+    @pytest.mark.parametrize(
+        "spec,z",
+        [(CRITERION_4_SPEC, 1e-3), (FIXED_SPEC, 0.5), (invert_argument(case1_spec(0.8, 1)), 1e3)],
+        ids=["criterion-4", "fixed", "inverted"],
+    )
+    def test_warm_default_line_makes_no_call(self, spec, z, monkeypatch, cold_constants):
+        cold = eval_mellin_barnes(spec, z)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        searches = self.record_searches(monkeypatch)
+        assert eval_mellin_barnes(spec, z) == cold
+        assert calls == [] and searches == []
+
+    @pytest.mark.parametrize("spec", [FIXED_SPEC, CRITERION_4_SPEC, SLIDE_SPECS[-1]])
+    def test_stored_first_pass(self, spec):
+        c = foxh._constants(spec)
+        n = foxh._first_pass_steps(c.conv.omega, foxh._H0)
+        fresh = foxh._log_integrand(spec, c.gamma0 + 1j * foxh._H0 * np.arange(n + 1))
+        assert np.array_equal(c.first_pass, fresh)
+        assert not c.first_pass.flags.writeable
+        with pytest.raises(ValueError):
+            c.first_pass[0] = 0.0
+
+    @pytest.mark.parametrize("spec", SLIDE_SPECS)
+    def test_threshold_matches_search(self, spec, monkeypatch):
+        # the search switches once in log z, and the threshold, read from
+        # the table with no kernel call, takes its decisions except within
+        # 1e-3 of the switch, where gamma0 and the search's line give the
+        # same value (on all 42 specs it took every decision)
+        c = foxh._SpecConstants(spec)
+        assert c.d * c.conv.nu > 0
+        c.table
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        threshold = c.threshold
+        monkeypatch.undo()
+        assert calls == []
+        log_z = np.linspace(-60.0, 60.0, 24001)
+        sstar = foxh._real_minimum(c, log_z)[0]
+        searched = c.d * sstar < c.d * c.gamma0
+        assert np.count_nonzero(searched[1:] != searched[:-1]) == 1
+        differ = searched != (c.d * log_z > c.d * threshold)
+        assert np.all(np.abs(log_z[differ] - threshold) < 1e-3)
+        n = foxh._first_pass_steps(c.conv.omega, foxh._H0)
+        near = threshold + np.array([-1e-3, 1e-3])
+        for lz, sigma in zip(near, foxh._real_minimum(c, near)[0]):
+            on = [
+                foxh._trapezoid_line(
+                    spec, np.exp([lz]), gamma, c.conv.omega, foxh._H0,
+                    foxh._log_integrand(spec, gamma + 1j * foxh._H0 * np.arange(n + 1)),
+                )
+                for gamma in (c.gamma0, sigma)
+            ]
+            assert_allclose(on[0], on[1], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "spec,zs",
+        [
+            (CRITERION_4_SPEC, np.geomspace(1e-3, 1e2, 64)),
+            (invert_argument(case1_spec(0.8, 1)), np.geomspace(1e-2, 1e3, 64)),
+        ],
+        ids=["criterion-4", "inverted"],
+    )
+    def test_mixed_array_matches_scalar(self, spec, zs, monkeypatch):
+        # one saddle search, on the z past the threshold only, as for a
+        # single slid z
+        c = foxh._constants(spec)
+        past = c.d * np.log(zs) > c.d * c.threshold
+        assert past.any() and not past.all()
+        searches = self.record_searches(monkeypatch)
+        got = eval_mellin_barnes(spec, zs)
+        eval_mellin_barnes(spec, zs[past][0])
+        assert searches == [np.count_nonzero(past), 1]
+        want = np.array([eval_mellin_barnes(spec, z) for z in zs])
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def outcome(spec, z):
     """eval_mellin_barnes(spec, z), or the type of the error it raises."""
     try:
@@ -868,7 +984,7 @@ class TestContourStep:
     @pytest.mark.parametrize(
         "spec,z", [(FIXED_SPEC, 0.5), (FIXED_SPEC, 30.0), (case1_spec(0.8, 1), 1e-3)]
     )
-    def test_default_line_keeps_base_step(self, spec, z, monkeypatch):
+    def test_default_line_keeps_base_step(self, spec, z, monkeypatch, cold_constants):
         # m < q never slides, and the small-argument case1 saddle lies
         # right of gamma0 = -1/2: both stay on the _H0 lattice
         calls = TestHalfLineQuadrature.record(monkeypatch)

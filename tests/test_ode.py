@@ -59,6 +59,18 @@ def test_double_range_refused(branch, z):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "branch, z", [("h-form", 1e-300), ("h-form", 1e300), ("wright", 1e300)]
+)
+def test_numpy_float_refused_like_float(branch, z):
+    # a numpy float64's power used to warn and saturate to inf, so the
+    # Wright branch raised DivergentInputError ("|z| = inf outside
+    # convergence radius inf") where a float raises DomainError
+    with pytest.raises(DomainError, match=r"z = 1e[+-]300 passes the double range"):
+        EXTREME_BRANCHES[branch].evaluate(np.float64(z))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("branch", sorted(EXTREME_BRANCHES))
 @settings(max_examples=100, deadline=None)
 @given(log_z=st.floats(-300.0, 300.0))

@@ -296,6 +296,13 @@ class TestEvaluate:
             evaluate(EXTREME_BRANCHES[branch], x, t)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_numpy_float_time_refused(self):
+        # a numpy float t reaches the ODE solution as a numpy float z, whose
+        # power used to warn and end in DivergentInputError
+        with pytest.raises(DomainError, match="passes the double range"):
+            evaluate(EXTREME_BRANCHES["wright"], 1.0, np.float64(1e300))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("branch", sorted(EXTREME_BRANCHES))
     @settings(max_examples=100, deadline=None)
     @given(log_x=st.floats(-300.0, 300.0), log_t=st.floats(-300.0, 300.0))
