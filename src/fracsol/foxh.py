@@ -69,8 +69,13 @@ kernel call; a band whose search fitted none keeps _H0.
 
 The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
-(pi omega / 2), at least _N_MIN steps, and T then doubles, evaluating
-only the new outer segment, until a bound on both tails is negligible.
+(pi omega / 2), at least _N_MIN steps.  On a slid line each factor
+Gamma(A + iB) also grows like |B|^(A - 1/2) (Stirling; Paris & Kaminski,
+Asymptotics and Mellin-Barnes Integrals, 2001), so a band whose saddle
+the search fitted, with every A >= 1 on its line, extends that span at
+the decay rate until Stirling's Re K(sigma + i tau) - Re K(sigma) reads
+-30 (_stirling_drop), never past n 2^_MAX_DOUBLINGS.  T then doubles,
+evaluating only the new outer segment, until both tails are negligible.
 The trapezoid rule on an integrand analytic in a strip about the line
 errs by about C exp(-2 pi a / h), a the strip's half-width (Trefethen &
 Weideman, SIAM Rev. 56 (2014), Thm 5.1): the error at h is about the
@@ -140,8 +145,8 @@ _LINE_LOSS = 0.125
 _BLOCK_ELEMENTS = 2**13
 _MAX_REFINE = 6
 _H0 = 0.1
-# the first pass spans |tau| <= _DECAY_LOGS / (pi omega / 2), where the
-# integrand has fallen by e^-30 from its asymptotic envelope at tau = 0
+# the first pass spans this many e-folds of the decay rate pi omega / 2, and
+# on a fitted slid line at least as many of Stirling's Re K (module docstring)
 _DECAY_LOGS = 30.0
 # fewest first-pass nodes on each side of tau = 0
 _N_MIN = 40
@@ -250,6 +255,7 @@ class _SpecConstants:
             + [(a, -al, -1.0) for a, al in spec.upper[spec.l :]]
             + [(1.0 - b, be, -1.0) for b, be in spec.lower[spec.m :]]
         )
+        self.factors = factors
         self.c0, self.c1, self.sign = (np.array(col)[:, None] for col in zip(*factors))
         # the rightmost pole of the Gamma(1 - A_i + alpha_i s), i <= l, and
         # the leftmost of the Gamma(B_j - beta_j s), j <= m
@@ -334,10 +340,35 @@ def _log_integrand(spec: HFunctionSpec, s):
     return out.reshape(s.shape)
 
 
-def _first_pass_steps(omega: float, h0: float) -> int:
+def _first_pass_steps(omega: float, h0: float, drop=None) -> int:
     """Steps n of the first pass at step h0: its nodes are tau = k h0,
-    0 <= k <= n (the truncation rule of the module docstring)."""
-    return max(int(math.ceil(_DECAY_LOGS / (math.pi * omega / 2.0) / h0)), _N_MIN)
+    0 <= k <= n (the truncation rule of the module docstring, drop that of
+    _stirling_drop or None)."""
+    rate = math.pi * omega / 2.0
+    n = max(int(math.ceil(_DECAY_LOGS / rate / h0)), _N_MIN)
+    cap = n << _MAX_DOUBLINGS
+    while drop is not None and n < cap and (fall := drop(n * h0)) > -_DECAY_LOGS:
+        n = min(n + math.ceil((fall + _DECAY_LOGS) / rate / h0), cap)
+    return n
+
+
+def _stirling_drop(c: _SpecConstants, sigma: float):
+    """Stirling's estimate of Re K(sigma + i tau) - Re K(sigma) as a
+    function of tau, or None where an argument A = c0 + c1 sigma is below
+    1.  Each Gamma(w)^sign, w = A + i |c1| tau, adds sign (Re[(w - 1/2)
+    log(w / A) + 1 / (12 w)] - 1 / (12 A)), next term below 1/360."""
+    terms = [(c0 + c1 * sigma, abs(c1), sign) for c0, c1, sign in c.factors]
+    if min(a for a, _, _ in terms) < 1.0:
+        return None
+
+    def drop(tau):
+        return sum(
+            sign * ((a - 0.5) * 0.5 * math.log1p((b * tau / a) ** 2) - b * tau * math.atan2(b * tau, a)
+                    + a / (12.0 * (a * a + (b * tau) ** 2)) - 1.0 / (12.0 * a))
+            for a, b, sign in terms
+        )
+
+    return drop
 
 
 def _trapezoid_line(
@@ -564,28 +595,30 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
 def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
-    Yields (abscissa, indices into z, first-pass step h0).  A band bounds
-    no array: _trapezoid_line builds its (z x nodes) matrix in blocks.
-    The default line gamma0 lies in the strip left < Re s < right.  The
-    contour slides to the real saddle sigma*_z when that lies beyond gamma0
-    on the side without poles: left for (m, l) = (q, 0) with nu > 0, right
-    for its mirror (0, p) with nu < 0.  There the integrand has no poles and
-    log|integrand| is smooth.  A z short of the spec's slide threshold stays
-    on gamma0 unsearched; one _real_minimum call finds every other z's
-    saddle on the spec's saddle table, and Re K there, so the grouping
-    evaluates no kernel.  Every z that stays forms one band on gamma0.
-    Slid z, nearest gamma0 first, share the deepest saddle on which the
-    band's first member loses at most _LINE_LOSS, and the band takes the
+    Yields (abscissa, indices into z, first-pass step h0, step count n).  A
+    band bounds no array: _trapezoid_line builds its (z x nodes) matrix in
+    blocks.  The default line gamma0 lies in the strip left < Re s < right.
+    The contour slides to the real saddle sigma*_z when that lies beyond
+    gamma0 on the side without poles: left for (m, l) = (q, 0) with nu > 0,
+    right for its mirror (0, p) with nu < 0.  There the integrand has no
+    poles and log|integrand| is smooth.  A z short of the spec's slide
+    threshold stays on gamma0 unsearched; one _real_minimum call finds every
+    other z's saddle on the spec's saddle table, and Re K there, so the
+    grouping evaluates no kernel.  Every z that stays forms one band on
+    gamma0.  Slid z, nearest gamma0 first, share the deepest saddle on which
+    the band's first member loses at most _LINE_LOSS, and the band takes the
     following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
     each, and ends at the first z that would break it, even inside a
-    caller's stencil (the module docstring bounds what that costs).  h0
-    comes from the first member's saddle, the narrowest Gaussian and the
-    nearest pole of the band.  The line stays near the first member: a
-    member between it and gamma0 adds its offset log z - log z_line to the
-    drift of Im log f along the line, and the first pass's phase test then
-    sends it on to refinement; deeper members subtract it.  On the first
-    member's own saddle, the line lies so near the pole that the deepest
-    members miss the first-pass estimate.
+    caller's stencil (the module docstring bounds what that costs).  h0 comes
+    from the first member's saddle, the narrowest Gaussian and the nearest
+    pole of the band, and n from the line: the decay rate's span, extended
+    by Stirling's estimate where that saddle was fitted (module docstring).
+    The line stays near the first member: a member between it and gamma0
+    adds its offset log z - log z_line to the drift of Im log f along the
+    line, and the first pass's phase test then sends it on to refinement;
+    deeper members subtract it.  On the first member's own saddle, the line
+    lies so near the pole that the deepest members miss the first-pass
+    estimate.
     """
     d = c.d
     log_z = np.log(z)
@@ -601,13 +634,11 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
         slid = d * sstar < d * c.gamma0
         fixed, order = (~slid).nonzero()[0], slid.nonzero()[0]
         order = order[(-d * sstar[order]).argsort(kind="stable")]
+    omega = c.conv.omega
     if fixed.size:
-        yield c.gamma0, fixed, _H0
+        yield c.gamma0, fixed, _H0, _first_pass_steps(omega, _H0)
     while order.size:
         a = line = order[0]
-        # the step rule of the module docstring; a NaN K'' (no fit) keeps _H0
-        curv = kpp.item(a)
-        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar.item(a) - c.edge) / 5.0)) if curv > 0 else _H0
         size = 1
         if order.size > 1:
             lz = log_z[order]
@@ -616,7 +647,13 @@ def _contour_bands(c: _SpecConstants, z: np.ndarray):
             line = order[np.cumprod(first <= _LINE_LOSS).sum() - 1]
             loss = kernel[line] + sstar[line] * lz - phi
             size = np.cumprod(loss <= _BAND_LOSS).sum()
-        yield sstar.item(line), order[:size], h0
+        # the step rule and Stirling's span of the module docstring; a NaN
+        # K'' (no fit, at a table end) keeps _H0 and the decay rate's span
+        curv, sigma = kpp.item(a), sstar.item(line)
+        fitted = curv > 0
+        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar.item(a) - c.edge) / 5.0)) if fitted else _H0
+        n = _first_pass_steps(omega, h0, _stirling_drop(c, sigma) if fitted else None)
+        yield sigma, order[:size], h0, n
         order = order[size:]
 
 
@@ -656,19 +693,18 @@ def eval_mellin_barnes_batch(spec: HFunctionSpec, z) -> np.ndarray:
         raise UnsupportedClassError("no contour separates the two pole families")
     out = np.empty(len(z))
     bands = list(_contour_bands(c, z))
-    omega = c.conv.omega
     # gamma0's band, yielded first, reads the stored first pass; the slid
     # bands' first-pass nodes gamma + i k h0, 0 <= k <= n, go through one
     # kernel call, whose fixed cost would otherwise recur per band
     lines = [c.first_pass] if bands and bands[0][0] == c.gamma0 else []
     slid = bands[len(lines) :]
     if slid:
-        steps = [_first_pass_steps(omega, h0) + 1 for _, _, h0 in slid]
-        nodes = [gamma + 1j * h0 * np.arange(n) for (gamma, _, h0), n in zip(slid, steps)]
+        steps = [n + 1 for *_, n in slid]
+        nodes = [gamma + 1j * h0 * np.arange(n) for (gamma, _, h0, _), n in zip(slid, steps)]
         kernel = _log_integrand(spec, np.concatenate(nodes))
         lines += [kernel[end - n : end] for end, n in zip(itertools.accumulate(steps), steps)]
-    for (gamma, idx, h0), k in zip(bands, lines):
-        out[idx] = _trapezoid_line(spec, z[idx], gamma, omega, h0, k)
+    for (gamma, idx, h0, _), k in zip(bands, lines):
+        out[idx] = _trapezoid_line(spec, z[idx], gamma, c.conv.omega, h0, k)
     return out
 
 

@@ -183,6 +183,14 @@ def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
             u = x**problem.a * form.evaluate(z) if 0.0 < z < math.inf else math.inf
     except OverflowError:
         u = math.inf
+    if closed and not cmath.isfinite(u):
+        # a factor passed the double range: the sum of their logs, with an
+        # overflowing exp argument counted as inf, says whether u does
+        log_x, log_t = math.log(x), math.log(t)
+        arg = (2.0 - problem.d) * log_x - (1.0 + problem.m) * log_t
+        inner = math.exp(arg) if arg < LOG_MAX else math.inf
+        log_u = form.x_exponent * log_x + form.t_exponent * log_t - form.exp_coef * inner
+        u = problem.constant(1) * math.exp(log_u) if log_u < LOG_MAX else math.inf
     if cmath.isfinite(u):
         return u
     if closed:

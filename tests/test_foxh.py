@@ -284,12 +284,20 @@ class TestEvalMellinBarnes:
         assert len(calls[first_line_pass(calls) :]) == 1
 
     def test_runaway_truncation_raises(self, monkeypatch):
-        # z = 2.2 on the saddle contour needs one doubling of T: it settles
-        # when one is allowed and raises when none is
-        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 1)
+        # z = 2.2 on the saddle contour settles in the one line pass that
+        # Stirling's span sizes; with the span cut to 10 e-folds T needs one
+        # doubling: it settles when one is allowed and raises when none is
         with mpmath.workdps(30):
             want = float(mpmath.meijerg([[], [1.2]], [[0.0, 0.3, 0.7], []], 2.2))
+        eval_mellin_barnes(MEIJER_SPEC, 2.2)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(MEIJER_SPEC, 2.2), want, rtol=1e-9)
+        assert len(calls) == 1
+        monkeypatch.setattr(foxh, "_DECAY_LOGS", 10.0)
+        monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 1)
+        calls.clear()
+        assert_allclose(eval_mellin_barnes(MEIJER_SPEC, 2.2), want, rtol=1e-9)
+        assert len(calls) == 2
         monkeypatch.setattr(foxh, "_MAX_DOUBLINGS", 0)
         with pytest.raises(QuadratureFailureError):
             eval_mellin_barnes(MEIJER_SPEC, 2.2)
@@ -659,7 +667,7 @@ class TestBatchedEvaluation:
             # (z -> phi_z at the band's abscissa, the band's indices)
             _, sstar, kernel = own_minimum(z)
             bands = []
-            for line, idx, _ in foxh._contour_bands(c, z):
+            for line, idx, *_ in foxh._contour_bands(c, z):
                 if line != c.gamma0:
                     k = kernel[np.flatnonzero(sstar == line)[0]]
                     bands.append((lambda v, k=k, line=line: k + line * np.log(v), idx))
@@ -963,6 +971,7 @@ class TestContourStep:
     def test_values_match_base_step(self, alpha, monkeypatch):
         # each case1 spec at 60 z, and its inverted spec at 1/z, whose
         # contour slides right; against every band forced onto h0 = _H0
+        # over the same span
         zs = np.geomspace(1e-3, 1e4, 60)
         cases = [(case1_spec(alpha, m), zs) for m in (0, 1, 2)]
         cases += [(invert_argument(spec), 1.0 / z) for spec, z in cases]
@@ -970,7 +979,10 @@ class TestContourStep:
         contour_bands = foxh._contour_bands
         monkeypatch.setattr(
             foxh, "_contour_bands",
-            lambda c, z: ((gamma, idx, foxh._H0) for gamma, idx, _ in contour_bands(c, z)),
+            lambda c, z: (
+                (gamma, idx, foxh._H0, math.ceil(n * h0 / foxh._H0))
+                for gamma, idx, h0, n in contour_bands(c, z)
+            ),
         )
         want = [outcome(spec, z) for spec, z in cases]
         for g, w in zip(got, want):
@@ -1020,6 +1032,90 @@ class TestContourStep:
                 eval_mellin_barnes(spec, z)
             with pytest.raises(ValueError):
                 eval_mellin_barnes(invert_argument(spec), z)
+
+
+# every SLIDE_SPECS spec at nine decay levels from 1 to 100, an inverted
+# spec at the reciprocal of its base spec's z: each lies on a fitted slid line
+SLID_POINTS = [
+    (spec, decay_arg(spec, level))
+    for spec in SLIDE_SPECS[: len(SLIDE_SPECS) // 2]
+    for level in np.geomspace(1.0, 100.0, 9)
+]
+SLID_POINTS += [(invert_argument(spec), 1.0 / z) for spec, z in SLID_POINTS]
+
+
+def one_band(spec, z):
+    """The constants and the one contour band (abscissa, indices, h0, n) of
+    a scalar z."""
+    c = foxh._constants(spec)
+    (band,) = foxh._contour_bands(c, np.array([z]))
+    return c, band
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestStirlingSpan:
+    """A fitted slid band's first pass spans its line's decay by Stirling's
+    estimate of Re K(sigma + i tau) - Re K(sigma), so T no longer doubles;
+    other lines keep the span of the decay rate alone."""
+
+    def test_estimate_matches_kernel(self):
+        # within 0.01 e-folds at a quarter, half and all of each span; no
+        # estimate where an argument's real part is below 1
+        none = 0
+        for spec, z in SLID_POINTS:
+            c, (sigma, _, h0, n) = one_band(spec, z)
+            assert sigma != c.gamma0 and np.isfinite(foxh._real_minimum(c, np.log([z]))[1]).all()
+            drop = foxh._stirling_drop(c, sigma)
+            if drop is None:
+                none += 1
+                assert min(c0 + c1 * sigma for c0, c1, _ in c.factors) < 1.0
+                continue
+            tau = n * h0 * np.array([0.0, 0.25, 0.5, 1.0])
+            k = foxh._log_integrand(spec, sigma + 1j * tau).real
+            assert_allclose([drop(t) for t in tau[1:]], k[1:] - k[0], rtol=0.0, atol=0.01)
+        assert 0 < none < len(SLID_POINTS) // 10
+
+    def test_one_kernel_call_per_warm_value(self, monkeypatch):
+        # all 378 warm values make one kernel call, and agree with the span of
+        # the decay rate alone, with which 78 of them double T
+        got = []
+        for spec, z in SLID_POINTS:
+            eval_mellin_barnes(spec, z)
+            calls = TestHalfLineQuadrature.record(monkeypatch)
+            got.append(eval_mellin_barnes(spec, z))
+            monkeypatch.undo()
+            assert len(calls) == 1, (spec, z)
+        monkeypatch.setattr(foxh, "_stirling_drop", lambda c, sigma: None)
+        calls = TestHalfLineQuadrature.record(monkeypatch)
+        doubled = 0
+        for (spec, z), g in zip(SLID_POINTS, got):
+            calls.clear()
+            assert_allclose(g, eval_mellin_barnes(spec, z), rtol=1e-11, atol=0.0)
+            doubled += len(calls) > 1
+        assert doubled > 0
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_table_end_keeps_decay_span(self, inverted):
+        # one of criterion 7's unfitted lines: its search ends at the saddle
+        # table's end, 5,485 from the strip, where every value underflows
+        spec = solve(DiffusionProblem(alpha=1.5, m=2, d=0.0, A=1.0)).form.small.spec
+        spec = invert_argument(spec) if inverted else spec
+        c, (sigma, _, h0, n) = one_band(spec, 1.0)
+        assert np.isnan(foxh._real_minimum(c, np.log([1.0]))[1][0])
+        assert abs(sigma - c.edge) > 5000.0
+        assert h0 == foxh._H0 and n == foxh._first_pass_steps(c.conv.omega, foxh._H0)
+
+    @pytest.mark.parametrize(
+        "spec,z",
+        [(MEIJER_SPEC, 0.25), (case1_spec(0.3, 0), decay_arg(case1_spec(0.3, 0), 1.0))],
+        ids=["meijer", "case1"],
+    )
+    def test_argument_below_one_keeps_decay_span(self, spec, z):
+        # a fitted line near the strip, where Gamma(-s) has an argument below 1
+        c, (sigma, _, h0, n) = one_band(spec, z)
+        assert np.isfinite(foxh._real_minimum(c, np.log([z]))[1][0])
+        assert foxh._stirling_drop(c, sigma) is None
+        assert n == foxh._first_pass_steps(c.conv.omega, h0)
 
 
 class TestInvertArgument:

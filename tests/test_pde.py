@@ -3,6 +3,7 @@ solution branches, the integer-order closed form, and evaluation."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,15 +286,34 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "branch, x, t",
         [("h-form", 1e-300, 1.0), ("h-form", 1e300, 1.0), ("h-form", 1e-200, 1e-200),
-         ("wright", 1.0, 1e300), ("closed-form", 1e300, 1.0),
-         ("closed-form-steep", 1e27, 1e-3)],
+         ("wright", 1.0, 1e300), ("closed-form-steep", 1e-155, 4e-312)],
     )
     def test_double_range_refused(self, branch, x, t):
-        # z, a power of x or t, or the exp argument passes the double range:
-        # each used to end in a bare OverflowError or ZeroDivisionError, and
-        # the last in nan, from inf times exp(-2.5e56) = 0
+        # z, a power of x or t, or the value passes the double range: each
+        # used to end in a bare OverflowError or ZeroDivisionError; the
+        # steep closed form peaks in t at t = x^2 / 26, where its log is
+        # -2 log x + 14.7, here 728
         with pytest.raises(DomainError, match="passes the double range"):
             evaluate(EXTREME_BRANCHES[branch], x, t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "branch, x, t", [("closed-form", 1e300, 1.0), ("closed-form-steep", 1e27, 1e-3)]
+    )
+    def test_double_range_underflows_to_zero(self, branch, x, t):
+        # x^2 overflows, and x^11 t^-6.5 overflows where exp(-2.5e56)
+        # underflows: both values lie below the double range, as their logs show
+        assert evaluate(EXTREME_BRANCHES[branch], x, t) == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_form_in_range_from_logs(self):
+        # t^-6.5 overflows, but the value, 2.4e286, is in range
+        x, t = 1e-140, 1e-280 / 26.0
+        with mpmath.workdps(30):
+            xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+            want = xm**11 * tm**-6.5 * mpmath.exp(-(xm**2) / (4 * tm))
+        got = evaluate(EXTREME_BRANCHES["closed-form-steep"], x, t)
+        assert abs(got / float(want) - 1.0) < 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_float_time_refused(self):

@@ -198,8 +198,8 @@ class TestResidualPde:
 
         def own_line_each(c, z):
             for i in range(z.size):
-                for line, _, h0 in contour_bands(c, z[i : i + 1]):
-                    yield line, np.array([i]), h0
+                for line, _, h0, n in contour_bands(c, z[i : i + 1]):
+                    yield line, np.array([i]), h0, n
 
         monkeypatch.setattr(foxh, "_contour_bands", own_line_each)
         got = residual_pde(sol, prob, grid, h=1e-4)
@@ -338,8 +338,8 @@ class TestHProfile:
         )
         bands = list(foxh._contour_bands(c, np.exp(profile.xs)))
         assert calls == []
-        assert sum(idx.size for _, idx, _ in bands) == profile.xs.size
-        assert sum(line != c.gamma0 for line, _, _ in bands) >= 2
+        assert sum(idx.size for _, idx, *_ in bands) == profile.xs.size
+        assert sum(line != c.gamma0 for line, *_ in bands) >= 2
 
     def test_first_passes_share_one_kernel_call(self, monkeypatch):
         # criterion 4's 320-node profile batch: the first passes of all its
@@ -358,12 +358,13 @@ class TestHProfile:
         )
         want = np.empty(z.size)
         omega = c.conv.omega
-        for gamma, idx, h0 in bands:
-            tau = np.arange(foxh._first_pass_steps(omega, h0) + 1) * h0
-            k = log_integrand(spec, gamma + 1j * tau)
+        for gamma, idx, h0, n in bands:
+            k = log_integrand(spec, gamma + 1j * h0 * np.arange(n + 1))
             want[idx] = foxh._trapezoid_line(spec, z[idx], gamma, omega, h0, k)
-        # the bands' doubling and refinement passes
+        # the bands' doubling and refinement passes: none, since every
+        # slid band's first pass spans its line's decay
         later = len(calls)
+        assert later == 0
         calls.clear()
         got = foxh.eval_mellin_barnes_batch(spec, z)
         assert len(calls) == 1 + later
