@@ -9,7 +9,8 @@ accuracy it reached:
   arrays, a mixed one with Re z on both sides of 0.5 and a right-half-plane
   one (Re z >= 0.5, where no element takes the reflection) shaped like the
   contour's kernel arguments, and the largest relative error of Gamma on
-  300 elements of each;
+  300 elements of each; and us per 0-d call, one at a time over the first
+  300 z of the mixed array, with the largest relative error of those calls;
 - ``wright.mittag_leffler``: us per ``E_{0.5,1}(z)`` at z = 1.3 and -2,
   and the relative error against its closed form exp(z^2) erfc(-z);
 - ``foxh.eval_mellin_barnes``: us per scalar evaluation at a small, a
@@ -137,16 +138,26 @@ def lngamma_rows(speed):
     rows = []
     for name, z in arrays.items():
         t, ts = timed(lambda: ln_gamma_vec(z), speed)
-        got = ln_gamma_vec(z[:300])
-        with mpmath.workdps(30):
-            err = max(
-                abs(complex(mpmath.exp(mpmath.mpc(g) - mpmath.loggamma(mpmath.mpc(x)))) - 1.0)
-                for g, x in zip(got, z[:300])
-            )
         rows.append({"layer": "gammafn.ln_gamma_vec", "array": name,
                      "ns_per_element": t / z.size * 1e9,
-                     "scaled_ns_per_element": ts / z.size * 1e9, "max_rel_err": err})
+                     "scaled_ns_per_element": ts / z.size * 1e9,
+                     "max_rel_err": gamma_error(z[:300], ln_gamma_vec(z[:300]))})
+    # one 0-d call per z, as each Wright series term makes them
+    z = arrays["mixed"][:300]
+    t, ts = timed(lambda: [ln_gamma_vec(v) for v in z], speed)
+    rows.append({"layer": "gammafn.ln_gamma_vec", "array": "0-d",
+                 "us": t / z.size * 1e6, "scaled_us": ts / z.size * 1e6,
+                 "max_rel_err": gamma_error(z, [complex(ln_gamma_vec(v)) for v in z])})
     return rows
+
+
+def gamma_error(z, got):
+    """The largest relative error of Gamma = exp(got) over z, against mpmath."""
+    with mpmath.workdps(30):
+        return max(
+            abs(complex(mpmath.exp(mpmath.mpc(g) - mpmath.loggamma(mpmath.mpc(x)))) - 1.0)
+            for g, x in zip(got, z)
+        )
 
 
 def ml_rows(speed):

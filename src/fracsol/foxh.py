@@ -546,7 +546,8 @@ def _trapezoid_line(
 def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     """Minimise phi_z(sigma) = Re K(sigma) + sigma log z over the real
     sigma of the spec's saddle table, for every z at once.  Returns the
-    minimisers, K'' there and Re K there.
+    minimisers, K'' there and Re K there (NaN for a single z, since
+    _contour_bands reads Re K only to group two or more).
 
     K does not depend on z, so the table, built at the spec's first
     slidable evaluation (_SpecConstants.table), serves every later z with
@@ -586,6 +587,9 @@ def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
     # the saddle: the parabola's curvature curv / dv^2 gives K'' = phi_vv / r'^2
     kpp = np.divide(curv, (_SADDLE_DV * dr) ** 2, out=np.full(len(rows), math.nan), where=fit)
     sigma_min = c.edge - c.d * r
+    if len(rows) == 1:
+        # a lone searched z forms a band alone, which reads no Re K
+        return sigma_min, kpp, np.full(1, math.nan)
     # Re K there, from the vertex value phi_z(sigma[j]) - (below - above)^2 /
     # (8 curv); with no fit sigma_min = sigma[j], and this is the table's
     drop = np.divide(diff**2, 8.0 * curv, out=np.zeros(len(rows)), where=fit)

@@ -6,7 +6,10 @@ Lanczos approximation (g = 7, 9 coefficients) valid for Re z >= 0.5,
 extended to the left half-plane by the reflection formula, whose log-sin
 is one overflow-safe formula.  ln_gamma_vec evaluates the reflection, and
 its log-sin, on the elements with Re z < 0.5 only: the contour's kernel
-arguments mostly lie right of that line.
+arguments mostly lie right of that line.  A 0-d argument, as each Wright
+series term passes, runs numpy's scalar arithmetic throughout, the Lanczos
+sum included, so its value's last bits may differ from the same z's in an
+array (by up to about 8e-16 relative).
 
 Branch note: in the reflected region the imaginary part of ``ln_gamma``
 may differ from the principal branch by a multiple of 2*pi.  All call
@@ -21,18 +24,17 @@ import numpy as np
 from .errors import PoleError
 
 _LANCZOS_G = 7.0
-_LANCZOS = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
+# Python floats: indexing an ndarray would make a numpy scalar per term
+_LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
 )
 _LOG_SQRT_2PI = 0.91893853320467274178
 _LOG_PI = 1.1447298858494001741
@@ -61,10 +63,12 @@ def is_nonpositive_integer(z, tol: float = POLE_TOL):
 
 
 def _core(z):
-    # Lanczos sum, valid for Re z >= 0.5; z is a complex ndarray.
+    # Lanczos sum, valid for Re z >= 0.5; z is a complex ndarray.  The sum
+    # starts from its first term, so on a 0-d z, which the first subtraction
+    # turns into a numpy scalar, every step is scalar arithmetic
     w = z - 1.0
-    x = np.full_like(w, _LANCZOS[0])
-    for k in range(1, len(_LANCZOS)):
+    x = _LANCZOS[0] + _LANCZOS[1] / (w + 1)
+    for k in range(2, len(_LANCZOS)):
         x = x + _LANCZOS[k] / (w + k)
     t = w + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(x)

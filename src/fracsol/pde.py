@@ -167,7 +167,10 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
     """Evaluate a solution at a point of the open quadrant x, t > 0, or
     raise DomainError, naming the quantity, where z, a power of x or t, the
-    H argument or the value passes the double range."""
+    H argument or the value passes the double range.  x and t are taken as
+    Python floats, whose powers raise the OverflowError handled here where a
+    numpy float's would warn."""
+    x, t = float(x), float(t)
     if x <= 0 or t <= 0:
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
     form, problem = sol.form, sol.problem

@@ -460,6 +460,18 @@ class TestSaddleSearch:
             want = foxh._log_integrand(spec, sigma[slid]).real
             assert np.max(np.abs(kernel[slid] - want)) <= 1e-3
 
+    def test_single_z_leaves_kernel_value_out(self):
+        # a single searched z forms a band alone, which reads no Re K: the
+        # search leaves it NaN, and returns the batch's saddle and K''
+        c = foxh._constants(case1_spec(0.8, 1))
+        log_z = np.log(np.geomspace(1e-3, 1e4, 40))
+        batch = foxh._real_minimum(c, log_z)
+        for j in range(log_z.size):
+            sigma, kpp, kernel = foxh._real_minimum(c, log_z[j : j + 1])
+            assert sigma[0] == batch[0][j] and np.isnan(kernel[0])
+            assert np.array_equal(kpp, batch[1][j : j + 1], equal_nan=True)
+            assert np.isfinite(batch[2][j])
+
     def test_calls_do_not_grow_with_z(self, monkeypatch):
         # once the table reaches the deepest z's saddle, the search itself
         # evaluates no kernel

@@ -111,6 +111,36 @@ class TestLnGamma:
         assert isinstance(got, np.ndarray) and got.shape == ()
         assert np.array_equal(got, self.reflect_everywhere(z))
 
+    @staticmethod
+    def lanczos_full_like(z):
+        """_core's Lanczos sum as an ndarray loop: it starts from
+        np.full_like(w, c0), a 0-d array for a 0-d z, and takes every
+        coefficient as a numpy float."""
+        c = np.array(gammafn._LANCZOS)
+        w = z - 1.0
+        x = np.full_like(w, c[0])
+        for k in range(1, len(c)):
+            x = x + c[k] / (w + k)
+        t = w + gammafn._LANCZOS_G + 0.5
+        return gammafn._LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(x)
+
+    def test_scalar_lanczos_sum_is_bit_identical(self):
+        # _core keeps a 0-d z's sum in numpy scalar arithmetic, from its
+        # first term and with Python-float coefficients: its values equal
+        # the ndarray loop's bit for bit, on 0-d arguments, on reflected
+        # 0-d arguments through ln_gamma_vec, and on arrays
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-20.0, 20.0, 400) + 1j * rng.uniform(-60.0, 60.0, 400)
+        z = np.concatenate([z, self.MIXED])
+        refl = z.real < 0.5
+        right = np.where(refl, 1.0 - z, z)
+        for v in map(np.asarray, right):
+            assert np.array_equal(gammafn._core(v), self.lanczos_full_like(v)), v
+        for v in z[refl]:
+            want = gammafn._LOG_PI - gammafn._log_sin_pi(v[None]) - self.lanczos_full_like(1.0 - v)
+            assert np.array_equal(ln_gamma_vec(v), want[0]), v
+        assert np.array_equal(gammafn._core(right), self.lanczos_full_like(right))
+
     @pytest.mark.parametrize("reflected", [False, True])
     def test_no_warning_when_no_or_every_element_is_reflected(self, reflected):
         z = self.MIXED[(self.MIXED.real < 0.5) == reflected]

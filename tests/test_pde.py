@@ -323,6 +323,23 @@ class TestEvaluate:
             evaluate(EXTREME_BRANCHES["wright"], 1.0, np.float64(1e300))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("num", [float, np.float64])
+    @pytest.mark.parametrize(
+        "branch, x, t, want",
+        [("closed-form", 1e300, 1.0, 0.0), ("closed-form-steep", 1e300, 1.0, 0.0),
+         ("closed-form-steep", 1.0, 1e-300, 0.0), ("h-form", 1e-300, 1.0, None)],
+    )
+    def test_numpy_floats_read_as_python_floats(self, branch, x, t, want, num):
+        # a numpy float's power used to warn where a Python float's raises
+        # the OverflowError that evaluate handles; the refusal names plain floats
+        sol = EXTREME_BRANCHES[branch]
+        if want is not None:
+            assert evaluate(sol, num(x), num(t)) == want
+            return
+        with pytest.raises(DomainError, match=r"at \(x, t\) = \(1e-300, 1\.0\)$"):
+            evaluate(sol, num(x), num(t))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("branch", sorted(EXTREME_BRANCHES))
     @settings(max_examples=100, deadline=None)
     @given(log_x=st.floats(-300.0, 300.0), log_t=st.floats(-300.0, 300.0))
