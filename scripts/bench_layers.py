@@ -15,20 +15,20 @@ accuracy it reached:
   and the relative error against its closed form exp(z^2) erfc(-z);
 - ``foxh.eval_mellin_barnes``: us per scalar evaluation at a small, a
   moderate and a deep-decay argument (decay level nu (mu z)^(1/nu) =
-  100), warm (the spec's constants and saddle table built) and cold
-  (rebuilt on every call), with the kernel calls one call makes, the
-  nodes they evaluate, those off the real axis (the contour lines) and
-  those of the saddle table among them, the saddle searches
-  (``_real_minimum`` calls) it runs, and the relative error against
-  mpmath.meijerg; and us per warm array evaluation of acceptance criterion
+  100), warm (the spec's constants built) and cold (rebuilt on every
+  call), with the kernel calls one call makes, the nodes they evaluate and
+  those off the real axis (the contour lines) among them, the saddle
+  searches (``_root`` calls, the root-finds on the real axis) it runs, and
+  the relative error against mpmath.meijerg; and us per warm array
+  evaluation of acceptance criterion
   4's spec at 320 log-spaced z in [1e-3, 1e2], which spans the default
   line and the slid saddle lines, with the same kernel and search counts, the
   contour bands the call forms and the largest relative error against
   one scalar call per z;
 - ``acceptance.criterion_7``: seconds per run of acceptance criterion 7's
   H identity suite as its test runs it (288 scalar ``eval_mellin_barnes``
-  calls on 54 specs), warm (every spec's constants and saddle table
-  built) and cold (rebuilt before every run), with the same kernel and
+  calls on 54 specs), warm (every spec's constants built) and cold
+  (rebuilt before every run), with the same kernel and
   search counts and the suite's worst identity error;
 - ``verify._HProfile``: us per build of the Grunwald-Letnikov spline
   profile of acceptance criterion 4's solution at x = 1 (320 H values
@@ -172,32 +172,27 @@ def ml_rows(speed):
 
 
 def count_nodes(fn):
-    """Kernel calls fn() makes, and the nodes they evaluate: all, those off
-    the real axis and those of saddle tables, the calls whose nodes are all
-    real (every contour-line call has nodes with tau > 0); and the saddle
-    searches (``_real_minimum`` calls) it runs."""
+    """Kernel calls fn() makes, and the nodes they evaluate: all, and those
+    off the real axis; and the saddle searches (``_root`` calls) it runs."""
     sizes, searches = [], []
-    log_integrand, real_minimum = foxh._log_integrand, foxh._real_minimum
+    log_integrand, root = foxh._log_integrand, foxh._root
 
     def counting(spec, s):
         s = np.asarray(s)
-        line = int(np.count_nonzero(s.imag > 0.0))
-        sizes.append((s.size, line, 0 if line else s.size))
+        sizes.append((s.size, int(np.count_nonzero(s.imag > 0.0))))
         return log_integrand(spec, s)
 
-    def searching(c, log_z):
-        searches.append(log_z.size)
-        return real_minimum(c, log_z)
+    def searching(c, f, lo, hi, u):
+        searches.append(u)
+        return root(c, f, lo, hi, u)
 
-    foxh._log_integrand, foxh._real_minimum = counting, searching
+    foxh._log_integrand, foxh._root = counting, searching
     try:
         fn()
     finally:
-        foxh._log_integrand, foxh._real_minimum = log_integrand, real_minimum
-    return {"kernel_calls": len(sizes), "saddle_searches": len(searches), **{
-        key: sum(row[i] for row in sizes)
-        for i, key in enumerate(("nodes", "line_nodes", "table_nodes"))
-    }}
+        foxh._log_integrand, foxh._root = log_integrand, root
+    return {"kernel_calls": len(sizes), "saddle_searches": len(searches),
+            "nodes": sum(n for n, _ in sizes), "line_nodes": sum(n for _, n in sizes)}
 
 
 def count_bands(fn):
@@ -353,7 +348,7 @@ def residual_row(speed):
         calls.append(z)
         return batch(spec, z)
 
-    # warm: the spec's constants and saddle table are built before counting
+    # warm: the spec's constants are built before counting
     report = call()
     verify.eval_mellin_barnes_batch = counting_batch
     try:

@@ -17,13 +17,13 @@ arguments the line slides left to the real saddle of phi_z(s) = Re K(s) +
 s log z, where K is the log of the gamma-ratio kernel, so the quadrature
 keeps relative accuracy deep into the exponential decay; for (m, l) =
 (0, p), the s -> -s mirror of that class, it slides right at small
-arguments.  K does not depend on z, so the saddle search reads a table
-of Re K on the real axis beyond the strip edge, built by one kernel call
-at the spec's first slidable evaluation and kept with its other constants
-(_constants): every later search, for any number of z, and the grouping
-below are array arithmetic.  The search's slide decision is monotone in
-log z, so the table also gives the log z past which a z slides, the slide
-threshold: a z short of it stays on gamma0 with no search at all.
+arguments.  The saddle is the root of phi_z'(sigma) = K'(sigma) + log z,
+K' a sum of digammas over the kernel's factors (Paris & Kaminski,
+Asymptotics and Mellin-Barnes Integrals, 2001), found by a safeguarded
+Newton iteration in log|sigma - edge| (_root) in real arithmetic, with no
+kernel call.  K is convex on the spec's saddle bracket
+(_SpecConstants.slide), so a z short of its slide threshold stays on
+gamma0 with no root-find.
 
 On a fixed line K does not depend on z; only s log z does.  The z of one
 call are therefore split into bands that share an abscissa, and K is
@@ -31,10 +31,10 @@ evaluated once per band and pass: the first passes of all the call's
 slid bands together in one kernel call, and each later doubling or
 refinement pass of a band in one more.  gamma0's first-pass lattice is
 fixed (the trapezoid lattice at step _H0 below), so the kernel on it is
-kept with the table, and a z that gamma0's first pass settles costs no
-kernel call.  Every z that stays at gamma0 joins one band on that line,
-and slid z are grouped under the saddle of a member near the band's
-first (its member nearest gamma0) so that no member's phi_z at the
+kept with the spec's constants, and a z that gamma0's first pass settles
+costs no kernel call.  Every z that stays at gamma0 joins one band on
+that line, and slid z share a line just past the saddle of the band's
+first member (its member nearest gamma0) so that no member's phi_z at the
 band's abscissa exceeds its own saddle value by more than _BAND_LOSS = 4
 e-folds.  Its relative rounding error then grows by at most e^4, to
 about 1e-14.  A band ends only there, so a caller's finite-difference
@@ -64,15 +64,14 @@ the trapezoid rule's error on an analytic integrand is set by its decay
 scale and its strip of analyticity, not by a fixed step (Trefethen &
 Weideman, SIAM Rev. 56 (2014)).  A band takes w and dist at its first
 member's saddle, which has the narrowest Gaussian and the nearest pole
-of its members.  The saddle search's parabola gives K'' with no extra
-kernel call; a band whose search fitted none keeps _H0.
+of its members; the root-find returns K'' there.
 
 The rule is truncated from the decay rate: the integrand falls like
 exp(-pi omega |tau| / 2), so the first pass spans 0 <= tau <= 30 /
 (pi omega / 2), at least _N_MIN steps.  On a slid line each factor
 Gamma(A + iB) also grows like |B|^(A - 1/2) (Stirling; Paris & Kaminski,
-Asymptotics and Mellin-Barnes Integrals, 2001), so a band whose saddle
-the search fitted, with every A >= 1 on its line, extends that span at
+Asymptotics and Mellin-Barnes Integrals, 2001), so a band on a saddle
+line, with every A >= 1 on it, extends that span at
 the decay rate until Stirling's Re K(sigma + i tau) - Re K(sigma) reads
 -30 (_stirling_drop), never past n 2^_MAX_DOUBLINGS.  T then doubles,
 evaluating only the new outer segment, until both tails are negligible.
@@ -127,7 +126,7 @@ from .errors import (
     QuadratureFailureError,
     UnsupportedClassError,
 )
-from .gammafn import CANCEL_TOL, EPS, LOG_MAX, ln_gamma_vec
+from .gammafn import CANCEL_TOL, EPS, LOG_MAX, _real_psi, ln_gamma_vec
 
 _REFINE_TOL = 1e-9
 # share of _REFINE_TOL the squared first-pass estimate may take (the safety
@@ -155,15 +154,6 @@ _MAX_DOUBLINGS = 6
 _TAIL_FRACTION = 1e-2
 # log of half the smallest subnormal: a bound below it rounds to 0.0
 _LOG_UNDERFLOW = math.log(2.0) * -1075
-# the saddle table (see _real_minimum) starts _SADDLE_GAP off the strip
-# edge and steps by _SADDLE_DV in v, 0.05 in log|sigma - edge| near the
-# edge; far from it a step moves phi_z by about _SADDLE_STEP^2 / 2 = 0.21
-# e-folds at the saddle.  The search first scans every _SADDLE_STRIDE-th
-# point.
-_SADDLE_GAP = 1e-3
-_SADDLE_DV = 0.025
-_SADDLE_STEP = 0.65
-_SADDLE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -243,7 +233,7 @@ class _SpecConstants:
     arrays, the strip left < Re s < right, the default line gamma0, the
     slide direction d (1 left, -1 right, 0 none), the strip edge the slide
     starts from and, each built at its first use, the kernel on gamma0's
-    first pass, the saddle table and the slide threshold read from it."""
+    first pass and the slid side's saddle bracket."""
 
     def __init__(self, spec: HFunctionSpec):
         self.spec = spec
@@ -267,43 +257,30 @@ class _SpecConstants:
         self.edge = right if self.d > 0 else left
 
     @functools.cached_property
-    def scale(self) -> float:
-        """a of the table's map r(v) = (a log(1 + e^v))^2."""
-        return _SADDLE_STEP / (2.0 * _SADDLE_DV * math.sqrt(abs(self.conv.nu)))
-
-    @functools.cached_property
-    def table(self):
-        """(v, sigma, Re K(sigma)) on sigma = edge - d r(v), v uniform in
-        steps of _SADDLE_DV from r = _SADDLE_GAP out to r = 3 * 900 / |nu| +
-        20, past the saddle at decay level 900, far beyond double
-        underflow; one kernel call.  A non-finite Re K is stored as +inf,
-        which no minimum picks.  A |nu| above about 4e6 overflows v and
-        raises UnsupportedClassError."""
-        ends = (_SADDLE_GAP, _SADDLE_GAP + 3.0 * 900.0 / abs(self.conv.nu) + 20.0)
-        try:
-            v0, v1 = (math.log(math.expm1(math.sqrt(r) / self.scale)) for r in ends)
-        except OverflowError:
-            raise UnsupportedClassError(f"nu = {self.conv.nu:g} overflows the saddle table") from None
-        v = v0 + _SADDLE_DV * np.arange(math.ceil((v1 - v0) / _SADDLE_DV) + 1)
-        sigma = self.edge - self.d * (self.scale * np.logaddexp(0.0, v)) ** 2
-        kernel = _log_integrand(self.spec, sigma).real
-        return v, sigma, np.where(np.isfinite(kernel), kernel, math.inf)
-
-    @functools.cached_property
-    def threshold(self) -> float:
-        """The log z past which _real_minimum slides a z off gamma0 (d log z
-        > d threshold), from the table with no kernel call: at the switch
-        the saddle sits on gamma0, so this is -dK/dsigma there, from the
-        parabolas in v through the table points around gamma0 that the
-        search fits.  A non-finite value sends every z to the search."""
-        v, sigma, kernel = self.table
-        r = abs(self.gamma0 - self.edge)
-        x = (math.log(math.expm1(math.sqrt(r) / self.scale)) - v[0]) / _SADDLE_DV
-        j = round(x)
-        # twice the slopes at x, in table steps, of Re K and of sigma
-        dk, ds = (f[2] - f[0] + 2.0 * (x - j) * (f[2] - 2.0 * f[1] + f[0])
-                  for f in (kernel[j - 1 : j + 2].tolist(), sigma[j - 1 : j + 2].tolist()))
-        return -dk / ds if math.isfinite(dk) else -self.d * math.inf
+    def slide(self):
+        """The saddle bracket (u0, u1, inner, outer, leave) in u = log r on the
+        slid side sigma = edge - d r, where each factor's argument grows like
+        |c1| r, with _real_kernel at both ends; None where no z slides.  u1
+        is r = 3 * 900 / |nu| + 20, past the saddle at decay level 900.  u0
+        is gamma0's r = 1/2, or, where a 1/Gamma factor's argument is 0 at
+        some r >= 1/2 or K'' <= 0 at gamma0, where K'' turns positive past
+        the outermost such zero.  K'' > 0 on the bracket, so phi_z has one
+        minimum in it for each log z past -K'(u0) and short of -K'(u1).  A z
+        leaves gamma0 past log z = leave: -K'(gamma0) when u0 is gamma0,
+        else where phi_z(gamma0) passes phi_z(u0)."""
+        if self.d * self.conv.nu <= 0:
+            return None
+        u0, u1 = math.log(0.5), math.log(3.0 * 900.0 / abs(self.conv.nu) + 20.0)
+        zero = max((-(c0 + c1 * self.edge) / abs(c1) for c0, c1, sign in self.factors if sign < 0),
+                   default=0.0)
+        if zero >= math.exp(u1):
+            return None
+        inner = gamma0 = _real_kernel(self, u0)
+        if zero >= 0.5 or gamma0[3] <= 0.0:
+            u0 = _root(self, lambda p: (p[3], math.nan), math.log(max(zero, 0.5)), u1, math.nan)[4]
+            inner = _real_kernel(self, u0)
+        leave = -inner[2] if inner is gamma0 else (gamma0[1] - inner[1]) / (inner[0] - gamma0[0])
+        return u0, u1, inner, _real_kernel(self, u1), leave
 
     @functools.cached_property
     def first_pass(self) -> np.ndarray:
@@ -316,7 +293,7 @@ class _SpecConstants:
 
 
 # keyed by the frozen, hashable spec: a solution's evaluations reuse its
-# few specs, and an entry holds a few hundred table points
+# few specs, and an entry holds gamma0's first pass
 _constants = functools.lru_cache(maxsize=128)(_SpecConstants)
 
 
@@ -379,9 +356,7 @@ def _trapezoid_line(
     rule, truncation, first-pass rule and refinement are in the module
     docstring).
 
-    The parameters and z are real, so f(gamma - i tau) = conj f(gamma + i tau)
-    and the rule's sum over the whole line is f(gamma) + 2 Re sum_{tau > 0}
-    f(gamma + i tau): every pass evaluates the kernel at tau >= 0 only.
+    Every pass evaluates the kernel at tau >= 0 only (module docstring).
     Each later pass evaluates the gamma-ratio kernel once on its new nodes,
     and the sum separates: log f = K(s) + gamma log z + i tau log z on the line.
     In units of e^ref, ref = max Re K + gamma log z per z, the moduli
@@ -543,121 +518,124 @@ def _trapezoid_line(
     )
 
 
-def _real_minimum(c: _SpecConstants, log_z: np.ndarray):
-    """Minimise phi_z(sigma) = Re K(sigma) + sigma log z over the real
-    sigma of the spec's saddle table, for every z at once.  Returns the
-    minimisers, K'' there and Re K there (NaN for a single z, since
-    _contour_bands reads Re K only to group two or more).
+def _real_kernel(c: _SpecConstants, u: float):
+    """The point (sigma, Re K = log|kernel|, K', K'', u) at sigma = edge - d
+    e^u on the slid side: K' = sum sign c1 psi(c0 + c1 sigma), and K'' the
+    same sum with c1^2 psi'."""
+    sigma = c.edge - c.d * math.exp(u)
+    k = k1 = k2 = 0.0
+    for c0, c1, sign in c.factors:
+        x = c0 + c1 * sigma
+        psi, tri = _real_psi(x)
+        k += sign * math.lgamma(x)
+        k1 += sign * c1 * psi
+        k2 += sign * c1 * c1 * tri
+    return sigma, k, k1, k2, u
 
-    K does not depend on z, so the table, built at the spec's first
-    slidable evaluation (_SpecConstants.table), serves every later z with
-    no kernel call.  It is uniform in v, where r = |sigma - edge| =
-    (a log(1 + e^v))^2.  Near the edge r grows like e^(2v), uniformly in
-    log r, where a saddle's width is O(1).  Far from it, where the saddle
-    moves out like (mu z)^(1/nu) and phi_z'' in log r grows like nu r, r
-    grows like (a v)^2, so each step spans the same share of the saddle's
-    width: a = _SADDLE_STEP / (2 _SADDLE_DV sqrt|nu|) makes a step move
-    phi_z by about _SADDLE_STEP^2 / 2 e-folds there.  Per z, a coarse
-    argmin over every _SADDLE_STRIDE-th point finds the saddle's cell and
-    a fine argmin within _SADDLE_STRIDE points of it the nearest table
-    point; a parabola in v through that point and its neighbours gives the
-    abscissa, and its curvature curv gives K'' = curv / (dv r'(v))^2
-    there.  A minimum at a table end is returned as it is, with K'' NaN.
-    """
-    stride, rows, lz = _SADDLE_STRIDE, np.arange(len(log_z)), log_z[:, None]
-    v, sigma, kernel = c.table
-    n = sigma.size
-    coarse = (kernel[::stride] + sigma[::stride] * lz).argmin(axis=1) * stride
-    window = np.minimum(np.maximum(coarse[:, None] + np.arange(-stride, stride + 1), 0), n - 1)
-    j = window[rows, (kernel[window] + sigma[window] * lz).argmin(axis=1)]
-    k = np.minimum(np.maximum(j, 1), n - 2)
-    nodes = k[:, None] + np.arange(-1, 2)
-    phi = kernel[nodes] + sigma[nodes] * lz
-    below, above = phi[:, 0] - phi[:, 1], phi[:, 2] - phi[:, 1]
-    curv, diff = below + above, below - above
-    # at an interior minimum below, above >= 0, so the vertex lies within
-    # half a step of it
-    fit = (j == k) & np.isfinite(curv) & (curv > 0)
-    shift = np.divide(diff, 2.0 * curv, out=np.zeros(len(rows)), where=fit)
-    vs = v[j] + shift * _SADDLE_DV
-    # r(v) = (a softplus(v))^2 and r'(v) = 2 a^2 softplus(v) sigmoid(v)
-    soft = np.logaddexp(0.0, vs)
-    r, dr = (c.scale * soft) ** 2, 2.0 * c.scale**2 * soft / (1.0 + np.exp(-vs))
-    # phi_vv = K'' r'^2 + phi_sigma (d^2 sigma / dv^2), and phi_sigma = 0 at
-    # the saddle: the parabola's curvature curv / dv^2 gives K'' = phi_vv / r'^2
-    kpp = np.divide(curv, (_SADDLE_DV * dr) ** 2, out=np.full(len(rows), math.nan), where=fit)
-    sigma_min = c.edge - c.d * r
-    if len(rows) == 1:
-        # a lone searched z forms a band alone, which reads no Re K
-        return sigma_min, kpp, np.full(1, math.nan)
-    # Re K there, from the vertex value phi_z(sigma[j]) - (below - above)^2 /
-    # (8 curv); with no fit sigma_min = sigma[j], and this is the table's
-    drop = np.divide(diff**2, 8.0 * curv, out=np.zeros(len(rows)), where=fit)
-    return sigma_min, kpp, kernel[j] + (sigma[j] - sigma_min) * log_z - drop
+
+def _root(c: _SpecConstants, f, lo: float, hi: float, u: float):
+    """The root in (lo, hi) of f(p) = (value, d value / d sigma), p =
+    _real_kernel(c, u), value rising through 0 with u: Newton's method in u,
+    where the saddle equation is close to linear, from u (or the midpoint),
+    each point narrowing the bracket and a step out of it bisecting it.  At
+    a step whose square is below EPS the next would not move sigma: returns
+    the point after it, Re K and K' carried there by Taylor's formula, or
+    the last point when the bracket collapses."""
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    while True:
+        p = _real_kernel(c, u)
+        value, slope = f(p)
+        lo, hi = (u, hi) if value < 0.0 else (lo, u)
+        # d value / du = -d e^u slope
+        rate = -c.d * math.exp(u) * slope
+        step = -value / rate if rate > 0.0 else math.nan
+        if step * step <= EPS:
+            ds = c.edge - c.d * math.exp(u + step) - p[0]
+            return p[0] + ds, p[1] + ds * (p[2] + 0.5 * ds * p[3]), p[2] + ds * p[3], p[3], u + step
+        u = u + step if lo < u + step < hi else 0.5 * (lo + hi)
+        if not lo < u < hi:
+            return p
+
+
+def _loss(line, p) -> float:
+    """phi_z(line) - phi_z(sigma*) for the z whose saddle is p, by log z =
+    -K'(sigma*): K's Bregman divergence K(line) - K(p) - (line - p) K'(p)."""
+    return line[1] - p[1] - (line[0] - p[0]) * p[2]
+
+
+def _beyond(p, loss: float) -> float:
+    """A start for the u past p at which _loss reaches loss, by its quadratic
+    model in u, K''(p) (r (u - log r))^2 / 2, r = |p - edge|."""
+    return p[4] + math.sqrt(2.0 * loss / p[3]) / math.exp(p[4]) if p[3] > 0.0 else math.nan
 
 
 def _contour_bands(c: _SpecConstants, z: np.ndarray):
     """Split the arguments into bands that share one contour abscissa.
 
     Yields (abscissa, indices into z, first-pass step h0, step count n).  A
-    band bounds no array: _trapezoid_line builds its (z x nodes) matrix in
-    blocks.  The default line gamma0 lies in the strip left < Re s < right.
-    The contour slides to the real saddle sigma*_z when that lies beyond
-    gamma0 on the side without poles: left for (m, l) = (q, 0) with nu > 0,
-    right for its mirror (0, p) with nu < 0.  There the integrand has no
-    poles and log|integrand| is smooth.  A z short of the spec's slide
-    threshold stays on gamma0 unsearched; one _real_minimum call finds every
-    other z's saddle on the spec's saddle table, and Re K there, so the
-    grouping evaluates no kernel.  Every z that stays forms one band on
-    gamma0.  Slid z, nearest gamma0 first, share the deepest saddle on which
-    the band's first member loses at most _LINE_LOSS, and the band takes the
-    following z while phi_z(abscissa) - phi_z(sigma*_z) <= _BAND_LOSS for
-    each, and ends at the first z that would break it, even inside a
-    caller's stencil (the module docstring bounds what that costs).  h0 comes
-    from the first member's saddle, the narrowest Gaussian and the nearest
-    pole of the band, and n from the line: the decay rate's span, extended
-    by Stirling's estimate where that saddle was fitted (module docstring).
-    The line stays near the first member: a member between it and gamma0
-    adds its offset log z - log z_line to the drift of Im log f along the
-    line, and the first pass's phase test then sends it on to refinement;
-    deeper members subtract it.  On the first member's own saddle, the line
-    lies so near the pole that the deepest members miss the first-pass
-    estimate.
+    z slides to its saddle sigma*_z, the root of phi_z' = K' + log z, when d
+    log z passes the slide threshold of the spec's saddle bracket
+    (_SpecConstants.slide); the others form one band on gamma0 with no
+    root-find, the z short of every saddle in the bracket one band on its
+    inner end's line, and every z past -K' at the reach one band on the
+    reach line, both with _H0 and the decay rate's span.  Slid z go nearest
+    gamma0 first.  A z's loss on a line is K's Bregman divergence from its
+    saddle (_loss), so a band needs three root-finds, one for a lone z: its
+    first member's saddle; the line past it on which that member loses
+    _LINE_LOSS; and the saddle past the line that loses _BAND_LOSS, whose z
+    is exp(-K').  The band ends at the first z past that, even inside a
+    caller's stencil (the module docstring bounds what that costs).  h0
+    comes from the first member's saddle, the narrowest Gaussian and the
+    nearest pole of the band, and n from the line (module docstring).  The
+    line stays near the first member: a member between it and gamma0 adds
+    its offset log z - log z_line to the drift of Im log f along the line,
+    and the first pass's phase test then sends it on to refinement; deeper
+    members subtract it.
     """
-    d = c.d
+    d, omega = c.d, c.conv.omega
     log_z = np.log(z)
-    fixed = np.arange(len(z))
-    order = fixed[:0]
-    if d * c.conv.nu > 0 and z.size:
-        # a z short of the slide threshold stays on gamma0 unsearched
-        past = d * log_z > d * c.threshold
-        n = np.count_nonzero(past)
-        sstar, kpp, kernel = _real_minimum(c, log_z) if n == z.size else np.full((3, z.size), math.nan)
-        if 0 < n < z.size:
-            sstar[past], kpp[past], kernel[past] = _real_minimum(c, log_z[past])
-        slid = d * sstar < d * c.gamma0
-        fixed, order = (~slid).nonzero()[0], slid.nonzero()[0]
-        order = order[(-d * sstar[order]).argsort(kind="stable")]
-    omega = c.conv.omega
+    fixed, order = np.arange(len(z)), np.arange(0)
+    if c.slide is not None and z.size:
+        u0, u1, inner, outer, leave = c.slide
+        end = inner
+        past = d * log_z > min(d * leave, -d * inner[2])
+        fixed, order = (~past).nonzero()[0], past.nonzero()[0]
+        order = order[(d * log_z[order]).argsort(kind="stable")]
+        # -d K' tends to offset + |nu| u
+        offset = sum(sign * abs(c1) * math.log(abs(c1)) for _, c1, sign in c.factors)
     if fixed.size:
         yield c.gamma0, fixed, _H0, _first_pass_steps(omega, _H0)
     while order.size:
-        a = line = order[0]
-        size = 1
+        lz = d * log_z[order]
+        head = lz.item(0)
+        if not -d * inner[2] < head < -d * outer[2]:
+            # no saddle in the bracket: its inner end's line, or the reach line
+            end = inner if head <= -d * inner[2] else outer
+            size = np.searchsorted(lz, -d * inner[2], "right") if end is inner else order.size
+            yield end[0], order[:size], _H0, _first_pass_steps(omega, _H0)
+            order = order[size:]
+            continue
+        # both starts fall short of the saddle where -d K' is concave in u: the
+        # asymptote's root, and a Newton step from the last end, short of it
+        start = (head - offset) / abs(c.conv.nu)
+        if end[3] > 0.0:
+            start = max(start, end[4] + (head + d * end[2]) / (math.exp(end[4]) * end[3]))
+        first = end = _root(c, lambda p: (-d * p[2] - head, -d * p[3]), u0, u1, start)
+        line, size = first, 1
         if order.size > 1:
-            lz = log_z[order]
-            phi = kernel[order] + sstar[order] * lz
-            first = kernel[order] + sstar[order] * lz[0] - phi[0]
-            line = order[np.cumprod(first <= _LINE_LOSS).sum() - 1]
-            loss = kernel[line] + sstar[line] * lz - phi
-            size = np.cumprod(loss <= _BAND_LOSS).sum()
-        # the step rule and Stirling's span of the module docstring; a NaN
-        # K'' (no fit, at a table end) keeps _H0 and the decay rate's span
-        curv, sigma = kpp.item(a), sstar.item(line)
-        fitted = curv > 0
-        h0 = max(_H0, min(0.25 / math.sqrt(curv), abs(sstar.item(a) - c.edge) / 5.0)) if fitted else _H0
-        n = _first_pass_steps(omega, h0, _stirling_drop(c, sigma) if fitted else None)
-        yield sigma, order[:size], h0, n
+            line = outer if _loss(outer, first) <= _LINE_LOSS else _root(
+                c, lambda p: (_loss(p, first) - _LINE_LOSS, p[2] - first[2]),
+                first[4], u1, _beyond(first, _LINE_LOSS))
+            end = outer if _loss(line, outer) <= _BAND_LOSS else _root(
+                c, lambda p: (_loss(line, p) - _BAND_LOSS, (p[0] - line[0]) * p[3]),
+                line[4], u1, _beyond(line, _BAND_LOSS))
+            size = order.size if end is outer else max(np.searchsorted(lz, -d * end[2], "right"), 1)
+        # the step rule and Stirling's span of the module docstring
+        fitted = first[3] > 0
+        h0 = max(_H0, min(0.25 / math.sqrt(first[3]), abs(first[0] - c.edge) / 5.0)) if fitted else _H0
+        n = _first_pass_steps(omega, h0, _stirling_drop(c, line[0]) if fitted else None)
+        yield line[0], order[:size], h0, n
         order = order[size:]
 
 
@@ -753,33 +731,25 @@ def gauss_multiplication_reduce(spec: HFunctionSpec, r: int) -> GaussReduction:
     """
     if r < 1:
         raise ValueError("r must be a positive integer")
-    tol = 1e-12
-    up_idx = None
-    for i in range(spec.l, spec.p):
-        a, al = spec.upper[i]
-        if abs(a - 1.0) < tol and abs(al - r) < tol:
-            up_idx = i
-            break
-    if up_idx is None:
+
+    def find(entries, indices, want):
+        return next((i for i in indices if all(abs(x - w) < 1e-12 for x, w in zip(entries[i], want))), None)
+
+    up = find(spec.upper, range(spec.l, spec.p), (1.0, r))
+    if up is None:
         raise PreconditionViolationError(f"no upper entry (1, {r}) outside the l-group")
-    low_idx = []
-    used = set()
+    used = []
     for j in range(1, r + 1):
-        found = None
-        for i in range(spec.m):
-            if i in used:
-                continue
-            b, be = spec.lower[i]
-            if abs(b - j / r) < tol and abs(be - 1.0) < tol:
-                found = i
-                break
-        if found is None:
+        i = find(spec.lower, [i for i in range(spec.m) if i not in used], (j / r, 1.0))
+        if i is None:
             raise PreconditionViolationError(f"missing lower entry ({j}/{r}, 1) in the m-group")
-        used.add(found)
-        low_idx.append(found)
-    new_upper = tuple(e for i, e in enumerate(spec.upper) if i != up_idx)
-    new_lower = tuple(e for i, e in enumerate(spec.lower) if i not in used)
-    reduced = HFunctionSpec(m=spec.m - r, l=spec.l, upper=new_upper, lower=new_lower)
+        used.append(i)
+    reduced = HFunctionSpec(
+        m=spec.m - r,
+        l=spec.l,
+        upper=tuple(e for i, e in enumerate(spec.upper) if i != up),
+        lower=tuple(e for i, e in enumerate(spec.lower) if i not in used),
+    )
     scale = (2.0 * math.pi) ** ((r - 1) / 2.0) / math.sqrt(r)
     return GaussReduction(spec=reduced, scale=scale, argument_multiplier=float(r) ** r)
 
@@ -788,13 +758,14 @@ def asymptotic_estimate(spec: HFunctionSpec, z: float) -> float:
     """Large-z decay envelope exp(-nu mu^{1/nu} z^{1/nu}) z^{(2 delta + 1)/(2 nu)}.
 
     The unknown O(.) constant is not included; callers compare ratios.
+    z outside (0, inf) raises ValueError.
     """
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"asymptotic_estimate requires finite z > 0, got {z!r}")
     if spec.l != 0:
         raise UnsupportedClassError("decay envelope applies to l = 0 specs")
     conv = convergence_params(spec)
     if conv.nu <= 0:
         raise UnsupportedClassError(f"nu = {conv.nu:g} <= 0: no exponential decay")
     zp = z ** (1.0 / conv.nu)
-    return math.exp(-conv.nu * conv.mu ** (1.0 / conv.nu) * zp) * z ** (
-        (2.0 * conv.delta + 1.0) / (2.0 * conv.nu)
-    )
+    return math.exp(-conv.nu * conv.mu ** (1.0 / conv.nu) * zp) * z ** ((conv.delta + 0.5) / conv.nu)

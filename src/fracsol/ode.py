@@ -101,7 +101,10 @@ class LargeAlphaMember:
     power: float  # alpha + m
 
     def evaluate(self, z: float) -> complex:
-        return z ** self.leading_exponent * wright.evaluate(self.spec, self.lam * z ** self.power)
+        w = self.lam * z ** self.power
+        if math.isfinite(w):
+            return z ** self.leading_exponent * wright.evaluate(self.spec, w)
+        raise DomainError(f"the Wright argument {w!r} at z = {z!r} passes the double range")
 
     def series(self, order: int = DEFAULT_ORDER_VERIFY) -> FracPowerSeries:
         """Coefficient image on the lattice gamma = alpha - k, rho = alpha + m."""

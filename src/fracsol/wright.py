@@ -114,9 +114,12 @@ def evaluate(spec: WrightSpec, z) -> complex:
     rule fires or a term overflows, and CancellationError when
     eps * sum|t_k| exceeds CANCEL_TOL = 1e-10 times |sum t_k|: the
     rounding of the largest terms alone would then exceed 1e-10 of the
-    result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).
+    result (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4),
+    and a non-finite z ValueError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"the Wright series needs a finite z, got {z}")
     verdict = convergence(spec)
     if not verdict.convergent_at(z) and z != 0:
         raise DivergentInputError(

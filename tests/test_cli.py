@@ -608,8 +608,9 @@ def test_mistyped_field_is_input_error_naming_it(capsys, argv, field):
         # characteristic root fails its residual check
         (["solve", "pde", "--json", '{"alpha":0.8,"m":1,"d":0,"A":1e-300}'],
          "DegenerateLeadingError: characteristic root"),
+        # H = e^(-z^1e-300) / 1e300 stays on gamma0, whose line sum is out of scale
         (["eval", "foxh", "--json", '{"m":1,"l":0,"upper":[],"lower":[[0,1e300]]}', "--z", "2"],
-         "UnsupportedClassError: nu = 1e+300 overflows the saddle table"),
+         "QuadratureFailureError: contour sum at z = 2.0 passes the double range"),
         # --form is compared with the branch pde.solve takes, which raises first
         (["solve", "pde", "--json", '{"alpha":2,"d":0.5,"A":1}', "--form", "h"],
          "BranchMismatchError: alpha = n = 2"),

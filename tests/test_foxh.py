@@ -123,11 +123,12 @@ class TestSpecInvariants:
             HFunctionSpec(m=2, l=0, upper=pairs["upper"], lower=pairs["lower"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("beta", [1e3, 1e5])
+    @pytest.mark.parametrize("beta", [1e3, 1e5, 1e300])
     def test_large_weight_is_refused_not_inf(self, beta):
         # H^{1,0}_{0,1}[z | (0, beta)] = exp(-z^(1/beta)) / beta; the line
         # sum's scale e^ref passes the double range, and 1000 used to give
-        # inf, 1e5 an OverflowError from the stall message
+        # inf, 1e5 an OverflowError from the stall message.  At 1e300 the
+        # slide threshold -K'(gamma0) is 6.9e302, so z stays on gamma0
         spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, beta),))
         with pytest.raises(QuadratureFailureError, match="double range"):
             eval_mellin_barnes(spec, np.array([0.5, 2.0]))
@@ -136,12 +137,6 @@ class TestSpecInvariants:
         spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 10.0),))
         z = np.array([0.5, 2.0])
         assert_allclose(eval_mellin_barnes(spec, z), np.exp(-(z ** 0.1)) / 10.0, rtol=1e-13)
-
-    def test_weight_past_the_saddle_table_is_unsupported(self):
-        # nu = 1e300: the table's range in v overflows a double
-        spec = HFunctionSpec(m=1, l=0, upper=(), lower=((0.0, 1e300),))
-        with pytest.raises(UnsupportedClassError, match="saddle table"):
-            eval_mellin_barnes(spec, 2.0)
 
 
 class TestConvergenceParams:
@@ -182,10 +177,13 @@ def cold_constants():
     foxh._constants.cache_clear()
 
 
-def first_line_pass(calls):
-    """Position of the first _log_integrand call off the real axis: the
-    saddle table built before it evaluates the kernel at real s only."""
-    return next(i for i, s in enumerate(calls) if np.any(s.imag > 0.0))
+def saddle(spec, z):
+    """The _real_kernel point (sigma, Re K, K', K'', u) at z's saddle, by
+    the root-find _contour_bands makes for a band's first member."""
+    c = foxh._constants(spec)
+    u0, u1, *_ = c.slide
+    lz = c.d * math.log(z)
+    return foxh._root(c, lambda p: (-c.d * p[2] - lz, -c.d * p[3]), u0, u1, math.nan)
 
 
 class TestEvalMellinBarnes:
@@ -254,7 +252,7 @@ class TestEvalMellinBarnes:
         calls = TestHalfLineQuadrature.record(monkeypatch)
         want = mp_residue_sum(spec, 1e-10, dps=40, kmax=150)
         assert_allclose(eval_mellin_barnes(spec, 1e-10), want, rtol=1e-10)
-        first, *later = calls[first_line_pass(calls) :]
+        first, *later = calls
         lattice, refined = first.imag, 0
         for nodes in (s.imag for s in later):
             if nodes[0] > lattice[-1]:
@@ -281,7 +279,7 @@ class TestEvalMellinBarnes:
         # 1e-88 on the slid contour)
         calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-10)
-        assert len(calls[first_line_pass(calls) :]) == 1
+        assert len(calls) == 1
 
     def test_runaway_truncation_raises(self, monkeypatch):
         # z = 2.2 on the saddle contour settles in the one line pass that
@@ -421,82 +419,79 @@ class TestEvalMellinBarnes:
 
 
 class TestSaddleSearch:
+    """The saddle is the root of phi_z' = K' + log z, found by Newton's
+    method on the digamma sum with no kernel call."""
+
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 1.9])
     @pytest.mark.parametrize("m", [0, 2])
     def test_within_a_hundredth_of_dense_search(self, alpha, m):
-        # the case1 spec slides left at large z, its inverted spec right
-        # at small z
+        # the case1 spec slides left at large z, its inverted spec right at
+        # small z; phi_z at the root is the minimum of a dense search over
+        # the bracket, and K'' there is the kernel's curvature by a central
+        # difference
         spec = case1_spec(alpha, m)
         z = np.geomspace(1e-3, 1e4, 60)
         for spec, z in ((spec, z), (invert_argument(spec), 1.0 / z)):
             c = foxh._constants(spec)
-            log_z = np.log(z)
-            sigma, kpp, _ = foxh._real_minimum(c, log_z)
-            # dense in log r near the edge and in r far from it, over the
-            # table's range
-            gap, reach = np.abs(c.table[1][[0, -1]] - c.edge)
-            r = np.concatenate([np.geomspace(gap, reach, 40001), np.linspace(gap, reach, 40001)])
+            u0, u1, inner, outer, _ = c.slide
+            z = z[(c.d * np.log(z) > -c.d * inner[2]) & (c.d * np.log(z) < -c.d * outer[2])]
+            assert z.size >= 3
+            r = np.exp(np.linspace(u0, u1, 80001))
             dense = c.edge - c.d * r
             kernel = foxh._log_integrand(spec, dense).real
-            best = np.array([np.min(kernel + dense * lz) for lz in log_z])
-            at_sigma = foxh._log_integrand(spec, sigma).real + sigma * log_z
-            assert np.all(at_sigma - best <= 0.01)
-            # the fitted curvature is K'' at the abscissa, by a central
-            # difference, within 10%; NaN only where no parabola was fitted
-            fit = np.isfinite(kpp)
-            assert np.count_nonzero(fit) >= 10
-            assert_allclose(kpp[fit], kernel_curvature(spec, sigma[fit]), rtol=0.1)
+            for zz in z:
+                p = saddle(spec, zz)
+                at_sigma = foxh._log_integrand(spec, p[0]).real + p[0] * math.log(zz)
+                best = np.min(kernel + dense * math.log(zz))
+                assert best - 0.01 <= at_sigma <= best + 1e-9 * max(1.0, abs(best))
+                assert_allclose(p[3], kernel_curvature(spec, np.array([p[0]]))[0], rtol=1e-4)
 
     def test_kernel_value_matches_kernel(self):
-        # Re K that the search returns with each slid saddle, from its
-        # parabola's vertex, is within 1e-3 of the kernel there: far below
-        # the _LINE_LOSS e-folds the grouping compares it against
+        # Re K and K' of the real-axis sum match the complex kernel and its
+        # central difference at the saddles of 200 z
         z = np.geomspace(1e-3, 1e4, 200)
         for spec in (case1_spec(0.8, 1), case1_spec(1.5, 2), *GL_SPECS):
             c = foxh._constants(spec)
-            sigma, _, kernel = foxh._real_minimum(c, np.log(z))
-            slid = c.d * sigma < c.d * c.gamma0
-            assert np.count_nonzero(slid) >= 100
-            want = foxh._log_integrand(spec, sigma[slid]).real
-            assert np.max(np.abs(kernel[slid] - want)) <= 1e-3
+            slid = z[np.log(z) > -c.slide[2][2]]
+            assert slid.size >= 100
+            for zz in slid:
+                sigma, k, k1, _, _ = saddle(spec, zz)
+                h = 1e-5 * max(1.0, abs(sigma))
+                want = foxh._log_integrand(spec, np.array([sigma - h, sigma, sigma + h])).real
+                assert_allclose(k, want[1], rtol=1e-13, atol=1e-12)
+                assert_allclose(k1, (want[2] - want[0]) / (2.0 * h), rtol=1e-6, atol=1e-6)
 
-    def test_single_z_leaves_kernel_value_out(self):
-        # a single searched z forms a band alone, which reads no Re K: the
-        # search leaves it NaN, and returns the batch's saddle and K''
-        c = foxh._constants(case1_spec(0.8, 1))
-        log_z = np.log(np.geomspace(1e-3, 1e4, 40))
-        batch = foxh._real_minimum(c, log_z)
-        for j in range(log_z.size):
-            sigma, kpp, kernel = foxh._real_minimum(c, log_z[j : j + 1])
-            assert sigma[0] == batch[0][j] and np.isnan(kernel[0])
-            assert np.array_equal(kpp, batch[1][j : j + 1], equal_nan=True)
-            assert np.isfinite(batch[2][j])
+    def test_lone_z_makes_one_root_find(self, monkeypatch):
+        # a lone slid z's band is its saddle's line, found by one root-find
+        # (short of the reach, near z = 3,000)
+        spec = case1_spec(0.8, 1)
+        c = foxh._constants(spec)
+        searches = TestDefaultLineConstants.record_searches(monkeypatch)
+        for z in np.geomspace(1.0, 1e3, 40):
+            searches.clear()
+            ((line, *_),) = foxh._contour_bands(c, np.array([z]))
+            assert len(searches) == 1 and line != c.gamma0
+            assert_allclose(line, saddle(spec, z)[0], rtol=1e-14)
 
     def test_calls_do_not_grow_with_z(self, monkeypatch):
-        # once the table reaches the deepest z's saddle, the search itself
-        # evaluates no kernel
+        # the saddles and bands evaluate no kernel, at any depth, for one z
+        # or many
         c = foxh._constants(case1_spec(0.8, 1))
-        foxh._real_minimum(c, np.log([1e4]))
         calls = TestHalfLineQuadrature.record(monkeypatch)
-        for z in (np.array([3.0]), np.geomspace(1e-3, 1e4, 320)):
-            foxh._real_minimum(c, np.log(z))
+        for z in (np.array([3.0]), np.array([1e4]), np.geomspace(1e-3, 1e4, 320)):
+            list(foxh._contour_bands(c, z))
         assert calls == []
 
-    def test_first_slid_evaluation_builds_table(self, monkeypatch, cold_constants):
-        # a fresh spec's first slid evaluation builds the whole table, out
-        # to decay level 900, in one kernel call on the real axis (398 points
-        # on criterion 4's spec, even for a decay-level-1 argument); no later
-        # evaluation at any depth, slid or not, makes another: a slid one
-        # runs line passes only, and the gamma0 point z = 1e-3 stores its
-        # line's first pass in one call on gamma0, and then makes none
+    def test_first_slid_evaluation_calls_only_line_passes(self, monkeypatch, cold_constants):
+        # a fresh spec's first slid evaluation makes one kernel call, its
+        # line's first pass, and no evaluation ever makes one on the real
+        # axis; the gamma0 point z = 1e-3 stores its line's first pass in
+        # one call on gamma0, and then makes none
         spec = solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)).form.small.spec
+        c = foxh._constants(spec)
         calls = TestHalfLineQuadrature.record(monkeypatch)
         eval_mellin_barnes(spec, decay_arg(spec, 1.0))
-        real = [s for s in calls if np.all(s.imag == 0.0)]
-        assert len(real) == 1 and real[0] is calls[0]
-        c = foxh._constants(spec)
-        assert real[0].size == c.table[1].size == 398
-        assert calls[1].real.max() < c.gamma0
+        assert len(calls) == 1 and calls[0].real.max() < c.gamma0
         calls.clear()
         eval_mellin_barnes(spec, 1e-3)
         assert len(calls) == 1 and np.all(calls[0].real == c.gamma0)
@@ -509,7 +504,7 @@ class TestSaddleSearch:
             eval_mellin_barnes(spec, z)
             assert calls and not any(np.all(s.imag == 0.0) for s in calls)
 
-    def test_equal_specs_share_the_table(self, monkeypatch):
+    def test_equal_specs_share_constants(self, monkeypatch):
         a, b = case1_spec(1.2, 2), case1_spec(1.2, 2)
         assert a is not b
         assert foxh._constants(a) is foxh._constants(b)
@@ -517,6 +512,85 @@ class TestSaddleSearch:
         calls = TestHalfLineQuadrature.record(monkeypatch)
         assert_allclose(eval_mellin_barnes(b, 40.0), eval_mellin_barnes(a, 40.0), rtol=0.0)
         assert not any(np.all(s.imag == 0.0) for s in calls)
+
+    @pytest.mark.parametrize(
+        "spec,zs",
+        [
+            # e^-z: K' = -psi(-s), the reach at r = 2,720
+            (EXP_SPEC, np.geomspace(0.6, 2500.0, 25)),
+            # sqrt(pi) e^(-2 sqrt z): K' = -psi(-s) - psi(1/2 - s), the
+            # reach at r = 1,370
+            (HFunctionSpec(m=2, l=0, upper=(), lower=((0.0, 1.0), (0.5, 1.0))),
+             np.geomspace(0.6, 1e6, 25)),
+        ],
+        ids=["exp", "sqrt-exp"],
+    )
+    def test_saddle_vs_mpmath(self, spec, zs):
+        # within 1e-10 of mpmath's root of phi_z'(sigma) = K'(sigma) + log z
+        c = foxh._constants(spec)
+        assert np.all(np.log(zs) > -c.slide[2][2]) and np.all(np.log(zs) < -c.slide[3][2])
+        for z in zs:
+            sigma = saddle(spec, z)[0]
+            with mpmath.workdps(40):
+                want = mpmath.findroot(
+                    lambda s: -sum(mpmath.psi(0, b - s) for b, _ in spec.lower) + mpmath.log(z),
+                    mpmath.mpf(sigma),
+                )
+            assert_allclose(sigma, float(want), rtol=1e-10)
+
+    @pytest.mark.parametrize("z", [0.5, 0.9, 1.1, 2.0, 10.0, 50.0, 100.0, 500.0])
+    def test_kernel_zero_on_the_slid_side(self, z):
+        # H^{2,0}_{1,2}[z | (1, 1); (2, 1), (2, 1)] = z^2 (z - 1) e^-z: its
+        # 1/Gamma(1 - s) vanishes at s = 1, between gamma0 = 3/2 and the deep
+        # saddles.  The bracket starts past that zero, where K'' turns
+        # positive (sigma = -0.39); a z with no saddle there stays on gamma0
+        # up to z = 1.42, where phi_z(gamma0) passes phi_z there, and takes
+        # that inner end's line past it
+        spec = HFunctionSpec(m=2, l=0, upper=((1.0, 1.0),), lower=((2.0, 1.0), (2.0, 1.0)))
+        c = foxh._constants(spec)
+        u0, _, inner, _, leave = c.slide
+        assert u0 > 0.0 and leave < -inner[2]
+        with mpmath.workdps(30):
+            want = float(mpmath.meijerg([[], [1.0]], [[2.0, 2.0], []], z))
+        assert_allclose(want, z * z * (z - 1.0) * math.exp(-z), rtol=1e-13)
+        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-10)
+        ((line, *_),) = foxh._contour_bands(c, np.array([z]))
+        assert (line == c.gamma0) == (math.log(z) <= leave)
+        assert (line == inner[0]) == (leave < math.log(z) <= -inner[2])
+
+    @pytest.mark.parametrize(
+        "spec,z,offset",
+        [
+            # 1/Gamma(-0.45 - 0.13 s) vanishes at s = -3.46, past gamma0 = -1
+            (HFunctionSpec(m=2, l=0, upper=((-0.45, 0.13), (2.9, 0.001)),
+                           lower=((-2.5, 5.0), (0.06, 3.0))), 3e8, 5.0),
+            (HFunctionSpec(m=2, l=0, upper=((-0.45, 0.13), (2.9, 0.001)),
+                           lower=((-2.5, 5.0), (0.06, 3.0))), 1e10, 5.0),
+            # 1/Gamma(-0.35 - 0.53 s) vanishes just short of gamma0 = -0.65,
+            # where K'' < 0
+            (HFunctionSpec(m=3, l=0, upper=((-0.35, 0.53),),
+                           lower=((1.9, 0.14), (-1.1, 7.1), (2.2, 0.18))), 1e10, 5.0),
+            (HFunctionSpec(m=3, l=0, upper=((-0.35, 0.53),),
+                           lower=((1.9, 0.14), (-1.1, 7.1), (2.2, 0.18))), 1e15, 20.0),
+        ],
+    )
+    def test_non_convex_side_vs_another_line(self, spec, z, offset):
+        # phi_z is not convex next to a zero of the kernel: the value, on
+        # gamma0, the bracket's inner end or a saddle past it, matches the
+        # trapezoid rule on another line, offset past gamma0 (gamma0's own
+        # line cancels at z = 1e10 and 1e15)
+        c = foxh._constants(spec)
+        sigma = c.gamma0 - c.d * offset
+        n = foxh._first_pass_steps(c.conv.omega, foxh._H0)
+        k = foxh._log_integrand(spec, sigma + 1j * foxh._H0 * np.arange(n + 1))
+        want = foxh._trapezoid_line(spec, np.array([z]), sigma, c.conv.omega, foxh._H0, k)[0]
+        assert_allclose(eval_mellin_barnes(spec, z), want, rtol=1e-9)
+
+    def test_kernel_zero_at_one_cancels(self):
+        # z = 1 is an exact zero of H^{2,0}_{1,2}[z | (1, 1); (2, 1), (2, 1)]
+        spec = HFunctionSpec(m=2, l=0, upper=((1.0, 1.0),), lower=((2.0, 1.0), (2.0, 1.0)))
+        with pytest.raises(CancellationError):
+            eval_mellin_barnes(spec, 1.0)
 
 
 class TestResidueSeriesRegimes:
@@ -613,7 +687,7 @@ class TestBatchedEvaluation:
         want = np.array([eval_mellin_barnes(GL_SPECS[0], z) for z in zs])
         assert_allclose(got, want, rtol=1e-10, atol=0.0)
         c, zs = foxh._constants(GL_SPECS[0]), np.geomspace(1e-3, 50.0, 320)
-        stay = np.count_nonzero(foxh._real_minimum(c, np.log(zs))[0] >= c.gamma0)
+        stay = np.count_nonzero(np.log(zs) <= -c.slide[2][2])
         bands.clear()
         monkeypatch.setattr(foxh, "_trapezoid_line", line)
         eval_mellin_barnes(GL_SPECS[0], zs)
@@ -663,40 +737,42 @@ class TestBatchedEvaluation:
     def test_slid_bands_end_at_the_loss_bound(self):
         # 5-point clusters at relative step 1e-3, as a finite-difference
         # stencil makes, and one more centred where the first slid band's
-        # loss crosses _BAND_LOSS: every slid band ends at the first z that
-        # would break the bound, inside a cluster or not
-        c = foxh._constants(case1_spec(0.8, 1))
+        # loss crosses _BAND_LOSS.  Each member's loss phi_z(line) -
+        # phi_z(sigma*_z), with its own saddle found by mpmath, is at most
+        # _BAND_LOSS, and the first z after the band loses more: every slid
+        # band ends at the first z that would break the bound, inside a
+        # cluster or not
+        spec = case1_spec(0.8, 1)
+        c = foxh._constants(spec)
+
+        def phi(sigma, z):
+            return sum(
+                sign * mpmath.loggamma(c0 + c1 * sigma) for c0, c1, sign in c.factors
+            ) + sigma * mpmath.log(z)
+
+        def loss(line, z):
+            with mpmath.workdps(30):
+                k1 = lambda s: sum(sign * c1 * mpmath.psi(0, c0 + c1 * s) for c0, c1, sign in c.factors)
+                own = mpmath.findroot(lambda s: k1(s) + mpmath.log(z), mpmath.mpf(saddle(spec, z)[0]))
+                return float(phi(mpmath.mpf(line), z) - phi(own, z))
 
         def clusters(centres):
             return (np.sort(centres)[:, None] * (1.0 + 1e-3 * np.arange(-2, 3))).ravel()
 
-        def own_minimum(z):
-            # phi_z at z's own saddle, and the saddles and Re K there
-            sstar, _, kernel = foxh._real_minimum(c, np.log(z))
-            return kernel + sstar * np.log(z), sstar, kernel
-
         def slid_bands(z):
-            # (z -> phi_z at the band's abscissa, the band's indices)
-            _, sstar, kernel = own_minimum(z)
-            bands = []
-            for line, idx, *_ in foxh._contour_bands(c, z):
-                if line != c.gamma0:
-                    k = kernel[np.flatnonzero(sstar == line)[0]]
-                    bands.append((lambda v, k=k, line=line: k + line * np.log(v), idx))
-            return bands
+            return [(line, idx) for line, idx, *_ in foxh._contour_bands(c, z) if line != c.gamma0]
 
         centres = np.geomspace(1e-2, 1e3, 40)
         z = clusters(centres)
-        (at_line, first), (_, second) = slid_bands(z)[:2]
-        fine = np.geomspace(z[first[-1]], z[second[0]], 4001)
-        crossing = fine[np.argmax(at_line(fine) - own_minimum(fine)[0] > foxh._BAND_LOSS)]
+        (line, first), (_, second) = slid_bands(z)[:2]
+        fine = np.geomspace(z[first[-1]], z[second[0]], 41)
+        crossing = fine[np.argmax([loss(line, zz) > foxh._BAND_LOSS for zz in fine])]
         z = clusters(np.append(centres, crossing))
         bands = slid_bands(z)
         assert any(idx[-1] % 5 != 4 for _, idx in bands)
-        for (at_line, idx), (_, following) in zip(bands, bands[1:]):
-            loss = at_line(z) - own_minimum(z)[0]
-            assert np.all(loss[idx] <= foxh._BAND_LOSS)
-            assert loss[following[0]] > foxh._BAND_LOSS
+        for (line, idx), (_, following) in zip(bands, bands[1:]):
+            assert max(loss(line, zz) for zz in z[idx]) <= foxh._BAND_LOSS
+            assert loss(line, z[following[0]]) > foxh._BAND_LOSS
 
     def test_kernel_matches_factor_loop(self):
         # the stacked arguments of every factor, in chunks of
@@ -777,10 +853,6 @@ class TestHalfLineQuadrature:
         return calls
 
     def test_nodes_in_upper_half_plane(self, monkeypatch):
-        # the saddle tables lie on the real axis and are not quadrature
-        # nodes: build them before counting
-        foxh._real_minimum(foxh._constants(MEIJER_SPEC), np.log([1e4]))
-        foxh._real_minimum(foxh._constants(invert_argument(EXP_SPEC)), np.log([0.5]))
         calls = self.record(monkeypatch)
         # fixed line, saddle contour with three doublings of T, and l > 0
         eval_mellin_barnes(FIXED_SPEC, np.array([0.5, 30.0]))
@@ -800,7 +872,7 @@ class TestHalfLineQuadrature:
         for z in (0.5, 40.0, 300.0):
             calls.clear()
             assert_allclose(eval_mellin_barnes(EXP_SPEC, z), math.exp(-z), rtol=1e-10)
-            first = calls[first_line_pass(calls)]
+            first = calls[0]
             sigma = first[0].real
             assert sigma < -0.5
             w = 1.0 / math.sqrt(kernel_curvature(EXP_SPEC, np.array([sigma]))[0])
@@ -880,13 +952,14 @@ class TestDefaultLineConstants:
 
     @staticmethod
     def record_searches(monkeypatch):
-        searches, real_minimum = [], foxh._real_minimum
+        """The start of every root-find _root makes."""
+        searches, root = [], foxh._root
 
-        def counting(c, log_z):
-            searches.append(log_z.size)
-            return real_minimum(c, log_z)
+        def counting(c, f, lo, hi, u):
+            searches.append(u)
+            return root(c, f, lo, hi, u)
 
-        monkeypatch.setattr(foxh, "_real_minimum", counting)
+        monkeypatch.setattr(foxh, "_root", counting)
         return searches
 
     @pytest.mark.parametrize(
@@ -913,34 +986,42 @@ class TestDefaultLineConstants:
 
     @pytest.mark.parametrize("spec", SLIDE_SPECS)
     def test_threshold_matches_search(self, spec, monkeypatch):
-        # the search switches once in log z, and the threshold, read from
-        # the table with no kernel call, takes its decisions except within
-        # 1e-3 of the switch, where gamma0 and the search's line give the
-        # same value (on all 42 specs it took every decision)
+        # the threshold is -K'(gamma0), the central difference of the
+        # kernel's Re K there, found with no kernel call; a z 1e-3 short of
+        # it stays on gamma0 with no root-find, and one 1e-3 past it slides
+        # by one root-find to a saddle just beyond gamma0, where gamma0 and
+        # that line give the same value.  Saddles move out with log z
         c = foxh._SpecConstants(spec)
         assert c.d * c.conv.nu > 0
-        c.table
         calls = TestHalfLineQuadrature.record(monkeypatch)
-        threshold = c.threshold
-        monkeypatch.undo()
+        u0, u1, inner, outer, leave = c.slide
         assert calls == []
-        log_z = np.linspace(-60.0, 60.0, 24001)
-        sstar = foxh._real_minimum(c, log_z)[0]
-        searched = c.d * sstar < c.d * c.gamma0
-        assert np.count_nonzero(searched[1:] != searched[:-1]) == 1
-        differ = searched != (c.d * log_z > c.d * threshold)
-        assert np.all(np.abs(log_z[differ] - threshold) < 1e-3)
+        monkeypatch.undo()
+        threshold = -inner[2]
+        assert inner[0] == c.gamma0 and leave == threshold
+        h = 1e-5
+        k = foxh._log_integrand(spec, c.gamma0 + np.array([-h, h])).real
+        assert_allclose(threshold, -(k[1] - k[0]) / (2.0 * h), rtol=1e-6, atol=1e-6)
+        searches = self.record_searches(monkeypatch)
         n = foxh._first_pass_steps(c.conv.omega, foxh._H0)
-        near = threshold + np.array([-1e-3, 1e-3])
-        for lz, sigma in zip(near, foxh._real_minimum(c, near)[0]):
-            on = [
-                foxh._trapezoid_line(
-                    spec, np.exp([lz]), gamma, c.conv.omega, foxh._H0,
-                    foxh._log_integrand(spec, gamma + 1j * foxh._H0 * np.arange(n + 1)),
-                )
-                for gamma in (c.gamma0, sigma)
-            ]
-            assert_allclose(on[0], on[1], rtol=1e-10, atol=0.0)
+        lines = []
+        for lz in threshold + c.d * np.array([-1e-3, 1e-3]):
+            searches.clear()
+            ((line, *_),) = foxh._contour_bands(c, np.exp([lz]))
+            assert len(searches) == (line != c.gamma0)
+            lines.append(line)
+        assert lines[0] == c.gamma0 and 0.0 < c.d * (c.gamma0 - lines[1]) < 0.05
+        on = [
+            foxh._trapezoid_line(
+                spec, np.exp([threshold]), gamma, c.conv.omega, foxh._H0,
+                foxh._log_integrand(spec, gamma + 1j * foxh._H0 * np.arange(n + 1)),
+            )
+            for gamma in lines
+        ]
+        assert_allclose(on[0], on[1], rtol=1e-10, atol=0.0)
+        log_z = np.linspace(threshold, -outer[2], 32)[1:-1]
+        depth = [abs(saddle(spec, math.exp(lz))[0] - c.edge) for lz in log_z]
+        assert np.all(np.diff(depth) > 0.0)
 
     @pytest.mark.parametrize(
         "spec,zs",
@@ -951,15 +1032,20 @@ class TestDefaultLineConstants:
         ids=["criterion-4", "inverted"],
     )
     def test_mixed_array_matches_scalar(self, spec, zs, monkeypatch):
-        # one saddle search, on the z past the threshold only, as for a
-        # single slid z
+        # at most three root-finds per slid band, none for the z short of
+        # the threshold, and one for a single slid z
         c = foxh._constants(spec)
-        past = c.d * np.log(zs) > c.d * c.threshold
+        past = c.d * np.log(zs) > -c.d * c.slide[2][2]
         assert past.any() and not past.all()
+        slid = sum(line != c.gamma0 for line, *_ in foxh._contour_bands(c, zs))
         searches = self.record_searches(monkeypatch)
         got = eval_mellin_barnes(spec, zs)
+        assert 0 < len(searches) <= 3 * slid
+        searches.clear()
+        eval_mellin_barnes(spec, zs[~past])
+        assert searches == []
         eval_mellin_barnes(spec, zs[past][0])
-        assert searches == [np.count_nonzero(past), 1]
+        assert len(searches) == 1
         want = np.array([eval_mellin_barnes(spec, z) for z in zs])
         assert np.array_equal(got == 0.0, want == 0.0)
         assert_allclose(got, want, rtol=1e-10, atol=0.0)
@@ -1015,7 +1101,7 @@ class TestContourStep:
         eval_mellin_barnes(spec, z)
         rate = math.pi * convergence_params(spec).omega / 2.0
         n = max(math.ceil(foxh._DECAY_LOGS / rate / foxh._H0), foxh._N_MIN)
-        first = calls[first_line_pass(calls)]
+        first = calls[0]
         assert first.size == n + 1
         assert np.all(first.real == -0.5)
         assert_allclose(first.imag, np.arange(n + 1) * foxh._H0, rtol=1e-15)
@@ -1029,7 +1115,7 @@ class TestContourStep:
         z = (100.0 / c.nu) ** c.nu / c.mu
         calls = TestHalfLineQuadrature.record(monkeypatch)
         got = eval_mellin_barnes(spec, z)
-        assert sum(s.size for s in calls[first_line_pass(calls) :]) <= 300
+        assert sum(s.size for s in calls) <= 300
         assert 1e-50 < got < 1e-40
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1076,7 +1162,7 @@ class TestStirlingSpan:
         none = 0
         for spec, z in SLID_POINTS:
             c, (sigma, _, h0, n) = one_band(spec, z)
-            assert sigma != c.gamma0 and np.isfinite(foxh._real_minimum(c, np.log([z]))[1]).all()
+            assert sigma != c.gamma0 and saddle(spec, z)[3] > 0.0
             drop = foxh._stirling_drop(c, sigma)
             if drop is None:
                 none += 1
@@ -1107,15 +1193,19 @@ class TestStirlingSpan:
         assert doubled > 0
 
     @pytest.mark.parametrize("inverted", [False, True])
-    def test_table_end_keeps_decay_span(self, inverted):
-        # one of criterion 7's unfitted lines: its search ends at the saddle
-        # table's end, 5,485 from the strip, where every value underflows
+    def test_reach_keeps_decay_span(self, inverted, monkeypatch):
+        # one of criterion 7's lines: z = 1 lies past the reach, 5,420 from
+        # the strip at decay level 900, where every value underflows; it
+        # takes the reach line, _H0 and the decay rate's span, with no
+        # root-find
         spec = solve(DiffusionProblem(alpha=1.5, m=2, d=0.0, A=1.0)).form.small.spec
         spec = invert_argument(spec) if inverted else spec
+        searches = TestDefaultLineConstants.record_searches(monkeypatch)
         c, (sigma, _, h0, n) = one_band(spec, 1.0)
-        assert np.isnan(foxh._real_minimum(c, np.log([1.0]))[1][0])
-        assert abs(sigma - c.edge) > 5000.0
+        assert searches == [] and sigma == c.slide[3][0]
+        assert_allclose(abs(sigma - c.edge), 3.0 * 900.0 / abs(c.conv.nu) + 20.0, rtol=1e-14)
         assert h0 == foxh._H0 and n == foxh._first_pass_steps(c.conv.omega, foxh._H0)
+        assert eval_mellin_barnes(spec, 1.0) == 0.0
 
     @pytest.mark.parametrize(
         "spec,z",
@@ -1125,7 +1215,7 @@ class TestStirlingSpan:
     def test_argument_below_one_keeps_decay_span(self, spec, z):
         # a fitted line near the strip, where Gamma(-s) has an argument below 1
         c, (sigma, _, h0, n) = one_band(spec, z)
-        assert np.isfinite(foxh._real_minimum(c, np.log([z]))[1][0])
+        assert saddle(spec, z)[3] > 0.0
         assert foxh._stirling_drop(c, sigma) is None
         assert n == foxh._first_pass_steps(c.conv.omega, h0)
 
@@ -1281,6 +1371,12 @@ class TestAsymptoticEstimate:
         h2 = eval_mellin_barnes(spec, z2)
         slope = (math.log(h2) - math.log(h1)) / (z2 ** (1 / c.nu) - z1 ** (1 / c.nu))
         assert_allclose(slope, -c.nu * c.mu ** (1 / c.nu), rtol=0.05)
+
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.inf, math.nan])
+    def test_argument_outside_positive_axis_refused(self, z):
+        # it returned 44.17+32.09j at -1, 0.0 at 0 and nan at inf and nan
+        with pytest.raises(ValueError, match="finite z > 0"):
+            asymptotic_estimate(EXP_SPEC, z)
 
     def test_nondecaying_rejected(self):
         spec = HFunctionSpec(m=0, l=1, upper=((1.0, 1.0),), lower=())

@@ -59,6 +59,14 @@ def test_double_range_refused(branch, z):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wright_argument_past_the_double_range_refused():
+    # lam z^2.5 reaches inf at z = 1.3e123 while z^1.5 stays finite: this
+    # raised DivergentInputError "|z| = inf outside convergence radius inf"
+    with pytest.raises(DomainError, match=r"Wright argument inf at z = 1.3e\+123"):
+        EXTREME_BRANCHES["wright"].evaluate(1.3e123)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "branch, z", [("h-form", 1e-300), ("h-form", 1e300), ("wright", 1e300)]
 )

@@ -325,12 +325,11 @@ class TestHProfile:
         assert np.max(np.abs(got - want) / scale) <= 1e-12
 
     def test_bands_evaluate_no_kernel(self, monkeypatch):
-        # criterion 4's 320-node profile batch: _real_minimum returns Re K
-        # at the saddles, so once the saddle table exists, splitting the
-        # batch into bands (several of them slid) evaluates no kernel
+        # criterion 4's 320-node profile batch: the saddles and losses come
+        # from the real-axis digamma sums, so splitting the batch into bands
+        # (several of them slid) evaluates no kernel
         profile, spec = h_profile(0.8, 1, 0.0, 1.0)
         c = foxh._constants(spec)
-        foxh._real_minimum(c, profile.xs)
         calls = []
         log_integrand = foxh._log_integrand
         monkeypatch.setattr(
@@ -347,7 +346,6 @@ class TestHProfile:
         # pass adds one more; the values equal each band's own evaluation
         profile, spec = h_profile(0.8, 1, 0.0, 1.0)
         c = foxh._constants(spec)
-        foxh._real_minimum(c, profile.xs)
         z = np.exp(profile.xs)
         bands = list(foxh._contour_bands(c, z))
         assert len(bands) >= 4

@@ -75,6 +75,13 @@ class TestConvergence:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_z_refused(self, z):
+        # each used to raise DivergentInputError "|z| = inf outside
+        # convergence radius inf"
+        with pytest.raises(ValueError, match="finite z"):
+            evaluate(WrightSpec(((1, 1),), ((1, 0.5),)), z)
+
     def test_exp_reduction(self):
         # 1Psi1[(1,1);(1,1)] -- all gamma factors cancel, series is e^z
         spec = WrightSpec(((1, 1),), ((1, 1),))
