@@ -100,6 +100,8 @@ class EulerPolynomialOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("the operator's coefficients must be finite")
         if self.time_weight < 0 or self.time_weight != int(self.time_weight):
             raise ValueError("time_weight must be a non-negative integer")
         object.__setattr__(self, "monomials", _char_monomials(self.coeffs))

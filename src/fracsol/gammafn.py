@@ -20,6 +20,7 @@ principal branch is returned wherever Re z >= 0.5.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -57,9 +58,13 @@ def is_nonpositive_integer(z, tol: float = POLE_TOL):
     boolean array) when z is an ndarray."""
     if isinstance(z, np.ndarray):
         r = np.round(z.real)
-        return (np.abs(z.imag) <= tol) & (r <= 0) & (np.abs(z.real - r) <= tol)
+        # at -inf the distance is nan, whose comparison is false
+        with np.errstate(invalid="ignore"):
+            return (np.abs(z.imag) <= tol) & (r <= 0) & (np.abs(z.real - r) <= tol)
     z = complex(z)
-    if abs(z.imag) > tol:
+    # false on nan, inf and Re z > 1/2, as in the array branch; round()
+    # then sees a finite number
+    if not (abs(z.imag) <= tol and -math.inf < z.real <= 0.5):
         return False
     r = round(z.real)
     return r <= 0 and abs(z.real - r) <= tol
@@ -135,6 +140,8 @@ def gamma(z) -> complex:
 def gamma_reciprocal(z) -> complex:
     """1 / Gamma(z); entire, returns exactly 0 at the poles of Gamma."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"gamma_reciprocal requires finite argument, got {z}")
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     return complex(np.exp(-ln_gamma_vec(z)))

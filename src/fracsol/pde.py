@@ -12,8 +12,9 @@ and u is x^a times that solution at ``DiffusionProblem.z(x, t)``.  At
 d = 2 the reduction is the n = 0 ODE D^alpha phi = K t^m phi in z = t,
 whose solutions are its Wright members for every alpha.  The alpha = 1
 exponential closed form is built here directly; its form is a
-:class:`ClosedFormExp`.  Every number of a problem, its constants
-included, must be finite (ValueError otherwise).
+:class:`ClosedFormExp`, evaluated as e to the sum of its factors' logs.
+Every number of a problem, its constants included, must be finite
+(ValueError otherwise).
 """
 
 from __future__ import annotations
@@ -143,11 +144,13 @@ def solve(problem: DiffusionProblem) -> PdeSolution:
 
 
 def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
-    """alpha = 1 exponential closed form (both sign branches).
+    """alpha = 1 exponential closed form, sign +1 or -1 picking the branch.
 
     u = c x^{-(1/2)(B/A - 1 +/- sqrt(D))} t^{-((1+m)/(d-2))(d-2 +/- sqrt(D))}
         exp(-(1+m) x^(2-d) / (A (d-2)^2 t^(1+m))),   D = (1-B/A)^2 - 4C/A.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
     if problem.alpha != 1:
         raise BranchMismatchError("exp closed form requires alpha = 1")
     if problem.d == 2:
@@ -167,41 +170,36 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
     """Evaluate a solution at a point of the open quadrant x, t > 0, or
     raise DomainError, naming the quantity, where z, a power of x or t, the
-    H argument or the value passes the double range.  x and t are taken as
-    Python floats, whose powers raise the OverflowError handled here where a
-    numpy float's would warn."""
+    H argument or the value passes the double range.  The alpha = 1 closed
+    form is c e^(log u), with log u the sum of its factors' logs, so only
+    the value itself can pass the range.  x and t are taken as Python
+    floats, whose powers raise the OverflowError handled here where a numpy
+    float's would warn."""
     x, t = float(x), float(t)
     if x <= 0 or t <= 0:
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
     form, problem = sol.form, sol.problem
-    closed = isinstance(form, ClosedFormExp)
-    try:
-        if closed:
-            u = problem.constant(1) * x**form.x_exponent * t**form.t_exponent * math.exp(
-                -form.exp_coef * x ** (2.0 - problem.d) * t ** (-(1.0 + problem.m))
-            )
-        else:
-            z = problem.z(x, t)
-            # 0 or inf after an under- or overflowing product
-            u = x**problem.a * form.evaluate(z) if 0.0 < z < math.inf else math.inf
-    except OverflowError:
-        u = math.inf
-    if closed and not cmath.isfinite(u):
-        # a factor passed the double range: the sum of their logs, with an
-        # overflowing exp argument counted as inf, says whether u does
+    if isinstance(form, ClosedFormExp):
         log_x, log_t = math.log(x), math.log(t)
         arg = (2.0 - problem.d) * log_x - (1.0 + problem.m) * log_t
         inner = math.exp(arg) if arg < LOG_MAX else math.inf
         log_u = form.x_exponent * log_x + form.t_exponent * log_t - form.exp_coef * inner
         u = problem.constant(1) * math.exp(log_u) if log_u < LOG_MAX else math.inf
+        if cmath.isfinite(u):
+            return u
+        what = f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
+        raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
+    try:
+        z = problem.z(x, t)
+        # 0 or inf after an under- or overflowing product
+        u = x**problem.a * form.evaluate(z) if 0.0 < z < math.inf else math.inf
+    except OverflowError:
+        u = math.inf
     if cmath.isfinite(u):
         return u
-    if closed:
-        what = f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
-    else:
-        log_z = (problem.d - 2.0) / problem.rho * math.log(x) + math.log(t)
-        big = abs(log_z) > LOG_MAX
-        what = f"z = e^{log_z:.6g}" if big else f"x^a phi(z) at z = {math.exp(log_z):.6g}"
+    log_z = (problem.d - 2.0) / problem.rho * math.log(x) + math.log(t)
+    big = abs(log_z) > LOG_MAX
+    what = f"z = e^{log_z:.6g}" if big else f"x^a phi(z) at z = {math.exp(log_z):.6g}"
     raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
 
 

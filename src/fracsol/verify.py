@@ -7,6 +7,7 @@ independent numeric cross-checks at their known (coarser) accuracy.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import foxh, fracseries
 from .errors import (
+    DomainError,
     PreconditionViolationError,
     StepTooLargeError,
     UnsupportedClassError,
@@ -94,10 +96,11 @@ def gl_fractional_derivative(f, alpha: float, t: float, h: float, w=None):
     gl_weights(alpha, N) for some N >= t / h, built once for several t; the
     sum reads its first floor(t / h) + 1 entries.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if t <= 0 or h <= 0:
-        raise ValueError("t and h must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha = {alpha!r} must be positive and finite")
+    for name, v in (("t", t), ("h", h)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"t and h must be positive and finite: {name} = {v!r}")
     if h > t / 50.0:
         raise StepTooLargeError(f"h = {h:g} exceeds t/50 = {t / 50.0:g}")
     n = int(math.floor(t / h))
@@ -121,13 +124,20 @@ def _closed_form_residual(sol: PdeSolution, grid):
     pts = []
     for x, t in grid:
         u = problem.reported(complex(pde_evaluate(sol, x, t)))
-        gx = -q * (2.0 - d) * x ** (1.0 - d) * t ** (-(1.0 + m))
-        gxx = -q * (2.0 - d) * (1.0 - d) * x ** (-d) * t ** (-(1.0 + m))
-        gt = q * (1.0 + m) * x ** (2.0 - d) * t ** (-(2.0 + m))
-        ux = u * (px / x + gx)
-        uxx = u * ((px / x + gx) ** 2 - px / x**2 + gxx)
-        ut = u * (pt / t + gt)
-        rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u)
+        try:
+            gx = -q * (2.0 - d) * x ** (1.0 - d) * t ** (-(1.0 + m))
+            gxx = -q * (2.0 - d) * (1.0 - d) * x ** (-d) * t ** (-(1.0 + m))
+            gt = q * (1.0 + m) * x ** (2.0 - d) * t ** (-(2.0 + m))
+            ux = u * (px / x + gx)
+            uxx = u * ((px / x + gx) ** 2 - px / x**2 + gxx)
+            ut = u * (pt / t + gt)
+            rhs = t**m * (A * x**d * uxx + B * x ** (d - 1.0) * ux + C * x ** (d - 2.0) * u)
+        except OverflowError:
+            ut = rhs = math.inf
+        if not (cmath.isfinite(ut) and cmath.isfinite(rhs)):
+            raise DomainError(
+                f"a derivative factor of u passes the double range at (x, t) = ({x!r}, {t!r})"
+            )
         pts.append(((x, t), ut, rhs))
     return _build_report(METHOD_TERMWISE, pts)
 
@@ -263,8 +273,11 @@ def residual_pde(
 
     problem must be sol.problem, which the residual reads (ValueError
     otherwise).  ClosedFormExp solutions (alpha = 1) go through the exact
-    analytic-derivative path (h-independent); everything else uses the
-    Grunwald-Letnikov time derivative and finite differences in x.
+    analytic-derivative path (h-independent; DomainError where a derivative
+    factor passes the double range); everything else uses the
+    Grunwald-Letnikov time derivative and finite differences in x, with h
+    checked first: finite and positive (ValueError otherwise) and at most
+    t/50 at every grid t (StepTooLargeError otherwise).
 
     Both sides are complex when a constant is.  An H-form solution is
     read from one spline profile in z per call.  A Wright-series solution
@@ -279,6 +292,11 @@ def residual_pde(
         raise ValueError("problem is not the solution's problem")
     if isinstance(sol.form, ClosedFormExp):
         return _closed_form_residual(sol, grid)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h = {h!r} must be positive and finite")
+    t_min = min((t for _, t in grid), default=math.inf)
+    if h > t_min / 50.0:
+        raise StepTooLargeError(f"h = {h:g} exceeds t/50 = {t_min / 50.0:g}")
     return _numeric_residual(sol, grid, h)
 
 
@@ -335,9 +353,14 @@ def h_operator_identity_check(
 
     kind = "euler-shift":  (beta_1/alpha_p z d/dz + B_1) H[a z^(-alpha_p)]
     equals H with B_1 + 1; central differences supply the left side.
+    a and z_points must be finite and z_points positive (ValueError
+    otherwise).
     """
     if spec.l != 0:
         raise UnsupportedClassError("identity check requires the l = 0 class")
+    z = np.asarray(z_points, dtype=float)
+    if not (math.isfinite(a) and np.all((z > 0.0) & (z < math.inf))):
+        raise ValueError("a and z_points must be finite, z_points positive")
     if a <= 0:
         raise PreconditionViolationError("requires a > 0")
     a_last, alpha_p = spec.upper[-1]
@@ -364,7 +387,6 @@ def h_operator_identity_check(
         rhs = eval_mellin_barnes_batch(shifted, h_args(z_points))
         # every z's 3-point stencil in one batch, which may straddle two lines:
         # 18 solver specs at 25 z in [1e-3, 1e3] err by 2.2e-6 either way
-        z = np.asarray(z_points, dtype=float)
         dz = 1e-6 * z
         g_hi, g_lo, g0 = eval_mellin_barnes_batch(
             spec, h_args(np.stack((z + dz, z - dz, z), axis=1).ravel())

@@ -592,6 +592,23 @@ class TestSaddleSearch:
         with pytest.raises(CancellationError):
             eval_mellin_barnes(spec, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec, gamma0",
+        [
+            # 1/Gamma(1.5 - s) on the slid class; gamma0 = 2 - 1/2
+            (HFunctionSpec(m=2, l=0, upper=((1.5, 1.0),), lower=((2.0, 1.0), (2.0, 1.0))), "1.5"),
+            # 1/Gamma(-s) on a fixed line, gamma0 = 0 midway in the strip (-1, 1)
+            (HFunctionSpec(m=1, l=1, upper=((0.0, 1.0), (0.0, 1.0)), lower=((1.0, 1.0),)), "0"),
+        ],
+    )
+    @pytest.mark.parametrize("z", [0.5, 5.0, np.array([0.5, 5.0])])
+    def test_kernel_zero_at_gamma0_refused(self, spec, gamma0, z):
+        # the kernel's log is -inf at tau = 0 on gamma0, where the default
+        # line and the saddle bracket start
+        with pytest.raises(UnsupportedClassError, match=f"at s = gamma0 = {gamma0}, "):
+            eval_mellin_barnes(spec, z)
+
 
 class TestResidueSeriesRegimes:
     """Arguments where the residue series fails in double precision; the

@@ -40,13 +40,16 @@ def monomial(p, c=1.0):
      (lambda: FracPowerSeries(0.5, 1.0, (1.0, math.nan)), ValueError),
      (lambda: EulerPolynomialOperator(coeffs=(0.0, 1.0), time_weight=-1), ValueError),
      (lambda: EulerPolynomialOperator(coeffs=(1.0, 0.0)), DegenerateLeadingError),
+     (lambda: EulerPolynomialOperator(coeffs=(math.nan, 1.0)), ValueError),
+     (lambda: EulerPolynomialOperator(coeffs=(0.0, math.inf)), ValueError),
      (lambda: rl_derivative(monomial(1.0), 0.0), ValueError),
      (lambda: rl_derivative(monomial(1.0), -0.5), ValueError),
      (lambda: gamma_product_identity_check(0.0, 1, 0.5), ValueError),
      (lambda: gamma_product_identity_check(-1.0, 1, 0.5), ValueError),
      (lambda: gamma_product_identity_check(0.5, 0, 0.5), ValueError)],
     ids=["rho-zero", "rho-negative", "nan-coefficient", "time-weight-negative",
-         "leading-coefficient-zero", "rl-alpha-zero", "rl-alpha-negative",
+         "leading-coefficient-zero", "nan-operator-coefficient", "inf-operator-coefficient",
+         "rl-alpha-zero", "rl-alpha-negative",
          "identity-a-zero", "identity-a-negative", "identity-m-zero"],
 )
 def test_refusals(call, error):

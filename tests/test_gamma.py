@@ -199,6 +199,11 @@ class TestGammaReciprocal:
     def test_at_half(self):
         assert_allclose(gamma_reciprocal(0.5), 1 / math.sqrt(math.pi), rtol=1e-13)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_non_finite_refused(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            gamma_reciprocal(z)
+
     @settings(max_examples=100, deadline=None)
     @given(
         x=st.floats(min_value=-8.0, max_value=8.0),
@@ -258,6 +263,23 @@ class TestPoleDetection:
     @pytest.mark.parametrize("z", [1.0, 0.5, -2.5, -3.0 + 1e-6j])
     def test_rejects(self, z):
         assert not is_nonpositive_integer(z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "z", [math.inf, -math.inf, math.nan, complex(0.0, math.nan), complex(-math.inf, 0.0)]
+    )
+    def test_non_finite_is_not_a_pole(self, z):
+        # no non-finite number is a pole, in either branch
+        assert is_nonpositive_integer(z) is False
+        assert is_nonpositive_integer(np.array([z, -2.0])).tolist() == [False, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=True, allow_infinity=True),
+           y=st.sampled_from([0.0, 1e-15, 1e-13, -2.0, math.nan, math.inf]))
+    def test_scalar_branch_matches_array_branch(self, x, y):
+        z = complex(x, y)
+        with np.errstate(all="raise"):
+            assert is_nonpositive_integer(z) == bool(is_nonpositive_integer(np.array(z)))
 
 
 class TestRealPsi:

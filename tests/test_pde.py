@@ -219,6 +219,12 @@ class TestExpClosedForm:
         with pytest.raises(ComplexRootsError):
             exp_closed_form(prob)
 
+    @pytest.mark.parametrize("sign", [0, 2, 0.5, math.nan])
+    def test_sign_other_than_plus_or_minus_one_refused(self, sign):
+        # sign = 0 would give x^0.5 t^-1 exp(-x^2/4t), not a solution of the heat equation
+        with pytest.raises(ValueError, match="sign must be"):
+            exp_closed_form(HEAT, sign)
+
     def test_fractional_alpha_rejected(self):
         prob = DiffusionProblem(alpha=0.5, m=0, d=0.0, A=1.0, B=0.0, C=0.0, a=0.0)
         with pytest.raises(BranchMismatchError):
@@ -239,6 +245,15 @@ EXTREME_BRANCHES = {
         DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=-10.0), sign=-1
     ),
 }
+
+# the heat kernel, the steep form x^11 t^-6.5 exp(-x^2/4t), and two with
+# m > 0 and d != 0, one on each sign branch
+CLOSED_FORM_SWEEP = [
+    (HEAT, 1),
+    (DiffusionProblem(alpha=1.0, m=0, d=0.0, A=1.0, B=-10.0), -1),
+    (DiffusionProblem(alpha=1.0, m=1, d=0.5, A=1.3, B=0.4, C=-0.2), 1),
+    (DiffusionProblem(alpha=1.0, m=2, d=-0.7, A=0.8, B=-0.3, C=0.1), -1),
+]
 
 
 class TestEvaluate:
@@ -314,6 +329,33 @@ class TestEvaluate:
             want = xm**11 * tm**-6.5 * mpmath.exp(-(xm**2) / (4 * tm))
         got = evaluate(EXTREME_BRANCHES["closed-form-steep"], x, t)
         assert abs(got / float(want) - 1.0) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("problem, sign", CLOSED_FORM_SWEEP)
+    def test_closed_form_sweep_vs_mpmath(self, problem, sign):
+        # 1,500 log-uniform points per form against a 40-digit reference,
+        # many with one factor subnormal and another large, where a product
+        # of the factors stays finite but loses its digits
+        sol = exp_closed_form(problem, sign)
+        p, q, k = sol.form.x_exponent, sol.form.t_exponent, sol.form.exp_coef
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        rng = np.random.default_rng(7)
+        xs = 10.0 ** rng.uniform(-40.0, 40.0, 1500)
+        ts = 10.0 ** rng.uniform(-60.0, 60.0, 1500)
+        for x, t in zip(xs.tolist(), ts.tolist()):
+            with mpmath.workdps(40):
+                xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+                arg = -k * xm ** (2.0 - problem.d) * tm ** -(1.0 + problem.m)
+                want = xm**p * tm**q * mpmath.exp(arg)
+            if want > huge:
+                with pytest.raises(DomainError, match="passes the double range"):
+                    evaluate(sol, x, t)
+                continue
+            got = evaluate(sol, x, t)
+            if want < tiny:
+                assert 0.0 <= got.real <= tiny * (1.0 + 1e-10), (x, t)
+            else:
+                assert abs(got / float(want) - 1.0) <= 1e-10, (x, t, got, want)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_float_time_refused(self):

@@ -4,6 +4,7 @@ residuals, coefficient-level residuals, and the operator-identity harnesses."""
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -15,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from fracsol import foxh, ode, verify
 from fracsol.errors import (
+    DomainError,
     PreconditionViolationError,
     StepTooLargeError,
     UnsupportedClassError,
@@ -70,7 +72,10 @@ class TestGlDerivative:
     @pytest.mark.parametrize(
         "alpha, t, h, match",
         [(0.0, 1.0, 1e-4, "alpha"), (-0.5, 1.0, 1e-4, "alpha"),
-         (0.5, 1.0, 0.0, "t and h"), (0.5, 1.0, -1e-4, "t and h"), (0.5, 0.0, 1e-4, "t and h")],
+         (0.5, 1.0, 0.0, "t and h"), (0.5, 1.0, -1e-4, "t and h"), (0.5, 0.0, 1e-4, "t and h"),
+         (math.nan, 1.0, 1e-4, "alpha = nan"), (math.inf, 1.0, 1e-4, "alpha = inf"),
+         (0.5, math.inf, 1e-4, "t = inf"), (0.5, math.nan, 1e-4, "t = nan"),
+         (0.5, 1.0, math.nan, "h = nan"), (0.5, 1.0, math.inf, "h = inf")],
     )
     def test_refusals(self, alpha, t, h, match):
         with pytest.raises(ValueError, match=match):
@@ -234,6 +239,30 @@ class TestResidualPde:
         prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
         with pytest.raises(StepTooLargeError, match=r"h = 0\.05 exceeds t/50 = 0\.02$"):
             residual_pde(solve(prob), prob, [(1.7, 1.0)], h=0.05)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_refused_before_use(self, h):
+        # checked before floor(t_max / h) is taken
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        with pytest.raises(ValueError, match="h = .* must be positive and finite"):
+            residual_pde(solve(prob), prob, [(1.0, 1.0)], h=h)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_step_is_too_large(self):
+        # checked before the profile is built, against the smallest grid t
+        prob = DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)
+        with pytest.raises(StepTooLargeError, match=r"h = 1e\+300 exceeds t/50 = 0\.01$"):
+            residual_pde(solve(prob), prob, [(1.0, 2.0), (1.0, 0.5)], h=1e300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, t", [(1e-200, 1.0), (1.0, 1e-200), (1e200, 1e-100)])
+    def test_exact_path_derivative_past_double_range(self, x, t):
+        # at d = 3, x^(1-d) t^-(1+m) passes the double range: an OverflowError
+        prob = DiffusionProblem(alpha=1.0, m=0, d=3.0, A=1.0)
+        where = re.escape(f"at (x, t) = ({x!r}, {t!r})")
+        with pytest.raises(DomainError, match=f"derivative .* {where}$"):
+            residual_pde(exp_closed_form(prob), prob, [(1.0, 1.0), (x, t)])
 
     def test_complex_constant_is_kept(self):
         # u is linear in its constant: c = 1j gives 1j times the c = 1 sides,
@@ -443,6 +472,16 @@ class TestHOperatorIdentities:
     def test_rejects_nonpositive_a(self, a):
         with pytest.raises(PreconditionViolationError):
             h_operator_identity_check(self.case1_spec(), "rl", a=a)
+
+    @pytest.mark.parametrize("kind", ["rl", "euler-shift"])
+    @pytest.mark.parametrize(
+        "a, z_points",
+        [(1.0, (0.0, 1.0)), (1.0, (math.nan,)), (1.0, (-1.0,)), (1.0, (math.inf,)),
+         (math.nan, (1.0,)), (math.inf, (1.0,))],
+    )
+    def test_non_finite_or_nonpositive_input_refused(self, kind, a, z_points):
+        with pytest.raises(ValueError, match="a and z_points must be finite"):
+            h_operator_identity_check(self.case1_spec(), kind, a=a, z_points=z_points)
 
     @pytest.mark.parametrize(
         "case, kind, error, match",
