@@ -325,7 +325,7 @@ def cmd_solve_pde(args) -> int:
     closed = isinstance(form, pde.ClosedFormExp)
     s1, s2 = pde.s_roots(problem) if problem.d != 2 else (None, None)
     descriptor = {
-        "branch": "ClosedFormExp" if closed else "FoxHForm" if form.small else "WrightSeriesForm",
+        "branch": "closed-form" if closed else form.branch,
         "K": problem.K,
         "s1": None if s1 is None else _complex_json(s1),
         "s2": None if s2 is None else _complex_json(s2),

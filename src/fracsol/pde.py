@@ -4,23 +4,21 @@ diffusion equation
     D_t^alpha u = t^m (A x^d u_xx + B x^(d-1) u_x + C x^(d-2) u),  x, t > 0.
 
 The substitution u = x^a phi(z), z = x^((d-2)/(alpha+m)) t, collapses the
-PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`.  ``solve``
-reduces and solves that ODE: a :class:`PdeSolution` is the problem and
-its form, here the reduced :class:`fracsol.ode.OdeSolution` (Fox-H form
-for 0 < alpha < 2, Wright series for alpha > 2, as ``ode.solve`` picks),
-and u is x^a times that solution at ``DiffusionProblem.z(x, t)``.  At
-d = 2 the reduction is the n = 0 ODE D^alpha phi = K t^m phi in z = t,
-whose solutions are its Wright members for every alpha.  The alpha = 1
-exponential closed form is built here directly; its form is a
-:class:`ClosedFormExp`, evaluated as e to the sum of its factors' logs.
-Every number of a problem, its constants included, must be finite
-(ValueError otherwise).
+PDE to the n = 2 model fractional ODE of :mod:`fracsol.ode`, or at d = 2
+to the n = 0 ODE D^alpha phi = K t^m phi in z = t, solved by its Wright
+members.  A :class:`PdeSolution` from ``solve`` holds the problem and the
+reduced :class:`fracsol.ode.OdeSolution`; at alpha = 1 one from
+``exp_closed_form`` holds a :class:`ClosedFormExp`.  ``evaluate`` takes
+either as a phase and log u, so only z, the H or Wright argument and u
+itself count against the double range.  A problem's numbers and
+constants must be finite (ValueError otherwise).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from . import ode
@@ -69,8 +67,17 @@ class DiffusionProblem:
         return self.alpha + self.m
 
     def z(self, x: float, t: float) -> float:
-        """The reduced variable z = x^((d-2)/rho) t of the ansatz u = x^a phi(z)."""
-        return x ** ((self.d - 2.0) / self.rho) * t
+        """The reduced variable z = x^p t, p = (d-2)/rho, of u = x^a phi(z);
+        e^(p log x + log t) where a float x's power alone leaves the normal range."""
+        p = (self.d - 2.0) / self.rho
+        try:
+            power = x**p  # an array's power saturates instead of raising
+        except OverflowError:
+            power = math.inf
+        if not isinstance(power, float) or sys.float_info.min <= power < math.inf:
+            return power * t
+        log_z = p * math.log(x) + math.log(t)
+        return math.exp(log_z) if log_z < LOG_MAX else math.inf
 
     def reported(self, u: complex):
         """u, or its real part when every constant is real."""
@@ -168,38 +175,31 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
 
 
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
-    """Evaluate a solution at a point of the open quadrant x, t > 0, or
-    raise DomainError, naming the quantity, where z, a power of x or t, the
-    H argument or the value passes the double range.  The alpha = 1 closed
-    form is c e^(log u), with log u the sum of its factors' logs, so only
-    the value itself can pass the range.  x and t are taken as Python
-    floats, whose powers raise the OverflowError handled here where a numpy
-    float's would warn."""
+    """u = c e^(log u) at x, t > 0, taken as Python floats: the closed form's
+    c and sum of logs, or c = phi/|phi| and log u = a log x + log|phi| from
+    phi = form(z) (u = 0 where phi is 0).  DomainError names z, the H or
+    Wright argument or u where it passes the double range; a u below it is 0."""
     x, t = float(x), float(t)
-    if x <= 0 or t <= 0:
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
-    form, problem = sol.form, sol.problem
+    form, problem, log_x, log_t = sol.form, sol.problem, math.log(x), math.log(t)
     if isinstance(form, ClosedFormExp):
-        log_x, log_t = math.log(x), math.log(t)
         arg = (2.0 - problem.d) * log_x - (1.0 + problem.m) * log_t
         inner = math.exp(arg) if arg < LOG_MAX else math.inf
+        c = problem.constant(1)
         log_u = form.x_exponent * log_x + form.t_exponent * log_t - form.exp_coef * inner
-        u = problem.constant(1) * math.exp(log_u) if log_u < LOG_MAX else math.inf
-        if cmath.isfinite(u):
-            return u
         what = f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
-        raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
-    try:
+    else:
         z = problem.z(x, t)
-        # 0 or inf after an under- or overflowing product
-        u = x**problem.a * form.evaluate(z) if 0.0 < z < math.inf else math.inf
-    except OverflowError:
-        u = math.inf
+        if not 0.0 < z < math.inf:
+            log_z = (problem.d - 2.0) / problem.rho * log_x + log_t
+            raise DomainError(f"z = e^{log_z:.6g} passes the double range at (x, t) = ({x!r}, {t!r})")
+        phi = form.evaluate(z)
+        c, log_u = (phi / abs(phi), problem.a * log_x + math.log(abs(phi))) if phi else (phi, 0.0)
+        what = f"x^a phi(z) at z = {z:.6g}"
+    u = c * math.exp(log_u) if log_u < LOG_MAX else math.inf
     if cmath.isfinite(u):
         return u
-    log_z = (problem.d - 2.0) / problem.rho * math.log(x) + math.log(t)
-    big = abs(log_z) > LOG_MAX
-    what = f"z = e^{log_z:.6g}" if big else f"x^a phi(z) at z = {math.exp(log_z):.6g}"
     raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
 
 

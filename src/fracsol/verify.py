@@ -269,7 +269,8 @@ def _numeric_residual(sol: PdeSolution, grid, h: float):
 def residual_pde(
     sol: PdeSolution, problem: DiffusionProblem, grid, h: float = 1e-4
 ) -> ResidualReport:
-    """Residual of the diffusion equation on the given (x, t) grid.
+    """Residual of the diffusion equation on the given (x, t) grid, which
+    must hold at least one point, each positive (ValueError otherwise).
 
     problem must be sol.problem, which the residual reads (ValueError
     otherwise).  ClosedFormExp solutions (alpha = 1) go through the exact
@@ -286,6 +287,8 @@ def residual_pde(
     has exponent 1/2; ``residual_ode_coefficients`` checks that branch.
     """
     grid = [(float(x), float(t)) for x, t in grid]
+    if not grid:
+        raise ValueError("grid holds no point")
     if any(x <= 0 or t <= 0 for x, t in grid):
         raise ValueError("grid points must be strictly positive")
     if problem != sol.problem:
@@ -353,12 +356,14 @@ def h_operator_identity_check(
 
     kind = "euler-shift":  (beta_1/alpha_p z d/dz + B_1) H[a z^(-alpha_p)]
     equals H with B_1 + 1; central differences supply the left side.
-    a and z_points must be finite and z_points positive (ValueError
-    otherwise).
+    a and z_points must be finite and z_points non-empty and positive
+    (ValueError otherwise).
     """
     if spec.l != 0:
         raise UnsupportedClassError("identity check requires the l = 0 class")
     z = np.asarray(z_points, dtype=float)
+    if z.size == 0:
+        raise ValueError("z_points holds no point")
     if not (math.isfinite(a) and np.all((z > 0.0) & (z < math.inf))):
         raise ValueError("a and z_points must be finite, z_points positive")
     if a <= 0:
@@ -415,8 +420,11 @@ def wright_operator_identity_check(
 
     kind = "euler": (1/alpha z d/dz + R) of z^(A1 sigma/alpha1 - alpha R)
     pPsiq[a z^sigma] against (sigma/(alpha1 alpha)) times the same form
-    with A_1 raised by one.  Requires sigma > 0 (series lattice).
+    with A_1 raised by one.  Requires sigma > 0 (series lattice).  Both
+    compare n_coeffs >= 1 coefficients (ValueError otherwise).
     """
+    if n_coeffs < 1:
+        raise ValueError(f"n_coeffs = {n_coeffs} compares no coefficient")
     order = n_coeffs + 8
     if kind == "rl":
         if not spec.upper or abs(spec.upper[0][0] - 1.0) > 1e-12 or abs(

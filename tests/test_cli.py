@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from fracsol import ode
+from fracsol import fracseries, ode
 from fracsol.cli import build_parser, run
-from fracsol.errors import InputError
+from fracsol.errors import InputError, PoleError
 
 
 def run_capture(capsys, argv):
@@ -172,7 +172,7 @@ class TestSolvePdeDescriptors:
     def test_h_form(self, capsys, tmp_path):
         problem = {"alpha": 0.8, "m": 1, "d": 0.5, "A": 1.2, "B": 0.3, "C": -0.1, "a": 0.2}
         doc, samples = solve_pde(capsys, tmp_path, problem)
-        assert doc["branch"] == "FoxHForm"
+        assert doc["branch"] == "small-alpha"
         assert doc["K"] == pytest.approx(-0.232, rel=1e-12)
         assert doc["s1"] == pytest.approx(0.35789083458002735, rel=1e-12)
         assert doc["s2"] == pytest.approx(-0.7778908345800274, rel=1e-12)
@@ -197,7 +197,7 @@ class TestSolvePdeDescriptors:
         # alpha > 2 keeps complex roots: they enter the Wright parameters
         problem = {"alpha": 3.4, "m": 0, "d": -1, "A": 1, "B": 0.1, "C": 0.8, "a": 0.3}
         doc, samples = solve_pde(capsys, tmp_path, problem)
-        assert doc["branch"] == "WrightSeriesForm"
+        assert doc["branch"] == "large-alpha"
         assert doc["K"] == pytest.approx(0.62, rel=1e-12)
         for key, im in (("s1", 0.876045407245284), ("s2", -0.876045407245284)):
             assert doc[key] == {
@@ -228,7 +228,7 @@ class TestSolvePdeDescriptors:
     def test_d2_negative_K(self, capsys, tmp_path):
         problem = {"alpha": 2.5, "m": 1, "d": 2, "A": 1, "B": 0, "C": -0.2, "a": 0.5}
         doc, samples = solve_pde(capsys, tmp_path, problem)
-        assert doc["branch"] == "WrightSeriesForm"
+        assert doc["branch"] == "large-alpha"
         assert doc["K"] == pytest.approx(-0.45, rel=1e-12)
         assert doc["s1"] is None and doc["s2"] is None
         assert doc["members"] == [
@@ -280,7 +280,7 @@ class TestFormAndSign:
         )
         assert code == 0
         assert json.loads(out) == {
-            "branch": "ClosedFormExp", **self.HEAT_FIELDS,
+            "branch": "closed-form", **self.HEAT_FIELDS,
             "x_exponent": 1.0, "t_exponent": -1.5, "exp_coefficient": 0.25,
         }
 
@@ -288,7 +288,7 @@ class TestFormAndSign:
         code, out = run_capture(capsys, ["solve", "pde", "--json", HEAT, "--form", "h"])
         assert code == 0
         assert json.loads(out) == {
-            "branch": "FoxHForm", **self.HEAT_FIELDS,
+            "branch": "small-alpha", **self.HEAT_FIELDS,
             "h_spec": {"m": 2, "l": 0, "upper": [[1.0, 1.0]], "lower": [[0.5, 1.0], [0.0, 1.0]]},
             "argument_coefficient": 0.25,
         }
@@ -330,6 +330,26 @@ class TestIdentities:
         )
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_lemma_suite_skips_a_pole(self, capsys, monkeypatch):
+        # a draw that lands on a pole is skipped, and the suite still
+        # checks --n draws
+        check, results = fracseries.gamma_product_identity_check, []
+
+        def first_on_a_pole(a, m, b):
+            if not results:
+                results.append(None)
+                raise PoleError(f"Gamma({a}) lands on a pole")
+            results.append(check(a, m, b))
+            return results[-1]
+
+        monkeypatch.setattr(fracseries, "gamma_product_identity_check", first_on_a_pole)
+        code, out = run_capture(
+            capsys, ["identities", "--suite", "lemma1", "--n", "3", "--tol", "1e-11"]
+        )
+        assert code == 0
+        assert out.startswith("PASS suite=lemma1 n=3")
+        assert results[0] is None and len(results) == 4
 
     def test_deterministic_given_seed(self, capsys):
         argv = ["identities", "--suite", "lemma1", "--n", "50", "--seed", "3", "--tol", "1e-11"]

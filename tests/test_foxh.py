@@ -422,6 +422,21 @@ class TestSaddleSearch:
     """The saddle is the root of phi_z' = K' + log z, found by Newton's
     method on the digamma sum with no kernel call."""
 
+    def test_zero_past_the_reach_leaves_no_slide(self):
+        # the 1/Gamma factor of H^{1,0}_{1,1}[z | (-3.3, 0.001); (0, 1)] is
+        # 0 at r = 3300 on the slid side, past the reach r = 2722, so no z
+        # slides.  gamma0 holds to z = 5; at z = 30, where H is 1.9e-13,
+        # its integrand cancels
+        spec = HFunctionSpec(m=1, l=0, upper=((-3.3, 0.001),), lower=((0.0, 1.0),))
+        assert foxh._SpecConstants(spec).slide is None
+        for z in (0.1, 1.0, 5.0):
+            assert abs(eval_mellin_barnes(spec, z) / mp_residue_sum(spec, z) - 1.0) <= 1e-10
+        try:
+            got = eval_mellin_barnes(spec, 30.0)
+        except FracsolError:
+            return
+        assert abs(got / mp_residue_sum(spec, 30.0) - 1.0) <= 1e-10
+
     @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 1.9])
     @pytest.mark.parametrize("m", [0, 2])
     def test_within_a_hundredth_of_dense_search(self, alpha, m):

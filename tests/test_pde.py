@@ -1,6 +1,7 @@
 """Tests for the anomalous-diffusion solver: similarity reduction, the three
 solution branches, the integer-order closed form, and evaluation."""
 
+import functools
 import math
 
 import mpmath
@@ -10,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fracsol import fracseries
+from fracsol import fracseries, ode
 from fracsol.errors import (
     BranchMismatchError,
+    CancellationError,
     ComplexRootsError,
     DegenerateDError,
     DegenerateLeadingError,
     DomainError,
     FracsolError,
     NoConvergenceError,
+    QuadratureFailureError,
 )
 from fracsol.fracseries import EulerPolynomialOperator
 from fracsol.ode import OdeProblem, wright_members
@@ -358,6 +361,76 @@ class TestEvaluate:
                 assert abs(got / float(want) - 1.0) <= 1e-10, (x, t, got, want)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reduced_sweep_vs_mpmath(self, monkeypatch):
+        # H-form solutions at log-uniform points, where x^a alone often
+        # leaves the double range while u does not: a product x^a phi(z)
+        # returned 0.0, lost digits or refused there.  The reference is
+        # x^a phi(z) at 40 digits from the library's phi at the same z, so
+        # it grades how u is formed from phi; where phi raises a typed error
+        # other than DomainError, so does u.  Each H value is cached, so
+        # the reference's phi is the one u read
+        monkeypatch.setattr(ode, "eval_mellin_barnes", functools.cache(ode.eval_mellin_barnes))
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        rng = np.random.default_rng(7)
+        problems = graded = 0
+        while problems < 60:
+            prob = DiffusionProblem(
+                alpha=float(rng.uniform(0.5, 1.9)), m=int(rng.integers(0, 3)),
+                d=float(rng.uniform(-1.0, 1.5)), A=float(rng.uniform(0.5, 2.0)),
+                B=float(rng.uniform(-1.0, 1.0)), C=float(rng.uniform(-1.0, 1.0)),
+                a=float(rng.uniform(-30.0, 30.0)),
+            )
+            try:
+                sol = solve(prob)
+            except ComplexRootsError:
+                continue
+            problems += 1
+            for x, t in (10.0 ** rng.uniform(-40.0, 40.0, (50, 2))).tolist():
+                try:
+                    got = evaluate(sol, x, t)
+                except (CancellationError, QuadratureFailureError):
+                    continue
+                except DomainError:
+                    got = None
+                graded += 1
+                with mpmath.workdps(40):
+                    want = mpmath.mpf(x) ** prob.a * mpmath.mpc(sol.form.evaluate(prob.z(x, t)))
+                if abs(want) > huge:
+                    assert got is None, (prob, x, t, got, want)
+                elif abs(want) < tiny:
+                    assert got is not None and abs(got) <= tiny, (prob, x, t, got, want)
+                else:
+                    assert got is not None and abs(got - want) <= 1e-12 * abs(want), (
+                        prob, x, t, got, want)
+        assert graded >= 1500
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, x, t",
+        [(40.0, 5.011872336272715e-9, 1.6e-8),  # u = 1.71817011642e-126
+         (40.0, 1e-8, 1e-7),  # x^a = 1e-320 is subnormal
+         (30.0, 1e-11, 1e-12),  # u = 3.97e-144
+         (4.0, 1e100, 1.0),  # x^a = 1e400 overflows; u is below the double range
+         (0.0, 1e-124, 1e-310)],  # x^-2.5 = 1e310 overflows, but z = 1
+    )
+    def test_reduced_points_vs_residue_sum(self, a, x, t):
+        # u = x^a H(w), w = arg_coef z^-0.8, z = x^-2.5 t, with H from a
+        # 50-digit residue sum at the exact z; at w = 2.5e199 H is far below
+        # the double range
+        from test_foxh import mp_residue_sum
+
+        sol = solve(DiffusionProblem(alpha=0.8, m=0, d=0.0, A=1.0, a=a))
+        small = sol.form.small
+        got = evaluate(sol, x, t)
+        with mpmath.workdps(50):
+            w = small.arg_coef * (mpmath.mpf(x) ** -2.5 * mpmath.mpf(t)) ** -0.8
+            if w > 1e100:
+                assert got == 0.0
+                return
+            want = mpmath.mpf(x) ** a * mp_residue_sum(small.spec, w)
+        assert abs(got / want - 1.0) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_float_time_refused(self):
         # a numpy float t reaches the ODE solution as a numpy float z, whose
         # power used to warn and end in DivergentInputError
@@ -446,8 +519,9 @@ class TestConstants:
             alpha=2.5, m=0, d=1.0, A=1.0, B=0.2, C=-0.3, a=0.4, constants=(0.5, -2.0)
         )
         sol = solve(prob)
-        assert evaluate(sol, 1.2, 0.9) == -3.7431555422523193 - 7.354420126794053e-16j
-        assert evaluate(sol, 0.7, 1.6) == 2.003841041084306 - 6.750339744429037e-16j
+        # u = c e^(log u), log u = a log x + log|phi|, to the last bit
+        assert evaluate(sol, 1.2, 0.9) == -3.743155542252319 - 7.354420126794052e-16j
+        assert evaluate(sol, 0.7, 1.6) == 2.003841041084306 - 6.750339744429038e-16j
 
     def test_complex_c1_on_h_form(self):
         prob = DiffusionProblem(
@@ -485,8 +559,9 @@ class TestD2IsTheN0Ode:
         assert [s for s, _ in pairs] == [mem.series(10) for mem in members]
         assert all(op == EulerPolynomialOperator((prob.K,), m) for _, op in pairs)
         for x, t in ((0.7, 0.4), (1.0, 1.0), (1.6, 2.3)):
+            # evaluate's e^(a log x + log|phi|) is within 5.7e-16 of this product
             want = x**0.5 * sum(prob.constant(mem.k) * mem.evaluate(t) for mem in members)
-            assert evaluate(sol, x, t) == want
+            assert abs(evaluate(sol, x, t) - want) <= 1e-14 * abs(want)
 
 
 class TestRootCheck:

@@ -574,6 +574,10 @@ class TestResidualReportShape:
 
 
 WRIGHT_ODE = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
+SOLUTIONS = {
+    "h-form": solve(DiffusionProblem(alpha=0.8, m=1, d=0.0, A=1.0)),
+    "wright": solve(DiffusionProblem(alpha=2.5, m=0, d=1.0, A=1.0, C=0.1, a=0.2)),
+}
 
 
 @pytest.mark.parametrize(
@@ -584,8 +588,28 @@ WRIGHT_ODE = OdeProblem(alpha=2.5, m=1, a_coeffs=(0.0, 0.3, 1.0))
      (lambda: residual_pde(exp_closed_form(HEAT), HEAT, [(1.0, -1.0)]), "strictly positive"),
      (lambda: residual_ode_coefficients(
          ode.solve(WRIGHT_ODE).members[0].series(order=5), WRIGHT_ODE.operator(),
-         WRIGHT_ODE.alpha, n_coeffs=20), "6 coefficients < 20")],
-    ids=["report-no-points", "pde-x-zero", "pde-t-negative", "member-too-short"],
+         WRIGHT_ODE.alpha, n_coeffs=20), "6 coefficients < 20"),
+     # an empty input used to fail deep inside with a message that named
+     # nothing: a tuple unpacking, max() of an empty sequence, or the report's
+     # own "at least one point"
+     (lambda: residual_pde(SOLUTIONS["h-form"], SOLUTIONS["h-form"].problem, []),
+      "grid holds no point"),
+     (lambda: residual_pde(SOLUTIONS["wright"], SOLUTIONS["wright"].problem, []),
+      "grid holds no point"),
+     (lambda: residual_pde(exp_closed_form(HEAT), HEAT, []), "grid holds no point"),
+     (lambda: h_operator_identity_check(SOLUTIONS["h-form"].form.small.spec, "rl", z_points=()),
+      "z_points holds no point"),
+     (lambda: h_operator_identity_check(
+         SOLUTIONS["h-form"].form.small.spec, "euler-shift", z_points=[]),
+      "z_points holds no point"),
+     (lambda: wright_operator_identity_check(
+         TestWrightOperatorIdentities.EXP, "rl", alpha=0.5, n_coeffs=0), "n_coeffs = 0"),
+     (lambda: wright_operator_identity_check(
+         TestWrightOperatorIdentities.EXP, "euler", sigma=1.0, n_coeffs=-3), "n_coeffs = -3")],
+    ids=["report-no-points", "pde-x-zero", "pde-t-negative", "member-too-short",
+         "pde-h-form-empty-grid", "pde-wright-empty-grid", "pde-closed-form-empty-grid",
+         "h-identity-rl-no-z", "h-identity-euler-no-z", "wright-identity-no-coefficient",
+         "wright-identity-negative-coefficients"],
 )
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):
