@@ -45,10 +45,12 @@ _LOG_PI = 1.1447298858494001741
 
 #: absolute distance below which an argument counts as sitting on a pole
 POLE_TOL = 1e-14
-#: for the Wright series and the contour: the double precision, the log of
-#: the largest double, and the share of a value that its rounding, EPS times
-#: the sum of its terms' moduli, may take before CancellationError
+#: for the Wright series, the contour and pde.evaluate: the double
+#: precision, the smallest normal double, the log of the largest double, and
+#: the share of a value that its rounding, EPS times the sum of its terms'
+#: moduli, may take before CancellationError
 EPS = np.finfo(float).eps
+TINY = float(np.finfo(float).tiny)
 LOG_MAX = float(np.log(np.finfo(float).max))
 CANCEL_TOL = 1e-10
 

@@ -9,16 +9,16 @@ to the n = 0 ODE D^alpha phi = K t^m phi in z = t, solved by its Wright
 members.  A :class:`PdeSolution` from ``solve`` holds the problem and the
 reduced :class:`fracsol.ode.OdeSolution`; at alpha = 1 one from
 ``exp_closed_form`` holds a :class:`ClosedFormExp`.  ``evaluate`` takes
-either as a phase and log u, so only z, the H or Wright argument and u
-itself count against the double range.  A problem's numbers and
-constants must be finite (ValueError otherwise).
+either as a phase and log u, so x^a and the power of x in z do not count
+against the double range; z, the H or Wright argument, phi and u do, and
+so does a phi below the normal range that x^a > 1 lifts.  A problem's
+numbers and constants must be finite (ValueError otherwise).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, replace
 
 from . import ode
@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
 )
 from .fracseries import DEFAULT_ORDER_VERIFY
-from .gammafn import LOG_MAX
+from .gammafn import LOG_MAX, TINY
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,8 @@ class DiffusionProblem:
         return self.alpha + self.m
 
     def z(self, x: float, t: float) -> float:
-        """The reduced variable z = x^p t, p = (d-2)/rho, of u = x^a phi(z);
-        e^(p log x + log t) where a float x's power alone leaves the normal range."""
-        p = (self.d - 2.0) / self.rho
-        try:
-            power = x**p  # an array's power saturates instead of raising
-        except OverflowError:
-            power = math.inf
-        if not isinstance(power, float) or sys.float_info.min <= power < math.inf:
-            return power * t
-        log_z = p * math.log(x) + math.log(t)
-        return math.exp(log_z) if log_z < LOG_MAX else math.inf
+        """The reduced variable z = x^((d-2)/rho) t of the ansatz u = x^a phi(z)."""
+        return x ** ((self.d - 2.0) / self.rho) * t
 
     def reported(self, u: complex):
         """u, or its real part when every constant is real."""
@@ -174,32 +165,41 @@ def exp_closed_form(problem: DiffusionProblem, sign: int = +1) -> PdeSolution:
     return PdeSolution(problem=problem, form=form)
 
 
+def _exp(v: float) -> float:
+    return math.exp(v) if v < LOG_MAX else math.inf
+
+
 def evaluate(sol: PdeSolution, x: float, t: float) -> complex:
     """u = c e^(log u) at x, t > 0, taken as Python floats: the closed form's
-    c and sum of logs, or c = phi/|phi| and log u = a log x + log|phi| from
-    phi = form(z) (u = 0 where phi is 0).  DomainError names z, the H or
-    Wright argument or u where it passes the double range; a u below it is 0."""
+    c and sum of logs, or c = phi/|phi| and log u = a log x + log|phi|, phi =
+    form(z).  DomainError names z, the H or Wright argument, phi or u that
+    passes the double range, or a phi below the normal range that x^a > 1
+    lifts, where u is unknown; a u below the range is 0."""
     x, t = float(x), float(t)
     if not (0.0 < x < math.inf and 0.0 < t < math.inf):
         raise DomainError(f"(x, t) = ({x}, {t}) outside the domain x > 0, t > 0")
     form, problem, log_x, log_t = sol.form, sol.problem, math.log(x), math.log(t)
     if isinstance(form, ClosedFormExp):
-        arg = (2.0 - problem.d) * log_x - (1.0 + problem.m) * log_t
-        inner = math.exp(arg) if arg < LOG_MAX else math.inf
+        inner = _exp((2.0 - problem.d) * log_x - (1.0 + problem.m) * log_t)
         c = problem.constant(1)
         log_u = form.x_exponent * log_x + form.t_exponent * log_t - form.exp_coef * inner
-        what = f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
     else:
-        z = problem.z(x, t)
+        log_power = (problem.d - 2.0) / problem.rho * log_x
+        log_z = log_power + log_t
+        # z by pow, or by e^(log z) where x's power alone passes the double range
+        z = problem.z(x, t) if abs(log_power) < LOG_MAX else _exp(log_z)
         if not 0.0 < z < math.inf:
-            log_z = (problem.d - 2.0) / problem.rho * log_x + log_t
             raise DomainError(f"z = e^{log_z:.6g} passes the double range at (x, t) = ({x!r}, {t!r})")
-        phi = form.evaluate(z)
-        c, log_u = (phi / abs(phi), problem.a * log_x + math.log(abs(phi))) if phi else (phi, 0.0)
-        what = f"x^a phi(z) at z = {z:.6g}"
-    u = c * math.exp(log_u) if log_u < LOG_MAX else math.inf
+        phi, log_xa = form.evaluate(z), problem.a * log_x
+        if abs(phi) < TINY and log_xa > 0.0:
+            raise DomainError(f"phi(z) = {phi:.6g} at z = {z:.6g} lies below the normal range, and "
+                              f"x^a = e^{log_xa:.6g} lifts it, at (x, t) = ({x!r}, {t!r})")
+        c, log_u = (phi / abs(phi), log_xa + math.log(abs(phi))) if phi else (phi, 0.0)
+    u = c * _exp(log_u)
     if cmath.isfinite(u):
         return u
+    what = (f"x^{form.x_exponent:g} t^{form.t_exponent:g} exp(-k x^(2-d) t^-(1+m))"
+            if isinstance(form, ClosedFormExp) else f"x^a phi(z) at z = {z:.6g}")
     raise DomainError(f"{what} passes the double range at (x, t) = ({x!r}, {t!r})")
 
 

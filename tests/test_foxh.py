@@ -62,10 +62,11 @@ def decay_arg(spec, level):
     return (level / c.nu) ** c.nu / c.mu
 
 
-def mp_residue_sum(spec, z, dps=50, kmax=200):
+def mp_residue_sum(spec, z, dps=50, kmax=200, as_float=True):
     """The residue series over the right poles s = (B_j + k) / beta_j of an
     l = 0 spec with simple poles, summed by mpmath at dps digits, where
-    double-precision terms would cancel."""
+    double-precision terms would cancel; an mpf unless as_float, for values
+    past the double range."""
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         for j, (b, be) in enumerate(spec.lower[: spec.m]):
@@ -80,7 +81,7 @@ def mp_residue_sum(spec, z, dps=50, kmax=200):
                 for b2, be2 in spec.lower[spec.m :]:
                     term *= mpmath.rgamma(1 - b2 + be2 * s0)
                 total += term
-        return float(total)
+        return float(total) if as_float else total
 
 
 class TestSpecInvariants:

@@ -1,6 +1,7 @@
 """Tests for the anomalous-diffusion solver: similarity reduction, the three
 solution branches, the integer-order closed form, and evaluation."""
 
+import collections
 import functools
 import math
 
@@ -364,15 +365,21 @@ class TestEvaluate:
     def test_reduced_sweep_vs_mpmath(self, monkeypatch):
         # H-form solutions at log-uniform points, where x^a alone often
         # leaves the double range while u does not: a product x^a phi(z)
-        # returned 0.0, lost digits or refused there.  The reference is
-        # x^a phi(z) at 40 digits from the library's phi at the same z, so
-        # it grades how u is formed from phi; where phi raises a typed error
-        # other than DomainError, so does u.  Each H value is cached, so
-        # the reference's phi is the one u read
+        # returned 0.0, lost digits or refused there.  Where phi is a normal
+        # double, the reference is x^a phi(z) at 40 digits from the library's
+        # phi at the same z, so it grades how u is formed from phi (each H
+        # value is cached, so the reference's phi is the one u read).  Where
+        # phi is below the normal range, |u| <= |phi| if x^a <= 1, and u is
+        # refused otherwise, since its size is unknown; at w <= 1e-3, where
+        # 15 terms of the residue sum converge, the sum grades u.  Where phi
+        # raises QuadratureFailureError, so does u, and the sum tells a phi
+        # past the range from one whose contour scale alone passes it
+        from test_foxh import mp_residue_sum
+
         monkeypatch.setattr(ode, "eval_mellin_barnes", functools.cache(ode.eval_mellin_barnes))
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max
         rng = np.random.default_rng(7)
-        problems = graded = 0
+        problems, tally = 0, collections.Counter()
         while problems < 60:
             prob = DiffusionProblem(
                 alpha=float(rng.uniform(0.5, 1.9)), m=int(rng.integers(0, 3)),
@@ -385,16 +392,38 @@ class TestEvaluate:
             except ComplexRootsError:
                 continue
             problems += 1
+            small = sol.form.small
             for x, t in (10.0 ** rng.uniform(-40.0, 40.0, (50, 2))).tolist():
+                z = prob.z(x, t)
+                with mpmath.workdps(40):
+                    xa, w = mpmath.mpf(x) ** prob.a, small.arg_coef * mpmath.mpf(z) ** -small.power
+                try:
+                    phi = sol.form.evaluate(z)
+                except CancellationError:
+                    tally["phi cancels"] += 1
+                    continue
+                except QuadratureFailureError:
+                    with pytest.raises(QuadratureFailureError):
+                        evaluate(sol, x, t)
+                    assert w <= 1e-3
+                    phi = mp_residue_sum(small.spec, w, dps=40, kmax=15, as_float=False)
+                    past = abs(phi) > huge
+                    tally["phi past the range" if past else "phi in range, scale past it"] += 1
+                    continue
                 try:
                     got = evaluate(sol, x, t)
-                except (CancellationError, QuadratureFailureError):
-                    continue
                 except DomainError:
                     got = None
-                graded += 1
                 with mpmath.workdps(40):
-                    want = mpmath.mpf(x) ** prob.a * mpmath.mpc(sol.form.evaluate(prob.z(x, t)))
+                    want = xa * mpmath.mpc(phi)
+                if abs(phi) < tiny and prob.a * math.log(x) > 0:
+                    assert got is None, (prob, x, t, got)
+                    tally["phi below, lifted: refused"] += 1
+                    continue
+                if abs(phi) < tiny and w <= 1e-3:
+                    with mpmath.workdps(40):
+                        want = xa * mp_residue_sum(small.spec, w, dps=40, kmax=15, as_float=False)
+                    tally["phi below: residue sum"] += 1
                 if abs(want) > huge:
                     assert got is None, (prob, x, t, got, want)
                 elif abs(want) < tiny:
@@ -402,7 +431,10 @@ class TestEvaluate:
                 else:
                     assert got is not None and abs(got - want) <= 1e-12 * abs(want), (
                         prob, x, t, got, want)
-        assert graded >= 1500
+                tally["graded"] += 1
+        assert tally["graded"] + tally["phi below, lifted: refused"] >= 1500, tally
+        assert all(tally[k] for k in ("phi below, lifted: refused", "phi below: residue sum",
+                                      "phi past the range")), tally
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -410,13 +442,11 @@ class TestEvaluate:
         [(40.0, 5.011872336272715e-9, 1.6e-8),  # u = 1.71817011642e-126
          (40.0, 1e-8, 1e-7),  # x^a = 1e-320 is subnormal
          (30.0, 1e-11, 1e-12),  # u = 3.97e-144
-         (4.0, 1e100, 1.0),  # x^a = 1e400 overflows; u is below the double range
          (0.0, 1e-124, 1e-310)],  # x^-2.5 = 1e310 overflows, but z = 1
     )
     def test_reduced_points_vs_residue_sum(self, a, x, t):
         # u = x^a H(w), w = arg_coef z^-0.8, z = x^-2.5 t, with H from a
-        # 50-digit residue sum at the exact z; at w = 2.5e199 H is far below
-        # the double range
+        # 50-digit residue sum at the exact z
         from test_foxh import mp_residue_sum
 
         sol = solve(DiffusionProblem(alpha=0.8, m=0, d=0.0, A=1.0, a=a))
@@ -424,11 +454,29 @@ class TestEvaluate:
         got = evaluate(sol, x, t)
         with mpmath.workdps(50):
             w = small.arg_coef * (mpmath.mpf(x) ** -2.5 * mpmath.mpf(t)) ** -0.8
-            if w > 1e100:
-                assert got == 0.0
-                return
             want = mpmath.mpf(x) ** a * mp_residue_sum(small.spec, w)
         assert abs(got / want - 1.0) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phi_below_the_range_lifted_by_x_a_refused(self):
+        # phi(z) is 0.0 at a = -40, (1e-13, 1e-10): the lower parameters
+        # 20.5 and 20 put H(w) near w^20, w = 2.5e-19, but x^-40 = 1e520
+        # lifts u to -1.9e151, a normal double, where 0.0 was returned
+        from test_foxh import mp_residue_sum
+
+        sol = solve(DiffusionProblem(alpha=0.8, m=0, d=0.0, A=1.0, a=-40.0))
+        small = sol.form.small
+        with mpmath.workdps(50):
+            w = small.arg_coef * (mpmath.mpf(1e-13) ** -2.5 * mpmath.mpf(1e-10)) ** -0.8
+            want = mpmath.mpf(1e-13) ** -40 * mp_residue_sum(small.spec, w, as_float=False)
+        assert 1e150 < -want < 1e152
+        with pytest.raises(DomainError, match=r"phi\(z\) = 0.*below the normal range"):
+            evaluate(sol, 1e-13, 1e-10)
+        # at (1e100, 1) phi(z) = H(2.5e199) is 0.0 and x^4 = 1e400: no bound
+        # on |H| there says whether u is in range
+        sol = solve(DiffusionProblem(alpha=0.8, m=0, d=0.0, A=1.0, a=4.0))
+        with pytest.raises(DomainError, match="below the normal range"):
+            evaluate(sol, 1e100, 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numpy_float_time_refused(self):
